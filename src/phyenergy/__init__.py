@@ -2,8 +2,8 @@
 downlink baseband chain, plus classic base-station power models and
 measurement-report comparison."""
 
-from .errors import (ConfigError, CostTableError, CoverageError, DataFileError,
-                     DomainError, MeasurementError, PhyEnergyError)
+from .errors import (ConfigError, CostTableError, CoverageError, DomainError,
+                     MeasurementError, PhyEnergyError)
 from .scenario import (BaseGraphSpec, DecodeConfig, DerivedParams, Modulation,
                        Scenario, derive, load_scenario, select_base_graph,
                        validate)
@@ -19,9 +19,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaseGraphSpec", "BlockId", "ComparisonReport", "ConfigError",
-    "CostTableError", "CoverageError", "DataClass", "DataFileError",
-    "DecodeConfig", "DerivedParams", "DomainError", "EnergyParams",
-    "EnergyReport", "InstructionCostTable", "MeasuredReport",
+    "CostTableError", "CoverageError", "DataClass", "DecodeConfig",
+    "DerivedParams", "DomainError", "EnergyParams", "EnergyReport",
+    "InstructionCostTable", "MeasuredReport",
     "MeasurementError", "Modulation", "OperationTally", "OpKind",
     "PathFilter", "PhyEnergyError", "PipelineTallies", "Scenario",
     "build_report", "compare", "cycles_for", "derive", "energy_per_cycle",

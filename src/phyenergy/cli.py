@@ -22,13 +22,12 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-import yaml
-
 from . import costmodel, ingest, legacy
 from .costmodel import EnergyParams, EnergyReport, InstructionCostTable
 from .errors import ConfigError, MeasurementError, PhyEnergyError, UsageError
 from .opcount import BlockId, tally_pipeline
-from .scenario import Scenario, derive, load_scenario, parse_modulation, with_overrides
+from .scenario import (Scenario, derive, load_scenario, parse_modulation,
+                       read_yaml, with_overrides)
 
 COST_TABLE_ENV = "PHYENERGY_COST_TABLE"
 
@@ -73,185 +72,138 @@ def fmt_opt(q: Optional[Fraction], as_float: bool = False) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Report rendering
+# Report rendering.  Each report has one row model (``_estimate_rows``,
+# ``_comparison_rows``) that both of its layouts read.  Structured text is
+# built from ``key:`` sections of indented ``name: value`` lines, and every
+# delimited table comes from ``_table``.
+
+_COST_KEYS = ("micro_ops", "cycles", "cycles_per_bit", "energy_j",
+              "energy_nj_per_bit")
+_BLOCK_KEYS = ("side",) + _COST_KEYS
+_COMPARISON_KEYS = ("modeled_cycles", "measured_cycles", "ratio",
+                    "signed_relative_error", "flag")
 
 
-def _scenario_lines(s: Scenario) -> list[str]:
-    lines = [
-        "scenario:",
-        f"  n_slots: {s.n_slots}",
-        f"  snr_db: {fmt_float(s.snr_db)}",
-        f"  scs_khz: {s.scs_khz}",
-        f"  n_prb: {s.n_prb}",
-        f"  modulation: {s.modulation.name}",
-        f"  code_rate: {s.code_rate}/1024",
-        f"  n_tx: {s.n_tx}",
-        f"  n_rx: {s.n_rx}",
-        f"  n_layers: {s.n_layers}",
-        f"  n_ports: {s.n_ports}",
-        f"  clock_hz: {fmt_float(s.clock_hz)}",
-        f"  kappa: {fmt_float(s.kappa)}",
-        f"  channel_len: {s.channel_len}",
-        f"  pilot_sc_per_prb: {s.pilot_sc_per_prb}",
-        f"  pilot_symbols_per_slot: {s.pilot_symbols_per_slot}",
+def _estimate_rows(rep: EnergyReport) -> list[list[str]]:
+    """Name, side and cost fields for each block, then the total."""
+    bits = rep.bits_transmitted
+    entries = [(blk.value, blk.side, rep.per_block[blk]) for blk in BlockId]
+    entries.append(("TOTAL", "", rep.total))
+    return [[name, side, str(cost.micro_ops), fmt_exact(cost.cycles),
+             fmt_opt(cost.cycles_per_bit, as_float=True),
+             fmt_float(cost.energy_j),
+             fmt_float(cost.energy_j / bits * 1e9) if bits > 0
+             else "undefined"]
+            for name, side, cost in entries]
+
+
+def _comparison_rows(result: ingest.ComparisonReport) -> list[list[str]]:
+    """Name and comparison fields for each block, then the total."""
+    entries = [(blk.value, result.per_block[blk]) for blk in BlockId]
+    entries.append(("TOTAL", result.total))
+    return [[name, fmt_exact(cmp.modeled_cycles),
+             fmt_opt(cmp.measured_cycles), fmt_opt(cmp.ratio),
+             fmt_opt(cmp.signed_relative_error, as_float=True), cmp.flag]
+            for name, cmp in entries]
+
+
+def _section(lines: list[str], indent: str, key: str, pairs) -> None:
+    """Append ``key:`` and then one indented ``name: value`` line per pair."""
+    lines.append(f"{indent}{key}:")
+    indent += "  "
+    for name, value in pairs:
+        lines.append(f"{indent}{name}: {value}")
+
+
+def _table(header: Sequence[str], rows) -> str:
+    lines = [",".join(header)]
+    lines += [",".join(row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _scenario_sections(lines: list[str], s: Scenario) -> None:
+    pairs = [
+        ("n_slots", s.n_slots),
+        ("snr_db", fmt_float(s.snr_db)),
+        ("scs_khz", s.scs_khz),
+        ("n_prb", s.n_prb),
+        ("modulation", s.modulation.name),
+        ("code_rate", f"{s.code_rate}/1024"),
+        ("n_tx", s.n_tx),
+        ("n_rx", s.n_rx),
+        ("n_layers", s.n_layers),
+        ("n_ports", s.n_ports),
+        ("clock_hz", fmt_float(s.clock_hz)),
+        ("kappa", fmt_float(s.kappa)),
+        ("channel_len", s.channel_len),
+        ("pilot_sc_per_prb", s.pilot_sc_per_prb),
+        ("pilot_symbols_per_slot", s.pilot_symbols_per_slot),
     ]
     if s.tbs_override is not None:
-        lines.append(f"  tbs_override: {s.tbs_override}")
+        pairs.append(("tbs_override", s.tbs_override))
     if s.rx_fft_antennas is not None:
-        lines.append(f"  rx_fft_antennas: {s.rx_fft_antennas}")
-    lines += [
-        "  decode:",
-        f"    deg_cn: {s.decode.deg_cn}",
-        f"    deg_vn: {s.decode.deg_vn}",
-        f"    iterations: {s.decode.iterations}",
-    ]
-    return lines
-
-
-def _derived_lines(s: Scenario) -> list[str]:
+        pairs.append(("rx_fft_antennas", s.rx_fft_antennas))
+    _section(lines, "", "scenario", pairs)
+    _section(lines, "  ", "decode", [("deg_cn", s.decode.deg_cn),
+                                     ("deg_vn", s.decode.deg_vn),
+                                     ("iterations", s.decode.iterations)])
     d = derive(s)
-    return [
-        "derived:",
-        f"  n_f: {d.n_f}",
-        f"  n_fft: {d.n_fft}",
-        f"  k_p: {d.k_p}",
-        f"  n_re: {d.n_re}",
-        f"  n_symbols: {d.n_symbols}",
-        f"  m_cw: {d.m_cw}",
-        f"  a: {d.a}",
-        f"  base_graph: {d.bg}",
-        f"  c: {d.c}",
-        f"  z: {d.z}",
-        f"  k: {d.k}",
-        f"  n_ccb: {d.n_ccb}",
-    ]
-
-
-def _cost_lines(rep: EnergyReport, label: str, cost) -> list[str]:
-    bits = rep.bits_transmitted
-    nj_per_bit = (fmt_float(cost.energy_j / bits * 1e9) if bits > 0
-                  else "undefined")
-    return [
-        f"{label}:",
-        f"  micro_ops: {cost.micro_ops}",
-        f"  cycles: {fmt_exact(cost.cycles)}",
-        f"  cycles_per_bit: {fmt_opt(cost.cycles_per_bit, as_float=True)}",
-        f"  energy_j: {fmt_float(cost.energy_j)}",
-        f"  energy_nj_per_bit: {nj_per_bit}",
-    ]
+    _section(lines, "", "derived", [
+        ("n_f", d.n_f), ("n_fft", d.n_fft), ("k_p", d.k_p),
+        ("n_re", d.n_re), ("n_symbols", d.n_symbols), ("m_cw", d.m_cw),
+        ("a", d.a), ("base_graph", d.bg), ("c", d.c), ("z", d.z),
+        ("k", d.k), ("n_ccb", d.n_ccb)])
 
 
 def render_estimate_text(rep: EnergyReport) -> str:
     lines: list[str] = []
     if rep.scenario is not None:
-        lines += _scenario_lines(rep.scenario)
-        lines += _derived_lines(rep.scenario)
-    lines += [
-        "energy:",
-        f"  kappa_j_s2: {fmt_float(rep.energy.kappa)}",
-        f"  clock_hz: {fmt_float(rep.energy.clock_hz)}",
-        f"  epsilon_j_per_cycle: {fmt_float(rep.energy.epsilon)}",
-        "cost_table:",
-        f"  source: {rep.table_source}",
-        f"  date: {rep.table_date or 'unknown'}",
-        f"bits_transmitted: {rep.bits_transmitted}",
-        "blocks:",
-    ]
-    for block in BlockId:
-        cost = rep.per_block[block]
-        lines.append(f"  {block.value}:")
-        lines.append(f"    side: {block.side}")
-        for line in _cost_lines(rep, "x", cost)[1:]:
-            lines.append("  " + line)
-    lines += _cost_lines(rep, "total", rep.total)
+        _scenario_sections(lines, rep.scenario)
+    _section(lines, "", "energy", [
+        ("kappa_j_s2", fmt_float(rep.energy.kappa)),
+        ("clock_hz", fmt_float(rep.energy.clock_hz)),
+        ("epsilon_j_per_cycle", fmt_float(rep.energy.epsilon))])
+    _section(lines, "", "cost_table", [("source", rep.table_source),
+                                       ("date", rep.table_date or "unknown")])
+    lines += [f"bits_transmitted: {rep.bits_transmitted}", "blocks:"]
+    *blocks, total = _estimate_rows(rep)
+    for row in blocks:
+        _section(lines, "  ", row[0], zip(_BLOCK_KEYS, row[1:]))
+    _section(lines, "", "total", zip(_COST_KEYS, total[2:]))
     return "\n".join(lines) + "\n"
 
 
 def render_estimate_table(rep: EnergyReport) -> str:
-    bits = rep.bits_transmitted
-    rows = ["block,side,micro_ops,cycles,cycles_per_bit,energy_j,"
-            "energy_nj_per_bit"]
-    entries = [(blk.value, blk.side, rep.per_block[blk]) for blk in BlockId]
-    entries.append(("TOTAL", "", rep.total))
-    for name, side, cost in entries:
-        nj = (fmt_float(cost.energy_j / bits * 1e9) if bits > 0
-              else "undefined")
-        rows.append(",".join([
-            name, side, str(cost.micro_ops), fmt_exact(cost.cycles),
-            fmt_opt(cost.cycles_per_bit, as_float=True),
-            fmt_float(cost.energy_j), nj,
-        ]))
-    return "\n".join(rows) + "\n"
+    return _table(("block",) + _BLOCK_KEYS, _estimate_rows(rep))
 
 
 def render_sweep_table(param: str, results: Sequence[tuple[str, EnergyReport]],
                        ) -> str:
-    rows = [f"{param},block,micro_ops,cycles,cycles_per_bit"]
-    for value_label, rep in results:
-        for block in BlockId:
-            cost = rep.per_block[block]
-            rows.append(",".join([
-                value_label, block.value, str(cost.micro_ops),
-                fmt_exact(cost.cycles),
-                fmt_opt(cost.cycles_per_bit, as_float=True),
-            ]))
-        rows.append(",".join([
-            value_label, "TOTAL", str(rep.total.micro_ops),
-            fmt_exact(rep.total.cycles),
-            fmt_opt(rep.total.cycles_per_bit, as_float=True),
-        ]))
-    return "\n".join(rows) + "\n"
+    return _table(
+        (param, "block") + _COST_KEYS[:3],
+        [[label, name, micro_ops, cycles, per_bit]
+         for label, rep in results
+         for name, _, micro_ops, cycles, per_bit, _, _ in _estimate_rows(rep)])
 
 
 def render_sweep_text(param: str, results: Sequence[tuple[str, EnergyReport]],
                       ) -> str:
     lines = [f"sweep: {param}"]
-    for value_label, rep in results:
-        lines.append(f"{value_label}:")
-        for block in BlockId:
-            cost = rep.per_block[block]
-            lines.append(
-                f"  {block.value}: cycles={fmt_exact(cost.cycles)} "
-                f"cycles_per_bit={fmt_opt(cost.cycles_per_bit, as_float=True)}")
-        lines.append(
-            f"  TOTAL: cycles={fmt_exact(rep.total.cycles)} "
-            f"cycles_per_bit={fmt_opt(rep.total.cycles_per_bit, as_float=True)}")
+    for label, rep in results:
+        rows = _estimate_rows(rep)
+        _section(lines, "", label,
+                 [(name, f"cycles={cycles} cycles_per_bit={per_bit}")
+                  for name, _, _, cycles, per_bit, _, _ in rows])
     return "\n".join(lines) + "\n"
-
-
-def _comparison_fields(cmp: ingest.BlockComparison) -> list[str]:
-    err = ("undefined" if cmp.signed_relative_error is None
-           else fmt_float(cmp.signed_relative_error))
-    return [
-        fmt_exact(cmp.modeled_cycles),
-        fmt_opt(cmp.measured_cycles),
-        fmt_opt(cmp.ratio),
-        err,
-        cmp.flag,
-    ]
 
 
 def render_compare_text(result: ingest.ComparisonReport) -> str:
     lines = ["comparison:", "blocks:"]
-    for block in BlockId:
-        cmp = result.per_block[block]
-        modeled, measured, ratio, err, flag = _comparison_fields(cmp)
-        lines += [
-            f"  {block.value}:",
-            f"    modeled_cycles: {modeled}",
-            f"    measured_cycles: {measured}",
-            f"    ratio: {ratio}",
-            f"    signed_relative_error: {err}",
-            f"    flag: {flag}",
-        ]
-    modeled, measured, ratio, err, flag = _comparison_fields(result.total)
+    *blocks, total = _comparison_rows(result)
+    for row in blocks:
+        _section(lines, "  ", row[0], zip(_COMPARISON_KEYS, row[1:]))
+    _section(lines, "", "total", zip(_COMPARISON_KEYS, total[1:]))
     lines += [
-        "total:",
-        f"  modeled_cycles: {modeled}",
-        f"  measured_cycles: {measured}",
-        f"  ratio: {ratio}",
-        f"  signed_relative_error: {err}",
-        f"  flag: {flag}",
         f"unattributed_cycles: {fmt_exact(result.unattributed_cycles)}",
         "overestimated: " + (",".join(b.value for b in result.overestimated)
                              or "none"),
@@ -262,16 +214,10 @@ def render_compare_text(result: ingest.ComparisonReport) -> str:
 
 
 def render_compare_table(result: ingest.ComparisonReport) -> str:
-    rows = ["block,modeled_cycles,measured_cycles,ratio,"
-            "signed_relative_error,flag"]
-    for block in BlockId:
-        rows.append(",".join([block.value]
-                             + _comparison_fields(result.per_block[block])))
-    rows.append(",".join(["TOTAL"] + _comparison_fields(result.total)))
-    rows.append(",".join([
-        "UNATTRIBUTED", "", fmt_exact(result.unattributed_cycles), "", "", "",
-    ]))
-    return "\n".join(rows) + "\n"
+    unattributed = ["UNATTRIBUTED", "", fmt_exact(result.unattributed_cycles),
+                    "", "", ""]
+    return _table(("block",) + _COMPARISON_KEYS,
+                  _comparison_rows(result) + [unattributed])
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +331,7 @@ def cmd_legacy(args: argparse.Namespace) -> int:
             f"unknown model {args.model!r}; valid: "
             + ", ".join(sorted(legacy.MODELS)))
     path = Path(args.params)
-    if not path.exists():
-        raise ConfigError(f"params file not found: {path}")
-    try:
-        raw = yaml.safe_load(path.read_text())
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: malformed config: {exc}") from None
+    raw = read_yaml(path, "params")
     if raw is None:
         raise ConfigError(f"{path}: empty params file")
     value, unit = legacy.evaluate_model(args.model, raw)

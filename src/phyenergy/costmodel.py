@@ -16,16 +16,16 @@ from __future__ import annotations
 
 import csv
 import enum
-import io
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
-from .errors import ConfigError, CostTableError, CoverageError
+from .errors import ConfigError, CostTableError, CoverageError, PhyEnergyError
 from .opcount import BlockId, DataClass, OpKind, OperationTally, PipelineTallies
-from .scenario import Scenario
+from .scenario import Scenario, read_text
 
 DEFAULT_TABLE_RESOURCE = "cost_table.csv"
 
@@ -89,7 +89,6 @@ _LOCATION_BY_NAME = {loc.value: loc for loc in OperandLocation}
 
 
 def _parse_cycles(text: str, where: str) -> Fraction:
-    text = text.strip()
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -97,6 +96,37 @@ def _parse_cycles(text: str, where: str) -> Fraction:
     if value < 0:
         raise CostTableError(f"{where}: cycles must be >= 0")
     return value
+
+
+def read_csv_rows(text: str, source: str, header: Sequence[str], what: str,
+                  error: type[PhyEnergyError],
+                  ) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(lineno, stripped cells)`` for each data row of CSV text.
+
+    Blank lines and ``#`` comments are skipped, and the first remaining
+    line must be ``header``.  Each physical line is parsed on its own, so
+    an unterminated quote cannot swallow the lines after it.  Problems
+    raise ``error``; ``what`` names the file kind in the empty-file error.
+    """
+    header = list(header)
+    seen_header = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        cells = [cell.strip() for cell in next(csv.reader((line,)))]
+        if not seen_header:
+            if cells != header:
+                raise error(f"{source}:{lineno}: header must be "
+                            + ",".join(header))
+            seen_header = True
+        elif len(cells) != len(header):
+            raise error(f"{source}:{lineno}: expected {len(header)} columns, "
+                        f"got {len(cells)}")
+        else:
+            yield lineno, cells
+    if not seen_header:
+        raise error(f"{source}: empty {what}")
 
 
 def parse_cost_table(text: str, source: str = "<string>") -> InstructionCostTable:
@@ -107,37 +137,20 @@ def parse_cost_table(text: str, source: str = "<string>") -> InstructionCostTabl
     is required and duplicate keys are rejected.
     """
     meta = {"source": source, "date": ""}
-    data_lines: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for raw in text.splitlines():
         line = raw.strip()
-        if not line:
-            continue
         if line.startswith("#"):
             body = line.lstrip("#").strip()
             for tag in ("source", "date"):
                 prefix = tag + ":"
                 if body.lower().startswith(prefix):
                     meta[tag] = body[len(prefix):].strip()
-            continue
-        data_lines.append((lineno, line))
-
-    if not data_lines:
-        raise CostTableError(f"{source}: empty cost table")
-
-    header_line = data_lines[0][1]
-    header = next(csv.reader(io.StringIO(header_line)))
-    if [h.strip() for h in header] != _HEADER:
-        raise CostTableError(
-            f"{source}:{data_lines[0][0]}: header must be "
-            + ",".join(_HEADER))
 
     entries: Dict[TableKey, CostEntry] = {}
-    for lineno, line in data_lines[1:]:
+    for lineno, row in read_csv_rows(text, source, _HEADER, "cost table",
+                                     CostTableError):
         where = f"{source}:{lineno}"
-        row = next(csv.reader(io.StringIO(line)))
-        if len(row) != len(_HEADER):
-            raise CostTableError(f"{where}: expected {len(_HEADER)} columns")
-        kind_s, cls_s, loc_s, uops_s, cyc_s = (cell.strip() for cell in row)
+        kind_s, cls_s, loc_s, uops_s, cyc_s = row
         try:
             kind = _KIND_BY_NAME[kind_s]
         except KeyError:
@@ -170,10 +183,8 @@ def parse_cost_table(text: str, source: str = "<string>") -> InstructionCostTabl
 
 
 def load_cost_table(path: str | Path) -> InstructionCostTable:
-    path = Path(path)
-    if not path.exists():
-        raise CostTableError(f"cost table not found: {path}")
-    return parse_cost_table(path.read_text(), source=str(path))
+    return parse_cost_table(read_text(path, "cost table", CostTableError),
+                            source=str(Path(path)))
 
 
 def load_default_cost_table() -> InstructionCostTable:
@@ -213,6 +224,8 @@ def cycles_for(tally: OperationTally, table: InstructionCostTable) -> CostTotals
 
 def energy_per_cycle(kappa: float, clock_hz: float) -> float:
     """Joules per cycle: kappa times the squared clock frequency."""
+    if not (math.isfinite(kappa) and math.isfinite(clock_hz)):
+        raise ConfigError("kappa and clock_hz must be finite")
     if kappa <= 0 or clock_hz <= 0:
         raise ConfigError("kappa and clock_hz must be positive")
     return kappa * clock_hz * clock_hz

@@ -31,12 +31,6 @@ class CostTableError(PhyEnergyError):
     code = "cost-table"
 
 
-class DataFileError(PhyEnergyError):
-    """Corrupt bundled data file (base-graph descriptor)."""
-
-    code = "data"
-
-
 class CoverageError(PhyEnergyError):
     """An operation key has no entry in the active cost table."""
 

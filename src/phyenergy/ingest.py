@@ -26,10 +26,12 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
-from .costmodel import EnergyReport, InstructionCostTable, cycles_for
+from .costmodel import (EnergyReport, InstructionCostTable, cycles_for,
+                        read_csv_rows)
 from .errors import ConfigError, MeasurementError
 from .opcount import (BlockId, DataClass, OpKind, OperationTally,
                       PipelineTallies)
+from .scenario import read_text, read_yaml
 
 _HEADER = ["function_path", "block", "operator", "data_type", "shape", "count"]
 
@@ -101,9 +103,8 @@ def parse_measurement(path: str | Path,
                       ) -> MeasuredReport:
     """Read a measurement file, filter it, and attribute rows to blocks."""
     path = Path(path)
-    if not path.exists():
-        raise MeasurementError(f"measurement file not found: {path}")
-    return parse_measurement_text(path.read_text(), source=str(path),
+    text = read_text(path, "measurement file", MeasurementError)
+    return parse_measurement_text(text, source=str(path),
                                   path_filter=path_filter,
                                   block_map=block_map)
 
@@ -115,25 +116,12 @@ def parse_measurement_text(text: str, source: str = "<string>",
     path_filter = path_filter or PathFilter()
     block_map = block_map or {}
 
-    lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), start=1)
-             if ln.strip() and not ln.strip().startswith("#")]
-    if not lines:
-        raise MeasurementError(f"{source}: empty measurement file")
-
-    header = next(csv.reader(io.StringIO(lines[0][1])))
-    if [h.strip() for h in header] != _HEADER:
-        raise MeasurementError(
-            f"{source}:{lines[0][0]}: header must be " + ",".join(_HEADER))
-
     rows: list[MeasuredRow] = []
     seen = kept = filtered = unattributed = 0
-    for lineno, line in lines[1:]:
+    for lineno, cells in read_csv_rows(text, source, _HEADER,
+                                       "measurement file", MeasurementError):
         where = f"{source}:{lineno}"
-        cells = next(csv.reader(io.StringIO(line)))
-        if len(cells) != len(_HEADER):
-            raise MeasurementError(
-                f"{where}: expected {len(_HEADER)} columns, got {len(cells)}")
-        fpath, block_s, op_s, type_s, shape, count_s = (c.strip() for c in cells)
+        fpath, block_s, op_s, type_s, shape, count_s = cells
         seen += 1
 
         try:
@@ -219,15 +207,8 @@ def rows_from_tallies(tallies: PipelineTallies,
 
 def load_filter_config(path: str | Path) -> tuple[PathFilter, Dict[str, BlockId]]:
     """Read a filter config: allow/deny prefix lists plus a block map."""
-    import yaml
-
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"filter file not found: {path}")
-    try:
-        raw = yaml.safe_load(path.read_text())
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: malformed config: {exc}") from None
+    raw = read_yaml(path, "filter")
     if raw is None:
         raw = {}
     if not isinstance(raw, Mapping):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .errors import ConfigError, DomainError
@@ -179,10 +180,11 @@ def fu_rf_power(p: FuParams) -> float:
 
 
 def _take(mapping: Mapping[str, Any], fields: dict[str, Callable],
-          context: str) -> dict[str, Any]:
+          context: str, optional: dict[str, Callable]) -> dict[str, Any]:
+    """Convert the required ``fields`` and any present ``optional`` keys."""
     if not isinstance(mapping, Mapping):
         raise ConfigError(f"{context}: expected a key/value mapping")
-    unknown = sorted(set(mapping) - set(fields))
+    unknown = sorted(set(mapping) - set(fields) - set(optional))
     if unknown:
         raise ConfigError(f"{context}: unknown keys: " + ", ".join(unknown))
     out = {}
@@ -190,7 +192,16 @@ def _take(mapping: Mapping[str, Any], fields: dict[str, Callable],
         if key not in mapping:
             raise ConfigError(f"{context}: missing key {key}")
         out[key] = conv(mapping[key])
+    for key, conv in optional.items():
+        if key in mapping:
+            out[key] = conv(mapping[key])
     return out
+
+
+def _loader(cls: Callable, context: str, fields: dict[str, Callable],
+            optional: dict[str, Callable]) -> Callable[[Any], Any]:
+    """A parameter loader, also usable as a section converter."""
+    return lambda mapping: cls(**_take(mapping, fields, context, optional))
 
 
 def _num(value: Any) -> float:
@@ -217,101 +228,62 @@ def _flag(value: Any) -> bool:
     raise ConfigError(f"expected true/false, got {value!r}")
 
 
+def _carriers(value: Any) -> tuple[ComponentCarrier, ...]:
+    if value is None:
+        return ()
+    if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
+        raise ConfigError("yu: carriers must be a list")
+    return tuple(
+        ComponentCarrier(**_take(
+            cc, {"p_tx_w": _num, "bandwidth_mhz": _num,
+                 "p_cp_var_w_per_mhz": _num}, f"yu.carriers[{i}]", {}))
+        for i, cc in enumerate(value))
+
+
 def _load_auer(m: Mapping[str, Any]) -> AuerParams:
     got = _take(m, {"n_trx": _count, "p0_w": _num, "delta_p": _num,
                     "p_out_w": _num, "p_max_w": _num, "p_sleep_w": _num},
-                "auer")
+                "auer", {})
     for key in ("p0_w", "p_out_w", "p_max_w", "p_sleep_w"):
         if got[key] < 0:
             raise ConfigError(f"auer: {key} must be >= 0")
     return AuerParams(**got)
 
 
-def _load_desset(m: Mapping[str, Any]) -> DessetComponents:
-    return DessetComponents(**_take(
-        m, {"p_bbu_w": _num, "p_rf_w": _num, "p_pa_w": _num, "p_oh_w": _num},
-        "desset"))
-
-
-def _load_yan(m: Mapping[str, Any]) -> YanSegments:
-    return YanSegments(**_take(
-        m, {"e_ue_j": _num, "e_bs_j": _num, "e_wireline_j": _num,
-            "e_dc_j": _num}, "yan"))
-
-
-def _load_yu(m: Mapping[str, Any]) -> YuParams:
-    if not isinstance(m, Mapping):
-        raise ConfigError("yu: expected a key/value mapping")
-    unknown = sorted(set(m) - {"carriers", "p_cp_static_w"})
-    if unknown:
-        raise ConfigError("yu: unknown keys: " + ", ".join(unknown))
-    if "p_cp_static_w" not in m:
-        raise ConfigError("yu: missing key p_cp_static_w")
-    raw_ccs = m.get("carriers", [])
-    if raw_ccs is None:
-        raw_ccs = []
-    if not isinstance(raw_ccs, Sequence) or isinstance(raw_ccs, (str, bytes)):
-        raise ConfigError("yu: carriers must be a list")
-    carriers = tuple(
-        ComponentCarrier(**_take(
-            cc, {"p_tx_w": _num, "bandwidth_mhz": _num,
-                 "p_cp_var_w_per_mhz": _num}, f"yu.carriers[{i}]"))
-        for i, cc in enumerate(raw_ccs)
-    )
-    return YuParams(carriers=carriers, p_cp_static_w=_num(m["p_cp_static_w"]))
-
-
-def _load_tombaz(m: Mapping[str, Any]) -> TombazParams:
-    fields = {"n_sectors": _count, "p_tx_sector_w": _num, "eta_pa": _num,
-              "n_rf_chains": _count, "p_c_w": _num, "p_b_w": _num}
-    optional = {"dtx_enabled": _flag, "delta": _num}
-    if not isinstance(m, Mapping):
-        raise ConfigError("tombaz: expected a key/value mapping")
-    unknown = sorted(set(m) - set(fields) - set(optional))
-    if unknown:
-        raise ConfigError("tombaz: unknown keys: " + ", ".join(unknown))
-    got = {}
-    for key, conv in fields.items():
-        if key not in m:
-            raise ConfigError(f"tombaz: missing key {key}")
-        got[key] = conv(m[key])
-    for key, conv in optional.items():
-        if key in m:
-            got[key] = conv(m[key])
-    return TombazParams(**got)
-
-
-def _load_fu(m: Mapping[str, Any]) -> FuParams:
-    if not isinstance(m, Mapping):
-        raise ConfigError("fu: expected a key/value mapping")
-    unknown = sorted(set(m) - {"rho_gops_per_w", "bb", "rf"})
-    if unknown:
-        raise ConfigError("fu: unknown keys: " + ", ".join(unknown))
-    if "rho_gops_per_w" not in m:
-        raise ConfigError("fu: missing key rho_gops_per_w")
-    bb = rf = None
-    if "bb" in m:
-        bb = FuBasebandUnit(**_take(
-            m["bb"], {"l_beams": _count, "q_enc_gops": _num,
-                      "q_net_gops": _num, "q_ctrl_gops": _num}, "fu.bb"))
-    if "rf" in m:
-        rf = FuRfChain(**_take(
-            m["rf"], {"m_antennas": _count, "q_mod_gops": _num,
-                      "q_mix_gops": _num, "q_vga_gops": _num,
-                      "q_lna_gops": _num, "q_adc_gops": _num,
-                      "q_clk_gops": _num}, "fu.rf"))
-    return FuParams(rho_gops_per_w=_num(m["rho_gops_per_w"]), bb=bb, rf=rf)
-
+_fu_params = _loader(
+    FuParams, "fu", {"rho_gops_per_w": _num},
+    {"bb": _loader(FuBasebandUnit, "fu.bb",
+                   {"l_beams": _count, "q_enc_gops": _num,
+                    "q_net_gops": _num, "q_ctrl_gops": _num}, {}),
+     "rf": _loader(FuRfChain, "fu.rf",
+                   {"m_antennas": _count, "q_mod_gops": _num,
+                    "q_mix_gops": _num, "q_vga_gops": _num,
+                    "q_lna_gops": _num, "q_adc_gops": _num,
+                    "q_clk_gops": _num}, {})})
 
 # model name -> (loader, evaluator, unit)
 MODELS: dict[str, tuple] = {
     "auer": (_load_auer, auer_power, "W"),
-    "desset": (_load_desset, desset_power, "W"),
-    "yan": (_load_yan, yan_energy, "J"),
-    "yu": (_load_yu, yu_power, "W"),
-    "tombaz": (_load_tombaz, tombaz_power, "W"),
-    "fu-bb": (_load_fu, fu_bb_power, "W"),
-    "fu-rf": (_load_fu, fu_rf_power, "W"),
+    "desset": (_loader(DessetComponents, "desset",
+                       {"p_bbu_w": _num, "p_rf_w": _num, "p_pa_w": _num,
+                        "p_oh_w": _num}, {}),
+               desset_power, "W"),
+    "yan": (_loader(YanSegments, "yan",
+                    {"e_ue_j": _num, "e_bs_j": _num, "e_wireline_j": _num,
+                     "e_dc_j": _num}, {}),
+            yan_energy, "J"),
+    # A missing carrier list means no carriers.
+    "yu": (_loader(partial(YuParams, carriers=()), "yu",
+                   {"p_cp_static_w": _num}, {"carriers": _carriers}),
+           yu_power, "W"),
+    "tombaz": (_loader(TombazParams, "tombaz",
+                       {"n_sectors": _count, "p_tx_sector_w": _num,
+                        "eta_pa": _num, "n_rf_chains": _count,
+                        "p_c_w": _num, "p_b_w": _num},
+                       {"dtx_enabled": _flag, "delta": _num}),
+               tombaz_power, "W"),
+    "fu-bb": (_fu_params, fu_bb_power, "W"),
+    "fu-rf": (_fu_params, fu_rf_power, "W"),
 }
 
 

@@ -9,23 +9,22 @@ code block limits, base graph selection thresholds) follow 3GPP
 TS 38.212; the transport block size uses a deliberately simplified
 byte-aligned capacity rule rather than the full TS 38.214 procedure.
 
-Everything here is a pure value computation: no I/O except
-:func:`select_base_graph`, which reads a bundled base-graph descriptor.
+Everything here is a pure value computation except the configuration
+file loaders at the end of the module.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping, Optional
 
 import yaml
 
-from .errors import ConfigError, DataFileError
+from .errors import ConfigError, PhyEnergyError
 
 # OFDM symbols per slot, normal cyclic prefix (TS 38.211).
 SYMBOLS_PER_SLOT = 14
@@ -44,16 +43,10 @@ LIFTING_SIZES = tuple(sorted(
     if a * (1 << j) <= 384
 ))
 
-# Per base graph: systematic columns, max code block payload, and the
-# coded-length multiple (columns minus the two punctured ones).
-INFO_COLS = {1: 22, 2: 10}
+# Max code block payload per base graph (TS 38.212 clause 5.2.2).
 MAX_CB_BITS = {1: 8448, 2: 3840}
-CODED_COLS = {1: 66, 2: 50}
 
 TB_CRC_BITS = 24   # fixed-width CRC prefix used for both TB and CB
-
-_BG_FILES = {1: "bg1.txt", 2: "bg2.txt"}
-_BG_DIMS = {1: (46, 68), 2: (42, 52)}
 
 
 class Modulation(enum.Enum):
@@ -154,13 +147,21 @@ class DerivedParams:
 
 @dataclass(frozen=True)
 class BaseGraphSpec:
-    """Shape summary of a bundled LDPC base graph descriptor."""
+    """Shape summary of a standard LDPC base graph."""
 
     bg: int
     rows: int
     cols: int
     n1: int             # non-null entries
     info_cols: int
+
+
+# The two standard base graphs (TS 38.212 Tables 5.3.2-2 and 5.3.2-3).
+# Counting uses only these shape figures, never the shift coefficients.
+BASE_GRAPHS = {
+    1: BaseGraphSpec(1, 46, 68, 316, 22),
+    2: BaseGraphSpec(2, 42, 52, 197, 10),
+}
 
 
 def base_graph_id(a_bits: int, code_rate_num: int) -> int:
@@ -204,6 +205,9 @@ def validate(s: Scenario) -> list[str]:
         problems.append("n_layers exceeds min(n_tx,n_rx)")
     if s.n_ports < s.n_layers:
         problems.append("n_ports must be >= n_layers")
+    for name in ("snr_db", "clock_hz", "kappa"):
+        if not math.isfinite(getattr(s, name)):
+            problems.append(f"{name} must be finite")
     if s.clock_hz <= 0:
         problems.append("clock_hz must be positive")
     if s.kappa <= 0:
@@ -265,14 +269,15 @@ def derive(s: Scenario) -> DerivedParams:
         c = -((a + TB_CRC_BITS) // -(k_cb - TB_CRC_BITS))
     b = a + TB_CRC_BITS * c
 
-    info_cols = INFO_COLS[bg]
+    info_cols = BASE_GRAPHS[bg].info_cols
     # Smallest lifting size with info_cols * z >= b / c, kept in integers.
     z = next((cand for cand in LIFTING_SIZES if info_cols * cand * c >= b), None)
     if z is None:
         raise ConfigError(
             f"no lifting size fits {b} bits in {c} code blocks on graph {bg}")
     k = info_cols * z
-    n_ccb = CODED_COLS[bg] * z
+    # Coded length: every column but the two punctured systematic ones.
+    n_ccb = (BASE_GRAPHS[bg].cols - 2) * z
 
     return DerivedParams(
         qm=qm, n_f=n_f, g=g, n_fft=n_fft, k_p=k_p, n_re=n_re,
@@ -281,46 +286,9 @@ def derive(s: Scenario) -> DerivedParams:
     )
 
 
-@lru_cache(maxsize=None)
-def _load_base_graph(bg: int) -> BaseGraphSpec:
-    name = _BG_FILES[bg]
-    text = resources.files("phyenergy").joinpath("data", name).read_text()
-    seen: set[tuple[int, int]] = set()
-    max_row = -1
-    max_col = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise DataFileError(f"{name}:{lineno}: expected 'row col shift'")
-        try:
-            row, col = int(parts[0]), int(parts[1])
-            int(parts[2])
-        except ValueError:
-            raise DataFileError(f"{name}:{lineno}: non-integer field") from None
-        if row < 0 or col < 0:
-            raise DataFileError(f"{name}:{lineno}: negative index")
-        if (row, col) in seen:
-            raise DataFileError(f"{name}:{lineno}: duplicate entry ({row},{col})")
-        seen.add((row, col))
-        max_row = max(max_row, row)
-        max_col = max(max_col, col)
-    if not seen:
-        raise DataFileError(f"{name}: no entries")
-    rows, cols = max_row + 1, max_col + 1
-    if (rows, cols) != _BG_DIMS[bg]:
-        raise DataFileError(
-            f"{name}: dimensions {rows}x{cols} do not match the expected "
-            f"{_BG_DIMS[bg][0]}x{_BG_DIMS[bg][1]}")
-    return BaseGraphSpec(bg=bg, rows=rows, cols=cols, n1=len(seen),
-                         info_cols=INFO_COLS[bg])
-
-
 def select_base_graph(a_bits: int, code_rate_num: int) -> BaseGraphSpec:
-    """Pick the base graph for a payload and load its bundled descriptor."""
-    return _load_base_graph(base_graph_id(a_bits, code_rate_num))
+    """Pick the base graph for a payload and return its shape."""
+    return BASE_GRAPHS[base_graph_id(a_bits, code_rate_num)]
 
 
 # ---------------------------------------------------------------------------
@@ -439,15 +407,29 @@ def scenario_from_mapping(mapping: Mapping[str, Any]) -> Scenario:
     return Scenario(**kwargs)
 
 
+def read_text(path: str | Path, what: str,
+              error: type[PhyEnergyError]) -> str:
+    """Text of a regular file; a missing path or a directory raises error."""
+    path = Path(path)
+    if not path.is_file():
+        state = "is not a file" if path.exists() else "not found"
+        raise error(f"{what} {state}: {path}")
+    return path.read_text()
+
+
+def read_yaml(path: str | Path, what: str) -> Any:
+    """Parse a ``what`` YAML file (None when empty); errors are ConfigError."""
+    text = read_text(path, f"{what} file", ConfigError)
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{Path(path)}: malformed config: {exc}") from None
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Read a scenario config file (YAML mapping)."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"scenario file not found: {path}")
-    try:
-        raw = yaml.safe_load(path.read_text())
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: malformed config: {exc}") from None
+    raw = read_yaml(path, "scenario")
     if raw is None:
         raise ConfigError(f"{path}: empty scenario file")
     return scenario_from_mapping(raw)

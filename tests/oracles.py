@@ -77,14 +77,3 @@ def ls_bracket_ops(l: int, n_t: int, g: int, k_p: int) -> int:
     apply_ = sum(schoolbook_product_ops(u, u, pilots))
     return gram + inv + apply_
 
-
-def bg_entry_count(text: str) -> int:
-    """Count distinct non-null entries in a base-graph descriptor."""
-    seen = set()
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        row, col, _ = line.split()
-        seen.add((int(row), int(col)))
-    return len(seen)

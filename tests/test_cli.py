@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +12,8 @@ from phyenergy.ingest import rows_from_tallies, serialize_measurement
 from phyenergy.opcount import DataClass, OpKind, tally_pipeline
 from phyenergy.scenario import load_scenario
 
-CONFIGS = Path(__file__).parent.parent / "configs"
+ROOT = Path(__file__).parent.parent
+CONFIGS = ROOT / "configs"
 REFERENCE = str(CONFIGS / "reference.yaml")
 
 
@@ -138,6 +142,25 @@ def test_estimate_invalid_scenario_reports_rule(capsys, tmp_path):
     assert code == 1
     assert "error[config]:" in err
     assert "n_layers exceeds min(n_tx,n_rx)" in err
+
+
+@pytest.mark.parametrize("extra,replacement", [
+    (["--kappa", "nan"], None),
+    (["--clock-hz", "inf"], None),
+    ([], ("snr_db: 10.0", "snr_db: .nan")),
+])
+def test_estimate_rejects_non_finite_numbers(capsys, tmp_path, extra,
+                                             replacement):
+    scenario = REFERENCE
+    if replacement is not None:
+        scenario = tmp_path / "nan.yaml"
+        scenario.write_text(Path(REFERENCE).read_text().replace(*replacement))
+    code, out, err = run(capsys, "estimate", "--scenario", str(scenario),
+                         *extra)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error[config]:")
+    assert "must be finite" in err
 
 
 def test_missing_required_flag_exits_two(capsys):
@@ -392,3 +415,54 @@ def test_legacy_missing_params_file(capsys):
                        "--params", "/no/params.yaml")
     assert code == 1
     assert err.startswith("error[config]:")
+
+
+# ---------------------------------------------------------------------------
+# file arguments
+
+
+@pytest.mark.parametrize("flag,error_code", [
+    ("--scenario", "config"),
+    ("--params", "config"),
+    ("--filter", "config"),
+    ("--measured", "measured"),
+    ("--cost-table", "cost-table"),
+])
+def test_directory_path_fails_with_loader_code(capsys, tmp_path,
+                                               measurement_file, flag,
+                                               error_code):
+    if flag == "--params":
+        argv = ["legacy", "--model", "auer", "--params", str(tmp_path)]
+    else:
+        files = {"--scenario": REFERENCE, "--measured": measurement_file,
+                 "--filter": str(CONFIGS / "filter_example.yaml")}
+        files[flag] = str(tmp_path)
+        argv = ["compare"] + [arg for pair in files.items() for arg in pair]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error[{error_code}]:")
+    assert "is not a file" in err
+
+
+# ---------------------------------------------------------------------------
+# scripts
+
+
+def test_synth_measurement_script_round_trips_through_compare(capsys,
+                                                              tmp_path):
+    out = tmp_path / "measured.csv"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    script = ROOT / "scripts" / "synth_measurement.py"
+    subprocess.run([sys.executable, str(script), REFERENCE, str(out)],
+                   cwd=tmp_path, env=env, check=True, capture_output=True,
+                   timeout=120)
+    code, text, _ = run(capsys, "compare", "--scenario", REFERENCE,
+                        "--measured", str(out))
+    assert code == 0
+    flags = [line for line in text.splitlines() if "flag:" in line]
+    assert len(flags) == 9                    # eight blocks plus total
+    assert all(line.endswith("flag: match") for line in flags)
+    assert "unattributed_cycles: 0\n" in text

@@ -5,8 +5,8 @@ behaviour is frozen here against values small enough to verify by
 hand.
 """
 
-from oracles import (bg_entry_count, crc_slice_ops, gauss_jordan_inverse_ops,
-                     ls_bracket_ops, radix2_fft_ops, schoolbook_product_ops)
+from oracles import (crc_slice_ops, gauss_jordan_inverse_ops, ls_bracket_ops,
+                     radix2_fft_ops, schoolbook_product_ops)
 
 
 def test_schoolbook_product_hand_cases():
@@ -39,7 +39,3 @@ def test_ls_bracket_hand_case():
     # l=1, n_t=1, g=1, k_p=1: gram (1,0)->1, inversion 1, apply (1,0)->1.
     assert ls_bracket_ops(1, 1, 1, 1) == 3
 
-
-def test_bg_entry_count_parses_comments_and_blanks():
-    text = "# header\n\n0 0 5\n0 1 7\n3 2 1\n"
-    assert bg_entry_count(text) == 3

@@ -6,15 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_scenario
-from oracles import bg_entry_count
 
+from phyenergy.costmodel import energy_per_cycle
 from phyenergy.errors import ConfigError
 from phyenergy.scenario import (LIFTING_SIZES, Modulation, base_graph_id,
                                 derive, load_scenario, parse_modulation,
                                 scenario_from_mapping, select_base_graph,
                                 validate)
-
-from importlib import resources
 
 
 # ---------------------------------------------------------------------------
@@ -182,36 +180,39 @@ def test_counts_must_be_positive():
     assert "n_slots must be >= 1" in problems
 
 
+@pytest.mark.parametrize("field", ["snr_db", "clock_hz", "kappa"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_validate_requires_finite_floats(field, value):
+    problems = validate(reference_scenario(**{field: value}))
+    assert f"{field} must be finite" in problems
+    with pytest.raises(ConfigError, match="must be finite"):
+        derive(reference_scenario(**{field: value}))
+
+
+@pytest.mark.parametrize("kappa,clock_hz", [
+    (math.nan, 2.1e9), (1e-25, math.inf), (math.inf, 2.1e9),
+])
+def test_energy_per_cycle_rejects_non_finite(kappa, clock_hz):
+    with pytest.raises(ConfigError, match="finite"):
+        energy_per_cycle(kappa, clock_hz)
+
+
 def test_validate_returns_multiple_problems():
     problems = validate(reference_scenario(code_rate=0, n_layers=9))
     assert len(problems) >= 2
 
 
 # ---------------------------------------------------------------------------
-# Base graph descriptors
-
-
-def test_bundled_bg1_matches_brute_force_count():
-    spec = select_base_graph(8448, 948)
-    assert spec.bg == 1
-    text = resources.files("phyenergy").joinpath("data", "bg1.txt").read_text()
-    assert spec.n1 == bg_entry_count(text)
-    assert (spec.rows, spec.cols) == (46, 68)
-    assert spec.info_cols == 22
-
-
-def test_bundled_bg2_matches_brute_force_count():
-    spec = select_base_graph(100, 490)
-    assert spec.bg == 2
-    text = resources.files("phyenergy").joinpath("data", "bg2.txt").read_text()
-    assert spec.n1 == bg_entry_count(text)
-    assert (spec.rows, spec.cols) == (42, 52)
-    assert spec.info_cols == 10
+# Base graph shapes
 
 
 def test_bg1_entry_count_is_standard():
-    assert select_base_graph(8448, 948).n1 == 316
-    assert select_base_graph(100, 490).n1 == 197
+    bg1 = select_base_graph(8448, 948)
+    assert (bg1.bg, bg1.rows, bg1.cols, bg1.n1) == (1, 46, 68, 316)
+    assert bg1.info_cols == 22
+    bg2 = select_base_graph(100, 490)
+    assert (bg2.bg, bg2.rows, bg2.cols, bg2.n1) == (2, 42, 52, 197)
+    assert bg2.info_cols == 10
 
 
 # ---------------------------------------------------------------------------
