@@ -84,17 +84,27 @@ _COMPARISON_KEYS = ("modeled_cycles", "measured_cycles", "ratio",
                     "signed_relative_error", "flag")
 
 
+def _entries(rep: EnergyReport,
+             ) -> list[tuple[str, str, costmodel.BlockCost]]:
+    """Name, side and cost of each block, then of the total."""
+    entries = [(blk.value, blk.side, rep.per_block[blk]) for blk in BlockId]
+    entries.append(("TOTAL", "", rep.total))
+    return entries
+
+
+def _cycle_fields(cost: costmodel.BlockCost) -> list[str]:
+    """Micro-ops, cycles and cycles per bit: all the sweep layouts print."""
+    return [str(cost.micro_ops), fmt_exact(cost.cycles),
+            fmt_opt(cost.cycles_per_bit, as_float=True)]
+
+
 def _estimate_rows(rep: EnergyReport) -> list[list[str]]:
     """Name, side and cost fields for each block, then the total."""
     bits = rep.bits_transmitted
-    entries = [(blk.value, blk.side, rep.per_block[blk]) for blk in BlockId]
-    entries.append(("TOTAL", "", rep.total))
-    return [[name, side, str(cost.micro_ops), fmt_exact(cost.cycles),
-             fmt_opt(cost.cycles_per_bit, as_float=True),
-             fmt_float(cost.energy_j),
+    return [[name, side, *_cycle_fields(cost), fmt_float(cost.energy_j),
              fmt_float(cost.energy_j / bits * 1e9) if bits > 0
              else "undefined"]
-            for name, side, cost in entries]
+            for name, side, cost in _entries(rep)]
 
 
 def _comparison_rows(result: ingest.ComparisonReport) -> list[list[str]]:
@@ -181,19 +191,18 @@ def render_sweep_table(param: str, results: Sequence[tuple[str, EnergyReport]],
                        ) -> str:
     return _table(
         (param, "block") + _COST_KEYS[:3],
-        [[label, name, micro_ops, cycles, per_bit]
-         for label, rep in results
-         for name, _, micro_ops, cycles, per_bit, _, _ in _estimate_rows(rep)])
+        [[label, name, *_cycle_fields(cost)]
+         for label, rep in results for name, _, cost in _entries(rep)])
 
 
 def render_sweep_text(param: str, results: Sequence[tuple[str, EnergyReport]],
                       ) -> str:
     lines = [f"sweep: {param}"]
     for label, rep in results:
-        rows = _estimate_rows(rep)
         _section(lines, "", label,
-                 [(name, f"cycles={cycles} cycles_per_bit={per_bit}")
-                  for name, _, _, cycles, per_bit, _, _ in rows])
+                 [(name, "cycles={1} cycles_per_bit={2}".format(
+                     *_cycle_fields(cost)))
+                  for name, _, cost in _entries(rep)])
     return "\n".join(lines) + "\n"
 
 

@@ -6,10 +6,15 @@ cycle cost.  Operand locations are implied by the data class: scalars
 live in general-purpose registers, logical/integer vectors in mmx
 registers, double vectors in xmm registers, and structs in memory.
 
-Cycle costs are kept as exact rationals while accumulating; floats
-appear only when energy is computed or a report is rendered.  The
-composite FLOP kind is expanded into one addition plus one
-multiplication of the same data class before any table lookup.
+Each table is compiled once, on first use, into per-slot integer
+vectors indexed like :data:`~phyenergy.opcount.SLOT_KEYS`: micro-ops,
+and cycle numerators over one common denominator (the lcm of the
+table's cycle denominators).  The composite FLOP kind is folded into
+the compiled table as one addition plus one multiplication of the same
+data class, so a table's own FLOP rows are never consulted.  Pricing a
+tally is then an integer multiply-accumulate over its slots, and the
+cycle total becomes an exact rational only at the end; floats appear
+only when energy is computed or a report is rendered.
 """
 
 from __future__ import annotations
@@ -19,12 +24,14 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 from .errors import ConfigError, CostTableError, CoverageError, PhyEnergyError
-from .opcount import BlockId, DataClass, OpKind, OperationTally, PipelineTallies
+from .opcount import (SLOT_INDEX, SLOT_KEYS, BlockId, DataClass, OpKind,
+                      OperationTally, PipelineTallies)
 from .scenario import Scenario, read_text
 
 DEFAULT_TABLE_RESOURCE = "cost_table.csv"
@@ -35,6 +42,8 @@ class OperandLocation(enum.Enum):
     MMX = "mmx"
     XMM = "xmm"
     MEMORY = "memory"
+
+    __hash__ = object.__hash__      # as for the enums in opcount
 
 
 _LOCATION_BY_CLASS = {
@@ -62,6 +71,18 @@ class CostEntry:
 TableKey = Tuple[OpKind, DataClass, OperandLocation]
 
 
+def _parts(kind: OpKind, cls: DataClass) -> Tuple[Tuple[OpKind, DataClass], ...]:
+    """The keys a (kind, class) count is priced as: FLOP is ADD plus MUL."""
+    if kind is OpKind.FLOP:
+        return ((OpKind.ADD, cls), (OpKind.MUL, cls))
+    return ((kind, cls),)
+
+
+# The slots each slot's count is priced at, in slot order.
+_PART_SLOTS = tuple(tuple(SLOT_INDEX[part] for part in _parts(kind, cls))
+                    for kind, cls in SLOT_KEYS)
+
+
 @dataclass(frozen=True)
 class InstructionCostTable:
     """Lookup table from (kind, class, location) to micro-ops and cycles."""
@@ -79,6 +100,37 @@ class InstructionCostTable:
                 f"no cost entry for op_kind={kind.value} "
                 f"data_class={cls.value} operand_location={key[2].value} "
                 f"(table source: {self.source or 'unknown'})") from None
+
+    @cached_property
+    def _kernel(self) -> Tuple[Tuple[int, ...], Tuple[int, ...], int,
+                               frozenset]:
+        """The table compiled per slot (see
+        :data:`~phyenergy.opcount.SLOT_KEYS`), FLOP folded in:
+        ``(micro_ops, cycles, den, missing)``.  A slot costs
+        ``micro_ops[slot]`` micro-ops and ``cycles[slot] / den`` cycles,
+        unless it is in ``missing`` for want of a table entry.  Built on
+        first use and kept on the instance."""
+        entries = self.entries
+        priced: Dict[int, CostEntry] = {}
+        for slot, (kind, cls) in enumerate(SLOT_KEYS):
+            if kind is not OpKind.FLOP:
+                entry = entries.get((kind, cls, _LOCATION_BY_CLASS[cls]))
+                if entry is not None:
+                    priced[slot] = entry
+        den = math.lcm(*[e.cycles.denominator for e in priced.values()])
+        scaled = {slot: e.cycles.numerator * (den // e.cycles.denominator)
+                  for slot, e in priced.items()}
+        micro_ops = [0] * len(SLOT_KEYS)
+        cycles = [0] * len(SLOT_KEYS)
+        missing = set()
+        for slot, parts in enumerate(_PART_SLOTS):
+            for part in parts:
+                if part not in priced:
+                    missing.add(slot)
+                    break
+                micro_ops[slot] += priced[part].micro_ops
+                cycles[slot] += scaled[part]
+        return tuple(micro_ops), tuple(cycles), den, frozenset(missing)
 
 
 _HEADER = ["op_kind", "data_class", "operand_location", "micro_ops", "cycles"]
@@ -195,13 +247,10 @@ def load_default_cost_table() -> InstructionCostTable:
 
 def expand_flops(tally: OperationTally) -> OperationTally:
     """Rewrite each FLOP as one ADD plus one MUL of the same class."""
-    counts = {}
-    for (kind, cls), n in tally.as_dict().items():
-        if kind is OpKind.FLOP:
-            counts[(OpKind.ADD, cls)] = counts.get((OpKind.ADD, cls), 0) + n
-            counts[(OpKind.MUL, cls)] = counts.get((OpKind.MUL, cls), 0) + n
-        else:
-            counts[(kind, cls)] = counts.get((kind, cls), 0) + n
+    counts: Dict[Tuple[OpKind, DataClass], int] = {}
+    for (kind, cls), n in tally.items():
+        for key in _parts(kind, cls):
+            counts[key] = counts.get(key, 0) + n
     return OperationTally(counts)
 
 
@@ -211,15 +260,27 @@ class CostTotals:
     cycles: Fraction
 
 
+def _price(tally: OperationTally, table: InstructionCostTable,
+           ) -> Tuple[int, int, int]:
+    """Micro-ops, and cycles as a numerator over a denominator; the
+    denominator is the table's, the same for every tally."""
+    micro_ops_of, cycles_of, den, missing = table._kernel
+    counts = tally.slot_counts()
+    if not missing.isdisjoint(counts):
+        # Raise for the first absent key in expanded (kind, class) order.
+        for (kind, cls), _ in expand_flops(tally).items():
+            table.lookup(kind, cls)
+    micro_ops = cycles = 0
+    for slot, n in counts.items():
+        micro_ops += n * micro_ops_of[slot]
+        cycles += n * cycles_of[slot]
+    return micro_ops, cycles, den
+
+
 def cycles_for(tally: OperationTally, table: InstructionCostTable) -> CostTotals:
     """Micro-ops and cycles for a tally under a cost table (exact)."""
-    micro_ops = 0
-    cycles = Fraction(0)
-    for (kind, cls), n in expand_flops(tally).items():
-        entry = table.lookup(kind, cls)
-        micro_ops += n * entry.micro_ops
-        cycles += n * entry.cycles
-    return CostTotals(micro_ops=micro_ops, cycles=cycles)
+    micro_ops, cycles, den = _price(tally, table)
+    return CostTotals(micro_ops=micro_ops, cycles=Fraction(cycles, den))
 
 
 def energy_per_cycle(kappa: float, clock_hz: float) -> float:
@@ -262,13 +323,16 @@ class EnergyReport:
     scenario: Optional[Scenario] = None
 
 
-def _block_cost(totals: CostTotals, bits: int, eps: float) -> BlockCost:
-    per_bit = totals.cycles / bits if bits > 0 else None
+def _block_cost(micro_ops: int, cycles: int, den: int, bits: int,
+                eps: float) -> BlockCost:
+    """Cost of ``cycles / den`` cycles.  Integer true division is
+    correctly rounded, so ``cycles / den`` is the float of the exact
+    rational, reduced or not."""
     return BlockCost(
-        micro_ops=totals.micro_ops,
-        cycles=totals.cycles,
-        energy_j=float(totals.cycles) * eps,
-        cycles_per_bit=per_bit,
+        micro_ops=micro_ops,
+        cycles=Fraction(cycles, den),
+        energy_j=cycles / den * eps,
+        cycles_per_bit=Fraction(cycles, den * bits) if bits > 0 else None,
     )
 
 
@@ -279,14 +343,13 @@ def build_report(tallies: PipelineTallies, table: InstructionCostTable,
     eps = energy.epsilon
     bits = tallies.bits_transmitted
     per_block = {}
-    total_uops = 0
-    total_cycles = Fraction(0)
+    total_uops = total_cycles = 0
     for block in BlockId:
-        totals = cycles_for(tallies.per_block[block], table)
-        per_block[block] = _block_cost(totals, bits, eps)
-        total_uops += totals.micro_ops
-        total_cycles += totals.cycles
-    total = _block_cost(CostTotals(total_uops, total_cycles), bits, eps)
+        micro_ops, cycles, den = _price(tallies.per_block[block], table)
+        per_block[block] = _block_cost(micro_ops, cycles, den, bits, eps)
+        total_uops += micro_ops
+        total_cycles += cycles
+    total = _block_cost(total_uops, total_cycles, den, bits, eps)
     return EnergyReport(per_block=per_block, total=total,
                         bits_transmitted=bits, energy=energy,
                         table_source=table.source, table_date=table.date,

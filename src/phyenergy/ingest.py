@@ -13,8 +13,9 @@ export: the original tooling's exact column names are not public, so
 this schema is the package's documented interchange format.
 
 Measured rows run through the same cost path as modeled tallies
-(location assignment, FLOP expansion, table lookup), which makes
-model/measurement ratios invariant under cost-table rescaling.
+(:func:`~phyenergy.costmodel.cycles_for` over the compiled cost table),
+which makes model/measurement ratios invariant under cost-table
+rescaling.
 """
 
 from __future__ import annotations

@@ -16,14 +16,15 @@ H       UE    LDPC decoding (normalized min-sum) and CRC checks
 ======  ====  =====================================================
 
 Each counter returns an :class:`OperationTally`, a multiset of
-(operation kind, data class) pairs.  Counts are closed-form in the
+(operation kind, data class) pairs, stored sparsely by slot: the
+number of the pair in :data:`SLOT_KEYS`.  Counts are closed-form in the
 scenario's derived parameters; nothing here touches sample data.
 
 Data classes follow the block split: the bit-oriented stages (block A,
 block G, and the scrambling/modulation inputs of block B) count as
 integer or logical operands, the signal-processing stages as doubles.
-Composite floating-point operations are recorded as FLOP and expanded
-into one addition plus one multiplication when costs are attached.
+Composite floating-point operations are recorded as FLOP and priced
+as one addition plus one multiplication by the cost model.
 """
 
 from __future__ import annotations
@@ -50,6 +51,10 @@ class OpKind(enum.Enum):
     LOG = "LOG"
     FLOP = "FLOP"       # one addition plus one multiplication
 
+    # Members are singletons compared by identity, so the identity hash
+    # agrees with equality; Enum's own __hash__ is a Python-level call.
+    __hash__ = object.__hash__
+
 
 class DataClass(enum.Enum):
     LOGICAL_SCALAR = "logical_scalar"
@@ -59,6 +64,8 @@ class DataClass(enum.Enum):
     DOUBLE_SCALAR = "double_scalar"
     DOUBLE_VECTOR = "double_vector"
     STRUCT = "struct"
+
+    __hash__ = object.__hash__
 
 
 class BlockId(enum.Enum):
@@ -71,6 +78,8 @@ class BlockId(enum.Enum):
     G = "G"
     H = "H"
 
+    __hash__ = object.__hash__
+
     @property
     def side(self) -> str:
         """Transmitter (BS) or receiver (UE) half of the chain."""
@@ -79,8 +88,12 @@ class BlockId(enum.Enum):
 
 OpKey = Tuple[OpKind, DataClass]
 
-_KIND_ORDER = {kind: i for i, kind in enumerate(OpKind)}
-_CLASS_ORDER = {cls: i for i, cls in enumerate(DataClass)}
+# Every (kind, class) key numbered in declaration order, kind-major: the
+# slot order is the order ``OperationTally.items`` reports.
+SLOT_KEYS: Tuple[OpKey, ...] = tuple(
+    (kind, cls) for kind in OpKind for cls in DataClass)
+SLOT_INDEX: Dict[OpKey, int] = {key: i for i, key in enumerate(SLOT_KEYS)}
+_FLOP_SLOTS = frozenset(SLOT_INDEX[(OpKind.FLOP, cls)] for cls in DataClass)
 
 
 class OperationTally:
@@ -88,56 +101,74 @@ class OperationTally:
 
     Merging is commutative and associative with the empty tally as
     identity; scaling by a non-negative integer distributes over it.
-    Zero counts are dropped so equal tallies compare equal regardless
-    of construction order.
+    Counts are held by slot (see :data:`SLOT_KEYS`) with zero counts
+    dropped, so equal tallies compare equal regardless of construction
+    order.
     """
 
     __slots__ = ("_counts",)
 
     def __init__(self, counts: Mapping[OpKey, int] | None = None):
-        cleaned: Dict[OpKey, int] = {}
+        cleaned: Dict[int, int] = {}
         for key, value in (counts or {}).items():
-            kind, cls = key
-            if not isinstance(kind, OpKind) or not isinstance(cls, DataClass):
+            try:
+                slot = SLOT_INDEX.get(key)
+            except TypeError:       # unhashable key from a custom mapping
+                slot = None
+            if slot is None:
                 raise DomainError(f"bad tally key {key!r}")
-            if not isinstance(value, int) or isinstance(value, bool):
+            if type(value) is not int and (not isinstance(value, int)
+                                           or isinstance(value, bool)):
                 raise DomainError(f"tally count for {key} must be an integer")
             if value < 0:
                 raise DomainError(f"tally count for {key} is negative")
             if value:
-                cleaned[key] = value
+                cleaned[slot] = value
         self._counts = cleaned
 
+    @classmethod
+    def _of_slots(cls, counts: Dict[int, int]) -> "OperationTally":
+        """Wrap an already valid ``{slot: positive count}`` dict."""
+        tally = object.__new__(cls)
+        tally._counts = counts
+        return tally
+
     def get(self, kind: OpKind, cls: DataClass) -> int:
-        return self._counts.get((kind, cls), 0)
+        return self._counts.get(SLOT_INDEX.get((kind, cls)), 0)
 
     def items(self) -> Iterator[Tuple[OpKey, int]]:
         """Entries in a fixed (kind, class) declaration order."""
-        return iter(sorted(
-            self._counts.items(),
-            key=lambda kv: (_KIND_ORDER[kv[0][0]], _CLASS_ORDER[kv[0][1]]),
-        ))
+        counts = self._counts
+        return iter([(SLOT_KEYS[slot], counts[slot]) for slot in sorted(counts)])
+
+    def slot_counts(self) -> Mapping[int, int]:
+        """The ``{slot: count}`` mapping itself (slots index
+        :data:`SLOT_KEYS`); callers must not mutate it."""
+        return self._counts
 
     def as_dict(self) -> Dict[OpKey, int]:
-        return dict(self._counts)
+        return {SLOT_KEYS[slot]: n for slot, n in self._counts.items()}
 
     def merged(self, other: "OperationTally") -> "OperationTally":
         counts = dict(self._counts)
-        for key, value in other._counts.items():
-            counts[key] = counts.get(key, 0) + value
-        return OperationTally(counts)
+        for slot, value in other._counts.items():
+            counts[slot] = counts.get(slot, 0) + value
+        return OperationTally._of_slots(counts)
 
     def scaled(self, factor: int) -> "OperationTally":
         if not isinstance(factor, int) or isinstance(factor, bool) or factor < 0:
             raise DomainError("tally scale factor must be a non-negative integer")
-        return OperationTally({k: v * factor for k, v in self._counts.items()})
+        if not factor:
+            return EMPTY_TALLY
+        return OperationTally._of_slots(
+            {slot: v * factor for slot, v in self._counts.items()})
 
     def total_ops(self, expand_flops: bool = False) -> int:
         """Total operation count; FLOPs count double when expanded."""
         total = sum(self._counts.values())
         if expand_flops:
-            total += sum(v for (kind, _), v in self._counts.items()
-                         if kind is OpKind.FLOP)
+            total += sum(v for slot, v in self._counts.items()
+                         if slot in _FLOP_SLOTS)
         return total
 
     def __add__(self, other: "OperationTally") -> "OperationTally":

@@ -32,6 +32,9 @@ SYMBOLS_PER_SLOT = 14
 # Subcarriers per physical resource block (TS 38.211).
 SC_PER_PRB = 12
 
+# Largest carrier in resource blocks (TS 38.211 clause 4.4.2).
+MAX_PRB = 275
+
 SUPPORTED_SCS_KHZ = (15, 30, 60, 120)
 
 # LDPC lifting sizes Z = a * 2^j, a in {2,3,5,7,9,11,13,15}, Z <= 384
@@ -196,6 +199,8 @@ def validate(s: Scenario) -> list[str]:
                  "channel_len"):
         if getattr(s, name) < 1:
             problems.append(f"{name} must be >= 1")
+    if s.n_prb > MAX_PRB:
+        problems.append(f"n_prb must be <= {MAX_PRB}")
 
     if s.scs_khz not in SUPPORTED_SCS_KHZ:
         problems.append("scs_khz not one of 15, 30, 60, 120")

@@ -163,6 +163,17 @@ def test_estimate_rejects_non_finite_numbers(capsys, tmp_path, extra,
     assert "must be finite" in err
 
 
+def test_estimate_rejects_n_prb_beyond_a_carrier(capsys, tmp_path):
+    wide = tmp_path / "wide.yaml"
+    wide.write_text(Path(REFERENCE).read_text().replace(
+        "n_prb: 52", "n_prb: 100000000"))
+    code, out, err = run(capsys, "estimate", "--scenario", str(wide))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error[config]:")
+    assert "n_prb must be <= 275" in err
+
+
 def test_missing_required_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["estimate"])
@@ -283,6 +294,15 @@ def test_sweep_invalid_scenario_value_emits_nothing(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error[config]:")
+
+
+def test_sweep_past_the_prb_cap_emits_nothing(capsys):
+    code, out, err = run(capsys, "sweep", "--scenario", REFERENCE,
+                         "--param", "n_prb", "--values", "275,276")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error[config]:")
+    assert "n_prb must be <= 275" in err
 
 
 def test_sweep_slots_scale_cycles(capsys):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_table, reference_scenario
@@ -204,6 +204,110 @@ def test_cycle_costs_are_homogeneous_in_the_table(scale):
     scaled = cycles_for(t, make_table(cycles=Fraction(scale, 2)))
     assert scaled.cycles == base.cycles * scale
     assert scaled.micro_ops == base.micro_ops
+
+
+# ---------------------------------------------------------------------------
+# The compiled kernel against a plain Fraction sum
+
+
+_ALL_KEYS = [(kind, cls) for kind in OpKind for cls in DataClass]
+_HEADER = "op_kind,data_class,operand_location,micro_ops,cycles\n"
+
+
+def _fraction_oracle(tally, table):
+    """expand_flops + lookup + Fraction sum: the kernel's reference."""
+    micro_ops, cycles = 0, Fraction(0)
+    for (kind, cls), n in expand_flops(tally).items():
+        entry = table.lookup(kind, cls)
+        micro_ops += n * entry.micro_ops
+        cycles += n * entry.cycles
+    return micro_ops, cycles
+
+
+def _outcome(price):
+    try:
+        return price()
+    except CoverageError as exc:
+        return str(exc)
+
+
+_entry_st = st.builds(
+    CostEntry, micro_ops=st.integers(min_value=0, max_value=12),
+    cycles=st.builds(Fraction, st.integers(min_value=0, max_value=40),
+                     st.sampled_from([1, 2, 3, 4, 7])))
+
+
+@st.composite
+def _random_table(draw, max_missing):
+    entries = {(kind, cls, assign_location(cls)): draw(_entry_st)
+               for kind, cls in _ALL_KEYS}
+    for kind, cls in draw(st.sets(st.sampled_from(_ALL_KEYS),
+                                  max_size=max_missing)):
+        del entries[(kind, cls, assign_location(cls))]
+    return InstructionCostTable(entries=entries, source="random")
+
+
+_big_tally_st = st.dictionaries(
+    st.sampled_from(_ALL_KEYS), st.integers(min_value=0, max_value=10**12),
+    max_size=len(_ALL_KEYS)).map(OperationTally)
+
+
+# Explaining a failure of a 77-key example takes minutes and much memory;
+# the shrunk example alone is enough to debug from.
+_NO_EXPLAIN = [phase for phase in Phase if phase is not Phase.explain]
+
+
+@given(tally=_big_tally_st, table=_random_table(max_missing=0))
+@settings(max_examples=150, deadline=None, phases=_NO_EXPLAIN)
+def test_cycles_for_matches_fraction_oracle(tally, table):
+    totals = cycles_for(tally, table)
+    assert (totals.micro_ops, totals.cycles) == _fraction_oracle(tally, table)
+    assert type(totals.cycles) is Fraction
+
+
+@given(tally=_big_tally_st, table=_random_table(max_missing=6))
+@settings(max_examples=150, deadline=None, phases=_NO_EXPLAIN)
+def test_cycles_for_fails_like_the_oracle_on_partial_tables(tally, table):
+    def kernel():
+        totals = cycles_for(tally, table)
+        return totals.micro_ops, totals.cycles
+    assert (_outcome(kernel)
+            == _outcome(lambda: _fraction_oracle(tally, table)))
+
+
+def test_coverage_error_for_a_missing_plain_entry():
+    table = parse_cost_table(_HEADER + "ADD,double_scalar,register,1,1\n",
+                             source="tiny")
+    with pytest.raises(CoverageError) as exc:
+        cycles_for(OperationTally({(OpKind.LOG, DS): 2}), table)
+    assert str(exc.value) == (
+        "no cost entry for op_kind=LOG data_class=double_scalar "
+        "operand_location=register (table source: tiny)")
+    # a zero count needs no entry
+    zero = OperationTally({(OpKind.LOG, DS): 0, (OpKind.ADD, DS): 3})
+    assert cycles_for(zero, table).cycles == 3
+
+
+def test_coverage_error_for_a_flop_without_its_mul_row():
+    table = parse_cost_table(_HEADER + "ADD,double_scalar,register,1,1\n"
+                             "FLOP,double_scalar,register,2,2\n",
+                             source="tiny")
+    t = OperationTally({(OpKind.DIV, DS): 1, (OpKind.FLOP, DS): 1})
+    with pytest.raises(CoverageError) as exc:
+        cycles_for(t, table)
+    # expanded order is ADD, MUL, DIV: MUL is the first key missing
+    assert str(exc.value) == (
+        "no cost entry for op_kind=MUL data_class=double_scalar "
+        "operand_location=register (table source: tiny)")
+
+
+def test_bundled_flop_rows_are_add_plus_mul():
+    table = load_default_cost_table()
+    for cls in DataClass:
+        flop, add, mul = (table.lookup(kind, cls)
+                          for kind in (OpKind.FLOP, OpKind.ADD, OpKind.MUL))
+        assert flop.micro_ops == add.micro_ops + mul.micro_ops, cls
+        assert flop.cycles == add.cycles + mul.cycles, cls
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,23 @@ def test_tally_rejects_bad_values():
         OperationTally({("ADD", DS): 1})
 
 
+@pytest.mark.parametrize("key", [
+    ("a", "b", "c"),
+    OpKind.ADD,
+    DS,
+    "ADD",
+    None,
+    ("ADD", DS),
+    (DS, OpKind.ADD),
+    (OpKind.ADD,),
+    (OpKind.ADD, DS, "register"),
+], ids=["three-strings", "bare-kind", "bare-class", "string", "none",
+        "kind-name", "swapped", "one-tuple", "three-tuple"])
+def test_tally_rejects_bad_keys(key):
+    with pytest.raises(DomainError, match="bad tally key"):
+        OperationTally({key: 1})
+
+
 def test_tally_items_order_is_declaration_order():
     t = OperationTally({
         (OpKind.XOR, LS): 1,

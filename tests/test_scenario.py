@@ -180,6 +180,13 @@ def test_counts_must_be_positive():
     assert "n_slots must be >= 1" in problems
 
 
+def test_n_prb_is_capped_at_a_full_carrier():
+    assert validate(reference_scenario(n_prb=275)) == []
+    assert "n_prb must be <= 275" in validate(reference_scenario(n_prb=276))
+    with pytest.raises(ConfigError, match="n_prb must be <= 275"):
+        derive(reference_scenario(n_prb=100_000_000))
+
+
 @pytest.mark.parametrize("field", ["snr_db", "clock_hz", "kappa"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_validate_requires_finite_floats(field, value):
