@@ -26,8 +26,8 @@ from . import costmodel, ingest, legacy
 from .costmodel import EnergyParams, EnergyReport, InstructionCostTable
 from .errors import ConfigError, MeasurementError, PhyEnergyError, UsageError
 from .opcount import BlockId, tally_pipeline
-from .scenario import (Scenario, derive, load_scenario, parse_modulation,
-                       read_yaml, with_overrides)
+from .scenario import (DerivedParams, Scenario, derive, load_scenario,
+                       parse_modulation, read_yaml, with_overrides)
 
 COST_TABLE_ENV = "PHYENERGY_COST_TABLE"
 
@@ -131,7 +131,8 @@ def _table(header: Sequence[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _scenario_sections(lines: list[str], s: Scenario) -> None:
+def _scenario_sections(lines: list[str], s: Scenario,
+                       d: DerivedParams) -> None:
     pairs = [
         ("n_slots", s.n_slots),
         ("snr_db", fmt_float(s.snr_db)),
@@ -157,7 +158,6 @@ def _scenario_sections(lines: list[str], s: Scenario) -> None:
     _section(lines, "  ", "decode", [("deg_cn", s.decode.deg_cn),
                                      ("deg_vn", s.decode.deg_vn),
                                      ("iterations", s.decode.iterations)])
-    d = derive(s)
     _section(lines, "", "derived", [
         ("n_f", d.n_f), ("n_fft", d.n_fft), ("k_p", d.k_p),
         ("n_re", d.n_re), ("n_symbols", d.n_symbols), ("m_cw", d.m_cw),
@@ -168,7 +168,8 @@ def _scenario_sections(lines: list[str], s: Scenario) -> None:
 def render_estimate_text(rep: EnergyReport) -> str:
     lines: list[str] = []
     if rep.scenario is not None:
-        _scenario_sections(lines, rep.scenario)
+        _scenario_sections(lines, rep.scenario,
+                           rep.derived or derive(rep.scenario))
     _section(lines, "", "energy", [
         ("kappa_j_s2", fmt_float(rep.energy.kappa)),
         ("clock_hz", fmt_float(rep.energy.clock_hz)),

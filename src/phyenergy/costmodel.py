@@ -27,12 +27,12 @@ from fractions import Fraction
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple, TypeVar
 
 from .errors import ConfigError, CostTableError, CoverageError, PhyEnergyError
 from .opcount import (SLOT_INDEX, SLOT_KEYS, BlockId, DataClass, OpKind,
                       OperationTally, PipelineTallies)
-from .scenario import Scenario, read_text
+from .scenario import DerivedParams, Scenario, read_text
 
 DEFAULT_TABLE_RESOURCE = "cost_table.csv"
 
@@ -135,8 +135,9 @@ class InstructionCostTable:
 
 _HEADER = ["op_kind", "data_class", "operand_location", "micro_ops", "cycles"]
 
-_KIND_BY_NAME = {kind.value: kind for kind in OpKind}
-_CLASS_BY_NAME = {cls.value: cls for cls in DataClass}
+# Each enum's members by value, for reading CSV cells (ingest's too).
+KIND_BY_NAME = {kind.value: kind for kind in OpKind}
+CLASS_BY_NAME = {cls.value: cls for cls in DataClass}
 _LOCATION_BY_NAME = {loc.value: loc for loc in OperandLocation}
 
 
@@ -152,8 +153,9 @@ def _parse_cycles(text: str, where: str) -> Fraction:
 
 def read_csv_rows(text: str, source: str, header: Sequence[str], what: str,
                   error: type[PhyEnergyError],
-                  ) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(lineno, stripped cells)`` for each data row of CSV text.
+                  ) -> Iterator[tuple[str, list[str]]]:
+    """Yield ``(where, stripped cells)`` for each data row of CSV text,
+    where ``where`` is ``<source>:<lineno>``, the prefix of a row's errors.
 
     Blank lines and ``#`` comments are skipped, and the first remaining
     line must be ``header``.  Each physical line is parsed on its own, so
@@ -176,9 +178,34 @@ def read_csv_rows(text: str, source: str, header: Sequence[str], what: str,
             raise error(f"{source}:{lineno}: expected {len(header)} columns, "
                         f"got {len(cells)}")
         else:
-            yield lineno, cells
+            yield f"{source}:{lineno}", cells
     if not seen_header:
         raise error(f"{source}: empty {what}")
+
+
+Member = TypeVar("Member")
+
+
+def name_cell(text: str, names: Mapping[str, Member], column: str, where: str,
+              error: type[PhyEnergyError]) -> Member:
+    """The member that ``names`` (an enum's members by value) gives a cell."""
+    member = names.get(text)
+    if member is None:
+        raise error(f"{where}: unknown {column} {text!r}")
+    return member
+
+
+def count_cell(text: str, column: str, where: str,
+               error: type[PhyEnergyError]) -> int:
+    """A cell that holds a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise error(f"{where}: {column} must be an integer, got {text!r}"
+                    ) from None
+    if value < 0:
+        raise error(f"{where}: {column} must be >= 0")
+    return value
 
 
 def parse_cost_table(text: str, source: str = "<string>") -> InstructionCostTable:
@@ -199,29 +226,16 @@ def parse_cost_table(text: str, source: str = "<string>") -> InstructionCostTabl
                     meta[tag] = body[len(prefix):].strip()
 
     entries: Dict[TableKey, CostEntry] = {}
-    for lineno, row in read_csv_rows(text, source, _HEADER, "cost table",
-                                     CostTableError):
-        where = f"{source}:{lineno}"
+    for where, row in read_csv_rows(text, source, _HEADER, "cost table",
+                                    CostTableError):
         kind_s, cls_s, loc_s, uops_s, cyc_s = row
-        try:
-            kind = _KIND_BY_NAME[kind_s]
-        except KeyError:
-            raise CostTableError(f"{where}: unknown op_kind {kind_s!r}") from None
-        try:
-            cls = _CLASS_BY_NAME[cls_s]
-        except KeyError:
-            raise CostTableError(f"{where}: unknown data_class {cls_s!r}") from None
-        try:
-            loc = _LOCATION_BY_NAME[loc_s]
-        except KeyError:
-            raise CostTableError(
-                f"{where}: unknown operand_location {loc_s!r}") from None
-        try:
-            micro_ops = int(uops_s)
-        except ValueError:
-            raise CostTableError(f"{where}: bad micro_ops {uops_s!r}") from None
-        if micro_ops < 0:
-            raise CostTableError(f"{where}: micro_ops must be >= 0")
+        kind = name_cell(kind_s, KIND_BY_NAME, "op_kind", where,
+                         CostTableError)
+        cls = name_cell(cls_s, CLASS_BY_NAME, "data_class", where,
+                        CostTableError)
+        loc = name_cell(loc_s, _LOCATION_BY_NAME, "operand_location", where,
+                        CostTableError)
+        micro_ops = count_cell(uops_s, "micro_ops", where, CostTableError)
         cycles = _parse_cycles(cyc_s, where)
         key = (kind, cls, loc)
         if key in entries:
@@ -321,6 +335,7 @@ class EnergyReport:
     table_source: str
     table_date: str
     scenario: Optional[Scenario] = None
+    derived: Optional[DerivedParams] = None     # from the pipeline tallies
 
 
 def _block_cost(micro_ops: int, cycles: int, den: int, bits: int,
@@ -353,4 +368,4 @@ def build_report(tallies: PipelineTallies, table: InstructionCostTable,
     return EnergyReport(per_block=per_block, total=total,
                         bits_transmitted=bits, energy=energy,
                         table_source=table.source, table_date=table.date,
-                        scenario=scenario)
+                        scenario=scenario, derived=tallies.derived)

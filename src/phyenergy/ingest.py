@@ -24,21 +24,23 @@ import csv
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
-from .costmodel import (EnergyReport, InstructionCostTable, cycles_for,
-                        read_csv_rows)
+from .costmodel import (CLASS_BY_NAME, KIND_BY_NAME, EnergyReport,
+                        InstructionCostTable, count_cell, cycles_for,
+                        name_cell, read_csv_rows)
 from .errors import ConfigError, MeasurementError
 from .opcount import (BlockId, DataClass, OpKind, OperationTally,
                       PipelineTallies)
-from .scenario import read_text, read_yaml
+from .scenario import _as_list, read_fields, read_text, read_yaml
 
 _HEADER = ["function_path", "block", "operator", "data_type", "shape", "count"]
 
-_KIND_BY_NAME = {kind.value: kind for kind in OpKind}
-_CLASS_BY_NAME = {cls.value: cls for cls in DataClass}
-_BLOCK_BY_NAME = {blk.value: blk for blk in BlockId}
+# Block letters in either case.
+_BLOCK_BY_NAME = {name: blk for blk in BlockId
+                  for name in (blk.value, blk.value.lower())}
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,17 @@ class MeasuredReport:
     @property
     def empty(self) -> bool:
         return not self.rows
+
+    @cached_property
+    def _block_tallies(self) -> Dict[Optional[BlockId], OperationTally]:
+        """Row counts summed per block, unattributed rows under None;
+        grouped on first use and kept on the report."""
+        grouped: Dict[Optional[BlockId], Dict] = {}
+        for row in self.rows:
+            counts = grouped.setdefault(row.block, {})
+            key = (row.operator, row.data_type)
+            counts[key] = counts.get(key, 0) + row.count
+        return {blk: OperationTally(counts) for blk, counts in grouped.items()}
 
 
 @dataclass(frozen=True)
@@ -119,36 +132,19 @@ def parse_measurement_text(text: str, source: str = "<string>",
 
     rows: list[MeasuredRow] = []
     seen = kept = filtered = unattributed = 0
-    for lineno, cells in read_csv_rows(text, source, _HEADER,
-                                       "measurement file", MeasurementError):
-        where = f"{source}:{lineno}"
+    for where, cells in read_csv_rows(text, source, _HEADER,
+                                      "measurement file", MeasurementError):
         fpath, block_s, op_s, type_s, shape, count_s = cells
         seen += 1
 
-        try:
-            operator = _KIND_BY_NAME[op_s]
-        except KeyError:
-            raise MeasurementError(
-                f"{where}: unknown operator {op_s!r}") from None
-        try:
-            data_type = _CLASS_BY_NAME[type_s]
-        except KeyError:
-            raise MeasurementError(
-                f"{where}: unknown data_type {type_s!r}") from None
-        try:
-            count = int(count_s)
-        except ValueError:
-            raise MeasurementError(
-                f"{where}: count must be an integer, got {count_s!r}") from None
-        if count < 0:
-            raise MeasurementError(f"{where}: count must be >= 0")
-
+        operator = name_cell(op_s, KIND_BY_NAME, "operator", where,
+                             MeasurementError)
+        data_type = name_cell(type_s, CLASS_BY_NAME, "data_type", where,
+                              MeasurementError)
+        count = count_cell(count_s, "count", where, MeasurementError)
         if block_s:
-            try:
-                block: Optional[BlockId] = _BLOCK_BY_NAME[block_s.upper()]
-            except KeyError:
-                raise MeasurementError(
-                    f"{where}: unknown block {block_s!r}") from None
+            block: Optional[BlockId] = name_cell(
+                block_s, _BLOCK_BY_NAME, "block", where, MeasurementError)
         else:
             block = assign_block(fpath, block_map)
 
@@ -206,53 +202,44 @@ def rows_from_tallies(tallies: PipelineTallies,
     return rows
 
 
+def _as_prefixes(label: str, value: Any) -> Tuple[str, ...]:
+    return tuple(str(item) for item in _as_list(label, value))
+
+
+def _as_block_map(label: str, value: Any) -> Dict[str, BlockId]:
+    if value is None:
+        return {}
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{label} must be a mapping")
+    block_map: Dict[str, BlockId] = {}
+    for prefix, letter in value.items():
+        block = _BLOCK_BY_NAME.get(str(letter).strip())
+        if block is None:
+            raise ConfigError(
+                f"{label} value {letter!r} is not a block A-H")
+        block_map[str(prefix)] = block
+    return block_map
+
+
+_FILTER_FIELDS = {"allow": _as_prefixes, "deny": _as_prefixes,
+                  "block_map": _as_block_map}
+
+
 def load_filter_config(path: str | Path) -> tuple[PathFilter, Dict[str, BlockId]]:
     """Read a filter config: allow/deny prefix lists plus a block map."""
     path = Path(path)
     raw = read_yaml(path, "filter")
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, Mapping):
-        raise ConfigError(f"{path}: filter config must be a mapping")
-    unknown = sorted(set(raw) - {"allow", "deny", "block_map"})
-    if unknown:
-        raise ConfigError(f"{path}: unknown filter keys: " + ", ".join(unknown))
-
-    def _prefix_list(key: str) -> Tuple[str, ...]:
-        value = raw.get(key, [])
-        if value is None:
-            return ()
-        if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
-            raise ConfigError(f"{path}: {key} must be a list of prefixes")
-        return tuple(str(item) for item in value)
-
-    block_map: Dict[str, BlockId] = {}
-    raw_map = raw.get("block_map", {}) or {}
-    if not isinstance(raw_map, Mapping):
-        raise ConfigError(f"{path}: block_map must be a mapping")
-    for prefix, letter in raw_map.items():
-        name = str(letter).strip().upper()
-        if name not in _BLOCK_BY_NAME:
-            raise ConfigError(
-                f"{path}: block_map value {letter!r} is not a block A-H")
-        block_map[str(prefix)] = _BLOCK_BY_NAME[name]
-
-    return PathFilter(allow=_prefix_list("allow"),
-                      deny=_prefix_list("deny")), block_map
+    try:
+        fields = read_fields({} if raw is None else raw, "filter", {},
+                             _FILTER_FIELDS)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    block_map = fields.pop("block_map", {})
+    return PathFilter(**fields), block_map
 
 
 # ---------------------------------------------------------------------------
 # Costing measured rows and comparing against the model
-
-
-def _block_tallies(report: MeasuredReport) -> Dict[Optional[BlockId],
-                                                   OperationTally]:
-    grouped: Dict[Optional[BlockId], Dict] = {}
-    for row in report.rows:
-        counts = grouped.setdefault(row.block, {})
-        key = (row.operator, row.data_type)
-        counts[key] = counts.get(key, 0) + row.count
-    return {blk: OperationTally(counts) for blk, counts in grouped.items()}
 
 
 def measured_cycles(report: MeasuredReport,
@@ -263,7 +250,7 @@ def measured_cycles(report: MeasuredReport,
     report).  Unattributed rows are excluded here; see
     :func:`unattributed_cycles`.
     """
-    grouped = _block_tallies(report)
+    grouped = report._block_tallies
     out: Dict[BlockId, Fraction] = {}
     for block in BlockId:
         tally = grouped.get(block)
@@ -274,7 +261,7 @@ def measured_cycles(report: MeasuredReport,
 def unattributed_cycles(report: MeasuredReport,
                         table: InstructionCostTable) -> Fraction:
     """Cycles from rows that could not be attributed to any block."""
-    tally = _block_tallies(report).get(None)
+    tally = report._block_tallies.get(None)
     return cycles_for(tally, table).cycles if tally else Fraction(0)
 
 

@@ -15,6 +15,7 @@ from functools import partial
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .errors import ConfigError, DomainError
+from .scenario import Converter, _as_float, _as_int, _as_list, read_fields
 
 
 @dataclass(frozen=True)
@@ -176,123 +177,105 @@ def fu_rf_power(p: FuParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Parameter-file loading
+# Parameter-file loading: every mapping is read by scenario.read_fields.
 
 
-def _take(mapping: Mapping[str, Any], fields: dict[str, Callable],
-          context: str, optional: dict[str, Callable]) -> dict[str, Any]:
-    """Convert the required ``fields`` and any present ``optional`` keys."""
-    if not isinstance(mapping, Mapping):
-        raise ConfigError(f"{context}: expected a key/value mapping")
-    unknown = sorted(set(mapping) - set(fields) - set(optional))
-    if unknown:
-        raise ConfigError(f"{context}: unknown keys: " + ", ".join(unknown))
-    out = {}
-    for key, conv in fields.items():
-        if key not in mapping:
-            raise ConfigError(f"{context}: missing key {key}")
-        out[key] = conv(mapping[key])
-    for key, conv in optional.items():
-        if key in mapping:
-            out[key] = conv(mapping[key])
-    return out
+def _record(cls: Callable, fields: dict[str, Converter],
+            optional: dict[str, Converter]) -> Converter:
+    """Converter building ``cls`` from a mapping read under its label."""
+    return lambda label, mapping: cls(**read_fields(mapping, label, fields,
+                                                    optional))
 
 
-def _loader(cls: Callable, context: str, fields: dict[str, Callable],
-            optional: dict[str, Callable]) -> Callable[[Any], Any]:
-    """A parameter loader, also usable as a section converter."""
-    return lambda mapping: cls(**_take(mapping, fields, context, optional))
+def _non_negative(conv: Converter) -> Converter:
+    """``conv`` that also rejects values below zero."""
+    def checked(label: str, value: Any) -> Any:
+        number = conv(label, value)
+        if number < 0:
+            raise ConfigError(f"{label} must be >= 0")
+        return number
+    return checked
 
 
-def _num(value: Any) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ConfigError(f"expected a number, got {value!r}")
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"expected a number, got {value!r}") from None
+_as_count = _non_negative(_as_int)      # chains, sectors, beams, antennas
+_as_power = _non_negative(_as_float)
 
 
-def _count(value: Any) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ConfigError(f"expected an integer, got {value!r}")
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"expected an integer, got {value!r}") from None
-
-
-def _flag(value: Any) -> bool:
+def _as_flag(label: str, value: Any) -> bool:
     if isinstance(value, bool):
         return value
-    raise ConfigError(f"expected true/false, got {value!r}")
+    raise ConfigError(f"{label}: expected true/false, got {value!r}")
 
 
-def _carriers(value: Any) -> tuple[ComponentCarrier, ...]:
-    if value is None:
-        return ()
-    if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
-        raise ConfigError("yu: carriers must be a list")
-    return tuple(
-        ComponentCarrier(**_take(
-            cc, {"p_tx_w": _num, "bandwidth_mhz": _num,
-                 "p_cp_var_w_per_mhz": _num}, f"yu.carriers[{i}]", {}))
-        for i, cc in enumerate(value))
+_carrier = _record(ComponentCarrier,
+                   {"p_tx_w": _as_float, "bandwidth_mhz": _as_float,
+                    "p_cp_var_w_per_mhz": _as_float}, {})
 
 
-def _load_auer(m: Mapping[str, Any]) -> AuerParams:
-    got = _take(m, {"n_trx": _count, "p0_w": _num, "delta_p": _num,
-                    "p_out_w": _num, "p_max_w": _num, "p_sleep_w": _num},
-                "auer", {})
-    for key in ("p0_w", "p_out_w", "p_max_w", "p_sleep_w"):
-        if got[key] < 0:
-            raise ConfigError(f"auer: {key} must be >= 0")
-    return AuerParams(**got)
+def _as_carriers(label: str, value: Any) -> tuple[ComponentCarrier, ...]:
+    return tuple(_carrier(f"{label}[{i}]", cc)
+                 for i, cc in enumerate(_as_list(label, value)))
 
 
-_fu_params = _loader(
-    FuParams, "fu", {"rho_gops_per_w": _num},
-    {"bb": _loader(FuBasebandUnit, "fu.bb",
-                   {"l_beams": _count, "q_enc_gops": _num,
-                    "q_net_gops": _num, "q_ctrl_gops": _num}, {}),
-     "rf": _loader(FuRfChain, "fu.rf",
-                   {"m_antennas": _count, "q_mod_gops": _num,
-                    "q_mix_gops": _num, "q_vga_gops": _num,
-                    "q_lna_gops": _num, "q_adc_gops": _num,
-                    "q_clk_gops": _num}, {})})
+_fu_params = _record(
+    FuParams, {"rho_gops_per_w": _as_float},
+    {"bb": _record(FuBasebandUnit,
+                   {"l_beams": _as_count, "q_enc_gops": _as_float,
+                    "q_net_gops": _as_float, "q_ctrl_gops": _as_float}, {}),
+     "rf": _record(FuRfChain,
+                   {"m_antennas": _as_count, "q_mod_gops": _as_float,
+                    "q_mix_gops": _as_float, "q_vga_gops": _as_float,
+                    "q_lna_gops": _as_float, "q_adc_gops": _as_float,
+                    "q_clk_gops": _as_float}, {})})
 
-# model name -> (loader, evaluator, unit)
+# model name -> (context, loader, evaluator, unit); the loader reads the
+# parameter mapping under the context, which fu-bb and fu-rf share.
 MODELS: dict[str, tuple] = {
-    "auer": (_load_auer, auer_power, "W"),
-    "desset": (_loader(DessetComponents, "desset",
-                       {"p_bbu_w": _num, "p_rf_w": _num, "p_pa_w": _num,
-                        "p_oh_w": _num}, {}),
+    "auer": ("auer",
+             _record(AuerParams,
+                     {"n_trx": _as_count, "p0_w": _as_power,
+                      "delta_p": _as_float, "p_out_w": _as_power,
+                      "p_max_w": _as_power, "p_sleep_w": _as_power}, {}),
+             auer_power, "W"),
+    "desset": ("desset",
+               _record(DessetComponents,
+                       {"p_bbu_w": _as_float, "p_rf_w": _as_float,
+                        "p_pa_w": _as_float, "p_oh_w": _as_float}, {}),
                desset_power, "W"),
-    "yan": (_loader(YanSegments, "yan",
-                    {"e_ue_j": _num, "e_bs_j": _num, "e_wireline_j": _num,
-                     "e_dc_j": _num}, {}),
+    "yan": ("yan",
+            _record(YanSegments,
+                    {"e_ue_j": _as_float, "e_bs_j": _as_float,
+                     "e_wireline_j": _as_float, "e_dc_j": _as_float}, {}),
             yan_energy, "J"),
     # A missing carrier list means no carriers.
-    "yu": (_loader(partial(YuParams, carriers=()), "yu",
-                   {"p_cp_static_w": _num}, {"carriers": _carriers}),
+    "yu": ("yu",
+           _record(partial(YuParams, carriers=()),
+                   {"p_cp_static_w": _as_float}, {"carriers": _as_carriers}),
            yu_power, "W"),
-    "tombaz": (_loader(TombazParams, "tombaz",
-                       {"n_sectors": _count, "p_tx_sector_w": _num,
-                        "eta_pa": _num, "n_rf_chains": _count,
-                        "p_c_w": _num, "p_b_w": _num},
-                       {"dtx_enabled": _flag, "delta": _num}),
+    "tombaz": ("tombaz",
+               _record(TombazParams,
+                       {"n_sectors": _as_count, "p_tx_sector_w": _as_float,
+                        "eta_pa": _as_float, "n_rf_chains": _as_count,
+                        "p_c_w": _as_float, "p_b_w": _as_float},
+                       {"dtx_enabled": _as_flag, "delta": _as_float}),
                tombaz_power, "W"),
-    "fu-bb": (_fu_params, fu_bb_power, "W"),
-    "fu-rf": (_fu_params, fu_rf_power, "W"),
+    "fu-bb": ("fu", _fu_params, fu_bb_power, "W"),
+    "fu-rf": ("fu", _fu_params, fu_rf_power, "W"),
 }
 
 
 def evaluate_model(name: str, mapping: Mapping[str, Any]) -> tuple[float, str]:
-    """Evaluate a named model on a parameter mapping; returns (value, unit)."""
+    """Evaluate a named model on a parameter mapping; returns (value, unit).
+
+    A result that is not finite raises DomainError.
+    """
     try:
-        loader, evaluator, unit = MODELS[name]
+        context, loader, evaluator, unit = MODELS[name]
     except KeyError:
         raise ConfigError(
             f"unknown model {name!r}; valid: " + ", ".join(sorted(MODELS))
         ) from None
-    return evaluator(loader(mapping)), unit
+    value = evaluator(loader(context, mapping))
+    if not math.isfinite(value):
+        raise DomainError(f"{name}: result {value} is not finite")
+    return value, unit

@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from .errors import DomainError
 from .scenario import DecodeConfig, DerivedParams, Scenario, BaseGraphSpec
-from .scenario import derive, select_base_graph
+from .scenario import BASE_GRAPHS, derive
 
 
 class OpKind(enum.Enum):
@@ -477,6 +477,7 @@ class PipelineTallies:
 
     per_block: Mapping[BlockId, OperationTally]
     bits_transmitted: int
+    derived: Optional[DerivedParams] = None     # what the counts came from
 
     @property
     def total(self) -> OperationTally:
@@ -489,7 +490,7 @@ class PipelineTallies:
 def tally_pipeline(s: Scenario) -> PipelineTallies:
     """Count every block of the chain for a scenario, scaled by n_slots."""
     d = derive(s)
-    bg = select_base_graph(d.a, s.code_rate)
+    bg = BASE_GRAPHS[d.bg]
     e_antennas = s.rx_fft_antennas if s.rx_fft_antennas is not None else s.n_tx
     per_slot = {
         BlockId.A: count_block_a(d, bg),
@@ -503,4 +504,4 @@ def tally_pipeline(s: Scenario) -> PipelineTallies:
     }
     per_block = {blk: tally.scaled(s.n_slots) for blk, tally in per_slot.items()}
     return PipelineTallies(per_block=per_block,
-                           bits_transmitted=d.a * s.n_slots)
+                           bits_transmitted=d.a * s.n_slots, derived=d)

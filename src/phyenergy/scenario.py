@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 import yaml
 
@@ -300,9 +300,32 @@ def select_base_graph(a_bits: int, code_rate_num: int) -> BaseGraphSpec:
 # Configuration file loading.  YAML 1.1 resolves "2.1e9" to a string, so
 # every field is coerced explicitly instead of trusting the parser's types.
 
-def _as_int(key: str, value: Any) -> int:
+# Called as ``conv(label, value)``; ``label`` is the field's <context>.<key>.
+Converter = Callable[[str, Any], Any]
+
+
+def read_fields(mapping: Any, context: str, required: Mapping[str, Converter],
+                optional: Mapping[str, Converter]) -> dict[str, Any]:
+    """Convert the ``required`` keys and any present ``optional`` keys of a
+    mapping read under ``context``; other keys are rejected.  Every YAML
+    mapping the package reads goes through here."""
+    if not isinstance(mapping, Mapping):
+        raise ConfigError(f"{context}: expected a key/value mapping")
+    # YAML keys need not be strings: "1: 2" has the integer key 1.
+    unknown = sorted(map(str, set(mapping) - set(required) - set(optional)))
+    if unknown:
+        raise ConfigError(f"unknown {context} keys: " + ", ".join(unknown))
+    missing = sorted(set(required) - set(mapping))
+    if missing:
+        raise ConfigError(f"missing {context} keys: " + ", ".join(missing))
+    return {key: conv(f"{context}.{key}", mapping[key])
+            for fields in (required, optional)
+            for key, conv in fields.items() if key in mapping}
+
+
+def _as_int(label: str, value: Any) -> int:
     if isinstance(value, bool):
-        raise ConfigError(f"{key}: expected an integer, got a boolean")
+        raise ConfigError(f"{label}: expected an integer, got a boolean")
     if isinstance(value, int):
         return value
     if isinstance(value, str):
@@ -310,60 +333,74 @@ def _as_int(key: str, value: Any) -> int:
             return int(value.strip())
         except ValueError:
             pass
-    raise ConfigError(f"{key}: expected an integer, got {value!r}")
+    raise ConfigError(f"{label}: expected an integer, got {value!r}")
 
 
-def _as_float(key: str, value: Any) -> float:
+def _as_float(label: str, value: Any) -> float:
     if isinstance(value, bool):
-        raise ConfigError(f"{key}: expected a number, got a boolean")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            return float(value.strip())
-        except ValueError:
-            pass
-    raise ConfigError(f"{key}: expected a number, got {value!r}")
+        raise ConfigError(f"{label}: expected a number, got a boolean")
+    try:
+        number = float(value) if isinstance(value, (int, float, str)) else None
+    except ValueError:
+        number = None
+    except OverflowError:       # an integer beyond the float range
+        number = math.inf
+    if number is None:
+        raise ConfigError(f"{label}: expected a number, got {value!r}")
+    if not math.isfinite(number):
+        raise ConfigError(f"{label} must be finite")
+    return number
 
 
-def _as_rate(key: str, value: Any) -> int:
+def _as_rate(label: str, value: Any) -> int:
     """Code rate as the numerator of n/1024; accepts 490 or '490/1024'."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{key}: expected numerator or 'n/1024'")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        text = value.strip()
-        if "/" in text:
-            num, _, den = text.partition("/")
-            try:
-                numerator, denominator = int(num), int(den)
-            except ValueError:
-                raise ConfigError(f"{key}: malformed rate {value!r}") from None
-            if denominator != 1024:
-                raise ConfigError(f"{key}: rate denominator must be 1024")
-            return numerator
+    if isinstance(value, str) and "/" in value:
+        num, _, den = value.strip().partition("/")
         try:
-            return int(text)
+            numerator, denominator = int(num), int(den)
         except ValueError:
-            pass
-    raise ConfigError(f"{key}: expected numerator or 'n/1024', got {value!r}")
+            raise ConfigError(f"{label}: malformed rate {value!r}") from None
+        if denominator != 1024:
+            raise ConfigError(f"{label}: rate denominator must be 1024")
+        return numerator
+    return _as_int(label, value)
 
 
-_REQUIRED_FIELDS = ("n_slots", "snr_db", "scs_khz", "n_prb", "modulation",
-                    "code_rate", "n_tx", "n_rx", "n_layers", "n_ports")
+def _as_list(label: str, value: Any) -> Sequence[Any]:
+    """A YAML list; an empty value is an empty list."""
+    if value is None:
+        return ()
+    if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
+        raise ConfigError(f"{label} must be a list")
+    return value
 
-_FIELD_PARSERS = {
+
+_DECODE_FIELDS = {
+    "deg_cn": _as_int,
+    "deg_vn": _as_int,
+    "iterations": _as_int,
+}
+
+
+def _as_decode(label: str, value: Any) -> DecodeConfig:
+    """The decode section, read under the context ``decode``."""
+    return DecodeConfig(**read_fields(value, "decode", {}, _DECODE_FIELDS))
+
+
+_REQUIRED_FIELDS = {
     "n_slots": _as_int,
     "snr_db": _as_float,
     "scs_khz": _as_int,
     "n_prb": _as_int,
-    "modulation": lambda key, v: parse_modulation(v),
+    "modulation": lambda label, v: parse_modulation(v),
     "code_rate": _as_rate,
     "n_tx": _as_int,
     "n_rx": _as_int,
     "n_layers": _as_int,
     "n_ports": _as_int,
+}
+
+_OPTIONAL_FIELDS = {
     "clock_hz": _as_float,
     "kappa": _as_float,
     "channel_len": _as_int,
@@ -371,45 +408,14 @@ _FIELD_PARSERS = {
     "pilot_symbols_per_slot": _as_int,
     "tbs_override": _as_int,
     "rx_fft_antennas": _as_int,
-}
-
-_DECODE_PARSERS = {
-    "deg_cn": _as_int,
-    "deg_vn": _as_int,
-    "iterations": _as_int,
+    "decode": _as_decode,
 }
 
 
 def scenario_from_mapping(mapping: Mapping[str, Any]) -> Scenario:
     """Build a Scenario from a parsed config mapping, rejecting unknown keys."""
-    if not isinstance(mapping, Mapping):
-        raise ConfigError("scenario config must be a key/value mapping")
-
-    known = set(_FIELD_PARSERS) | {"decode"}
-    unknown = sorted(set(mapping) - known)
-    if unknown:
-        raise ConfigError("unknown scenario keys: " + ", ".join(unknown))
-    missing = sorted(k for k in _REQUIRED_FIELDS if k not in mapping)
-    if missing:
-        raise ConfigError("missing scenario keys: " + ", ".join(missing))
-
-    kwargs: dict[str, Any] = {}
-    for key, parser in _FIELD_PARSERS.items():
-        if key in mapping:
-            kwargs[key] = parser(key, mapping[key])
-
-    if "decode" in mapping:
-        section = mapping["decode"]
-        if not isinstance(section, Mapping):
-            raise ConfigError("decode: expected a key/value mapping")
-        unknown = sorted(set(section) - set(_DECODE_PARSERS))
-        if unknown:
-            raise ConfigError("unknown decode keys: " + ", ".join(unknown))
-        dec = {k: _DECODE_PARSERS[k](f"decode.{k}", v)
-               for k, v in section.items()}
-        kwargs["decode"] = DecodeConfig(**dec)
-
-    return Scenario(**kwargs)
+    return Scenario(**read_fields(mapping, "scenario", _REQUIRED_FIELDS,
+                                  _OPTIONAL_FIELDS))
 
 
 def read_text(path: str | Path, what: str,

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from phyenergy import cli, opcount, scenario
 from phyenergy.cli import fmt_exact, fmt_float, fmt_opt, main
 from phyenergy.costmodel import assign_location
 from phyenergy.ingest import rows_from_tallies, serialize_measurement
@@ -172,6 +173,20 @@ def test_estimate_rejects_n_prb_beyond_a_carrier(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error[config]:")
     assert "n_prb must be <= 275" in err
+
+
+def test_structured_estimate_derives_once(capsys, monkeypatch):
+    calls = []
+
+    def counting_derive(s):
+        calls.append(s)
+        return scenario.derive(s)
+
+    for module in (opcount, cli):
+        monkeypatch.setattr(module, "derive", counting_derive)
+    code, _, _ = run(capsys, "estimate", "--scenario", REFERENCE)
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_missing_required_flag_exits_two(capsys):
@@ -428,6 +443,31 @@ def test_legacy_domain_error_surfaces(capsys, tmp_path):
                        "--params", str(params))
     assert code == 1
     assert err.startswith("error[domain]:")
+
+
+@pytest.mark.parametrize("model,params,replacement,error_code", [
+    ("auer", "auer.yaml", ("p0_w: 100.0", "p0_w: .nan"), "config"),
+    ("tombaz", "tombaz.yaml",
+     ("p_tx_sector_w: 21.0", "p_tx_sector_w: 1e400"), "config"),
+    ("fu-rf", "fu.yaml", ("m_antennas: 4", "m_antennas: -4"), "config"),
+    # finite parameters whose result overflows
+    ("tombaz", "tombaz.yaml",
+     ("p_tx_sector_w: 21.0", "p_tx_sector_w: 1.0e308"), "domain"),
+    # an integer beyond the float range, and a key that is not a string
+    ("auer", "auer.yaml", ("p0_w: 100.0", "p0_w: 1" + "0" * 400), "config"),
+    ("tombaz", "tombaz.yaml", ("delta: 1.0", "delta: 1.0\n1: 2"), "config"),
+], ids=["nan", "1e400", "negative-count", "overflowing-result",
+        "huge-integer", "integer-key"])
+def test_legacy_never_prints_non_finite_or_a_traceback(
+        capsys, tmp_path, model, params, replacement, error_code):
+    path = tmp_path / params
+    path.write_text((CONFIGS / params).read_text().replace(*replacement))
+    assert replacement[1] in path.read_text()
+    code, out, err = run(capsys, "legacy", "--model", model,
+                         "--params", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error[{error_code}]:")
 
 
 def test_legacy_missing_params_file(capsys):

@@ -185,13 +185,13 @@ def test_evaluate_rejects_unknown_model():
 
 
 def test_loader_rejects_unknown_keys():
-    with pytest.raises(ConfigError, match="auer: unknown keys: psu_w"):
+    with pytest.raises(ConfigError, match="unknown auer keys: psu_w"):
         evaluate_model("auer", {**AUER_MAPPING, "psu_w": 12.0})
 
 
 def test_loader_rejects_missing_keys():
     partial = {k: v for k, v in AUER_MAPPING.items() if k != "p_max_w"}
-    with pytest.raises(ConfigError, match="missing key p_max_w"):
+    with pytest.raises(ConfigError, match="missing auer keys: p_max_w"):
         evaluate_model("auer", partial)
 
 

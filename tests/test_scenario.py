@@ -1,7 +1,10 @@
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +12,8 @@ from conftest import reference_scenario
 
 from phyenergy.costmodel import energy_per_cycle
 from phyenergy.errors import ConfigError
+from phyenergy.ingest import load_filter_config
+from phyenergy.legacy import evaluate_model
 from phyenergy.scenario import (LIFTING_SIZES, Modulation, base_graph_id,
                                 derive, load_scenario, parse_modulation,
                                 scenario_from_mapping, select_base_graph,
@@ -315,6 +320,68 @@ def test_decode_section_parsed():
     assert s.decode.deg_cn == 19
     with pytest.raises(ConfigError, match="unknown decode keys"):
         scenario_from_mapping({**_base_mapping(), "decode": {"spin": 1}})
+
+
+def _params(name):
+    configs = Path(__file__).parent.parent / "configs"
+    return yaml.safe_load((configs / f"{name}.yaml").read_text())
+
+
+def _load_filter(mapping, tmp_path):
+    path = tmp_path / "filter.yaml"
+    path.write_text(yaml.safe_dump(mapping))
+    return load_filter_config(path)
+
+
+def _model(name):
+    return lambda mapping, _: evaluate_model(name, mapping)
+
+
+# Every mapping the shared field reader serves: (context, a field, whether
+# the field is required, a valid mapping, load(mapping, tmp_path)).
+LOADER_CASES = {
+    "scenario": ("scenario", "n_prb", True, _base_mapping(),
+                 lambda m, _: scenario_from_mapping(m)),
+    "decode": ("decode", "iterations", False, {"iterations": 8},
+               lambda m, _: scenario_from_mapping({**_base_mapping(),
+                                                   "decode": m})),
+    "auer": ("auer", "n_trx", True, _params("auer"), _model("auer")),
+    "desset": ("desset", "p_bbu_w", True, _params("desset"),
+               _model("desset")),
+    "yan": ("yan", "e_ue_j", True, _params("yan"), _model("yan")),
+    "yu": ("yu", "p_cp_static_w", True, _params("yu"), _model("yu")),
+    "tombaz": ("tombaz", "n_sectors", True, _params("tombaz"),
+               _model("tombaz")),
+    "fu-bb": ("fu", "rho_gops_per_w", True, _params("fu"), _model("fu-bb")),
+    "fu-rf": ("fu", "rho_gops_per_w", True, _params("fu"), _model("fu-rf")),
+    "yu-carrier": ("yu.carriers[0]", "p_tx_w", True,
+                   _params("yu")["carriers"][0],
+                   lambda m, _: evaluate_model(
+                       "yu", {"p_cp_static_w": 5.0, "carriers": [m]})),
+    "fu.bb": ("fu.bb", "l_beams", True, _params("fu")["bb"],
+              lambda m, _: evaluate_model("fu-bb", {**_params("fu"),
+                                                    "bb": m})),
+    "filter": ("filter", "allow", False, {"allow": ["nr5g/"]}, _load_filter),
+}
+
+
+@pytest.mark.parametrize("case", LOADER_CASES.values(), ids=LOADER_CASES)
+def test_every_mapping_reader_checks_keys_and_types(tmp_path, case):
+    context, key, required, valid, load = case
+    load(valid, tmp_path)
+
+    def fails(mapping, message):
+        with pytest.raises(ConfigError, match=re.escape(message)) as exc:
+            load(mapping, tmp_path)
+        if context == "filter":         # the file path leads every message
+            assert str(exc.value).startswith(str(tmp_path))
+
+    fails({**valid, "bogus": 1, 7: 1}, f"unknown {context} keys: 7, bogus")
+    fails({**valid, key: True}, f"{context}.{key}")
+    fails(["not", "a", "mapping"], f"{context}: expected a key/value mapping")
+    if required:
+        fails({k: v for k, v in valid.items() if k != key},
+              f"missing {context} keys: {key}")
 
 
 def test_modulation_aliases():
