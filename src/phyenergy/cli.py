@@ -26,7 +26,7 @@ from . import costmodel, ingest, legacy
 from .costmodel import EnergyParams, EnergyReport, InstructionCostTable
 from .errors import ConfigError, MeasurementError, PhyEnergyError, UsageError
 from .opcount import BlockId, tally_pipeline
-from .scenario import (DerivedParams, Scenario, derive, load_scenario,
+from .scenario import (DerivedParams, Scenario, load_scenario,
                        parse_modulation, read_yaml, with_overrides)
 
 COST_TABLE_ENV = "PHYENERGY_COST_TABLE"
@@ -168,8 +168,7 @@ def _scenario_sections(lines: list[str], s: Scenario,
 def render_estimate_text(rep: EnergyReport) -> str:
     lines: list[str] = []
     if rep.scenario is not None:
-        _scenario_sections(lines, rep.scenario,
-                           rep.derived or derive(rep.scenario))
+        _scenario_sections(lines, rep.scenario, rep.derived)
     _section(lines, "", "energy", [
         ("kappa_j_s2", fmt_float(rep.energy.kappa)),
         ("clock_hz", fmt_float(rep.energy.clock_hz)),

@@ -334,8 +334,8 @@ class EnergyReport:
     energy: EnergyParams
     table_source: str
     table_date: str
+    derived: DerivedParams      # from the pipeline tallies
     scenario: Optional[Scenario] = None
-    derived: Optional[DerivedParams] = None     # from the pipeline tallies
 
 
 def _block_cost(micro_ops: int, cycles: int, den: int, bits: int,

@@ -275,7 +275,11 @@ def evaluate_model(name: str, mapping: Mapping[str, Any]) -> tuple[float, str]:
         raise ConfigError(
             f"unknown model {name!r}; valid: " + ", ".join(sorted(MODELS))
         ) from None
-    value = evaluator(loader(context, mapping))
+    params = loader(context, mapping)
+    try:
+        value = evaluator(params)
+    except OverflowError:       # a count too large to mix with floats
+        value = math.inf
     if not math.isfinite(value):
         raise DomainError(f"{name}: result {value} is not finite")
     return value, unit

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Tuple
 
 from .errors import DomainError
 from .scenario import DecodeConfig, DerivedParams, Scenario, BaseGraphSpec
@@ -477,7 +477,7 @@ class PipelineTallies:
 
     per_block: Mapping[BlockId, OperationTally]
     bits_transmitted: int
-    derived: Optional[DerivedParams] = None     # what the counts came from
+    derived: DerivedParams      # what the counts came from
 
     @property
     def total(self) -> OperationTally:

@@ -182,8 +182,9 @@ def test_structured_estimate_derives_once(capsys, monkeypatch):
         calls.append(s)
         return scenario.derive(s)
 
-    for module in (opcount, cli):
-        monkeypatch.setattr(module, "derive", counting_derive)
+    monkeypatch.setattr(opcount, "derive", counting_derive)
+    # rendering must reuse the tallies' DerivedParams, not derive again
+    monkeypatch.setattr(cli, "derive", counting_derive, raising=False)
     code, _, _ = run(capsys, "estimate", "--scenario", REFERENCE)
     assert code == 0
     assert len(calls) == 1
@@ -456,8 +457,12 @@ def test_legacy_domain_error_surfaces(capsys, tmp_path):
     # an integer beyond the float range, and a key that is not a string
     ("auer", "auer.yaml", ("p0_w: 100.0", "p0_w: 1" + "0" * 400), "config"),
     ("tombaz", "tombaz.yaml", ("delta: 1.0", "delta: 1.0\n1: 2"), "config"),
+    # counts too large to mix with the models' floats
+    ("auer", "auer.yaml", ("n_trx: 2", "n_trx: 1" + "0" * 400), "domain"),
+    ("fu-rf", "fu.yaml", ("m_antennas: 4", "m_antennas: 1" + "0" * 400),
+     "domain"),
 ], ids=["nan", "1e400", "negative-count", "overflowing-result",
-        "huge-integer", "integer-key"])
+        "huge-integer", "integer-key", "huge-n-trx", "huge-m-antennas"])
 def test_legacy_never_prints_non_finite_or_a_traceback(
         capsys, tmp_path, model, params, replacement, error_code):
     path = tmp_path / params
