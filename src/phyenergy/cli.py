@@ -65,7 +65,7 @@ def fmt_exact(q: Fraction) -> str:
     return f"{sign}{text[:-digits]}.{frac}"
 
 
-def fmt_opt(q: Optional[Fraction], as_float: bool = False) -> str:
+def fmt_opt(q: Optional[Fraction | float], as_float: bool = False) -> str:
     if q is None:
         return "undefined"
     return fmt_float(float(q)) if as_float else fmt_exact(q)
@@ -100,10 +100,8 @@ def _cycle_fields(cost: costmodel.BlockCost) -> list[str]:
 
 def _estimate_rows(rep: EnergyReport) -> list[list[str]]:
     """Name, side and cost fields for each block, then the total."""
-    bits = rep.bits_transmitted
     return [[name, side, *_cycle_fields(cost), fmt_float(cost.energy_j),
-             fmt_float(cost.energy_j / bits * 1e9) if bits > 0
-             else "undefined"]
+             fmt_opt(cost.energy_nj_per_bit, as_float=True)]
             for name, side, cost in _entries(rep)]
 
 
@@ -247,22 +245,21 @@ def _resolve_table(arg: Optional[str]) -> InstructionCostTable:
     return costmodel.load_default_cost_table()
 
 
-def _load_run(args: argparse.Namespace) -> tuple[Scenario, InstructionCostTable,
-                                                 EnergyParams]:
+def _load_run(args: argparse.Namespace,
+              ) -> tuple[Scenario, InstructionCostTable]:
     s = load_scenario(args.scenario)
     s = with_overrides(s, kappa=args.kappa, clock_hz=args.clock_hz)
-    table = _resolve_table(args.cost_table)
-    return s, table, EnergyParams(kappa=s.kappa, clock_hz=s.clock_hz)
+    return s, _resolve_table(args.cost_table)
 
 
-def _estimate(s: Scenario, table: InstructionCostTable,
-              energy: EnergyParams) -> EnergyReport:
+def _estimate(s: Scenario, table: InstructionCostTable) -> EnergyReport:
+    energy = EnergyParams(kappa=s.kappa, clock_hz=s.clock_hz)
     return costmodel.build_report(tally_pipeline(s), table, energy, scenario=s)
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    s, table, energy = _load_run(args)
-    rep = _estimate(s, table, energy)
+    s, table = _load_run(args)
+    rep = _estimate(s, table)
     fmt = args.format or "structured-text"
     text = (render_estimate_text(rep) if fmt == "structured-text"
             else render_estimate_table(rep))
@@ -292,18 +289,15 @@ def _sweep_scenarios(s: Scenario, param: str,
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    s, table, energy = _load_run(args)
+    s, table = _load_run(args)
     if args.param not in _SWEEP_PARAMS:
         raise UsageError(
             f"--param must be one of {', '.join(_SWEEP_PARAMS)}")
     pairs = _sweep_scenarios(s, args.param, args.values)
     # Evaluate everything before emitting: an invalid value must fail
     # with no partial output.
-    results = []
-    for label, scenario in pairs:
-        energy_i = EnergyParams(kappa=scenario.kappa,
-                                clock_hz=scenario.clock_hz)
-        results.append((label, _estimate(scenario, table, energy_i)))
+    results = [(label, _estimate(scenario, table))
+               for label, scenario in pairs]
     fmt = args.format or "delimited-table"
     text = (render_sweep_table(args.param, results)
             if fmt == "delimited-table"
@@ -313,7 +307,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    s, table, energy = _load_run(args)
+    s, table = _load_run(args)
     if args.filter:
         path_filter, block_map = ingest.load_filter_config(args.filter)
     else:
@@ -323,7 +317,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise MeasurementError(
             f"{args.measured}: no rows left after filtering "
             f"({report.meta.rows_filtered} filtered out)")
-    modeled = _estimate(s, table, energy)
+    modeled = _estimate(s, table)
     measured = ingest.measured_cycles(report, table)
     unattributed = ingest.unattributed_cycles(report, table)
     result = ingest.compare(modeled, measured, unattributed)

@@ -9,12 +9,13 @@ registers, double vectors in xmm registers, and structs in memory.
 Each table is compiled once, on first use, into per-slot integer
 vectors indexed like :data:`~phyenergy.opcount.SLOT_KEYS`: micro-ops,
 and cycle numerators over one common denominator (the lcm of the
-table's cycle denominators).  The composite FLOP kind is folded into
-the compiled table as one addition plus one multiplication of the same
-data class, so a table's own FLOP rows are never consulted.  Pricing a
-tally is then an integer multiply-accumulate over its slots, and the
-cycle total becomes an exact rational only at the end; floats appear
-only when energy is computed or a report is rendered.
+table's cycle denominators).  A slot is priced as the sum of its parts
+(:data:`~phyenergy.opcount.PART_SLOTS`), so a FLOP costs one addition
+plus one multiplication of its class and a table's own FLOP rows are
+never consulted.  Pricing a tally is then an integer multiply-accumulate
+over its slots, and the cycle total becomes an exact rational only at
+the end; floats appear only when energy is computed or a report is
+rendered.
 """
 
 from __future__ import annotations
@@ -29,9 +30,11 @@ from importlib import resources
 from pathlib import Path
 from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple, TypeVar
 
-from .errors import ConfigError, CostTableError, CoverageError, PhyEnergyError
-from .opcount import (SLOT_INDEX, SLOT_KEYS, BlockId, DataClass, OpKind,
-                      OperationTally, PipelineTallies)
+from .errors import (ConfigError, CostTableError, CoverageError, DomainError,
+                     PhyEnergyError)
+from .opcount import (PART_SLOTS, SLOT_INDEX, SLOT_KEYS, BlockId, DataClass,
+                      OpKind, OperationTally, PipelineTallies)
+from .opcount import expand_flops  # noqa: F401  (kept importable from here)
 from .scenario import DerivedParams, Scenario, read_text
 
 DEFAULT_TABLE_RESOURCE = "cost_table.csv"
@@ -71,18 +74,6 @@ class CostEntry:
 TableKey = Tuple[OpKind, DataClass, OperandLocation]
 
 
-def _parts(kind: OpKind, cls: DataClass) -> Tuple[Tuple[OpKind, DataClass], ...]:
-    """The keys a (kind, class) count is priced as: FLOP is ADD plus MUL."""
-    if kind is OpKind.FLOP:
-        return ((OpKind.ADD, cls), (OpKind.MUL, cls))
-    return ((kind, cls),)
-
-
-# The slots each slot's count is priced at, in slot order.
-_PART_SLOTS = tuple(tuple(SLOT_INDEX[part] for part in _parts(kind, cls))
-                    for kind, cls in SLOT_KEYS)
-
-
 @dataclass(frozen=True)
 class InstructionCostTable:
     """Lookup table from (kind, class, location) to micro-ops and cycles."""
@@ -103,34 +94,31 @@ class InstructionCostTable:
 
     @cached_property
     def _kernel(self) -> Tuple[Tuple[int, ...], Tuple[int, ...], int,
-                               frozenset]:
+                               Dict[int, int]]:
         """The table compiled per slot (see
-        :data:`~phyenergy.opcount.SLOT_KEYS`), FLOP folded in:
+        :data:`~phyenergy.opcount.SLOT_KEYS`), each slot priced as the sum
+        of its :data:`~phyenergy.opcount.PART_SLOTS`:
         ``(micro_ops, cycles, den, missing)``.  A slot costs
         ``micro_ops[slot]`` micro-ops and ``cycles[slot] / den`` cycles,
-        unless it is in ``missing`` for want of a table entry.  Built on
-        first use and kept on the instance."""
-        entries = self.entries
-        priced: Dict[int, CostEntry] = {}
-        for slot, (kind, cls) in enumerate(SLOT_KEYS):
-            if kind is not OpKind.FLOP:
-                entry = entries.get((kind, cls, _LOCATION_BY_CLASS[cls]))
-                if entry is not None:
-                    priced[slot] = entry
+        unless ``missing`` maps it to the first of its parts that has no
+        table entry.  Built on first use and kept on the instance."""
+        priced = {SLOT_INDEX[(kind, cls)]: entry
+                  for (kind, cls, loc), entry in self.entries.items()
+                  if loc is _LOCATION_BY_CLASS[cls]}
         den = math.lcm(*[e.cycles.denominator for e in priced.values()])
         scaled = {slot: e.cycles.numerator * (den // e.cycles.denominator)
                   for slot, e in priced.items()}
         micro_ops = [0] * len(SLOT_KEYS)
         cycles = [0] * len(SLOT_KEYS)
-        missing = set()
-        for slot, parts in enumerate(_PART_SLOTS):
-            for part in parts:
-                if part not in priced:
-                    missing.add(slot)
-                    break
-                micro_ops[slot] += priced[part].micro_ops
-                cycles[slot] += scaled[part]
-        return tuple(micro_ops), tuple(cycles), den, frozenset(missing)
+        missing: Dict[int, int] = {}
+        for slot, parts in enumerate(PART_SLOTS):
+            lacking = [part for part in parts if part not in priced]
+            if lacking:
+                missing[slot] = lacking[0]
+            else:
+                micro_ops[slot] = sum(priced[part].micro_ops for part in parts)
+                cycles[slot] = sum(scaled[part] for part in parts)
+        return tuple(micro_ops), tuple(cycles), den, missing
 
 
 _HEADER = ["op_kind", "data_class", "operand_location", "micro_ops", "cycles"]
@@ -259,31 +247,17 @@ def load_default_cost_table() -> InstructionCostTable:
     return parse_cost_table(text, source=f"bundled:{DEFAULT_TABLE_RESOURCE}")
 
 
-def expand_flops(tally: OperationTally) -> OperationTally:
-    """Rewrite each FLOP as one ADD plus one MUL of the same class."""
-    counts: Dict[Tuple[OpKind, DataClass], int] = {}
-    for (kind, cls), n in tally.items():
-        for key in _parts(kind, cls):
-            counts[key] = counts.get(key, 0) + n
-    return OperationTally(counts)
-
-
-@dataclass(frozen=True)
-class CostTotals:
-    micro_ops: int
-    cycles: Fraction
-
-
 def _price(tally: OperationTally, table: InstructionCostTable,
            ) -> Tuple[int, int, int]:
     """Micro-ops, and cycles as a numerator over a denominator; the
     denominator is the table's, the same for every tally."""
     micro_ops_of, cycles_of, den, missing = table._kernel
     counts = tally.slot_counts()
-    if not missing.isdisjoint(counts):
-        # Raise for the first absent key in expanded (kind, class) order.
-        for (kind, cls), _ in expand_flops(tally).items():
-            table.lookup(kind, cls)
+    if missing and not missing.keys().isdisjoint(counts):
+        # Name the first absent key in expanded (kind, class) order: parts
+        # ascend within a slot, so that is the smallest first-lacking part.
+        table.lookup(*SLOT_KEYS[min(missing[slot] for slot in counts
+                                    if slot in missing)])
     micro_ops = cycles = 0
     for slot, n in counts.items():
         micro_ops += n * micro_ops_of[slot]
@@ -291,19 +265,21 @@ def _price(tally: OperationTally, table: InstructionCostTable,
     return micro_ops, cycles, den
 
 
-def cycles_for(tally: OperationTally, table: InstructionCostTable) -> CostTotals:
+def cycles_for(tally: OperationTally, table: InstructionCostTable) -> CostEntry:
     """Micro-ops and cycles for a tally under a cost table (exact)."""
     micro_ops, cycles, den = _price(tally, table)
-    return CostTotals(micro_ops=micro_ops, cycles=Fraction(cycles, den))
+    return CostEntry(micro_ops=micro_ops, cycles=Fraction(cycles, den))
 
 
 def energy_per_cycle(kappa: float, clock_hz: float) -> float:
     """Joules per cycle: kappa times the squared clock frequency."""
-    if not (math.isfinite(kappa) and math.isfinite(clock_hz)):
-        raise ConfigError("kappa and clock_hz must be finite")
     if kappa <= 0 or clock_hz <= 0:
         raise ConfigError("kappa and clock_hz must be positive")
-    return kappa * clock_hz * clock_hz
+    epsilon = kappa * clock_hz * clock_hz     # nan or inf if either one is
+    if not math.isfinite(epsilon):
+        raise ConfigError("kappa, clock_hz and kappa * clock_hz**2 must be "
+                          "finite")
+    return epsilon
 
 
 @dataclass(frozen=True)
@@ -322,6 +298,7 @@ class BlockCost:
     cycles: Fraction
     energy_j: float
     cycles_per_bit: Optional[Fraction]   # None when no payload bits
+    energy_nj_per_bit: Optional[float]   # None when no payload bits
 
 
 @dataclass(frozen=True)
@@ -342,12 +319,22 @@ def _block_cost(micro_ops: int, cycles: int, den: int, bits: int,
                 eps: float) -> BlockCost:
     """Cost of ``cycles / den`` cycles.  Integer true division is
     correctly rounded, so ``cycles / den`` is the float of the exact
-    rational, reduced or not."""
+    rational, reduced or not.  An energy beyond the float range raises
+    DomainError."""
+    try:
+        energy_j = cycles / den * eps
+        nj_per_bit = energy_j / bits * 1e9 if bits > 0 else None
+    except OverflowError:       # a count too large to mix with floats
+        energy_j = nj_per_bit = math.inf
+    if not (math.isfinite(energy_j) and math.isfinite(nj_per_bit or 0.0)):
+        raise DomainError("energy is not finite: too many cycles, or too "
+                          "much energy per cycle, for a float")
     return BlockCost(
         micro_ops=micro_ops,
         cycles=Fraction(cycles, den),
-        energy_j=cycles / den * eps,
+        energy_j=energy_j,
         cycles_per_bit=Fraction(cycles, den * bits) if bits > 0 else None,
+        energy_nj_per_bit=nj_per_bit,
     )
 
 

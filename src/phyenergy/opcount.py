@@ -23,8 +23,10 @@ scenario's derived parameters; nothing here touches sample data.
 Data classes follow the block split: the bit-oriented stages (block A,
 block G, and the scrambling/modulation inputs of block B) count as
 integer or logical operands, the signal-processing stages as doubles.
-Composite floating-point operations are recorded as FLOP and priced
-as one addition plus one multiplication by the cost model.
+Composite floating-point operations are recorded as FLOP.  A FLOP is
+one addition plus one multiplication of its class; :data:`PART_SLOTS`
+holds that rule, and both :meth:`OperationTally.total_ops` and the cost
+model's compiled tables read it from there.
 """
 
 from __future__ import annotations
@@ -93,7 +95,13 @@ OpKey = Tuple[OpKind, DataClass]
 SLOT_KEYS: Tuple[OpKey, ...] = tuple(
     (kind, cls) for kind in OpKind for cls in DataClass)
 SLOT_INDEX: Dict[OpKey, int] = {key: i for i, key in enumerate(SLOT_KEYS)}
-_FLOP_SLOTS = frozenset(SLOT_INDEX[(OpKind.FLOP, cls)] for cls in DataClass)
+
+# The slots each slot's count is made of, ascending: a FLOP is the ADD
+# and the MUL of its class, every other slot is itself.
+PART_SLOTS: Tuple[Tuple[int, ...], ...] = tuple(
+    (SLOT_INDEX[(OpKind.ADD, cls)], SLOT_INDEX[(OpKind.MUL, cls)])
+    if kind is OpKind.FLOP else (slot,)
+    for slot, (kind, cls) in enumerate(SLOT_KEYS))
 
 
 class OperationTally:
@@ -165,11 +173,10 @@ class OperationTally:
 
     def total_ops(self, expand_flops: bool = False) -> int:
         """Total operation count; FLOPs count double when expanded."""
-        total = sum(self._counts.values())
         if expand_flops:
-            total += sum(v for slot, v in self._counts.items()
-                         if slot in _FLOP_SLOTS)
-        return total
+            return sum(v * len(PART_SLOTS[slot])
+                       for slot, v in self._counts.items())
+        return sum(self._counts.values())
 
     def __add__(self, other: "OperationTally") -> "OperationTally":
         if not isinstance(other, OperationTally):
@@ -196,6 +203,15 @@ class OperationTally:
 
 
 EMPTY_TALLY = OperationTally()
+
+
+def expand_flops(tally: OperationTally) -> OperationTally:
+    """Rewrite each FLOP as one ADD plus one MUL of the same class."""
+    counts: Dict[int, int] = {}
+    for slot, n in tally.slot_counts().items():
+        for part in PART_SLOTS[slot]:
+            counts[part] = counts.get(part, 0) + n
+    return OperationTally._of_slots(counts)
 
 
 def _ilog2(n: int) -> int:
@@ -362,9 +378,9 @@ def count_ls(v: int, n_r: int, n_t: int, l: int, g: int,
     """Least-squares channel estimation from pilot observations.
 
     Solves, per layer/receive-antenna pair, a linear system with
-    l*n_t unknowns from g*k_p pilot equations via the normal
-    equations: Gram matrix build, Gauss-Jordan inversion, and the
-    pseudo-inverse application.
+    l*n_t unknowns from g*k_p pilot equations (see :func:`count_block_f`)
+    via the normal equations: Gram matrix build, Gauss-Jordan inversion,
+    and the pseudo-inverse application.
     """
     if v < 0 or n_r < 0:
         raise DomainError("ls: v and n_r must be >= 0")
@@ -404,6 +420,9 @@ def count_mmse(n_r: int, n_t: int, n_f: int, g: int) -> OperationTally:
 
 
 def count_block_f(d: DerivedParams, s: Scenario) -> OperationTally:
+    """Least squares plus MMSE.  A modelling choice: estimation is costed
+    over g*k_p = 14*k_p pilot equations whatever pilot_symbols_per_slot
+    is, 0 included, so the pilot symbol count never reaches block F."""
     return (
         count_ls(v=s.n_layers, n_r=s.n_rx, n_t=s.n_tx, l=s.channel_len,
                  g=d.g, k_p=d.k_p)

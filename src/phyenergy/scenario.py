@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Sequence
 
@@ -120,10 +119,6 @@ class Scenario:
     rx_fft_antennas: Optional[int] = None    # receive-FFT antenna count
     decode: DecodeConfig = field(default_factory=DecodeConfig)
 
-    @property
-    def rate(self) -> Fraction:
-        return Fraction(self.code_rate, 1024)
-
 
 @dataclass(frozen=True)
 class DerivedParams:
@@ -145,7 +140,6 @@ class DerivedParams:
     z: int              # lifting size
     k: int              # information bits per code block
     n_ccb: int          # coded bits per code block
-    l_crc: int = TB_CRC_BITS
 
 
 @dataclass(frozen=True)

@@ -175,6 +175,28 @@ def test_estimate_rejects_n_prb_beyond_a_carrier(capsys, tmp_path):
     assert "n_prb must be <= 275" in err
 
 
+_HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("command", [
+    ["estimate", "--scenario", "{huge}"],
+    ["sweep", "--scenario", REFERENCE, "--param", "n_slots",
+     "--values", "1," + _HUGE],
+    # finite cycles, and an energy per bit beyond the float range
+    ["estimate", "--scenario", REFERENCE, "--kappa", "1e280",
+     "--format", "delimited-table"],
+], ids=["estimate-n-slots", "sweep-n-slots", "energy-per-bit"])
+def test_energy_beyond_the_float_range_is_a_domain_error(capsys, tmp_path,
+                                                         command):
+    huge = tmp_path / "huge.yaml"
+    huge.write_text(Path(REFERENCE).read_text().replace(
+        "n_slots: 1", "n_slots: " + _HUGE))
+    code, out, err = run(capsys, *[arg.format(huge=huge) for arg in command])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error[domain]:")
+
+
 def test_structured_estimate_derives_once(capsys, monkeypatch):
     calls = []
 

@@ -1,0 +1,105 @@
+"""Property suite: no scenario file or argument list ends in a traceback.
+
+``cli.main`` runs in-process on generated scenario files (the reference
+scenario with a few fields replaced, dropped or added) and generated
+``estimate``/``sweep`` argument lists.  Every run must return 0 or 1, or
+exit 2 from argparse.  A run that returns 0 prints no ``nan``/``inf``; a
+run that returns 1 prints nothing on stdout and an ``error[<code>]`` line
+on stderr.
+"""
+
+import contextlib
+import io
+import math
+import re
+from pathlib import Path
+
+import yaml
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
+
+from phyenergy.cli import main
+
+REFERENCE = yaml.safe_load(
+    (Path(__file__).parent.parent / "configs" / "reference.yaml").read_text())
+HUGE = 10 ** 400                        # a 401-digit integer
+_DROP = object()                        # remove the field instead
+
+_FIELDS = sorted(REFERENCE) + ["pilot_symbols_per_slot", "tbs_override",
+                               "rx_fft_antennas", "decode", "bogus_key"]
+_VALUES = st.one_of(
+    st.integers(min_value=-2, max_value=300),
+    st.sampled_from([HUGE, 1e300, -1e300, 0.5, math.nan, math.inf, -math.inf,
+                     True, False, None, "abc", "2.1e9", "490/1024", "QAM64",
+                     {"iterations": HUGE}, {"deg_cn": 0}, [1, 2], _DROP]))
+# The scenario file, and each override, is left as it is about half the
+# time, so that runs which succeed are generated too.
+_CHANGES = st.just([]) | st.lists(st.tuples(st.sampled_from(_FIELDS), _VALUES),
+                                  min_size=1, max_size=3)
+_KAPPAS = st.none() | st.sampled_from(["1e-25", "0", "-1", "nan", "1e280",
+                                       "1e300", "1e-320", "abc"])
+_CLOCKS = st.none() | st.sampled_from(["2.1e9", "0", "inf", "1e150", "1e200"])
+_FORMATS = st.sampled_from([None, "structured-text", "delimited-table"])
+_SWEEPS = st.tuples(
+    st.sampled_from(["n_slots", "n_prb", "n_layers", "modulation", "snr_db"]),
+    st.lists(st.sampled_from(["1", "2", "52", "275", "QPSK", "QAM64"])
+             | st.sampled_from(["276", "0", "-1", str(HUGE), "x"]),
+             min_size=1, max_size=3).map(",".join))
+
+_NO_EXPLAIN = [phase for phase in Phase if phase is not Phase.explain]
+_NON_FINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
+
+
+def _scenario_text(changes) -> str:
+    mapping = dict(REFERENCE)
+    for field, value in changes:
+        if value is _DROP:
+            mapping.pop(field, None)
+        else:
+            mapping[field] = value
+    return yaml.safe_dump(mapping)
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:       # argparse rejected the arguments
+            code = exc.code
+            assert code == 2, code
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(changes=_CHANGES, sweep=st.none() | _SWEEPS, kappa=_KAPPAS,
+       clock_hz=_CLOCKS, fmt=_FORMATS)
+@example(changes=[("n_slots", HUGE)], sweep=None, kappa=None, clock_hz=None,
+         fmt=None)
+@example(changes=[], sweep=("n_slots", f"1,{HUGE}"), kappa=None,
+         clock_hz=None, fmt=None)
+@example(changes=[], sweep=None, kappa="1e300", clock_hz=None, fmt=None)
+@example(changes=[], sweep=None, kappa=None, clock_hz="1e200",
+         fmt="delimited-table")
+@settings(max_examples=400, deadline=None, derandomize=True,
+          phases=_NO_EXPLAIN)
+def test_cli_exits_cleanly_on_any_input(tmp_path_factory, changes, sweep,
+                                        kappa, clock_hz, fmt):
+    scenario = tmp_path_factory.getbasetemp() / "fuzzed_scenario.yaml"
+    scenario.write_text(_scenario_text(changes))
+    argv = ["estimate", "--scenario", str(scenario)]
+    if sweep is not None:
+        argv[0] = "sweep"
+        argv += ["--param", sweep[0], "--values", sweep[1]]
+    for flag, value in (("--kappa", kappa), ("--clock-hz", clock_hz),
+                        ("--format", fmt)):
+        if value is not None:
+            argv += [flag, value]
+
+    code, out, err = _run(argv)
+
+    assert code in (0, 1, 2), code
+    if code == 0:
+        assert not _NON_FINITE.search(out), out
+    elif code == 1:
+        assert out == ""
+        assert err.startswith("error["), err

@@ -426,6 +426,17 @@ def test_rx_fft_antenna_override_only_moves_block_e():
             assert wide.per_block[b] == base.per_block[b]
 
 
+def test_block_f_ignores_the_pilot_symbol_count():
+    """Least squares is costed over g*k_p pilot equations, as if every
+    symbol of the slot carried pilots, even with no pilot symbols at all;
+    pilot_symbols_per_slot only changes how many data elements are left."""
+    runs = [tally_pipeline(reference_scenario(pilot_symbols_per_slot=n))
+            for n in range(4)]
+    for fewer, more in zip(runs, runs[1:]):
+        assert more.per_block[BlockId.F] == fewer.per_block[BlockId.F]
+        assert more.per_block[BlockId.B] != fewer.per_block[BlockId.B]
+
+
 def test_pipeline_total_is_blockwise_sum(reference):
     tl = tally_pipeline(reference)
     merged = EMPTY_TALLY

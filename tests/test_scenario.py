@@ -203,6 +203,8 @@ def test_validate_requires_finite_floats(field, value):
 
 @pytest.mark.parametrize("kappa,clock_hz", [
     (math.nan, 2.1e9), (1e-25, math.inf), (math.inf, 2.1e9),
+    # finite inputs whose product kappa * clock_hz**2 overflows
+    (1e300, 2.1e9), (1e-25, 1e200),
 ])
 def test_energy_per_cycle_rejects_non_finite(kappa, clock_hz):
     with pytest.raises(ConfigError, match="finite"):
