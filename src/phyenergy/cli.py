@@ -18,16 +18,18 @@ import argparse
 import os
 import sys
 from dataclasses import replace
-from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import costmodel, ingest, legacy
-from .costmodel import EnergyParams, EnergyReport, InstructionCostTable
 from .errors import ConfigError, MeasurementError, PhyEnergyError, UsageError
-from .opcount import BlockId, tally_pipeline
 from .scenario import (DerivedParams, Scenario, load_scenario,
                        parse_modulation, read_yaml, with_overrides)
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .costmodel import BlockCost, EnergyReport, InstructionCostTable
+    from .ingest import ComparisonReport
 
 COST_TABLE_ENV = "PHYENERGY_COST_TABLE"
 
@@ -84,15 +86,15 @@ _COMPARISON_KEYS = ("modeled_cycles", "measured_cycles", "ratio",
                     "signed_relative_error", "flag")
 
 
-def _entries(rep: EnergyReport,
-             ) -> list[tuple[str, str, costmodel.BlockCost]]:
+def _entries(rep: EnergyReport) -> list[tuple[str, str, BlockCost]]:
     """Name, side and cost of each block, then of the total."""
+    from .opcount import BlockId
     entries = [(blk.value, blk.side, rep.per_block[blk]) for blk in BlockId]
     entries.append(("TOTAL", "", rep.total))
     return entries
 
 
-def _cycle_fields(cost: costmodel.BlockCost) -> list[str]:
+def _cycle_fields(cost: BlockCost) -> list[str]:
     """Micro-ops, cycles and cycles per bit: all the sweep layouts print."""
     return [str(cost.micro_ops), fmt_exact(cost.cycles),
             fmt_opt(cost.cycles_per_bit, as_float=True)]
@@ -105,8 +107,9 @@ def _estimate_rows(rep: EnergyReport) -> list[list[str]]:
             for name, side, cost in _entries(rep)]
 
 
-def _comparison_rows(result: ingest.ComparisonReport) -> list[list[str]]:
+def _comparison_rows(result: ComparisonReport) -> list[list[str]]:
     """Name and comparison fields for each block, then the total."""
+    from .opcount import BlockId
     entries = [(blk.value, result.per_block[blk]) for blk in BlockId]
     entries.append(("TOTAL", result.total))
     return [[name, fmt_exact(cmp.modeled_cycles),
@@ -204,7 +207,7 @@ def render_sweep_text(param: str, results: Sequence[tuple[str, EnergyReport]],
     return "\n".join(lines) + "\n"
 
 
-def render_compare_text(result: ingest.ComparisonReport) -> str:
+def render_compare_text(result: ComparisonReport) -> str:
     lines = ["comparison:", "blocks:"]
     *blocks, total = _comparison_rows(result)
     for row in blocks:
@@ -220,7 +223,7 @@ def render_compare_text(result: ingest.ComparisonReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_compare_table(result: ingest.ComparisonReport) -> str:
+def render_compare_table(result: ComparisonReport) -> str:
     unattributed = ["UNATTRIBUTED", "", fmt_exact(result.unattributed_cycles),
                     "", "", ""]
     return _table(("block",) + _COMPARISON_KEYS,
@@ -239,6 +242,7 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 
 def _resolve_table(arg: Optional[str]) -> InstructionCostTable:
+    from . import costmodel
     path = arg or os.environ.get(COST_TABLE_ENV)
     if path:
         return costmodel.load_cost_table(path)
@@ -253,8 +257,10 @@ def _load_run(args: argparse.Namespace,
 
 
 def _estimate(s: Scenario, table: InstructionCostTable) -> EnergyReport:
+    from .costmodel import EnergyParams, build_report
+    from .opcount import tally_pipeline
     energy = EnergyParams(kappa=s.kappa, clock_hz=s.clock_hz)
-    return costmodel.build_report(tally_pipeline(s), table, energy, scenario=s)
+    return build_report(tally_pipeline(s), table, energy, scenario=s)
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
@@ -281,6 +287,12 @@ def _sweep_scenarios(s: Scenario, param: str,
             try:
                 number = int(value)
             except ValueError:
+                # int() refuses a decimal string past Python's digit limit.
+                digits = value[1:] if value[0] in "+-" else value
+                if digits.isdecimal():
+                    raise ConfigError(
+                        f"--values: a value for {param} has too many digits "
+                        f"({len(value)})") from None
                 raise UsageError(
                     f"--values: {value!r} is not an integer for {param}"
                 ) from None
@@ -307,6 +319,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from . import ingest
     s, table = _load_run(args)
     if args.filter:
         path_filter, block_map = ingest.load_filter_config(args.filter)
@@ -329,6 +342,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_legacy(args: argparse.Namespace) -> int:
+    from . import legacy
     if args.model not in legacy.MODELS:
         raise UsageError(
             f"unknown model {args.model!r}; valid: "
@@ -348,6 +362,7 @@ def cmd_legacy(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from . import legacy        # its model table lists the --model names
     parser = argparse.ArgumentParser(
         prog="phyenergy",
         description="Operation counting and energy estimation for a 5G NR "

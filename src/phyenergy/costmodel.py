@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -279,6 +280,9 @@ def energy_per_cycle(kappa: float, clock_hz: float) -> float:
     if not math.isfinite(epsilon):
         raise ConfigError("kappa, clock_hz and kappa * clock_hz**2 must be "
                           "finite")
+    if epsilon < sys.float_info.min:          # zero or subnormal
+        raise ConfigError("kappa * clock_hz**2 must be at least the smallest "
+                          f"normal float, {sys.float_info.min:g}")
     return epsilon
 
 

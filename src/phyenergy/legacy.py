@@ -10,16 +10,14 @@ rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ConfigError, DomainError
 from .scenario import Converter, _as_float, _as_int, _as_list, read_fields
 
 
-@dataclass(frozen=True)
-class AuerParams:
+class AuerParams(NamedTuple):
     """Load-proportional transceiver model with a sleep state."""
 
     n_trx: int          # transceiver chains
@@ -44,8 +42,7 @@ def auer_power(p: AuerParams) -> float:
     return p.n_trx * (p.p0_w + p.delta_p * p.p_out_w)
 
 
-@dataclass(frozen=True)
-class DessetComponents:
+class DessetComponents(NamedTuple):
     """Additive breakdown: baseband, RF transceiver, PA, overhead."""
 
     p_bbu_w: float
@@ -58,8 +55,7 @@ def desset_power(c: DessetComponents) -> float:
     return c.p_bbu_w + c.p_rf_w + c.p_pa_w + c.p_oh_w
 
 
-@dataclass(frozen=True)
-class YanSegments:
+class YanSegments(NamedTuple):
     """Network-wide energy split: terminals, base stations, wireline, DC."""
 
     e_ue_j: float
@@ -72,15 +68,13 @@ def yan_energy(s: YanSegments) -> float:
     return s.e_ue_j + s.e_bs_j + s.e_wireline_j + s.e_dc_j
 
 
-@dataclass(frozen=True)
-class ComponentCarrier:
+class ComponentCarrier(NamedTuple):
     p_tx_w: float               # transmit power on this carrier
     bandwidth_mhz: float
     p_cp_var_w_per_mhz: float   # bandwidth-proportional processing power
 
 
-@dataclass(frozen=True)
-class YuParams:
+class YuParams(NamedTuple):
     """Carrier-aggregation model: per-carrier terms plus shared static power."""
 
     carriers: Sequence[ComponentCarrier]
@@ -94,8 +88,7 @@ def yu_power(p: YuParams) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class TombazParams:
+class TombazParams(NamedTuple):
     """Sectorized model with RF chains and optional cell DTX."""
 
     n_sectors: int
@@ -124,16 +117,14 @@ def tombaz_power(p: TombazParams) -> float:
     return p.n_sectors * per_sector
 
 
-@dataclass(frozen=True)
-class FuBasebandUnit:
+class FuBasebandUnit(NamedTuple):
     l_beams: int        # spatial streams processed
     q_enc_gops: float
     q_net_gops: float
     q_ctrl_gops: float
 
 
-@dataclass(frozen=True)
-class FuRfChain:
+class FuRfChain(NamedTuple):
     m_antennas: int
     q_mod_gops: float
     q_mix_gops: float
@@ -143,8 +134,7 @@ class FuRfChain:
     q_clk_gops: float   # shared clock, scales with sqrt(m)
 
 
-@dataclass(frozen=True)
-class FuParams:
+class FuParams(NamedTuple):
     """Complexity-based model: GOPS workloads over a technology efficiency."""
 
     rho_gops_per_w: float

@@ -232,6 +232,11 @@ def validate(s: Scenario) -> list[str]:
 def derive(s: Scenario) -> DerivedParams:
     """Expand a valid scenario into counting-formula inputs.
 
+    Every layer is mapped onto one codeword, so ``n_symbols`` and ``m_cw``
+    grow linearly with ``n_layers`` while ``m_symb_layer`` stays
+    ``n_re``.  TS 38.211 splits 5-8 layers over two codewords; the model
+    keeps one codeword for any layer count, as a modelling choice.
+
     Raises ConfigError when the scenario fails :func:`validate` or the
     pilot configuration leaves no data resource elements.
     """
@@ -414,20 +419,31 @@ def scenario_from_mapping(mapping: Mapping[str, Any]) -> Scenario:
 
 def read_text(path: str | Path, what: str,
               error: type[PhyEnergyError]) -> str:
-    """Text of a regular file; a missing path or a directory raises error."""
+    """Text of a regular file; a missing path, a directory or bytes that do
+    not decode raise error."""
     path = Path(path)
     if not path.is_file():
         state = "is not a file" if path.exists() else "not found"
         raise error(f"{what} {state}: {path}")
-    return path.read_text()
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} is not text: {path}: {exc}") from None
+
+
+# libyaml's parser when PyYAML was built with it, else the pure-Python one;
+# both construct the same safe types.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def read_yaml(path: str | Path, what: str) -> Any:
     """Parse a ``what`` YAML file (None when empty); errors are ConfigError."""
     text = read_text(path, f"{what} file", ConfigError)
     try:
-        return yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+        return yaml.load(text, Loader=_YAML_LOADER)
+    # ValueError: a scalar the safe constructors reject, such as an integer
+    # past Python's digit limit or a date like 2001-13-45.
+    except (yaml.YAMLError, ValueError) as exc:
         raise ConfigError(f"{Path(path)}: malformed config: {exc}") from None
 
 

@@ -7,6 +7,8 @@ with the package's closed-form counts is meaningful.
 
 from __future__ import annotations
 
+from collections import Counter
+
 
 def schoolbook_product_ops(m: int, k: int, n: int) -> tuple[int, int]:
     """(muls, adds) for a dense (m x k) @ (k x n) product, triple loop."""
@@ -77,3 +79,71 @@ def ls_bracket_ops(l: int, n_t: int, g: int, k_p: int) -> int:
     apply_ = sum(schoolbook_product_ops(u, u, pilots))
     return gram + inv + apply_
 
+
+# Blocks A and H count (kind, data class) pairs.  Their oracles return a
+# Counter keyed by the pair's names, e.g. ("XOR", "logical_scalar").
+
+
+def _crc_pass(ops: Counter, bits: int, check: bool) -> None:
+    """One word-sliced CRC pass: AND, XOR and SHIFT each step, plus the
+    digest compare when ``check``."""
+    steps = crc_slice_ops(bits, 32)
+    for kind in ("AND", "XOR", "SHIFT"):
+        ops[(kind, "logical_scalar")] += steps
+    if check:
+        ops[("CMP", "logical_scalar")] += 1
+
+
+def block_a_ops(a: int, b: int, c: int, k: int, z: int, n1: int, rows: int,
+                cols: int, n_ccb: int) -> Counter:
+    """Block A, stage by stage: the TB CRC over ``a`` bits, segmentation
+    bookkeeping, one CRC pass over the ``b`` bits of all code blocks, then
+    a systematic LDPC encoder run on each of the ``c`` code blocks."""
+    ops: Counter = Counter()
+    _crc_pass(ops, a, check=False)
+    for _ in range(9):                  # segmentation arithmetic
+        ops[("FLOP", "int_scalar")] += 1
+    _crc_pass(ops, b, check=False)
+    for _ in range(c):
+        for _ in range(k - 2 * z):      # each payload bit checked as 0 or 1
+            ops[("CMP", "int_scalar")] += 2
+        for _ in range(rows):           # expand every base-graph entry
+            for _ in range(cols):
+                ops[("SET", "int_scalar")] += 1
+        for _ in range(n1):             # shift coefficient modulo z
+            ops[("DIV", "int_scalar")] += 1
+        # parity: the (rows*z x cols*z) expanded graph times the bit vector
+        muls, adds = schoolbook_product_ops(rows * z, cols * z, 1)
+        ops[("MUL", "int_scalar")] += muls
+        ops[("ADD", "int_scalar")] += adds
+        for _ in range(n_ccb + 2 * z - k):      # write the coded output
+            ops[("SET", "int_scalar")] += 1
+    return ops
+
+
+def block_h_ops(a: int, b: int, c: int, n_vn: int, w_cn: int, deg_cn: int,
+                deg_vn: int, iters: int) -> Counter:
+    """Block H: normalized min-sum decoding of ``c`` code blocks over
+    ``n_vn`` variable and ``w_cn`` check nodes, then the CB and TB CRC
+    checks."""
+    ops: Counter = Counter()
+    for _ in range(c):
+        for _ in range(n_vn):           # channel LLR: a ratio and its log
+            ops[("DIV", "double_scalar")] += 1
+            ops[("LOG", "double_scalar")] += 1
+        for _ in range(iters):
+            for _ in range(w_cn):       # check-node update, per edge
+                for _ in range(deg_cn):
+                    ops[("MUL", "double_scalar")] += 1
+            for _ in range(n_vn):       # variable-node update, per edge
+                for _ in range(deg_vn):
+                    ops[("ADD", "double_scalar")] += 1
+            for _ in range(n_vn):       # decision: edges plus channel LLR
+                for _ in range(deg_vn + 1):
+                    ops[("ADD", "double_scalar")] += 1
+            for _ in range(w_cn):       # parity sign, per check-node edge
+                for _ in range(deg_cn):
+                    ops[("XOR", "double_scalar")] += 1
+    _crc_pass(ops, b, check=True)
+    _crc_pass(ops, a, check=True)
+    return ops

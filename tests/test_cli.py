@@ -197,6 +197,33 @@ def test_energy_beyond_the_float_range_is_a_domain_error(capsys, tmp_path,
     assert err.startswith("error[domain]:")
 
 
+@pytest.mark.parametrize("fmt", ["structured-text", "delimited-table"])
+def test_underflowing_energy_per_cycle_is_a_config_error(capsys, fmt):
+    # kappa * clock_hz**2 is 0.0: every block would print zero energy
+    code, out, err = run(capsys, "estimate", "--scenario", REFERENCE,
+                         "--kappa", "1e-300", "--clock-hz", "1e-20",
+                         "--format", fmt)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error[config]:")
+    assert "smallest normal float" in err
+
+
+@pytest.mark.parametrize("text,message", [
+    (b"n_slots: 1\xff\n", "scenario file is not text"),
+    (b"n_slots: 2001-13-45\n", "malformed config: month must be in"),
+], ids=["not-utf8", "bad-date"])
+def test_unreadable_scenario_values_are_config_errors(capsys, tmp_path, text,
+                                                      message):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(text)
+    code, out, err = run(capsys, "estimate", "--scenario", str(bad))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error[config]:")
+    assert message in err
+
+
 def test_structured_estimate_derives_once(capsys, monkeypatch):
     calls = []
 

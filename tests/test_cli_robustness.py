@@ -14,24 +14,42 @@ import math
 import re
 from pathlib import Path
 
+import pytest
 import yaml
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+from phyenergy import scenario
 from phyenergy.cli import main
 
-REFERENCE = yaml.safe_load(
-    (Path(__file__).parent.parent / "configs" / "reference.yaml").read_text())
+REFERENCE_PATH = Path(__file__).parent.parent / "configs" / "reference.yaml"
+REFERENCE = yaml.safe_load(REFERENCE_PATH.read_text())
 HUGE = 10 ** 400                        # a 401-digit integer
 _DROP = object()                        # remove the field instead
+
+
+class _Literal(str):
+    """A YAML integer written as these digits: 5001 digits are past the
+    limit of Python's int/str conversion, so the int cannot be dumped."""
+
+
+class _Dumper(yaml.SafeDumper):
+    pass
+
+
+_Dumper.add_representer(_Literal, lambda dumper, digits:
+                        dumper.represent_scalar("tag:yaml.org,2002:int",
+                                                digits))
+LONG = _Literal("1" + "0" * 5000)       # a 5001-digit integer
 
 _FIELDS = sorted(REFERENCE) + ["pilot_symbols_per_slot", "tbs_override",
                                "rx_fft_antennas", "decode", "bogus_key"]
 _VALUES = st.one_of(
     st.integers(min_value=-2, max_value=300),
-    st.sampled_from([HUGE, 1e300, -1e300, 0.5, math.nan, math.inf, -math.inf,
-                     True, False, None, "abc", "2.1e9", "490/1024", "QAM64",
-                     {"iterations": HUGE}, {"deg_cn": 0}, [1, 2], _DROP]))
+    st.sampled_from([HUGE, LONG, 1e300, -1e300, 0.5, math.nan, math.inf,
+                     -math.inf, True, False, None, "abc", "2.1e9", "490/1024",
+                     "QAM64", {"iterations": HUGE}, {"deg_cn": 0}, [1, 2],
+                     _DROP]))
 # The scenario file, and each override, is left as it is about half the
 # time, so that runs which succeed are generated too.
 _CHANGES = st.just([]) | st.lists(st.tuples(st.sampled_from(_FIELDS), _VALUES),
@@ -57,7 +75,7 @@ def _scenario_text(changes) -> str:
             mapping.pop(field, None)
         else:
             mapping[field] = value
-    return yaml.safe_dump(mapping)
+    return yaml.dump(mapping, Dumper=_Dumper)
 
 
 def _run(argv):
@@ -78,6 +96,10 @@ def _run(argv):
 @example(changes=[], sweep=("n_slots", f"1,{HUGE}"), kappa=None,
          clock_hz=None, fmt=None)
 @example(changes=[], sweep=None, kappa="1e300", clock_hz=None, fmt=None)
+@example(changes=[("n_slots", LONG)], sweep=None, kappa=None, clock_hz=None,
+         fmt=None)
+@example(changes=[], sweep=("n_slots", str(LONG)), kappa=None, clock_hz=None,
+         fmt=None)
 @example(changes=[], sweep=None, kappa=None, clock_hz="1e200",
          fmt="delimited-table")
 @settings(max_examples=400, deadline=None, derandomize=True,
@@ -103,3 +125,23 @@ def test_cli_exits_cleanly_on_any_input(tmp_path_factory, changes, sweep,
     elif code == 1:
         assert out == ""
         assert err.startswith("error["), err
+
+
+@pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+def test_integer_past_the_digit_limit_in_a_file(tmp_path, monkeypatch, loader):
+    if not hasattr(yaml, loader):
+        pytest.skip("PyYAML was built without libyaml")
+    monkeypatch.setattr(scenario, "_YAML_LOADER", getattr(yaml, loader))
+    path = tmp_path / "long.yaml"
+    path.write_text(_scenario_text([("n_slots", LONG)]))
+    code, out, err = _run(["estimate", "--scenario", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error[config]: {path}: malformed config:"), err
+
+
+def test_integer_past_the_digit_limit_in_a_sweep():
+    code, out, err = _run(["sweep", "--scenario", str(REFERENCE_PATH),
+                           "--param", "n_slots", "--values", f"1,{LONG}"])
+    assert (code, out) == (1, "")
+    assert err == ("error[config]: --values: a value for n_slots has too "
+                   "many digits (5001)\n")

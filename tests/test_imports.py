@@ -1,0 +1,75 @@
+"""Each CLI command imports only the package modules it runs.
+
+A cold ``phyenergy`` process spends most of its time starting up, so the
+import graph is pinned here: every case runs in a fresh interpreter and
+reports which ``phyenergy`` modules were loaded when it finished.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import phyenergy
+
+ROOT = Path(__file__).parent.parent
+CONFIGS = ROOT / "configs"
+REFERENCE = str(CONFIGS / "reference.yaml")
+_COUNTING = {"phyenergy.opcount", "phyenergy.costmodel", "phyenergy.ingest"}
+_REPORT = """
+import json, sys
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] == "phyenergy")))
+"""
+
+
+def _loaded_after(code: str) -> set:
+    """The ``phyenergy`` modules loaded after running ``code`` in a fresh
+    interpreter that imports this checkout's package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(phyenergy.__file__).parent.parent),
+                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code + _REPORT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def _command(*argv: str) -> str:
+    return ("from phyenergy import cli\n"
+            f"assert cli.main({list(argv)!r}) == 0")
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert _loaded_after("import phyenergy") == {"phyenergy"}
+
+
+def test_legacy_loads_no_counting_costing_or_ingest():
+    loaded = _loaded_after(_command(
+        "legacy", "--model", "tombaz",
+        "--params", str(CONFIGS / "tombaz.yaml")))
+    assert "phyenergy.legacy" in loaded
+    assert not loaded & _COUNTING
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--scenario", REFERENCE],
+    ["sweep", "--scenario", REFERENCE, "--param", "n_prb", "--values", "1,2"],
+], ids=["estimate", "sweep"])
+def test_estimate_and_sweep_load_no_ingest(argv):
+    loaded = _loaded_after(_command(*argv))
+    assert {"phyenergy.opcount", "phyenergy.costmodel"} <= loaded
+    assert "phyenergy.ingest" not in loaded
+
+
+def test_every_exported_name_resolves():
+    for name in phyenergy.__all__:
+        value = getattr(phyenergy, name)
+        module = sys.modules[value.__module__]
+        assert getattr(module, name) is value
+    with pytest.raises(AttributeError, match="no_such_name"):
+        phyenergy.no_such_name

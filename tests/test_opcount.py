@@ -1,12 +1,14 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_scenario
-from oracles import (crc_slice_ops, gauss_jordan_inverse_ops, ls_bracket_ops,
-                     radix2_fft_ops, schoolbook_product_ops)
+from oracles import (block_a_ops, block_h_ops, crc_slice_ops,
+                     gauss_jordan_inverse_ops, ls_bracket_ops, radix2_fft_ops,
+                     schoolbook_product_ops)
 
 from phyenergy.errors import DomainError
 from phyenergy.opcount import (EMPTY_TALLY, BlockId, DataClass, OpKind,
@@ -16,7 +18,8 @@ from phyenergy.opcount import (EMPTY_TALLY, BlockId, DataClass, OpKind,
                                count_crc, count_crc_decode, count_ldpc_decode,
                                count_ldpc_encode, count_ls, count_mmse,
                                count_segmentation, tally_pipeline)
-from phyenergy.scenario import (DecodeConfig, Modulation, derive,
+from phyenergy.scenario import (LIFTING_SIZES, TB_CRC_BITS, BaseGraphSpec,
+                                DecodeConfig, Modulation, derive,
                                 select_base_graph)
 
 LS = DataClass.LOGICAL_SCALAR
@@ -372,6 +375,45 @@ def test_block_h_honours_decode_config():
     d = derive(s)
     t = count_block_h(d, s.decode)
     assert t.get(OpKind.MUL, DS) == 4 * (d.n_ccb - d.k) * 10 * d.c
+
+
+def _tally(ops) -> OperationTally:
+    """An oracle's Counter of (kind name, class name) pairs as a tally."""
+    return OperationTally({(OpKind(kind), DataClass(cls)): n
+                           for (kind, cls), n in ops.items()})
+
+
+@st.composite
+def _small_codes(draw):
+    """A small base graph, lifting size, code block count and decoder."""
+    info_cols = draw(st.integers(min_value=2, max_value=5))
+    cols = info_cols + 2 + draw(st.integers(min_value=0, max_value=3))
+    rows = draw(st.integers(min_value=1, max_value=4))
+    n1 = draw(st.integers(min_value=0, max_value=rows * cols))
+    bg = BaseGraphSpec(bg=1, rows=rows, cols=cols, n1=n1, info_cols=info_cols)
+    z = draw(st.sampled_from([z for z in LIFTING_SIZES if z <= 16]))
+    c = draw(st.integers(min_value=1, max_value=3))
+    a = draw(st.integers(min_value=0, max_value=300))
+    d = replace(derive(reference_scenario()), a=a, b=a + TB_CRC_BITS * c,
+                c=c, z=z, k=info_cols * z, n_ccb=(cols - 2) * z)
+    decode = DecodeConfig(deg_cn=draw(st.integers(min_value=1, max_value=6)),
+                          deg_vn=draw(st.integers(min_value=1, max_value=4)),
+                          iterations=draw(st.integers(min_value=0,
+                                                      max_value=4)))
+    return d, bg, decode
+
+
+@given(code=_small_codes())
+@settings(max_examples=120, deadline=None, derandomize=True,
+          phases=[phase for phase in Phase if phase is not Phase.explain])
+def test_blocks_a_and_h_match_loop_oracles(code):
+    d, bg, decode = code
+    assert count_block_a(d, bg) == _tally(block_a_ops(
+        d.a, d.b, d.c, d.k, d.z, bg.n1, bg.rows, bg.cols, d.n_ccb))
+    assert count_block_h(d, decode) == _tally(block_h_ops(
+        d.a, d.b, d.c, n_vn=d.n_ccb, w_cn=d.n_ccb - d.k,
+        deg_cn=decode.deg_cn, deg_vn=decode.deg_vn,
+        iters=decode.iterations))
 
 
 # ---------------------------------------------------------------------------

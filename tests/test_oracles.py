@@ -5,8 +5,9 @@ behaviour is frozen here against values small enough to verify by
 hand.
 """
 
-from oracles import (crc_slice_ops, gauss_jordan_inverse_ops, ls_bracket_ops,
-                     radix2_fft_ops, schoolbook_product_ops)
+from oracles import (block_a_ops, block_h_ops, crc_slice_ops,
+                     gauss_jordan_inverse_ops, ls_bracket_ops, radix2_fft_ops,
+                     schoolbook_product_ops)
 
 
 def test_schoolbook_product_hand_cases():
@@ -39,3 +40,27 @@ def test_ls_bracket_hand_case():
     # l=1, n_t=1, g=1, k_p=1: gram (1,0)->1, inversion 1, apply (1,0)->1.
     assert ls_bracket_ops(1, 1, 1, 1) == 3
 
+
+
+def test_block_a_hand_case():
+    # empty TB and 24 CB bits: one trailing CRC step each; a 1x2 graph
+    # lifted by 2 gives a 2x4 parity product.
+    ops = block_a_ops(a=0, b=24, c=1, k=4, z=2, n1=1, rows=1, cols=2,
+                      n_ccb=2)
+    assert ops == {("AND", "logical_scalar"): 2, ("XOR", "logical_scalar"): 2,
+                   ("SHIFT", "logical_scalar"): 2, ("FLOP", "int_scalar"): 9,
+                   ("SET", "int_scalar"): 2 + 2, ("DIV", "int_scalar"): 1,
+                   ("MUL", "int_scalar"): 8, ("ADD", "int_scalar"): 6}
+
+
+def test_block_h_hand_case():
+    # one iteration over 2 variable nodes (degree 1) and 1 check node
+    # (degree 2), then two CRC checks of empty payloads.
+    ops = block_h_ops(a=0, b=0, c=1, n_vn=2, w_cn=1, deg_cn=2, deg_vn=1,
+                      iters=1)
+    assert ops == {("DIV", "double_scalar"): 2, ("LOG", "double_scalar"): 2,
+                   ("MUL", "double_scalar"): 2, ("ADD", "double_scalar"): 6,
+                   ("XOR", "double_scalar"): 2, ("AND", "logical_scalar"): 2,
+                   ("XOR", "logical_scalar"): 2,
+                   ("SHIFT", "logical_scalar"): 2,
+                   ("CMP", "logical_scalar"): 2}

@@ -211,6 +211,29 @@ def test_energy_per_cycle_rejects_non_finite(kappa, clock_hz):
         energy_per_cycle(kappa, clock_hz)
 
 
+@pytest.mark.parametrize("kappa,clock_hz", [
+    (1e-300, 1e-20),            # the product underflows to 0.0
+    (1e-310, 1.0),              # a subnormal product
+])
+def test_energy_per_cycle_rejects_underflow(kappa, clock_hz):
+    with pytest.raises(ConfigError, match="smallest normal float"):
+        energy_per_cycle(kappa, clock_hz)
+
+
+def test_every_layer_maps_onto_one_codeword():
+    # A modelling choice: TS 38.211 would split 5-8 layers over two
+    # codewords, the model keeps one for any layer count.
+    def derived(v):
+        return derive(reference_scenario(n_tx=8, n_rx=8, n_ports=8,
+                                         n_layers=v))
+    one = derived(1)
+    for v in range(1, 9):
+        d = derived(v)
+        assert d.n_symbols == v * one.n_symbols
+        assert d.m_cw == v * one.m_cw
+        assert d.m_symb_layer == one.m_symb_layer == one.n_re
+
+
 def test_validate_returns_multiple_problems():
     problems = validate(reference_scenario(code_rate=0, n_layers=9))
     assert len(problems) >= 2
