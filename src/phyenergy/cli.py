@@ -23,7 +23,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import ConfigError, MeasurementError, PhyEnergyError, UsageError
 from .scenario import (DerivedParams, Scenario, load_scenario,
-                       parse_modulation, read_yaml, with_overrides)
+                       parse_modulation, read_yaml, reject_long_digits,
+                       with_overrides)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -287,12 +288,8 @@ def _sweep_scenarios(s: Scenario, param: str,
             try:
                 number = int(value)
             except ValueError:
-                # int() refuses a decimal string past Python's digit limit.
-                digits = value[1:] if value[0] in "+-" else value
-                if digits.isdecimal():
-                    raise ConfigError(
-                        f"--values: a value for {param} has too many digits "
-                        f"({len(value)})") from None
+                reject_long_digits(value, f"--values: a value for {param}",
+                                   ConfigError)
                 raise UsageError(
                     f"--values: {value!r} is not an integer for {param}"
                 ) from None

@@ -1,10 +1,12 @@
 """Instruction costs: micro-ops, cycles and energy for counted operations.
 
-An :class:`InstructionCostTable` maps (operation kind, data class,
-operand location) to a micro-op count and a reciprocal-throughput
-cycle cost.  Operand locations are implied by the data class: scalars
-live in general-purpose registers, logical/integer vectors in mmx
-registers, double vectors in xmm registers, and structs in memory.
+An :class:`InstructionCostTable` maps (operation kind, data class) to
+a micro-op count and a reciprocal-throughput cycle cost.  The data class
+alone decides where an operand lives (:data:`LOCATION_BY_CLASS`):
+scalars in general-purpose registers, logical/integer vectors in mmx
+registers, double vectors in xmm registers, and structs in memory.  A
+table row's ``operand_location`` must be the one its class implies;
+:func:`parse_cost_table` rejects any other row.
 
 Each table is compiled once, on first use, into per-slot integer
 vectors indexed like :data:`~phyenergy.opcount.SLOT_KEYS`: micro-ops,
@@ -21,7 +23,6 @@ rendered.
 from __future__ import annotations
 
 import csv
-import enum
 import math
 import sys
 from dataclasses import dataclass
@@ -34,36 +35,22 @@ from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple, TypeVar
 from .errors import (ConfigError, CostTableError, CoverageError, DomainError,
                      PhyEnergyError)
 from .opcount import (PART_SLOTS, SLOT_INDEX, SLOT_KEYS, BlockId, DataClass,
-                      OpKind, OperationTally, PipelineTallies)
+                      OpKey, OpKind, OperationTally, PipelineTallies)
 from .opcount import expand_flops  # noqa: F401  (kept importable from here)
-from .scenario import DerivedParams, Scenario, read_text
+from .scenario import DerivedParams, Scenario, read_text, reject_long_digits
 
 DEFAULT_TABLE_RESOURCE = "cost_table.csv"
 
-
-class OperandLocation(enum.Enum):
-    REGISTER = "register"
-    MMX = "mmx"
-    XMM = "xmm"
-    MEMORY = "memory"
-
-    __hash__ = object.__hash__      # as for the enums in opcount
-
-
-_LOCATION_BY_CLASS = {
-    DataClass.LOGICAL_SCALAR: OperandLocation.REGISTER,
-    DataClass.INT_SCALAR: OperandLocation.REGISTER,
-    DataClass.DOUBLE_SCALAR: OperandLocation.REGISTER,
-    DataClass.LOGICAL_VECTOR: OperandLocation.MMX,
-    DataClass.INT_VECTOR: OperandLocation.MMX,
-    DataClass.DOUBLE_VECTOR: OperandLocation.XMM,
-    DataClass.STRUCT: OperandLocation.MEMORY,
+# The operand location each data class implies, by its cost-table name.
+LOCATION_BY_CLASS = {
+    DataClass.LOGICAL_SCALAR: "register",
+    DataClass.INT_SCALAR: "register",
+    DataClass.DOUBLE_SCALAR: "register",
+    DataClass.LOGICAL_VECTOR: "mmx",
+    DataClass.INT_VECTOR: "mmx",
+    DataClass.DOUBLE_VECTOR: "xmm",
+    DataClass.STRUCT: "memory",
 }
-
-
-def assign_location(data_class: DataClass) -> OperandLocation:
-    """Operand location implied by a data class."""
-    return _LOCATION_BY_CLASS[data_class]
 
 
 @dataclass(frozen=True)
@@ -72,25 +59,25 @@ class CostEntry:
     cycles: Fraction
 
 
-TableKey = Tuple[OpKind, DataClass, OperandLocation]
-
-
 @dataclass(frozen=True)
 class InstructionCostTable:
-    """Lookup table from (kind, class, location) to micro-ops and cycles."""
+    """Lookup table from (kind, class) to micro-ops and cycles.  The
+    operand location is not a key: a CSV row's ``operand_location`` must
+    equal the one its class implies (:data:`LOCATION_BY_CLASS`), and
+    :func:`parse_cost_table` rejects any other row."""
 
-    entries: Mapping[TableKey, CostEntry]
+    entries: Mapping[OpKey, CostEntry]
     source: str = ""
     date: str = ""
 
     def lookup(self, kind: OpKind, cls: DataClass) -> CostEntry:
-        key = (kind, cls, assign_location(cls))
         try:
-            return self.entries[key]
+            return self.entries[(kind, cls)]
         except KeyError:
             raise CoverageError(
                 f"no cost entry for op_kind={kind.value} "
-                f"data_class={cls.value} operand_location={key[2].value} "
+                f"data_class={cls.value} "
+                f"operand_location={LOCATION_BY_CLASS[cls]} "
                 f"(table source: {self.source or 'unknown'})") from None
 
     @cached_property
@@ -103,9 +90,7 @@ class InstructionCostTable:
         ``micro_ops[slot]`` micro-ops and ``cycles[slot] / den`` cycles,
         unless ``missing`` maps it to the first of its parts that has no
         table entry.  Built on first use and kept on the instance."""
-        priced = {SLOT_INDEX[(kind, cls)]: entry
-                  for (kind, cls, loc), entry in self.entries.items()
-                  if loc is _LOCATION_BY_CLASS[cls]}
+        priced = {SLOT_INDEX[key]: entry for key, entry in self.entries.items()}
         den = math.lcm(*[e.cycles.denominator for e in priced.values()])
         scaled = {slot: e.cycles.numerator * (den // e.cycles.denominator)
                   for slot, e in priced.items()}
@@ -127,13 +112,13 @@ _HEADER = ["op_kind", "data_class", "operand_location", "micro_ops", "cycles"]
 # Each enum's members by value, for reading CSV cells (ingest's too).
 KIND_BY_NAME = {kind.value: kind for kind in OpKind}
 CLASS_BY_NAME = {cls.value: cls for cls in DataClass}
-_LOCATION_BY_NAME = {loc.value: loc for loc in OperandLocation}
 
 
 def _parse_cycles(text: str, where: str) -> Fraction:
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
+        reject_long_digits(text, f"{where}: cycles", CostTableError)
         raise CostTableError(f"{where}: bad cycles value {text!r}") from None
     if value < 0:
         raise CostTableError(f"{where}: cycles must be >= 0")
@@ -190,6 +175,7 @@ def count_cell(text: str, column: str, where: str,
     try:
         value = int(text)
     except ValueError:
+        reject_long_digits(text, f"{where}: {column}", error)
         raise error(f"{where}: {column} must be an integer, got {text!r}"
                     ) from None
     if value < 0:
@@ -202,7 +188,8 @@ def parse_cost_table(text: str, source: str = "<string>") -> InstructionCostTabl
 
     Lines starting with ``#`` are comments; ``# source:`` and
     ``# date:`` comments populate the table metadata.  The header row
-    is required and duplicate keys are rejected.
+    is required, and duplicate keys and rows whose ``operand_location``
+    is not the one their class implies are rejected.
     """
     meta = {"source": source, "date": ""}
     for raw in text.splitlines():
@@ -214,7 +201,7 @@ def parse_cost_table(text: str, source: str = "<string>") -> InstructionCostTabl
                 if body.lower().startswith(prefix):
                     meta[tag] = body[len(prefix):].strip()
 
-    entries: Dict[TableKey, CostEntry] = {}
+    entries: Dict[OpKey, CostEntry] = {}
     for where, row in read_csv_rows(text, source, _HEADER, "cost table",
                                     CostTableError):
         kind_s, cls_s, loc_s, uops_s, cyc_s = row
@@ -222,16 +209,21 @@ def parse_cost_table(text: str, source: str = "<string>") -> InstructionCostTabl
                          CostTableError)
         cls = name_cell(cls_s, CLASS_BY_NAME, "data_class", where,
                         CostTableError)
-        loc = name_cell(loc_s, _LOCATION_BY_NAME, "operand_location", where,
-                        CostTableError)
+        location = LOCATION_BY_CLASS[cls]
+        if loc_s != location:
+            if loc_s not in LOCATION_BY_CLASS.values():
+                raise CostTableError(
+                    f"{where}: unknown operand_location {loc_s!r}")
+            raise CostTableError(
+                f"{where}: operand_location of {cls.value} must be "
+                f"{location!r}, got {loc_s!r}")
         micro_ops = count_cell(uops_s, "micro_ops", where, CostTableError)
         cycles = _parse_cycles(cyc_s, where)
-        key = (kind, cls, loc)
-        if key in entries:
+        if (kind, cls) in entries:
             raise CostTableError(
                 f"{where}: duplicate entry for "
-                f"{kind.value},{cls.value},{loc.value}")
-        entries[key] = CostEntry(micro_ops=micro_ops, cycles=cycles)
+                f"{kind.value},{cls.value},{location}")
+        entries[(kind, cls)] = CostEntry(micro_ops=micro_ops, cycles=cycles)
 
     return InstructionCostTable(entries=entries, source=meta["source"],
                                 date=meta["date"])

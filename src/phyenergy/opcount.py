@@ -183,11 +183,6 @@ class OperationTally:
             return NotImplemented
         return self.merged(other)
 
-    def __mul__(self, factor: int) -> "OperationTally":
-        return self.scaled(factor)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OperationTally):
             return NotImplemented

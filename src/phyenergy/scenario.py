@@ -322,16 +322,27 @@ def read_fields(mapping: Any, context: str, required: Mapping[str, Converter],
             for key, conv in fields.items() if key in mapping}
 
 
+def reject_long_digits(text: str, label: str,
+                       error: type[PhyEnergyError]) -> None:
+    """Called by every reader of integer text when int() refuses it: raise
+    ``error``, without echoing the digits, when ``text`` is a decimal integer
+    past Python's int/str digit limit (4300 digits by default)."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if digits.isdecimal():
+        raise error(f"{label} has too many digits ({len(text)})") from None
+
+
 def _as_int(label: str, value: Any) -> int:
     if isinstance(value, bool):
         raise ConfigError(f"{label}: expected an integer, got a boolean")
     if isinstance(value, int):
         return value
     if isinstance(value, str):
+        text = value.strip()
         try:
-            return int(value.strip())
+            return int(text)
         except ValueError:
-            pass
+            reject_long_digits(text, label, ConfigError)
     raise ConfigError(f"{label}: expected an integer, got {value!r}")
 
 
@@ -358,6 +369,8 @@ def _as_rate(label: str, value: Any) -> int:
         try:
             numerator, denominator = int(num), int(den)
         except ValueError:
+            for part in (num, den):
+                reject_long_digits(part.strip(), label, ConfigError)
             raise ConfigError(f"{label}: malformed rate {value!r}") from None
         if denominator != 1024:
             raise ConfigError(f"{label}: rate denominator must be 1024")

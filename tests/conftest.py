@@ -4,8 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from phyenergy.costmodel import (CostEntry, InstructionCostTable,
-                                 assign_location)
+from phyenergy.costmodel import CostEntry, InstructionCostTable
 from phyenergy.opcount import DataClass, OpKind
 from phyenergy.scenario import Modulation, Scenario
 
@@ -13,12 +12,12 @@ sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
 
 def make_table(micro_ops=1, cycles=Fraction(1), source="test") -> InstructionCostTable:
-    """Table covering every (kind, class) at its canonical location."""
+    """Table covering every (kind, class)."""
     entries = {}
     for kind in OpKind:
         for cls in DataClass:
-            entries[(kind, cls, assign_location(cls))] = CostEntry(
-                micro_ops=micro_ops, cycles=Fraction(cycles))
+            entries[(kind, cls)] = CostEntry(micro_ops=micro_ops,
+                                             cycles=Fraction(cycles))
     return InstructionCostTable(entries=entries, source=source)
 
 

@@ -80,6 +80,62 @@ def ls_bracket_ops(l: int, n_t: int, g: int, k_p: int) -> int:
     return gram + inv + apply_
 
 
+def svd_ops(rows: int, cols: int, rank: int) -> int:
+    """Flops of the model's SVD of a rows x cols matrix, stage by stage:
+    a multiply and an add for every entry of the matrix in each of the
+    ``cols`` reduction steps, then one flop for each of ``rank``
+    rotations over ``rank`` entries in each of ``rank`` sweeps."""
+    flops = 0
+    for _ in range(cols):               # reduction steps
+        for _ in range(rows):
+            for _ in range(cols):
+                flops += 2
+    for _ in range(rank):               # diagonalization sweeps
+        for _ in range(rank):
+            for _ in range(rank):
+                flops += 1
+    return flops
+
+
+def block_c_flops(p: int, v: int, m_symb_layer: int) -> int:
+    """Block C: for each layer-mapped symbol, the SVD of the p x v channel
+    estimate, regularization of its v singular values, the p x v precoder
+    (one scaling per entry), then the precoder applied to the v-layer
+    symbol vector."""
+    flops = 0
+    for _ in range(m_symb_layer):
+        flops += svd_ops(p, v, rank=v)
+        for _ in range(v):              # regularize each singular value
+            flops += 1
+        for _ in range(p):              # form the precoder
+            for _ in range(v):
+                flops += 1
+        flops += sum(schoolbook_product_ops(p, v, 1))
+    return flops
+
+
+def mmse_flops(n_r: int, n_t: int, n_f: int, g: int) -> int:
+    """MMSE equalization: one filter setup (an SVD of the n_r x n_t channel
+    whose diagonalization runs over n_r, n_r regularized values and n_r x
+    n_t filter entries), then for each of ``n_f`` subcarriers diagonal
+    loading (3 flops per transmit stream) and three products:
+    (n_t x n_t) @ (n_t x n_r), (n_t x n_r) @ (n_r x n_r) and the filter
+    (n_t x n_r) applied to the g received vectors (n_r x g)."""
+    flops = svd_ops(n_r, n_t, rank=n_r)
+    for _ in range(n_r):                # regularize
+        flops += 1
+    for _ in range(n_r):                # form the filter
+        for _ in range(n_t):
+            flops += 1
+    for _ in range(n_f):
+        for _ in range(n_t):            # diagonal loading
+            flops += 3
+        flops += sum(schoolbook_product_ops(n_t, n_t, n_r))
+        flops += sum(schoolbook_product_ops(n_t, n_r, n_r))
+        flops += sum(schoolbook_product_ops(n_t, n_r, g))
+    return flops
+
+
 # Blocks A and H count (kind, data class) pairs.  Their oracles return a
 # Counter keyed by the pair's names, e.g. ("XOR", "logical_scalar").
 

@@ -2,13 +2,14 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from phyenergy import cli, opcount, scenario
 from phyenergy.cli import fmt_exact, fmt_float, fmt_opt, main
-from phyenergy.costmodel import assign_location
+from phyenergy.costmodel import LOCATION_BY_CLASS
 from phyenergy.ingest import rows_from_tallies, serialize_measurement
 from phyenergy.opcount import DataClass, OpKind, tally_pipeline
 from phyenergy.scenario import load_scenario
@@ -30,8 +31,8 @@ def write_uniform_csv(path: Path, cycles: str = "1") -> str:
              "op_kind,data_class,operand_location,micro_ops,cycles"]
     for kind in OpKind:
         for cls in DataClass:
-            loc = assign_location(cls).value
-            lines.append(f"{kind.value},{cls.value},{loc},1,{cycles}")
+            lines.append(f"{kind.value},{cls.value},"
+                         f"{LOCATION_BY_CLASS[cls]},1,{cycles}")
     path.write_text("\n".join(lines) + "\n")
     return str(path)
 
@@ -290,6 +291,24 @@ def test_broken_cost_table_reports_code(capsys, tmp_path):
     assert code == 1
     assert err.startswith("error[cost-table]:")
     assert "duplicate" in err
+
+
+@pytest.mark.parametrize("row, message", [
+    ("ADD,double_scalar,memory,1,500",
+     "operand_location of double_scalar must be 'register', got 'memory'"),
+    ("ADD,double_scalar,register,1,500",
+     "duplicate entry for ADD,double_scalar,register"),
+])
+def test_bundled_table_with_an_extra_row_fails(capsys, tmp_path, row,
+                                               message):
+    bundled = resources.files("phyenergy").joinpath("data", "cost_table.csv")
+    lines = bundled.read_text().splitlines() + [row]
+    table = tmp_path / "extra.csv"
+    table.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "estimate", "--scenario", REFERENCE,
+                         "--cost-table", str(table))
+    assert (code, out) == (1, "")
+    assert err == f"error[cost-table]: {table}:{len(lines)}: {message}\n"
 
 
 def test_sparse_cost_table_reports_coverage(capsys, tmp_path):

@@ -145,3 +145,39 @@ def test_integer_past_the_digit_limit_in_a_sweep():
     assert (code, out) == (1, "")
     assert err == ("error[config]: --values: a value for n_slots has too "
                    "many digits (5001)\n")
+
+
+_TABLE_HEADER = "op_kind,data_class,operand_location,micro_ops,cycles\n"
+_REPORT_HEADER = "function_path,block,operator,data_type,shape,count\n"
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    ("table", f"ADD,double_scalar,register,{LONG},1",
+     "error[cost-table]: {path}:2: micro_ops has too many digits (5001)"),
+    ("table", f"ADD,double_scalar,register,1,{LONG}",
+     "error[cost-table]: {path}:2: cycles has too many digits (5001)"),
+    ("report", f"f,A,ADD,double_scalar,,{LONG}",
+     "error[measured]: {path}:2: count has too many digits (5001)"),
+    ("scenario", _scenario_text([("n_slots", str(LONG))]),
+     "error[config]: scenario.n_slots has too many digits (5001)"),
+    ("scenario", _scenario_text([("code_rate", f"{LONG}/1024")]),
+     "error[config]: scenario.code_rate has too many digits (5001)"),
+], ids=["micro_ops", "cycles", "count", "quoted-scenario-value", "rate"])
+def test_integer_text_past_the_digit_limit(tmp_path, kind, text, message):
+    """Each reader of integer text reports a value past the digit limit as
+    too long, in a short message that does not echo the digits."""
+    path = tmp_path / "input"
+    argv = ["estimate", "--scenario", str(REFERENCE_PATH)]
+    if kind == "table":
+        path.write_text(_TABLE_HEADER + text + "\n")
+        argv += ["--cost-table", str(path)]
+    elif kind == "report":
+        path.write_text(_REPORT_HEADER + text + "\n")
+        argv = ["compare", "--scenario", str(REFERENCE_PATH),
+                "--measured", str(path)]
+    else:
+        path.write_text(text)
+        argv[2] = str(path)
+    code, out, err = _run(argv)
+    assert (code, out) == (1, "")
+    assert err == message.format(path=path) + "\n"

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 from conftest import make_table, reference_scenario
 
 from phyenergy.costmodel import (CostEntry, EnergyParams, InstructionCostTable,
-                                 OperandLocation, assign_location, build_report,
-                                 cycles_for, energy_per_cycle, expand_flops,
-                                 load_cost_table, load_default_cost_table,
-                                 parse_cost_table)
+                                 build_report, cycles_for, energy_per_cycle,
+                                 expand_flops, load_cost_table,
+                                 load_default_cost_table, parse_cost_table)
 from phyenergy.errors import ConfigError, CostTableError, CoverageError
 from phyenergy.opcount import (BlockId, DataClass, OpKind, OperationTally,
                                tally_pipeline)
@@ -19,23 +18,10 @@ DS = DataClass.DOUBLE_SCALAR
 
 
 # ---------------------------------------------------------------------------
-# Operand locations
-
-
-def test_location_assignment():
-    assert assign_location(DataClass.LOGICAL_SCALAR) is OperandLocation.REGISTER
-    assert assign_location(DataClass.INT_SCALAR) is OperandLocation.REGISTER
-    assert assign_location(DataClass.DOUBLE_SCALAR) is OperandLocation.REGISTER
-    assert assign_location(DataClass.LOGICAL_VECTOR) is OperandLocation.MMX
-    assert assign_location(DataClass.INT_VECTOR) is OperandLocation.MMX
-    assert assign_location(DataClass.DOUBLE_VECTOR) is OperandLocation.XMM
-    assert assign_location(DataClass.STRUCT) is OperandLocation.MEMORY
-
-
-# ---------------------------------------------------------------------------
 # Parsing
 
 
+_HEADER = "op_kind,data_class,operand_location,micro_ops,cycles\n"
 GOOD_TABLE = """\
 # source: unit test fixture
 # date: 2026-01
@@ -61,6 +47,27 @@ def test_parse_good_table():
 def test_parse_requires_header():
     with pytest.raises(CostTableError, match="header"):
         parse_cost_table("ADD,double_scalar,register,1,1\n")
+
+
+@pytest.mark.parametrize("cls, location", [
+    (DataClass.LOGICAL_SCALAR, "register"),
+    (DataClass.INT_SCALAR, "register"),
+    (DataClass.DOUBLE_SCALAR, "register"),
+    (DataClass.LOGICAL_VECTOR, "mmx"),
+    (DataClass.INT_VECTOR, "mmx"),
+    (DataClass.DOUBLE_VECTOR, "xmm"),
+    (DataClass.STRUCT, "memory"),
+])
+def test_parse_accepts_only_the_implied_location(cls, location):
+    row = f"ADD,{cls.value},{{}},2,3\n"
+    table = parse_cost_table(_HEADER + row.format(location), source="t")
+    assert table.entries == {(OpKind.ADD, cls): CostEntry(2, Fraction(3))}
+    for other in sorted({"register", "mmx", "xmm", "memory"} - {location}):
+        with pytest.raises(CostTableError) as exc:
+            parse_cost_table(_HEADER + row.format(other), source="t")
+        assert str(exc.value) == (
+            f"t:2: operand_location of {cls.value} must be "
+            f"'{location}', got '{other}'")
 
 
 def test_parse_rejects_duplicates_with_line_number():
@@ -211,7 +218,6 @@ def test_cycle_costs_are_homogeneous_in_the_table(scale):
 
 
 _ALL_KEYS = [(kind, cls) for kind in OpKind for cls in DataClass]
-_HEADER = "op_kind,data_class,operand_location,micro_ops,cycles\n"
 
 
 def _fraction_oracle(tally, table):
@@ -239,11 +245,10 @@ _entry_st = st.builds(
 
 @st.composite
 def _random_table(draw, max_missing):
-    entries = {(kind, cls, assign_location(cls)): draw(_entry_st)
-               for kind, cls in _ALL_KEYS}
-    for kind, cls in draw(st.sets(st.sampled_from(_ALL_KEYS),
-                                  max_size=max_missing)):
-        del entries[(kind, cls, assign_location(cls))]
+    entries = {key: draw(_entry_st) for key in _ALL_KEYS}
+    for key in draw(st.sets(st.sampled_from(_ALL_KEYS),
+                            max_size=max_missing)):
+        del entries[key]
     return InstructionCostTable(entries=entries, source="random")
 
 

@@ -6,9 +6,9 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_scenario
-from oracles import (block_a_ops, block_h_ops, crc_slice_ops,
-                     gauss_jordan_inverse_ops, ls_bracket_ops, radix2_fft_ops,
-                     schoolbook_product_ops)
+from oracles import (block_a_ops, block_c_flops, block_h_ops, crc_slice_ops,
+                     gauss_jordan_inverse_ops, ls_bracket_ops, mmse_flops,
+                     radix2_fft_ops, schoolbook_product_ops)
 
 from phyenergy.errors import DomainError
 from phyenergy.opcount import (EMPTY_TALLY, BlockId, DataClass, OpKind,
@@ -250,6 +250,16 @@ def test_block_c_rejects_more_layers_than_ports():
         count_block_c(p=2, v=3, m_symb_layer=10)
 
 
+@given(v=st.integers(min_value=1, max_value=4),
+       extra_ports=st.integers(min_value=0, max_value=4),
+       m_symb_layer=st.integers(min_value=0, max_value=12))
+@settings(max_examples=100, deadline=None)
+def test_block_c_matches_loop_oracle(v, extra_ports, m_symb_layer):
+    p = v + extra_ports
+    assert count_block_c(p, v, m_symb_layer) == OperationTally(
+        {(OpKind.FLOP, DS): block_c_flops(p, v, m_symb_layer)})
+
+
 # ---------------------------------------------------------------------------
 # Blocks D and E
 
@@ -308,6 +318,16 @@ def test_ls_inversion_term_is_cubic(n):
 def test_mmse_frozen_examples():
     assert count_mmse(n_r=1, n_t=1, n_f=1, g=1).get(OpKind.FLOP, DS) == 11
     assert count_mmse(n_r=2, n_t=2, n_f=12, g=14).get(OpKind.FLOP, DS) == 1398
+
+
+@given(n_r=st.integers(min_value=1, max_value=5),
+       n_t=st.integers(min_value=1, max_value=5),
+       n_f=st.integers(min_value=0, max_value=12),
+       g=st.integers(min_value=1, max_value=14))
+@settings(max_examples=100, deadline=None)
+def test_mmse_matches_loop_oracle(n_r, n_t, n_f, g):
+    assert count_mmse(n_r, n_t, n_f, g) == OperationTally(
+        {(OpKind.FLOP, DS): mmse_flops(n_r, n_t, n_f, g)})
 
 
 def test_mmse_affine_in_subcarriers():

@@ -5,9 +5,9 @@ behaviour is frozen here against values small enough to verify by
 hand.
 """
 
-from oracles import (block_a_ops, block_h_ops, crc_slice_ops,
-                     gauss_jordan_inverse_ops, ls_bracket_ops, radix2_fft_ops,
-                     schoolbook_product_ops)
+from oracles import (block_a_ops, block_c_flops, block_h_ops, crc_slice_ops,
+                     gauss_jordan_inverse_ops, ls_bracket_ops, mmse_flops,
+                     radix2_fft_ops, schoolbook_product_ops, svd_ops)
 
 
 def test_schoolbook_product_hand_cases():
@@ -40,6 +40,28 @@ def test_ls_bracket_hand_case():
     # l=1, n_t=1, g=1, k_p=1: gram (1,0)->1, inversion 1, apply (1,0)->1.
     assert ls_bracket_ops(1, 1, 1, 1) == 3
 
+
+def test_svd_hand_cases():
+    assert svd_ops(1, 1, rank=1) == 2 + 1
+    assert svd_ops(2, 1, rank=1) == 4 + 1      # one step over 2 entries
+    assert svd_ops(2, 1, rank=2) == 4 + 8
+
+
+def test_block_c_hand_case():
+    # p=2, v=1: SVD 4+1, one singular value, a 2x1 precoder, and a 2x1
+    # product with no additions; no symbols cost nothing.
+    assert block_c_flops(p=2, v=1, m_symb_layer=1) == 5 + 1 + 2 + 2
+    assert block_c_flops(p=2, v=1, m_symb_layer=3) == 3 * 10
+    assert block_c_flops(p=2, v=1, m_symb_layer=0) == 0
+
+
+def test_mmse_hand_case():
+    # n_r=2, n_t=1: setup is SVD 4+8, 2 values and a 1x2 filter; each
+    # subcarrier loads 1 diagonal entry (3) and runs products of 2, 6 and
+    # 3 flops.
+    assert mmse_flops(n_r=2, n_t=1, n_f=0, g=1) == 12 + 2 + 2
+    assert mmse_flops(n_r=2, n_t=1, n_f=1, g=1) == 16 + 3 + 2 + 6 + 3
+    assert mmse_flops(n_r=1, n_t=1, n_f=1, g=1) == 11
 
 
 def test_block_a_hand_case():
