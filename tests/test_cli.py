@@ -6,6 +6,8 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phyenergy import cli, opcount, scenario
 from phyenergy.cli import fmt_exact, fmt_float, fmt_opt, main
@@ -65,6 +67,51 @@ def test_fmt_float_six_significant_digits():
 def test_fmt_opt_undefined():
     assert fmt_opt(None) == "undefined"
     assert fmt_opt(Fraction(1, 2)) == "0.5"
+
+
+def _fmt_exact_oracle(q: Fraction) -> str:
+    """The Fraction-based formatter: strip 2s and 5s from the denominator
+    one at a time, then print the terminating decimal or six digits."""
+    if q.denominator == 1:
+        return str(q.numerator)
+    den = q.denominator
+    twos = fives = 0
+    while den % 2 == 0:
+        den //= 2
+        twos += 1
+    while den % 5 == 0:
+        den //= 5
+        fives += 1
+    if den != 1:
+        return fmt_float(float(q))
+    digits = max(twos, fives)
+    sign = "-" if q < 0 else ""
+    scaled = abs(q.numerator) * 10 ** digits // abs(q.denominator)
+    text = str(scaled).rjust(digits + 1, "0")
+    return f"{sign}{text[:-digits]}.{text[-digits:].rstrip('0')}"
+
+
+def _outcome(fmt, q):
+    try:
+        return fmt(q)
+    except OverflowError:       # a non-terminating value past the float range
+        return OverflowError
+
+
+_numerators = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                        st.integers(-10 ** 400, 10 ** 400),
+                        st.sampled_from([0, 1, -1, 10 ** 330, -10 ** 330]))
+_denominators = st.builds(lambda twos, fives, odd: 2 ** twos * 5 ** fives * odd,
+                          st.integers(0, 40), st.integers(0, 40),
+                          st.sampled_from([1, 1, 1, 3, 7, 9, 21, 10 ** 9 + 7]))
+
+
+@given(num=_numerators, den=_denominators)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_fmt_exact_matches_the_fraction_oracle(num, den):
+    q = Fraction(num, den)
+    assert _outcome(fmt_exact, q) == _outcome(_fmt_exact_oracle, q)
+    assert _outcome(fmt_exact, -q) == _outcome(_fmt_exact_oracle, -q)
 
 
 # ---------------------------------------------------------------------------

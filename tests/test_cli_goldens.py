@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 from phyenergy.cli import main
+from phyenergy.costmodel import LOCATION_BY_CLASS
 from phyenergy.ingest import rows_from_tallies, serialize_measurement
-from phyenergy.opcount import tally_pipeline
+from phyenergy.opcount import DataClass, OpKind, tally_pipeline
 from phyenergy.scenario import load_scenario
 
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -97,3 +98,53 @@ def test_cli_stdout_matches_golden(capsys, measured, name):
     assert code == 0, captured.err
     assert captured.err == ""
     assert hashlib.sha256(captured.out.encode()).hexdigest() == GOLDENS[name]
+
+
+# A cost table whose cycles have denominators 3, 7 and 8 (the bundled one
+# has 4 and 3, so lcm 12): block cycles over 168 that terminate in some
+# blocks and not in others, through the exact and the float fallback.
+ODD_CYCLES = {
+    ("ADD", "int_scalar"): "2/7",
+    ("LOOKUP", "int_scalar"): "3/8",
+    ("ADD", "double_scalar"): "5/8",
+    ("MUL", "double_scalar"): "1/8",
+    ("XOR", "double_scalar"): "1/3",
+    ("LOG", "double_scalar"): "22/7",
+    ("XOR", "logical_vector"): "7/8",
+}
+
+ODD_GOLDENS = {
+    "estimate-text":
+        "54f098e32975425fc87731b6e174b1272fd6006e229857ae9fdedd3a6cf9bafc",
+    "estimate-table":
+        "cf6f1e3657a0845d90fffdc49058c05f46668dd4ffc3fc90574cdf0b3ac8163c",
+    "sweep-n_prb-text":
+        "b56646054c5a301f7eed219e6db5253156ec7c999f5c7a8b5721e316cb1b1423",
+    "sweep-n_prb-table":
+        "71c168823998305247333bfb61ab78dc5919e40905ffd4641f52a540d7bcf958",
+}
+
+
+@pytest.fixture(scope="module")
+def odd_table(tmp_path_factory) -> str:
+    lines = ["# source: denominators 3, 7 and 8",
+             "op_kind,data_class,operand_location,micro_ops,cycles"]
+    for kind in OpKind:
+        for cls in DataClass:
+            cycles = ODD_CYCLES.get((kind.value, cls.value), "1")
+            lines.append(f"{kind.value},{cls.value},{LOCATION_BY_CLASS[cls]},"
+                         f"2,{cycles}")
+    path = tmp_path_factory.mktemp("goldens") / "odd.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("name", sorted(ODD_GOLDENS))
+def test_cli_stdout_matches_golden_under_odd_denominators(capsys, odd_table,
+                                                          name):
+    code = main(_argv(name, MEASURED) + ["--cost-table", odd_table])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.err == ""
+    assert (hashlib.sha256(captured.out.encode()).hexdigest()
+            == ODD_GOLDENS[name])
