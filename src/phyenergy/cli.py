@@ -15,11 +15,13 @@ The default instruction-cost table is the bundled one; the
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .errors import ConfigError, MeasurementError, PhyEnergyError, UsageError
 from .scenario import (DerivedParams, Scenario, load_scenario,
@@ -46,11 +48,11 @@ def fmt_float(x: float) -> str:
     return format(x, ".6g")
 
 
-def fmt_exact(q: Fraction) -> str:
-    """Exact decimal rendering when terminating, else 6 significant digits."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    den = q.denominator
+@lru_cache(maxsize=256)
+def _decimal_places(den: int) -> Optional[int]:
+    """Decimal places of the fractions over a reduced denominator, or None
+    when their decimals do not terminate.  Cached: the cycle counts of a
+    report share the cost table's denominator."""
     twos = fives = 0
     while den % 2 == 0:
         den //= 2
@@ -58,14 +60,26 @@ def fmt_exact(q: Fraction) -> str:
     while den % 5 == 0:
         den //= 5
         fives += 1
-    if den != 1:
-        return fmt_float(float(q))
-    digits = max(twos, fives)
-    sign = "-" if q < 0 else ""
-    scaled = abs(q.numerator) * 10 ** digits // abs(q.denominator)
-    text = str(scaled).rjust(digits + 1, "0")
-    frac = text[-digits:].rstrip("0")
-    return f"{sign}{text[:-digits]}.{frac}"
+    return max(twos, fives) if den == 1 else None
+
+
+def fmt_ratio(num: int, den: int) -> str:
+    """``num / den`` (``den`` > 0) as :func:`fmt_exact` prints it.  A float
+    appears only as integer true division, the correctly rounded value."""
+    whole, rest = divmod(num, den)
+    if not rest:
+        return str(whole)
+    places = _decimal_places(den // math.gcd(rest, den))
+    if places is None:
+        return fmt_float(num / den)
+    text = str(abs(num) * 10 ** places // den).rjust(places + 1, "0")
+    sign = "-" if num < 0 else ""
+    return f"{sign}{text[:-places]}.{text[-places:].rstrip('0')}"
+
+
+def fmt_exact(q: Fraction) -> str:
+    """Exact decimal rendering when terminating, else 6 significant digits."""
+    return fmt_ratio(q.numerator, q.denominator)
 
 
 def fmt_opt(q: Optional[Fraction | float], as_float: bool = False) -> str:
@@ -77,8 +91,9 @@ def fmt_opt(q: Optional[Fraction | float], as_float: bool = False) -> str:
 # ---------------------------------------------------------------------------
 # Report rendering.  Each report has one row model (``_estimate_rows``,
 # ``_comparison_rows``) that both of its layouts read.  Structured text is
-# built from ``key:`` sections of indented ``name: value`` lines, and every
-# delimited table comes from ``_table``.
+# ``key:`` sections of indented ``name: value`` lines, written out as
+# f-strings for the estimate and by ``_section`` elsewhere; every delimited
+# table comes from ``_table``.
 
 _COST_KEYS = ("micro_ops", "cycles", "cycles_per_bit", "energy_j",
               "energy_nj_per_bit")
@@ -86,37 +101,37 @@ _BLOCK_KEYS = ("side",) + _COST_KEYS
 _COMPARISON_KEYS = ("modeled_cycles", "measured_cycles", "ratio",
                     "signed_relative_error", "flag")
 
+# Name and side (transmitter BS, receiver UE) of each block, in the order
+# of a report's ``per_block`` (BlockId order), then of the total.
+_ROWS = (*zip("ABCDEFGH", ("BS",) * 4 + ("UE",) * 4), ("TOTAL", ""))
 
-def _entries(rep: EnergyReport) -> list[tuple[str, str, BlockCost]]:
-    """Name, side and cost of each block, then of the total."""
-    from .opcount import BlockId
-    entries = [(blk.value, blk.side, rep.per_block[blk]) for blk in BlockId]
-    entries.append(("TOTAL", "", rep.total))
-    return entries
+
+def _entries(rep: EnergyReport | ComparisonReport) -> Iterator[tuple]:
+    """(Name, side) and record of each block, then of the total."""
+    return zip(_ROWS, (*rep.per_block.values(), rep.total))
 
 
 def _cycle_fields(cost: BlockCost) -> list[str]:
     """Micro-ops, cycles and cycles per bit: all the sweep layouts print."""
-    return [str(cost.micro_ops), fmt_exact(cost.cycles),
-            fmt_opt(cost.cycles_per_bit, as_float=True)]
+    num, den, bits = cost.cycle_num, cost.cycle_den, cost.bits
+    return [str(cost.micro_ops), fmt_ratio(num, den),
+            fmt_float(num / (den * bits)) if bits > 0 else "undefined"]
 
 
 def _estimate_rows(rep: EnergyReport) -> list[list[str]]:
     """Name, side and cost fields for each block, then the total."""
     return [[name, side, *_cycle_fields(cost), fmt_float(cost.energy_j),
-             fmt_opt(cost.energy_nj_per_bit, as_float=True)]
-            for name, side, cost in _entries(rep)]
+             "undefined" if cost.energy_nj_per_bit is None
+             else fmt_float(cost.energy_nj_per_bit)]
+            for (name, side), cost in _entries(rep)]
 
 
 def _comparison_rows(result: ComparisonReport) -> list[list[str]]:
     """Name and comparison fields for each block, then the total."""
-    from .opcount import BlockId
-    entries = [(blk.value, result.per_block[blk]) for blk in BlockId]
-    entries.append(("TOTAL", result.total))
     return [[name, fmt_exact(cmp.modeled_cycles),
              fmt_opt(cmp.measured_cycles), fmt_opt(cmp.ratio),
              fmt_opt(cmp.signed_relative_error, as_float=True), cmp.flag]
-            for name, cmp in entries]
+            for (name, _), cmp in _entries(result)]
 
 
 def _section(lines: list[str], indent: str, key: str, pairs) -> None:
@@ -133,56 +148,73 @@ def _table(header: Sequence[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _scenario_sections(lines: list[str], s: Scenario,
-                       d: DerivedParams) -> None:
-    pairs = [
-        ("n_slots", s.n_slots),
-        ("snr_db", fmt_float(s.snr_db)),
-        ("scs_khz", s.scs_khz),
-        ("n_prb", s.n_prb),
-        ("modulation", s.modulation.name),
-        ("code_rate", f"{s.code_rate}/1024"),
-        ("n_tx", s.n_tx),
-        ("n_rx", s.n_rx),
-        ("n_layers", s.n_layers),
-        ("n_ports", s.n_ports),
-        ("clock_hz", fmt_float(s.clock_hz)),
-        ("kappa", fmt_float(s.kappa)),
-        ("channel_len", s.channel_len),
-        ("pilot_sc_per_prb", s.pilot_sc_per_prb),
-        ("pilot_symbols_per_slot", s.pilot_symbols_per_slot),
-    ]
+def _scenario_text(s: Scenario, d: DerivedParams) -> str:
+    """The scenario and derived sections, as printed (``:.6g`` is
+    :func:`fmt_float`); the optional scenario keys appear when set."""
+    optional = ""
     if s.tbs_override is not None:
-        pairs.append(("tbs_override", s.tbs_override))
+        optional += f"\n  tbs_override: {s.tbs_override}"
     if s.rx_fft_antennas is not None:
-        pairs.append(("rx_fft_antennas", s.rx_fft_antennas))
-    _section(lines, "", "scenario", pairs)
-    _section(lines, "  ", "decode", [("deg_cn", s.decode.deg_cn),
-                                     ("deg_vn", s.decode.deg_vn),
-                                     ("iterations", s.decode.iterations)])
-    _section(lines, "", "derived", [
-        ("n_f", d.n_f), ("n_fft", d.n_fft), ("k_p", d.k_p),
-        ("n_re", d.n_re), ("n_symbols", d.n_symbols), ("m_cw", d.m_cw),
-        ("a", d.a), ("base_graph", d.bg), ("c", d.c), ("z", d.z),
-        ("k", d.k), ("n_ccb", d.n_ccb)])
+        optional += f"\n  rx_fft_antennas: {s.rx_fft_antennas}"
+    return f"""scenario:
+  n_slots: {s.n_slots}
+  snr_db: {s.snr_db:.6g}
+  scs_khz: {s.scs_khz}
+  n_prb: {s.n_prb}
+  modulation: {s.modulation.name}
+  code_rate: {s.code_rate}/1024
+  n_tx: {s.n_tx}
+  n_rx: {s.n_rx}
+  n_layers: {s.n_layers}
+  n_ports: {s.n_ports}
+  clock_hz: {s.clock_hz:.6g}
+  kappa: {s.kappa:.6g}
+  channel_len: {s.channel_len}
+  pilot_sc_per_prb: {s.pilot_sc_per_prb}
+  pilot_symbols_per_slot: {s.pilot_symbols_per_slot}{optional}
+  decode:
+    deg_cn: {s.decode.deg_cn}
+    deg_vn: {s.decode.deg_vn}
+    iterations: {s.decode.iterations}
+derived:
+  n_f: {d.n_f}
+  n_fft: {d.n_fft}
+  k_p: {d.k_p}
+  n_re: {d.n_re}
+  n_symbols: {d.n_symbols}
+  m_cw: {d.m_cw}
+  a: {d.a}
+  base_graph: {d.bg}
+  c: {d.c}
+  z: {d.z}
+  k: {d.k}
+  n_ccb: {d.n_ccb}"""
 
 
 def render_estimate_text(rep: EnergyReport) -> str:
-    lines: list[str] = []
-    if rep.scenario is not None:
-        _scenario_sections(lines, rep.scenario, rep.derived)
-    _section(lines, "", "energy", [
-        ("kappa_j_s2", fmt_float(rep.energy.kappa)),
-        ("clock_hz", fmt_float(rep.energy.clock_hz)),
-        ("epsilon_j_per_cycle", fmt_float(rep.energy.epsilon))])
-    _section(lines, "", "cost_table", [("source", rep.table_source),
-                                       ("date", rep.table_date or "unknown")])
-    lines += [f"bits_transmitted: {rep.bits_transmitted}", "blocks:"]
+    e = rep.energy
+    lines = [] if rep.scenario is None else [
+        _scenario_text(rep.scenario, rep.derived)]
+    lines.append(f"""energy:
+  kappa_j_s2: {e.kappa:.6g}
+  clock_hz: {e.clock_hz:.6g}
+  epsilon_j_per_cycle: {e.epsilon:.6g}
+cost_table:
+  source: {rep.table_source}
+  date: {rep.table_date or "unknown"}
+bits_transmitted: {rep.bits_transmitted}
+blocks:""")
     *blocks, total = _estimate_rows(rep)
-    for row in blocks:
-        _section(lines, "  ", row[0], zip(_BLOCK_KEYS, row[1:]))
-    _section(lines, "", "total", zip(_COST_KEYS, total[2:]))
-    return "\n".join(lines) + "\n"
+    lines += [f"  {name}:\n    side: {side}\n    micro_ops: {micro_ops}\n"
+              f"    cycles: {cycles}\n    cycles_per_bit: {per_bit}\n"
+              f"    energy_j: {energy_j}\n    energy_nj_per_bit: {nj}"
+              for name, side, micro_ops, cycles, per_bit, energy_j, nj
+              in blocks]
+    _, _, micro_ops, cycles, per_bit, energy_j, nj = total
+    lines.append(f"total:\n  micro_ops: {micro_ops}\n  cycles: {cycles}\n"
+                 f"  cycles_per_bit: {per_bit}\n  energy_j: {energy_j}\n"
+                 f"  energy_nj_per_bit: {nj}\n")
+    return "\n".join(lines)
 
 
 def render_estimate_table(rep: EnergyReport) -> str:
@@ -194,7 +226,7 @@ def render_sweep_table(param: str, results: Sequence[tuple[str, EnergyReport]],
     return _table(
         (param, "block") + _COST_KEYS[:3],
         [[label, name, *_cycle_fields(cost)]
-         for label, rep in results for name, _, cost in _entries(rep)])
+         for label, rep in results for (name, _), cost in _entries(rep)])
 
 
 def render_sweep_text(param: str, results: Sequence[tuple[str, EnergyReport]],
@@ -204,7 +236,7 @@ def render_sweep_text(param: str, results: Sequence[tuple[str, EnergyReport]],
         _section(lines, "", label,
                  [(name, "cycles={1} cycles_per_bit={2}".format(
                      *_cycle_fields(cost)))
-                  for name, _, cost in _entries(rep)])
+                  for (name, _), cost in _entries(rep)])
     return "\n".join(lines) + "\n"
 
 

@@ -15,22 +15,26 @@ table's cycle denominators).  A slot is priced as the sum of its parts
 (:data:`~phyenergy.opcount.PART_SLOTS`), so a FLOP costs one addition
 plus one multiplication of its class and a table's own FLOP rows are
 never consulted.  Pricing a tally is then an integer multiply-accumulate
-over its slots, and the cycle total becomes an exact rational only at
-the end; floats appear only when energy is computed or a report is
-rendered.
+over its slots.  A report's :class:`BlockCost` records carry each cycle
+count as an integer numerator over the table's denominator, so renderers
+format exact decimals from integers; ``cycles`` and ``cycles_per_bit``
+build the exact rationals only when asked for, and floats appear only
+as energies and in rendered reports.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple, TypeVar
+from typing import (Dict, Iterator, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple, TypeVar)
 
 from .errors import (ConfigError, CostTableError, CoverageError, DomainError,
                      PhyEnergyError)
@@ -89,8 +93,13 @@ class InstructionCostTable:
         ``(micro_ops, cycles, den, missing)``.  A slot costs
         ``micro_ops[slot]`` micro-ops and ``cycles[slot] / den`` cycles,
         unless ``missing`` maps it to the first of its parts that has no
-        table entry.  Built on first use and kept on the instance."""
+        table entry.  Built on first use and kept on the instance.  Cycles
+        must be non-negative (as :func:`parse_cost_table` ensures), so that
+        no block of a report costs more than the total."""
         priced = {SLOT_INDEX[key]: entry for key, entry in self.entries.items()}
+        if any(entry.cycles < 0 for entry in priced.values()):
+            raise CostTableError(f"{self.source or 'cost table'}: cycles must "
+                                 "be >= 0")
         den = math.lcm(*[e.cycles.denominator for e in priced.values()])
         scaled = {slot: e.cycles.numerator * (den // e.cycles.denominator)
                   for slot, e in priced.items()}
@@ -118,7 +127,12 @@ def _parse_cycles(text: str, where: str) -> Fraction:
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        reject_long_digits(text, f"{where}: cycles", CostTableError)
+        # The digit rule holds for each integer of 1/3, 0.25 and 2.5e-1.
+        for digits in re.split("[/.eE]", text):
+            try:
+                int(digits)
+            except ValueError:
+                reject_long_digits(digits, f"{where}: cycles", CostTableError)
         raise CostTableError(f"{where}: bad cycles value {text!r}") from None
     if value < 0:
         raise CostTableError(f"{where}: cycles must be >= 0")
@@ -278,8 +292,7 @@ def energy_per_cycle(kappa: float, clock_hz: float) -> float:
     return epsilon
 
 
-@dataclass(frozen=True)
-class EnergyParams:
+class EnergyParams(NamedTuple):
     kappa: float
     clock_hz: float
 
@@ -288,17 +301,30 @@ class EnergyParams:
         return energy_per_cycle(self.kappa, self.clock_hz)
 
 
-@dataclass(frozen=True)
-class BlockCost:
+class BlockCost(NamedTuple):
+    """Cost of a block, or of the total: ``cycle_num / cycle_den`` cycles
+    exactly, where ``cycle_den`` is the cost table's denominator."""
+
     micro_ops: int
-    cycles: Fraction
+    cycle_num: int
+    cycle_den: int
+    bits: int                            # payload bits; 0 when none
     energy_j: float
-    cycles_per_bit: Optional[Fraction]   # None when no payload bits
     energy_nj_per_bit: Optional[float]   # None when no payload bits
 
+    @property
+    def cycles(self) -> Fraction:
+        return Fraction(self.cycle_num, self.cycle_den)
 
-@dataclass(frozen=True)
-class EnergyReport:
+    @property
+    def cycles_per_bit(self) -> Optional[Fraction]:
+        """None when no payload bits."""
+        if self.bits > 0:
+            return Fraction(self.cycle_num, self.cycle_den * self.bits)
+        return None
+
+
+class EnergyReport(NamedTuple):
     """Costed pipeline: per-block and total micro-ops, cycles, energy."""
 
     per_block: Mapping[BlockId, BlockCost]
@@ -311,44 +337,45 @@ class EnergyReport:
     scenario: Optional[Scenario] = None
 
 
+# Blocks in report order.
+_BLOCKS = tuple(BlockId)
+
+
 def _block_cost(micro_ops: int, cycles: int, den: int, bits: int,
                 eps: float) -> BlockCost:
     """Cost of ``cycles / den`` cycles.  Integer true division is
     correctly rounded, so ``cycles / den`` is the float of the exact
-    rational, reduced or not.  An energy beyond the float range raises
-    DomainError."""
-    try:
-        energy_j = cycles / den * eps
-        nj_per_bit = energy_j / bits * 1e9 if bits > 0 else None
-    except OverflowError:       # a count too large to mix with floats
-        energy_j = nj_per_bit = math.inf
-    if not (math.isfinite(energy_j) and math.isfinite(nj_per_bit or 0.0)):
-        raise DomainError("energy is not finite: too many cycles, or too "
-                          "much energy per cycle, for a float")
-    return BlockCost(
-        micro_ops=micro_ops,
-        cycles=Fraction(cycles, den),
-        energy_j=energy_j,
-        cycles_per_bit=Fraction(cycles, den * bits) if bits > 0 else None,
-        energy_nj_per_bit=nj_per_bit,
-    )
+    rational, reduced or not; it raises OverflowError past the float
+    range."""
+    energy_j = cycles / den * eps
+    return BlockCost(micro_ops, cycles, den, bits, energy_j,
+                     energy_j / bits * 1e9 if bits > 0 else None)
 
 
 def build_report(tallies: PipelineTallies, table: InstructionCostTable,
                  energy: EnergyParams,
                  scenario: Optional[Scenario] = None) -> EnergyReport:
-    """Attach costs to pipeline tallies and aggregate totals."""
+    """Attach costs to pipeline tallies and aggregate totals.
+
+    An energy beyond the float range raises DomainError.  Table cycles
+    are non-negative, so no block costs more than the total, and checking
+    the total's energies covers every block's."""
     eps = energy.epsilon
     bits = tallies.bits_transmitted
-    per_block = {}
-    total_uops = total_cycles = 0
-    for block in BlockId:
-        micro_ops, cycles, den = _price(tallies.per_block[block], table)
-        per_block[block] = _block_cost(micro_ops, cycles, den, bits, eps)
-        total_uops += micro_ops
-        total_cycles += cycles
-    total = _block_cost(total_uops, total_cycles, den, bits, eps)
-    return EnergyReport(per_block=per_block, total=total,
-                        bits_transmitted=bits, energy=energy,
-                        table_source=table.source, table_date=table.date,
-                        scenario=scenario, derived=tallies.derived)
+    priced = [_price(tallies.per_block[block], table) for block in _BLOCKS]
+    den = priced[0][2]          # the table's, the same for every tally
+    try:
+        total = _block_cost(sum([micro_ops for micro_ops, _, _ in priced]),
+                            sum([cycles for _, cycles, _ in priced]),
+                            den, bits, eps)
+        finite = (math.isfinite(total.energy_j)
+                  and math.isfinite(total.energy_nj_per_bit or 0.0))
+    except OverflowError:       # a count too large to mix with floats
+        finite = False
+    if not finite:
+        raise DomainError("energy is not finite: too many cycles, or too "
+                          "much energy per cycle, for a float")
+    per_block = {block: _block_cost(micro_ops, cycles, den, bits, eps)
+                 for block, (micro_ops, cycles, _) in zip(_BLOCKS, priced)}
+    return EnergyReport(per_block, total, bits, energy, table.source,
+                        table.date, tallies.derived, scenario)

@@ -20,6 +20,15 @@ Each counter returns an :class:`OperationTally`, a multiset of
 number of the pair in :data:`SLOT_KEYS`.  Counts are closed-form in the
 scenario's derived parameters; nothing here touches sample data.
 
+Counters fill a ``{slot: count}`` dict from the module's slot numbers
+and wrap it once, zero counts dropped, with no per-entry key or type
+check: their integer inputs come from :func:`~phyenergy.scenario.derive`,
+whose :func:`~phyenergy.scenario.validate` has checked once that every
+integer field of the scenario is an ``int``.  A block of several terms
+(A, F, H) sums their dicts in one pass, and :func:`tally_pipeline`
+scales by ``n_slots`` in that same pass.  Only the public
+:class:`OperationTally` constructor validates keys and counts.
+
 Data classes follow the block split: the bit-oriented stages (block A,
 block G, and the scrambling/modulation inputs of block B) count as
 integer or logical operands, the signal-processing stages as doubles.
@@ -32,8 +41,7 @@ model's compiled tables read it from there.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, NamedTuple, Tuple
 
 from .errors import DomainError
 from .scenario import DecodeConfig, DerivedParams, Scenario, BaseGraphSpec
@@ -104,6 +112,22 @@ PART_SLOTS: Tuple[Tuple[int, ...], ...] = tuple(
     for slot, (kind, cls) in enumerate(SLOT_KEYS))
 
 
+def _slots(cls: DataClass, *kinds: OpKind) -> Tuple[int, ...]:
+    return tuple(SLOT_INDEX[(kind, cls)] for kind in kinds)
+
+
+# Slot numbers of the keys the counters fill, named <kind>_<class>.
+_AND_LS, _XOR_LS, _SHIFT_LS, _CMP_LS = _slots(
+    DataClass.LOGICAL_SCALAR, OpKind.AND, OpKind.XOR, OpKind.SHIFT, OpKind.CMP)
+_ADD_IS, _MUL_IS, _DIV_IS, _SHIFT_IS, _CMP_IS, _LOOKUP_IS, _SET_IS, _FLOP_IS = (
+    _slots(DataClass.INT_SCALAR, OpKind.ADD, OpKind.MUL, OpKind.DIV,
+           OpKind.SHIFT, OpKind.CMP, OpKind.LOOKUP, OpKind.SET, OpKind.FLOP))
+_ADD_DS, _MUL_DS, _DIV_DS, _XOR_DS, _LOG_DS, _FLOP_DS = _slots(
+    DataClass.DOUBLE_SCALAR, OpKind.ADD, OpKind.MUL, OpKind.DIV, OpKind.XOR,
+    OpKind.LOG, OpKind.FLOP)
+(_XOR_LV,) = _slots(DataClass.LOGICAL_VECTOR, OpKind.XOR)
+
+
 class OperationTally:
     """Immutable multiset of (operation kind, data class) counts.
 
@@ -134,13 +158,6 @@ class OperationTally:
                 cleaned[slot] = value
         self._counts = cleaned
 
-    @classmethod
-    def _of_slots(cls, counts: Dict[int, int]) -> "OperationTally":
-        """Wrap an already valid ``{slot: positive count}`` dict."""
-        tally = object.__new__(cls)
-        tally._counts = counts
-        return tally
-
     def get(self, kind: OpKind, cls: DataClass) -> int:
         return self._counts.get(SLOT_INDEX.get((kind, cls)), 0)
 
@@ -158,18 +175,15 @@ class OperationTally:
         return {SLOT_KEYS[slot]: n for slot, n in self._counts.items()}
 
     def merged(self, other: "OperationTally") -> "OperationTally":
-        counts = dict(self._counts)
-        for slot, value in other._counts.items():
-            counts[slot] = counts.get(slot, 0) + value
-        return OperationTally._of_slots(counts)
+        return _sum((self, other))
 
     def scaled(self, factor: int) -> "OperationTally":
         if not isinstance(factor, int) or isinstance(factor, bool) or factor < 0:
             raise DomainError("tally scale factor must be a non-negative integer")
-        if not factor:
-            return EMPTY_TALLY
-        return OperationTally._of_slots(
-            {slot: v * factor for slot, v in self._counts.items()})
+        if factor <= 1:
+            return self if factor else EMPTY_TALLY
+        return _of_slots({slot: n * factor
+                          for slot, n in self._counts.items()})
 
     def total_ops(self, expand_flops: bool = False) -> int:
         """Total operation count; FLOPs count double when expanded."""
@@ -200,13 +214,32 @@ class OperationTally:
 EMPTY_TALLY = OperationTally()
 
 
+def _of_slots(counts: Dict[int, int]) -> OperationTally:
+    """Wrap a ``{slot: non-negative int}`` dict, zero counts dropped, with
+    no key or type check: the caller vouches for both."""
+    if 0 in counts.values():
+        counts = {slot: n for slot, n in counts.items() if n}
+    tally = object.__new__(OperationTally)
+    tally._counts = counts
+    return tally
+
+
+def _sum(terms: Iterable[OperationTally], factor: int = 1) -> OperationTally:
+    """The merge of ``terms``, scaled by ``factor`` (>= 1), in one pass."""
+    counts: Dict[int, int] = {}
+    for term in terms:
+        for slot, n in term._counts.items():
+            counts[slot] = counts.get(slot, 0) + n * factor
+    return _of_slots(counts)
+
+
 def expand_flops(tally: OperationTally) -> OperationTally:
     """Rewrite each FLOP as one ADD plus one MUL of the same class."""
     counts: Dict[int, int] = {}
     for slot, n in tally.slot_counts().items():
         for part in PART_SLOTS[slot]:
             counts[part] = counts.get(part, 0) + n
-    return OperationTally._of_slots(counts)
+    return _of_slots(counts)
 
 
 def _ilog2(n: int) -> int:
@@ -231,11 +264,8 @@ def count_crc(a_bits: int, p: int = 32) -> OperationTally:
     if p < 1:
         raise DomainError("CRC word width must be >= 1")
     per_kind = 5 * (a_bits // p) + 1
-    return OperationTally({
-        (OpKind.AND, DataClass.LOGICAL_SCALAR): per_kind,
-        (OpKind.XOR, DataClass.LOGICAL_SCALAR): per_kind,
-        (OpKind.SHIFT, DataClass.LOGICAL_SCALAR): per_kind,
-    })
+    return _of_slots({_AND_LS: per_kind, _XOR_LS: per_kind,
+                      _SHIFT_LS: per_kind})
 
 
 def count_segmentation(c: int) -> OperationTally:
@@ -247,7 +277,7 @@ def count_segmentation(c: int) -> OperationTally:
     """
     if c < 1:
         raise DomainError("segmentation needs at least one code block")
-    return OperationTally({(OpKind.FLOP, DataClass.INT_SCALAR): 9})
+    return _of_slots({_FLOP_IS: 9})
 
 
 def count_ldpc_encode(k: int, z: int, n1: int, rows: int, cols: int,
@@ -269,16 +299,15 @@ def count_ldpc_encode(k: int, z: int, n1: int, rows: int, cols: int,
         raise DomainError("LDPC encode needs k >= 2z")
     if n_ccb + 2 * z < k:
         raise DomainError("LDPC encode needs n_ccb + 2z >= k")
-    out_elems = rows * z
+    out_elems = rows * z * c
     inner = cols * z
-    per_cb = {
-        (OpKind.CMP, DataClass.INT_SCALAR): 2 * (k - 2 * z),
-        (OpKind.SET, DataClass.INT_SCALAR): rows * cols + (n_ccb + 2 * z - k),
-        (OpKind.DIV, DataClass.INT_SCALAR): n1,
-        (OpKind.MUL, DataClass.INT_SCALAR): out_elems * inner,
-        (OpKind.ADD, DataClass.INT_SCALAR): out_elems * (inner - 1),
-    }
-    return OperationTally(per_cb).scaled(c)
+    return _of_slots({
+        _CMP_IS: 2 * (k - 2 * z) * c,
+        _SET_IS: (rows * cols + (n_ccb + 2 * z - k)) * c,
+        _DIV_IS: n1 * c,
+        _MUL_IS: out_elems * inner,
+        _ADD_IS: out_elems * (inner - 1),
+    })
 
 
 def count_block_a(d: DerivedParams, bg: BaseGraphSpec) -> OperationTally:
@@ -288,13 +317,14 @@ def count_block_a(d: DerivedParams, bg: BaseGraphSpec) -> OperationTally:
     payload ``b`` (the sum of all code block sizes).  Rate matching and
     concatenation are index bookkeeping and contribute no operations.
     """
-    return (
-        count_crc(d.a)
-        + count_segmentation(d.c)
-        + count_crc(d.b)
-        + count_ldpc_encode(k=d.k, z=d.z, n1=bg.n1, rows=bg.rows,
-                            cols=bg.cols, n_ccb=d.n_ccb, c=d.c)
-    )
+    return _sum(_terms_a(d, bg))
+
+
+def _terms_a(d: DerivedParams, bg: BaseGraphSpec,
+             ) -> Tuple[OperationTally, ...]:
+    return (count_crc(d.a), count_segmentation(d.c), count_crc(d.b),
+            count_ldpc_encode(k=d.k, z=d.z, n1=bg.n1, rows=bg.rows,
+                              cols=bg.cols, n_ccb=d.n_ccb, c=d.c))
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +340,8 @@ def count_block_b(m_cw: int, n_symbols: int) -> OperationTally:
     """
     if m_cw < 0 or n_symbols < 0:
         raise DomainError("block B sizes must be >= 0")
-    return OperationTally({
-        (OpKind.XOR, DataClass.LOGICAL_VECTOR): 6 * m_cw,
-        (OpKind.LOOKUP, DataClass.INT_SCALAR): n_symbols,
-        (OpKind.SHIFT, DataClass.INT_SCALAR): n_symbols,
-    })
+    return _of_slots({_XOR_LV: 6 * m_cw, _LOOKUP_IS: n_symbols,
+                      _SHIFT_IS: n_symbols})
 
 
 def count_block_g(m_cw: int, n_symbols: int) -> OperationTally:
@@ -338,9 +365,7 @@ def count_block_c(p: int, v: int, m_symb_layer: int) -> OperationTally:
     if m_symb_layer < 0:
         raise DomainError("symbol count must be >= 0")
     per_symbol = 2 * p * v * v + v ** 3 + v + p * v + (2 * p * v - p)
-    return OperationTally({
-        (OpKind.FLOP, DataClass.DOUBLE_SCALAR): m_symb_layer * per_symbol,
-    })
+    return _of_slots({_FLOP_DS: m_symb_layer * per_symbol})
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +380,7 @@ def count_block_d(g: int, n_ant: int, n_fft: int) -> OperationTally:
     """
     if g < 1 or n_ant < 1:
         raise DomainError("transform counts need g >= 1 and n_ant >= 1")
-    flops = 5 * g * n_ant * n_fft * _ilog2(n_fft)
-    return OperationTally({(OpKind.FLOP, DataClass.DOUBLE_SCALAR): flops})
+    return _of_slots({_FLOP_DS: 5 * g * n_ant * n_fft * _ilog2(n_fft)})
 
 
 def count_block_e(g: int, n_ant: int, n_fft: int) -> OperationTally:
@@ -388,9 +412,7 @@ def count_ls(v: int, n_r: int, n_t: int, l: int, g: int,
         + unknowns ** 3                      # inversion
         + pilots * unknowns * (2 * unknowns - 1)   # (A^H A)^-1 A^H
     )
-    return OperationTally({
-        (OpKind.FLOP, DataClass.DOUBLE_SCALAR): v * n_r * bracket,
-    })
+    return _of_slots({_FLOP_DS: v * n_r * bracket})
 
 
 def count_mmse(n_r: int, n_t: int, n_f: int, g: int) -> OperationTally:
@@ -399,6 +421,13 @@ def count_mmse(n_r: int, n_t: int, n_f: int, g: int) -> OperationTally:
     One SVD-based filter setup per slot (2*n_r*n_t^2 + n_r^3 + n_r +
     n_r*n_t), then per subcarrier: diagonal loading, two small matrix
     products, and applying the filter to g received vectors.
+
+    A modelling choice: the set-up's cube term is n_r^3, the cube of the
+    receive-antenna count, while block C prices an SVD by the cube of its
+    column count, which here would be n_t^3.  With n_r = 8 and n_t = 2 the
+    set-up is 600 flops, where block C's rule would give 96; equal antenna
+    counts give the same either way.  The term is kept, because changing
+    it would move every sweep over asymmetric antenna counts.
     """
     if min(n_r, n_t, g) < 1 or n_f < 0:
         raise DomainError("mmse: n_r, n_t, g must be >= 1 and n_f >= 0")
@@ -409,20 +438,20 @@ def count_mmse(n_r: int, n_t: int, n_f: int, g: int) -> OperationTally:
         + n_t * n_r * (2 * n_r - 1)
         + n_t * g * (2 * n_r - 1)
     )
-    return OperationTally({
-        (OpKind.FLOP, DataClass.DOUBLE_SCALAR): setup + n_f * per_sc,
-    })
+    return _of_slots({_FLOP_DS: setup + n_f * per_sc})
 
 
 def count_block_f(d: DerivedParams, s: Scenario) -> OperationTally:
     """Least squares plus MMSE.  A modelling choice: estimation is costed
     over g*k_p = 14*k_p pilot equations whatever pilot_symbols_per_slot
     is, 0 included, so the pilot symbol count never reaches block F."""
-    return (
-        count_ls(v=s.n_layers, n_r=s.n_rx, n_t=s.n_tx, l=s.channel_len,
-                 g=d.g, k_p=d.k_p)
-        + count_mmse(n_r=s.n_rx, n_t=s.n_tx, n_f=d.n_f, g=d.g)
-    )
+    return _sum(_terms_f(d, s))
+
+
+def _terms_f(d: DerivedParams, s: Scenario) -> Tuple[OperationTally, ...]:
+    return (count_ls(v=s.n_layers, n_r=s.n_rx, n_t=s.n_tx, l=s.channel_len,
+                     g=d.g, k_p=d.k_p),
+            count_mmse(n_r=s.n_rx, n_t=s.n_tx, n_f=d.n_f, g=d.g))
 
 
 # ---------------------------------------------------------------------------
@@ -446,23 +475,19 @@ def count_ldpc_decode(n_vn: int, w_cn: int, deg_cn: int, deg_vn: int,
         raise DomainError("decode: node degrees must be >= 1")
     if iters < 0 or c < 1:
         raise DomainError("decode: iters >= 0 and c >= 1 required")
-    edges = w_cn * deg_cn
-    per_cb = {
-        (OpKind.DIV, DataClass.DOUBLE_SCALAR): n_vn,
-        (OpKind.LOG, DataClass.DOUBLE_SCALAR): n_vn,
-        (OpKind.MUL, DataClass.DOUBLE_SCALAR): iters * edges,
-        (OpKind.ADD, DataClass.DOUBLE_SCALAR):
-            iters * (n_vn * deg_vn + n_vn * (deg_vn + 1)),
-        (OpKind.XOR, DataClass.DOUBLE_SCALAR): iters * edges,
-    }
-    return OperationTally(per_cb).scaled(c)
+    edge_ops = iters * w_cn * deg_cn * c
+    return _of_slots({
+        _DIV_DS: n_vn * c,
+        _LOG_DS: n_vn * c,
+        _MUL_DS: edge_ops,
+        _ADD_DS: iters * (n_vn * deg_vn + n_vn * (deg_vn + 1)) * c,
+        _XOR_DS: edge_ops,
+    })
 
 
 def count_crc_decode(bits: int, p: int = 32) -> OperationTally:
     """CRC check: recompute the digest, then one compare."""
-    return count_crc(bits, p) + OperationTally({
-        (OpKind.CMP, DataClass.LOGICAL_SCALAR): 1,
-    })
+    return _of_slots({**count_crc(bits, p)._counts, _CMP_LS: 1})
 
 
 def count_block_h(d: DerivedParams, decode: DecodeConfig) -> OperationTally:
@@ -472,22 +497,23 @@ def count_block_h(d: DerivedParams, decode: DecodeConfig) -> OperationTally:
     redundancy handled per check node is the coded length minus the
     systematic payload.
     """
-    return (
-        count_ldpc_decode(n_vn=d.n_ccb, w_cn=d.n_ccb - d.k,
-                          deg_cn=decode.deg_cn, deg_vn=decode.deg_vn,
-                          iters=decode.iterations, c=d.c)
-        + count_crc_decode(d.b)
-        + count_crc_decode(d.a)
-    )
+    return _sum(_terms_h(d, decode))
+
+
+def _terms_h(d: DerivedParams, decode: DecodeConfig,
+             ) -> Tuple[OperationTally, ...]:
+    return (count_ldpc_decode(n_vn=d.n_ccb, w_cn=d.n_ccb - d.k,
+                              deg_cn=decode.deg_cn, deg_vn=decode.deg_vn,
+                              iters=decode.iterations, c=d.c),
+            count_crc_decode(d.b), count_crc_decode(d.a))
 
 
 # ---------------------------------------------------------------------------
 # Full pipeline
 
 
-@dataclass(frozen=True)
-class PipelineTallies:
-    """Per-block operation tallies for a whole run."""
+class PipelineTallies(NamedTuple):
+    """Per-block operation tallies for a whole run, in block order."""
 
     per_block: Mapping[BlockId, OperationTally]
     bits_transmitted: int
@@ -495,10 +521,7 @@ class PipelineTallies:
 
     @property
     def total(self) -> OperationTally:
-        merged = EMPTY_TALLY
-        for block in BlockId:
-            merged = merged + self.per_block[block]
-        return merged
+        return _sum(self.per_block.values())
 
 
 def tally_pipeline(s: Scenario) -> PipelineTallies:
@@ -506,16 +529,16 @@ def tally_pipeline(s: Scenario) -> PipelineTallies:
     d = derive(s)
     bg = BASE_GRAPHS[d.bg]
     e_antennas = s.rx_fft_antennas if s.rx_fft_antennas is not None else s.n_tx
-    per_slot = {
-        BlockId.A: count_block_a(d, bg),
-        BlockId.B: count_block_b(d.m_cw, d.n_symbols),
-        BlockId.C: count_block_c(s.n_ports, s.n_layers, d.m_symb_layer),
-        BlockId.D: count_block_d(d.g, s.n_tx, d.n_fft),
-        BlockId.E: count_block_e(d.g, e_antennas, d.n_fft),
-        BlockId.F: count_block_f(d, s),
-        BlockId.G: count_block_g(d.m_cw, d.n_symbols),
-        BlockId.H: count_block_h(d, s.decode),
+    n = s.n_slots
+    per_block = {
+        BlockId.A: _sum(_terms_a(d, bg), n),
+        BlockId.B: count_block_b(d.m_cw, d.n_symbols).scaled(n),
+        BlockId.C: count_block_c(s.n_ports, s.n_layers,
+                                 d.m_symb_layer).scaled(n),
+        BlockId.D: count_block_d(d.g, s.n_tx, d.n_fft).scaled(n),
+        BlockId.E: count_block_e(d.g, e_antennas, d.n_fft).scaled(n),
+        BlockId.F: _sum(_terms_f(d, s), n),
+        BlockId.G: count_block_g(d.m_cw, d.n_symbols).scaled(n),
+        BlockId.H: _sum(_terms_h(d, s.decode), n),
     }
-    per_block = {blk: tally.scaled(s.n_slots) for blk, tally in per_slot.items()}
-    return PipelineTallies(per_block=per_block,
-                           bits_transmitted=d.a * s.n_slots, derived=d)
+    return PipelineTallies(per_block, d.a * n, d)

@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
 import yaml
 
@@ -120,9 +122,9 @@ class Scenario:
     decode: DecodeConfig = field(default_factory=DecodeConfig)
 
 
-@dataclass(frozen=True)
-class DerivedParams:
-    """Air-interface quantities expanded from a Scenario."""
+class DerivedParams(NamedTuple):
+    """Air-interface quantities expanded from a Scenario.  A NamedTuple,
+    cheaper to build than a frozen dataclass: every derive builds one."""
 
     qm: int             # bits per modulation symbol
     n_f: int            # occupied subcarriers
@@ -179,20 +181,34 @@ def base_graph_id(a_bits: int, code_rate_num: int) -> int:
 def _fft_size(n_f: int) -> int:
     # Smallest power of two strictly above the occupied bandwidth,
     # never below 128.
-    size = 1
-    while size <= n_f:
-        size <<= 1
-    return max(size, 128)
+    return max(1 << n_f.bit_length(), 128)
+
+
+# Every integer field, the seven that must be >= 1 first; the last two
+# are optional and may be None.
+_INT_FIELDS = ("n_slots", "n_prb", "n_tx", "n_rx", "n_layers", "n_ports",
+               "channel_len", "scs_khz", "code_rate", "pilot_sc_per_prb",
+               "pilot_symbols_per_slot", "decode.deg_cn", "decode.deg_vn",
+               "decode.iterations", "tbs_override", "rx_fft_antennas")
+_int_fields_of = attrgetter(*_INT_FIELDS)
 
 
 def validate(s: Scenario) -> list[str]:
-    """Return a list of violated configuration rules (empty when valid)."""
-    problems: list[str] = []
+    """Return a list of violated configuration rules (empty when valid).
 
-    for name in ("n_slots", "n_prb", "n_tx", "n_rx", "n_layers", "n_ports",
-                 "channel_len"):
-        if getattr(s, name) < 1:
-            problems.append(f"{name} must be >= 1")
+    Integer fields that hold no ``int`` (or a bool) are reported alone,
+    before any range rule: the counters trust every integer to be one."""
+    values = _int_fields_of(s)
+    problems = [f"{name} must be an integer"
+                for name, value in zip(_INT_FIELDS, values)
+                if type(value) is not int
+                and (not isinstance(value, int) or isinstance(value, bool))
+                and not (value is None and name in _INT_FIELDS[-2:])]
+    if problems:
+        return problems
+
+    problems = [f"{name} must be >= 1"
+                for name, value in zip(_INT_FIELDS[:7], values) if value < 1]
     if s.n_prb > MAX_PRB:
         problems.append(f"n_prb must be <= {MAX_PRB}")
 
@@ -274,11 +290,12 @@ def derive(s: Scenario) -> DerivedParams:
     b = a + TB_CRC_BITS * c
 
     info_cols = BASE_GRAPHS[bg].info_cols
-    # Smallest lifting size with info_cols * z >= b / c, kept in integers.
-    z = next((cand for cand in LIFTING_SIZES if info_cols * cand * c >= b), None)
-    if z is None:
+    # Smallest lifting size with info_cols * z * c >= b, kept in integers.
+    index = bisect_left(LIFTING_SIZES, -(-b // (info_cols * c)))
+    if index == len(LIFTING_SIZES):
         raise ConfigError(
             f"no lifting size fits {b} bits in {c} code blocks on graph {bg}")
+    z = LIFTING_SIZES[index]
     k = info_cols * z
     # Coded length: every column but the two punctured systematic ones.
     n_ccb = (BASE_GRAPHS[bg].cols - 2) * z

@@ -114,6 +114,13 @@ def test_fmt_exact_matches_the_fraction_oracle(num, den):
     assert _outcome(fmt_exact, -q) == _outcome(_fmt_exact_oracle, -q)
 
 
+def test_rendered_block_names_and_sides_follow_the_block_order():
+    """The renderers label a report's blocks by position, from their own
+    name/side table: it must list BlockId's members in order."""
+    assert cli._ROWS == (*((b.value, b.side) for b in opcount.BlockId),
+                         ("TOTAL", ""))
+
+
 # ---------------------------------------------------------------------------
 # estimate
 

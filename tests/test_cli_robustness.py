@@ -156,13 +156,18 @@ _REPORT_HEADER = "function_path,block,operator,data_type,shape,count\n"
      "error[cost-table]: {path}:2: micro_ops has too many digits (5001)"),
     ("table", f"ADD,double_scalar,register,1,{LONG}",
      "error[cost-table]: {path}:2: cycles has too many digits (5001)"),
+    ("table", f"ADD,double_scalar,register,1,1/{LONG}",
+     "error[cost-table]: {path}:2: cycles has too many digits (5001)"),
+    ("table", f"ADD,double_scalar,register,1,0.{LONG}",
+     "error[cost-table]: {path}:2: cycles has too many digits (5001)"),
     ("report", f"f,A,ADD,double_scalar,,{LONG}",
      "error[measured]: {path}:2: count has too many digits (5001)"),
     ("scenario", _scenario_text([("n_slots", str(LONG))]),
      "error[config]: scenario.n_slots has too many digits (5001)"),
     ("scenario", _scenario_text([("code_rate", f"{LONG}/1024")]),
      "error[config]: scenario.code_rate has too many digits (5001)"),
-], ids=["micro_ops", "cycles", "count", "quoted-scenario-value", "rate"])
+], ids=["micro_ops", "cycles", "cycles-fraction", "cycles-decimal", "count",
+        "quoted-scenario-value", "rate"])
 def test_integer_text_past_the_digit_limit(tmp_path, kind, text, message):
     """Each reader of integer text reports a value past the digit limit as
     too long, in a short message that does not echo the digits."""

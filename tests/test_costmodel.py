@@ -390,3 +390,15 @@ def test_report_zero_bits_leaves_per_bit_undefined(uniform_table):
     assert report.bits_transmitted == 0
     assert report.total.cycles_per_bit is None
     assert report.total.cycles > 0
+
+
+def test_a_table_with_negative_cycles_cannot_price():
+    """Reports check only the total's energy for the float range, which
+    covers every block because table cycles are non-negative; a table built
+    in code with a negative entry is refused when compiled."""
+    entries = dict(make_table().entries)
+    entries[(OpKind.ADD, DS)] = CostEntry(micro_ops=1, cycles=Fraction(-1))
+    table = InstructionCostTable(entries=entries, source="negative")
+    with pytest.raises(CostTableError, match="negative: cycles must be >= 0"):
+        build_report(tally_pipeline(reference_scenario()), table,
+                     EnergyParams(kappa=1e-25, clock_hz=2.1e9))

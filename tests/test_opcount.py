@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -414,8 +413,9 @@ def _small_codes(draw):
     z = draw(st.sampled_from([z for z in LIFTING_SIZES if z <= 16]))
     c = draw(st.integers(min_value=1, max_value=3))
     a = draw(st.integers(min_value=0, max_value=300))
-    d = replace(derive(reference_scenario()), a=a, b=a + TB_CRC_BITS * c,
-                c=c, z=z, k=info_cols * z, n_ccb=(cols - 2) * z)
+    d = derive(reference_scenario())._replace(
+        a=a, b=a + TB_CRC_BITS * c, c=c, z=z, k=info_cols * z,
+        n_ccb=(cols - 2) * z)
     decode = DecodeConfig(deg_cn=draw(st.integers(min_value=1, max_value=6)),
                           deg_vn=draw(st.integers(min_value=1, max_value=4)),
                           iterations=draw(st.integers(min_value=0,
@@ -488,6 +488,13 @@ def test_rx_fft_antenna_override_only_moves_block_e():
             assert wide.per_block[b] == base.per_block[b]
 
 
+def test_mmse_setup_cubes_the_receive_antenna_count():
+    """The MMSE set-up's SVD cube term is n_r**3, not block C's cube of the
+    column count (n_t**3, which would give 96 for the first case)."""
+    assert count_mmse(8, 2, 0, 1) == OperationTally({(OpKind.FLOP, DS): 600})
+    assert count_mmse(2, 8, 0, 1) == OperationTally({(OpKind.FLOP, DS): 282})
+
+
 def test_block_f_ignores_the_pilot_symbol_count():
     """Least squares is costed over g*k_p pilot equations, as if every
     symbol of the slot carried pilots, even with no pilot symbols at all;
@@ -505,3 +512,83 @@ def test_pipeline_total_is_blockwise_sum(reference):
     for b in BlockId:
         merged = merged + tl.per_block[b]
     assert tl.total == merged
+
+
+# ---------------------------------------------------------------------------
+# The fused pipeline against its public term functions
+
+
+@st.composite
+def _valid_scenarios(draw):
+    """Scenarios across the whole valid space, optional fields included."""
+    n_tx = draw(st.integers(min_value=1, max_value=8))
+    n_rx = draw(st.integers(min_value=1, max_value=8))
+    n_layers = draw(st.integers(min_value=1, max_value=min(n_tx, n_rx)))
+    optional = st.one_of(st.none(), st.integers(min_value=1, max_value=8))
+    return reference_scenario(
+        n_slots=draw(st.integers(min_value=1, max_value=5)),
+        scs_khz=draw(st.sampled_from([15, 30, 60, 120])),
+        n_prb=draw(st.integers(min_value=1, max_value=275)),
+        modulation=draw(st.sampled_from(list(Modulation))),
+        code_rate=draw(st.integers(min_value=1, max_value=1023)),
+        n_tx=n_tx, n_rx=n_rx, n_layers=n_layers,
+        n_ports=draw(st.integers(min_value=n_layers, max_value=8)),
+        channel_len=draw(st.integers(min_value=1, max_value=8)),
+        pilot_sc_per_prb=draw(st.integers(min_value=1, max_value=12)),
+        pilot_symbols_per_slot=draw(st.integers(min_value=0, max_value=13)),
+        tbs_override=draw(st.one_of(
+            st.none(), st.integers(min_value=0, max_value=200_000))),
+        rx_fft_antennas=draw(optional),
+        decode=DecodeConfig(
+            deg_cn=draw(st.integers(min_value=1, max_value=24)),
+            deg_vn=draw(st.integers(min_value=1, max_value=6)),
+            iterations=draw(st.integers(min_value=0, max_value=12))))
+
+
+def _public_terms(s):
+    """Each block's one-slot tally and its terms, from the public count_*
+    functions."""
+    d = derive(s)
+    bg = select_base_graph(d.a, s.code_rate)
+    e_antennas = s.n_tx if s.rx_fft_antennas is None else s.rx_fft_antennas
+    blocks = {BlockId.A: count_block_a(d, bg), BlockId.F: count_block_f(d, s),
+              BlockId.H: count_block_h(d, s.decode)}
+    terms = {
+        BlockId.A: [count_crc(d.a), count_segmentation(d.c), count_crc(d.b),
+                    count_ldpc_encode(k=d.k, z=d.z, n1=bg.n1, rows=bg.rows,
+                                      cols=bg.cols, n_ccb=d.n_ccb, c=d.c)],
+        BlockId.B: [count_block_b(d.m_cw, d.n_symbols)],
+        BlockId.C: [count_block_c(s.n_ports, s.n_layers, d.m_symb_layer)],
+        BlockId.D: [count_block_d(d.g, s.n_tx, d.n_fft)],
+        BlockId.E: [count_block_e(d.g, e_antennas, d.n_fft)],
+        BlockId.F: [count_ls(v=s.n_layers, n_r=s.n_rx, n_t=s.n_tx,
+                             l=s.channel_len, g=d.g, k_p=d.k_p),
+                    count_mmse(n_r=s.n_rx, n_t=s.n_tx, n_f=d.n_f, g=d.g)],
+        BlockId.G: [count_block_g(d.m_cw, d.n_symbols)],
+        BlockId.H: [count_ldpc_decode(n_vn=d.n_ccb, w_cn=d.n_ccb - d.k,
+                                      deg_cn=s.decode.deg_cn,
+                                      deg_vn=s.decode.deg_vn,
+                                      iters=s.decode.iterations, c=d.c),
+                    count_crc_decode(d.b), count_crc_decode(d.a)],
+    }
+    return {block: (blocks.get(block, parts[0]), parts)
+            for block, parts in terms.items()}
+
+
+@given(s=_valid_scenarios())
+@settings(max_examples=150, deadline=None, derandomize=True,
+          phases=[phase for phase in Phase if phase is not Phase.explain])
+def test_fused_pipeline_equals_its_validated_terms(s):
+    """Each block is the merge of its public terms, every term re-validated
+    through the public constructor, scaled by n_slots; every stored count
+    is a positive int."""
+    tallies = tally_pipeline(s)
+    assert list(tallies.per_block) == list(BlockId)
+    for block, (per_slot, terms) in _public_terms(s).items():
+        merged = EMPTY_TALLY
+        for term in terms:
+            merged = merged + OperationTally(term.as_dict())
+        assert per_slot == merged
+        assert tallies.per_block[block] == merged.scaled(s.n_slots)
+        for count in tallies.per_block[block].slot_counts().values():
+            assert type(count) is int and count > 0

@@ -14,10 +14,11 @@ from phyenergy.costmodel import energy_per_cycle
 from phyenergy.errors import ConfigError
 from phyenergy.ingest import load_filter_config
 from phyenergy.legacy import evaluate_model
-from phyenergy.scenario import (LIFTING_SIZES, Modulation, base_graph_id,
-                                derive, load_scenario, parse_modulation,
-                                scenario_from_mapping, select_base_graph,
-                                validate)
+from phyenergy.opcount import tally_pipeline
+from phyenergy.scenario import (LIFTING_SIZES, DecodeConfig, Modulation,
+                                base_graph_id, derive, load_scenario,
+                                parse_modulation, scenario_from_mapping,
+                                select_base_graph, validate)
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +143,24 @@ def test_segmentation_consistency(num, prb, mod):
     assert d.z in LIFTING_SIZES
 
 
+@given(tbs=st.integers(min_value=0, max_value=1_500_000),
+       num=st.integers(min_value=1, max_value=1023))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_lifting_size_is_the_smallest_that_fits(tbs, num):
+    d = derive(reference_scenario(tbs_override=tbs, code_rate=num))
+    info_cols = {1: 22, 2: 10}[d.bg]
+    assert info_cols * d.z * d.c >= d.b
+    assert all(info_cols * z * d.c < d.b for z in LIFTING_SIZES if z < d.z)
+
+
+@given(prb=st.integers(min_value=1, max_value=275))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_fft_size_is_the_smallest_power_of_two_above_the_band(prb):
+    n_fft = derive(reference_scenario(n_prb=prb)).n_fft
+    assert n_fft & (n_fft - 1) == 0 and n_fft >= 128
+    assert n_fft > 12 * prb and (n_fft == 128 or n_fft // 2 <= 12 * prb)
+
+
 def test_derive_is_pure():
     s = reference_scenario()
     assert derive(s) == derive(s)
@@ -183,6 +202,35 @@ def test_counts_must_be_positive():
     problems = validate(reference_scenario(n_prb=0, n_slots=0))
     assert "n_prb must be >= 1" in problems
     assert "n_slots must be >= 1" in problems
+
+
+@pytest.mark.parametrize("overrides,problem", [
+    ({"n_prb": 52.0}, "n_prb must be an integer"),
+    ({"code_rate": 490.0}, "code_rate must be an integer"),
+    ({"n_slots": True}, "n_slots must be an integer"),
+    ({"decode": DecodeConfig(iterations=2.0)},
+     "decode.iterations must be an integer"),
+    ({"tbs_override": 8000.0}, "tbs_override must be an integer"),
+    ({"rx_fft_antennas": False}, "rx_fft_antennas must be an integer"),
+], ids=["float-n_prb", "float-code_rate", "bool-n_slots",
+        "float-iterations", "float-tbs_override", "bool-rx_fft_antennas"])
+def test_integer_fields_must_hold_ints(overrides, problem):
+    """The counters trust their integers, so validate checks every integer
+    field's type once: a float or a bool never reaches a count."""
+    s = reference_scenario(**overrides)
+    assert validate(s) == [problem]
+    with pytest.raises(ConfigError, match=problem):
+        derive(s)
+    with pytest.raises(ConfigError, match=problem):
+        tally_pipeline(s)
+
+
+def test_validate_reports_every_non_integer_field():
+    s = reference_scenario(n_prb=52.0, n_tx=4.0, n_slots=0,
+                           decode=DecodeConfig(deg_cn=True))
+    assert validate(s) == ["n_prb must be an integer",
+                           "n_tx must be an integer",
+                           "decode.deg_cn must be an integer"]
 
 
 def test_n_prb_is_capped_at_a_full_carrier():
