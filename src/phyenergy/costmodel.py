@@ -147,16 +147,32 @@ def read_csv_rows(text: str, source: str, header: Sequence[str], what: str,
 
     Blank lines and ``#`` comments are skipped, and the first remaining
     line must be ``header``.  Each physical line is parsed on its own, so
-    an unterminated quote cannot swallow the lines after it.  Problems
-    raise ``error``; ``what`` names the file kind in the empty-file error.
+    an unterminated quote cannot swallow the lines after it.  A line
+    without ``"`` (or NUL, which csv rejects before Python 3.11) is split
+    on commas directly, which gives the cells the csv module would; other
+    lines go through :mod:`csv`.  Both ways refuse a field longer than
+    ``csv.field_size_limit()``.  Problems, csv's own errors included,
+    raise ``error`` as ``<source>:<lineno>: ...``; ``what`` names the file
+    kind in the empty-file error.
     """
     header = list(header)
     seen_header = False
+    limit = csv.field_size_limit()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        cells = [cell.strip() for cell in next(csv.reader((line,)))]
+        if '"' in line or "\0" in line:
+            try:
+                fields = next(csv.reader((line,)))
+            except csv.Error as exc:
+                raise error(f"{source}:{lineno}: {exc}") from None
+        else:
+            fields = line.split(",")
+            if len(line) > limit and max(map(len, fields)) > limit:
+                raise error(f"{source}:{lineno}: field larger than field "
+                            f"limit ({limit})")
+        cells = list(map(str.strip, fields))
         if not seen_header:
             if cells != header:
                 raise error(f"{source}:{lineno}: header must be "

@@ -12,6 +12,11 @@ reported separately.  The column set is a reconstruction of a profiler
 export: the original tooling's exact column names are not public, so
 this schema is the package's documented interchange format.
 
+Parsing does constant work per row.  Every row's cells are validated
+first, the path filter runs next, and only the rows it keeps are
+attributed: the block map is indexed once per parse by prefix length,
+longest first, so a row costs one dict probe per distinct length.
+
 Measured rows run through the same cost path as modeled tallies
 (:func:`~phyenergy.costmodel.cycles_for` over the compiled cost table),
 which makes model/measurement ratios invariant under cost-table
@@ -26,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Mapping, NamedTuple, Optional, Tuple
 
 from .costmodel import (CLASS_BY_NAME, KIND_BY_NAME, EnergyReport,
                         InstructionCostTable, count_cell, cycles_for,
@@ -43,8 +48,7 @@ _BLOCK_BY_NAME = {name: blk for blk in BlockId
                   for name in (blk.value, blk.value.lower())}
 
 
-@dataclass(frozen=True)
-class MeasuredRow:
+class MeasuredRow(NamedTuple):
     function_path: str
     block: Optional[BlockId]
     operator: OpKind
@@ -89,26 +93,48 @@ class PathFilter:
 
     A path passes when it starts with some allow prefix (an empty
     allowlist admits everything) and starts with no deny prefix.
-    Filtering is idempotent by construction.
+    ``allow`` and ``deny`` take any iterable of prefixes and are kept as
+    tuples.  Filtering is idempotent by construction.
     """
 
     allow: Tuple[str, ...] = ()
     deny: Tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "allow", tuple(self.allow))
+        object.__setattr__(self, "deny", tuple(self.deny))
+
     def matches(self, path: str) -> bool:
-        if self.allow and not any(path.startswith(p) for p in self.allow):
+        if self.allow and not path.startswith(self.allow):
             return False
-        return not any(path.startswith(p) for p in self.deny)
+        return not path.startswith(self.deny)
+
+
+# A block map indexed by prefix length, longest first:
+# ((length, {prefix: block}), ...).
+_BlockIndex = Tuple[Tuple[int, Dict[str, BlockId]], ...]
+
+
+def _index_block_map(block_map: Mapping[str, BlockId]) -> _BlockIndex:
+    by_length: Dict[int, Dict[str, BlockId]] = {}
+    for prefix, block in block_map.items():
+        by_length.setdefault(len(prefix), {})[prefix] = block
+    return tuple(sorted(by_length.items(), reverse=True))
+
+
+def _lookup(path: str, index: _BlockIndex) -> Optional[BlockId]:
+    # Two matching prefixes of one length are the same string, so the
+    # first length that matches gives the longest match.
+    for length, blocks in index:
+        block = blocks.get(path[:length])
+        if block is not None:
+            return block
+    return None
 
 
 def assign_block(path: str, block_map: Mapping[str, BlockId]) -> Optional[BlockId]:
     """Longest-prefix block attribution; None when nothing matches."""
-    best: Optional[BlockId] = None
-    best_len = -1
-    for prefix, block in block_map.items():
-        if path.startswith(prefix) and len(prefix) > best_len:
-            best, best_len = block, len(prefix)
-    return best
+    return _lookup(path, _index_block_map(block_map))
 
 
 def parse_measurement(path: str | Path,
@@ -128,7 +154,7 @@ def parse_measurement_text(text: str, source: str = "<string>",
                            block_map: Optional[Mapping[str, BlockId]] = None,
                            ) -> MeasuredReport:
     path_filter = path_filter or PathFilter()
-    block_map = block_map or {}
+    index = _index_block_map(block_map or {})
 
     rows: list[MeasuredRow] = []
     seen = kept = filtered = unattributed = 0
@@ -137,26 +163,28 @@ def parse_measurement_text(text: str, source: str = "<string>",
         fpath, block_s, op_s, type_s, shape, count_s = cells
         seen += 1
 
+        # Every cell is checked before the filter, so a denied row with a
+        # bad cell fails too.
         operator = name_cell(op_s, KIND_BY_NAME, "operator", where,
                              MeasurementError)
         data_type = name_cell(type_s, CLASS_BY_NAME, "data_type", where,
                               MeasurementError)
         count = count_cell(count_s, "count", where, MeasurementError)
+        block: Optional[BlockId] = None
         if block_s:
-            block: Optional[BlockId] = name_cell(
-                block_s, _BLOCK_BY_NAME, "block", where, MeasurementError)
-        else:
-            block = assign_block(fpath, block_map)
+            block = name_cell(block_s, _BLOCK_BY_NAME, "block", where,
+                              MeasurementError)
 
         if not path_filter.matches(fpath):
             filtered += 1
             continue
         if block is None:
-            unattributed += 1
+            block = _lookup(fpath, index)
+            if block is None:
+                unattributed += 1
         kept += 1
-        rows.append(MeasuredRow(function_path=fpath, block=block,
-                                operator=operator, data_type=data_type,
-                                shape=shape, count=count))
+        rows.append(MeasuredRow(fpath, block, operator, data_type, shape,
+                                count))
 
     meta = MeasurementMeta(source=source, rows_seen=seen, rows_kept=kept,
                            rows_filtered=filtered,

@@ -3,10 +3,14 @@
 Everything here counts by *simulating the loop structure* of the
 algorithm in question, never by evaluating a formula, so agreement
 with the package's closed-form counts is meaningful.
+
+The ingest oracles at the end keep the plain loops that the indexed
+attribution, the tuple-based path filter and the comma split replaced.
 """
 
 from __future__ import annotations
 
+import csv
 from collections import Counter
 
 
@@ -203,3 +207,30 @@ def block_h_ops(a: int, b: int, c: int, n_vn: int, w_cn: int, deg_cn: int,
     _crc_pass(ops, b, check=True)
     _crc_pass(ops, a, check=True)
     return ops
+
+
+# ---------------------------------------------------------------------------
+# Ingest
+
+
+def longest_prefix_block(path, block_map):
+    """The block of the longest key of ``block_map`` that ``path`` starts
+    with, trying every key; None when none does."""
+    best = None
+    best_len = -1
+    for prefix, block in block_map.items():
+        if path.startswith(prefix) and len(prefix) > best_len:
+            best, best_len = block, len(prefix)
+    return best
+
+
+def path_passes(path, allow, deny):
+    """The allow/deny rule, one prefix at a time."""
+    if allow and not any(path.startswith(p) for p in allow):
+        return False
+    return not any(path.startswith(p) for p in deny)
+
+
+def csv_cells(line):
+    """The cells the csv module reads from one line."""
+    return next(csv.reader((line,)))

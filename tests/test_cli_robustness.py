@@ -9,6 +9,7 @@ on stderr.
 """
 
 import contextlib
+import csv
 import io
 import math
 import re
@@ -186,3 +187,27 @@ def test_integer_text_past_the_digit_limit(tmp_path, kind, text, message):
     code, out, err = _run(argv)
     assert (code, out) == (1, "")
     assert err == message.format(path=path) + "\n"
+
+
+@pytest.mark.parametrize("quote", ["", '"'], ids=["bare", "quoted"])
+@pytest.mark.parametrize("kind", ["table", "report"])
+def test_a_field_past_the_csv_limit(tmp_path, kind, quote):
+    """A cell longer than csv.field_size_limit() fails as the file's own
+    error, quoted or not, instead of escaping as csv.Error."""
+    limit = csv.field_size_limit()
+    cell = quote + "x" * (limit + 1) + quote
+    path = tmp_path / "input.csv"
+    if kind == "table":
+        path.write_text(_TABLE_HEADER + f"{cell},double_scalar,register,1,1\n")
+        argv = ["estimate", "--scenario", str(REFERENCE_PATH),
+                "--cost-table", str(path)]
+        code_name = "cost-table"
+    else:
+        path.write_text(_REPORT_HEADER + f"{cell},A,ADD,double_scalar,,1\n")
+        argv = ["compare", "--scenario", str(REFERENCE_PATH),
+                "--measured", str(path)]
+        code_name = "measured"
+    code, out, err = _run(argv)
+    assert (code, out) == (1, "")
+    assert err == (f"error[{code_name}]: {path}:2: field larger than field "
+                   f"limit ({limit})\n")

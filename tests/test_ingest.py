@@ -1,3 +1,4 @@
+import csv
 from fractions import Fraction
 
 import pytest
@@ -5,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_table, reference_scenario
+from oracles import csv_cells, longest_prefix_block, path_passes
 
-from phyenergy.costmodel import EnergyParams, build_report
+from phyenergy.costmodel import EnergyParams, build_report, read_csv_rows
 from phyenergy.errors import ConfigError, MeasurementError
 from phyenergy.ingest import (MeasuredRow, PathFilter, assign_block, compare,
                               load_filter_config, measured_cycles,
@@ -126,6 +128,160 @@ def test_longest_prefix_attribution():
     assert assign_block("nr5g/scrambling", block_map) is BlockId.B
     assert assign_block("nr5g/dlsch/crc", block_map) is BlockId.A
     assert assign_block("other/", block_map) is None
+
+
+def test_path_filter_takes_any_iterable_of_prefixes():
+    f = PathFilter(allow=["nr5g/"], deny=(p for p in ["nr5g/internal/"]))
+    assert f == PathFilter(allow=("nr5g/",), deny=("nr5g/internal/",))
+    assert (f.allow, f.deny) == (("nr5g/",), ("nr5g/internal/",))
+    assert f.matches("nr5g/dlsch/crc")
+    assert not f.matches("nr5g/internal/scratch")
+    assert not f.matches("matlab/startup")
+    hash(f)
+
+
+# Small alphabets, so that prefixes nest, repeat and outgrow the paths.
+_PATH_TEXT = st.text(alphabet="ab/é中", max_size=6)
+_BLOCK_MAPS = st.dictionaries(_PATH_TEXT, st.sampled_from(list(BlockId)),
+                              max_size=8)
+
+
+@given(block_map=_BLOCK_MAPS, path=_PATH_TEXT)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_indexed_attribution_equals_the_prefix_loop(block_map, path):
+    assert (assign_block(path, block_map)
+            is longest_prefix_block(path, block_map))
+
+
+@pytest.mark.parametrize("path, block", [
+    ("", BlockId.A), ("x", BlockId.A), ("ab", BlockId.B), ("abc", BlockId.C),
+    ("abcd", BlockId.C), ("abé", BlockId.D), ("a", BlockId.A),
+])
+def test_attribution_with_empty_nested_and_long_prefixes(path, block):
+    block_map = {"": BlockId.A, "ab": BlockId.B, "abc": BlockId.C,
+                 "abé": BlockId.D, "abcdefgh": BlockId.E}
+    assert assign_block(path, block_map) is block
+    assert longest_prefix_block(path, block_map) is block
+
+
+@given(allow=st.lists(_PATH_TEXT, max_size=3),
+       deny=st.lists(_PATH_TEXT, max_size=3), path=_PATH_TEXT)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_tuple_filter_equals_the_prefix_loop(allow, deny, path):
+    assert PathFilter(allow, deny).matches(path) == path_passes(path, allow,
+                                                                deny)
+
+
+# Lines as the reader sees them: no line break (splitlines removes those),
+# stripped, non-empty and not a comment.
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_CELL_CHARS = st.sampled_from(list(", \t#'\\;a1é\u00a0\0\u3000")) | \
+    st.characters(blacklist_characters='"' + _LINE_BREAKS)
+
+
+def _read_lines(texts):
+    return texts.map(str.strip).filter(lambda line: line and line[0] != "#")
+
+
+_LINES = _read_lines(st.text(_CELL_CHARS, min_size=1, max_size=30))
+_QUOTED_LINES = _read_lines(st.lists(st.sampled_from(
+    ['"', '""', ",", "a", " ", "\0"]), min_size=1).map("".join))
+
+
+# Lines with NUL go through csv, like quoted ones.
+@given(line=_LINES.filter(lambda line: "\0" not in line))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_a_quote_free_line_splits_like_csv(line):
+    assert line.split(",") == csv_cells(line)
+
+
+@given(line=_LINES | _QUOTED_LINES)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_csv_reader_cells_match_the_csv_module(line):
+    """The line is read as a header that must equal csv's stripped cells;
+    where csv itself fails, the reader fails as a MeasurementError."""
+    try:
+        expected = [cell.strip() for cell in csv_cells(line)]
+    except csv.Error:
+        with pytest.raises(MeasurementError, match=r"^s:1: "):
+            list(read_csv_rows(line, "s", ["x"], "file", MeasurementError))
+        return
+    assert list(read_csv_rows(line, "s", expected, "file",
+                              MeasurementError)) == []
+
+
+@pytest.mark.parametrize("quote", ["", '"'], ids=["bare", "quoted"])
+def test_field_size_limit_is_the_same_on_both_paths(quote):
+    limit = csv.field_size_limit()
+    for size, ok in ((limit, True), (limit + 1, False)):
+        fpath = quote + "p" * size + quote
+        text = HEADER + f"{fpath},A,ADD,int_scalar,1,5\n"
+        if ok:
+            report = parse_measurement_text(text)
+            assert report.rows[0].function_path == "p" * size
+        else:
+            with pytest.raises(MeasurementError) as exc:
+                parse_measurement_text(text)
+            assert str(exc.value) == (
+                f"<string>:2: field larger than field limit ({limit})")
+
+
+def test_a_denied_row_is_still_validated():
+    """Cells are checked before the filter: a row the filter drops fails
+    on a bad cell with the same message as a row it keeps."""
+    deny = PathFilter(deny=("nr5g/helpers/",))
+    for cells, message in (
+            (",NOP,int_scalar,1,5", "<string>:3: unknown operator 'NOP'"),
+            (",ADD,int128,1,5", "<string>:3: unknown data_type 'int128'"),
+            (",ADD,int_scalar,1,x",
+             "<string>:3: count must be an integer, got 'x'"),
+            ("Q,ADD,int_scalar,1,5", "<string>:3: unknown block 'Q'")):
+        text = (HEADER + "nr5g/scrambling,B,XOR,logical_vector,64,4000\n"
+                + f"nr5g/helpers/pad,{cells}\n")
+        for path_filter in (deny, None):
+            with pytest.raises(MeasurementError) as exc:
+                parse_measurement_text(text, path_filter=path_filter)
+            assert str(exc.value) == message
+
+
+MIXED = HEADER + """\
+nr5g/dlsch/crc,A,XOR,logical_scalar,32,1
+nr5g/dlsch/ldpc,,XOR,logical_scalar,32,2
+nr5g/dlsch/ldpc/inner,,ADD,int_scalar,1,3
+nr5g/scrambling,,XOR,logical_vector,64,4
+nr5g/helpers/pad,,SET,int_scalar,1,5
+nr5g/helpers/pad,H,SET,int_scalar,1,6
+nr5g/unmapped,,SET,int_scalar,1,7
+nr5g/unmapped,c,SET,int_scalar,1,8
+matlab/startup,,SET,int_scalar,1,9
+ext/lib,,SET,int_scalar,1,10
+"""
+
+
+def test_counters_on_a_mixed_report():
+    """Explicit letters, map-attributed rows (nested prefixes), denied
+    rows (with and without a letter), rows outside the allowlist and
+    rows no prefix covers."""
+    path_filter = PathFilter(allow=("nr5g/", "ext/"), deny=("nr5g/helpers/",))
+    block_map = {"nr5g/dlsch/": BlockId.A, "nr5g/dlsch/ldpc/": BlockId.H,
+                 "nr5g/scramb": BlockId.B, "nr5g/helpers/": BlockId.D,
+                 "matlab/": BlockId.E}
+    report = parse_measurement_text(MIXED, path_filter=path_filter,
+                                    block_map=block_map)
+    meta = report.meta
+    assert (meta.rows_seen, meta.rows_kept, meta.rows_filtered,
+            meta.rows_unattributed) == (10, 7, 3, 2)
+    assert [(r.count, r.block) for r in report.rows] == [
+        (1, BlockId.A), (2, BlockId.A), (3, BlockId.H), (4, BlockId.B),
+        (7, None), (8, BlockId.C), (10, None)]
+
+
+def test_measured_row_is_a_positional_record():
+    assert MeasuredRow._fields == ("function_path", "block", "operator",
+                                   "data_type", "shape", "count")
+    row = parse_measurement_text(SMALL).rows[0]
+    assert row == MeasuredRow("nr5g/dlsch/crc", BlockId.A, OpKind.XOR,
+                              DataClass.LOGICAL_SCALAR, "32", 596)
 
 
 def test_block_map_fills_empty_cells_only():
