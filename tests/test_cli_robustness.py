@@ -211,3 +211,41 @@ def test_a_field_past_the_csv_limit(tmp_path, kind, quote):
     assert (code, out) == (1, "")
     assert err == (f"error[{code_name}]: {path}:2: field larger than field "
                    f"limit ({limit})\n")
+
+
+
+_FU_PARAMS = (Path(__file__).parent.parent / "configs" / "fu.yaml").read_text()
+_ESTIMATE = ["estimate", "--scenario", "{path}"]
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["sweep", "--scenario", str(REFERENCE_PATH), "--param", "n_prb",
+      "--values", ","], None,
+     "error[usage]: --values must list at least one value"),
+    (["legacy", "--model", "fu-rf", "--params", "{path}"], "",
+     "error[config]: {path}: empty params file"),
+    (_ESTIMATE, "", "error[config]: {path}: empty scenario file"),
+    (_ESTIMATE, _scenario_text([("decode", {"deg_cn": 0})]),
+     "error[config]: decode.deg_cn must be >= 1"),
+    (_ESTIMATE, _scenario_text([("decode", {"deg_vn": 0})]),
+     "error[config]: decode.deg_vn must be >= 1"),
+    (_ESTIMATE, _scenario_text([("decode", {"iterations": -1})]),
+     "error[config]: decode.iterations must be >= 0"),
+    (["compare", "--scenario", str(REFERENCE_PATH), "--measured", "report.csv",
+      "--filter", "{path}"], "block_map: [a, b]\n",
+     "error[config]: {path}: filter.block_map must be a mapping"),
+    (["legacy", "--model", "fu-rf", "--params", "{path}"],
+     _FU_PARAMS.replace("rho_gops_per_w: 8.0", "rho_gops_per_w: 0"),
+     "error[config]: rho_gops_per_w must be positive"),
+], ids=["sweep-no-values", "empty-params", "empty-scenario", "decode-deg-cn",
+        "decode-deg-vn", "decode-iterations", "filter-block-map-list",
+        "fu-rf-zero-rho"])
+def test_reader_and_loader_errors(tmp_path, argv, text, message):
+    """Each reader or loader rejection prints its exact error line; the
+    input file, when the case has one, is ``{path}``."""
+    path = tmp_path / "input.yaml"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = _run([arg.replace("{path}", str(path)) for arg in argv])
+    assert (code, out) == (1, "")
+    assert err == message.replace("{path}", str(path)) + "\n"
