@@ -18,21 +18,19 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .errors import ConfigError, MeasurementError, PhyEnergyError, UsageError
-from .scenario import (DerivedParams, Scenario, load_scenario,
-                       parse_modulation, read_yaml, reject_long_digits,
-                       with_overrides)
+from .readers import echo, read_yaml, reject_long_digits
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
     from .costmodel import BlockCost, EnergyReport, InstructionCostTable
     from .ingest import ComparisonReport
+    from .scenario import DerivedParams, Scenario
 
 COST_TABLE_ENV = "PHYENERGY_COST_TABLE"
 
@@ -284,6 +282,7 @@ def _resolve_table(arg: Optional[str]) -> InstructionCostTable:
 
 def _load_run(args: argparse.Namespace,
               ) -> tuple[Scenario, InstructionCostTable]:
+    from .scenario import load_scenario, with_overrides
     s = load_scenario(args.scenario)
     s = with_overrides(s, kappa=args.kappa, clock_hz=args.clock_hz)
     return s, _resolve_table(args.cost_table)
@@ -308,6 +307,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def _sweep_scenarios(s: Scenario, param: str,
                      raw_values: str) -> list[tuple[str, Scenario]]:
+    from dataclasses import replace
+
+    from .scenario import parse_modulation
     values = [v.strip() for v in raw_values.split(",") if v.strip()]
     if not values:
         raise UsageError("--values must list at least one value")
@@ -323,7 +325,7 @@ def _sweep_scenarios(s: Scenario, param: str,
                 reject_long_digits(value, f"--values: a value for {param}",
                                    ConfigError)
                 raise UsageError(
-                    f"--values: {value!r} is not an integer for {param}"
+                    f"--values: {echo(value)} is not an integer for {param}"
                 ) from None
             out.append((value, replace(s, **{param: number})))
     return out

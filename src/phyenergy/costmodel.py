@@ -20,11 +20,15 @@ count as an integer numerator over the table's denominator, so renderers
 format exact decimals from integers; ``cycles`` and ``cycles_per_bit``
 build the exact rationals only when asked for, and floats appear only
 as energies and in rendered reports.
+
+Cost-table text is split into rows and cells by
+:mod:`~phyenergy.readers`, as measurement reports are; this module keeps
+only the table's own rules: its header, the kind and class names, the
+location rule and the ``cycles`` syntax.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import re
 import sys
@@ -33,15 +37,15 @@ from fractions import Fraction
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import (Dict, Iterator, Mapping, NamedTuple, Optional, Sequence,
-                    Tuple, TypeVar)
+from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
-from .errors import (ConfigError, CostTableError, CoverageError, DomainError,
-                     PhyEnergyError)
+from .errors import ConfigError, CostTableError, CoverageError, DomainError
 from .opcount import (PART_SLOTS, SLOT_INDEX, SLOT_KEYS, BlockId, DataClass,
                       OpKey, OpKind, OperationTally, PipelineTallies)
 from .opcount import expand_flops  # noqa: F401  (kept importable from here)
-from .scenario import DerivedParams, Scenario, read_text, reject_long_digits
+from .readers import (count_cell, echo, name_cell, read_csv_rows, read_text,
+                      reject_long_digits)
+from .scenario import DerivedParams, Scenario
 
 DEFAULT_TABLE_RESOURCE = "cost_table.csv"
 
@@ -133,83 +137,10 @@ def _parse_cycles(text: str, where: str) -> Fraction:
                 int(digits)
             except ValueError:
                 reject_long_digits(digits, f"{where}: cycles", CostTableError)
-        raise CostTableError(f"{where}: bad cycles value {text!r}") from None
+        raise CostTableError(f"{where}: bad cycles value {echo(text)}"
+                             ) from None
     if value < 0:
         raise CostTableError(f"{where}: cycles must be >= 0")
-    return value
-
-
-def read_csv_rows(text: str, source: str, header: Sequence[str], what: str,
-                  error: type[PhyEnergyError],
-                  ) -> Iterator[tuple[str, list[str]]]:
-    """Yield ``(where, stripped cells)`` for each data row of CSV text,
-    where ``where`` is ``<source>:<lineno>``, the prefix of a row's errors.
-
-    Blank lines and ``#`` comments are skipped, and the first remaining
-    line must be ``header``.  Each physical line is parsed on its own, so
-    an unterminated quote cannot swallow the lines after it.  A line
-    without ``"`` (or NUL, which csv rejects before Python 3.11) is split
-    on commas directly, which gives the cells the csv module would; other
-    lines go through :mod:`csv`.  Both ways refuse a field longer than
-    ``csv.field_size_limit()``.  Problems, csv's own errors included,
-    raise ``error`` as ``<source>:<lineno>: ...``; ``what`` names the file
-    kind in the empty-file error.
-    """
-    header = list(header)
-    seen_header = False
-    limit = csv.field_size_limit()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if '"' in line or "\0" in line:
-            try:
-                fields = next(csv.reader((line,)))
-            except csv.Error as exc:
-                raise error(f"{source}:{lineno}: {exc}") from None
-        else:
-            fields = line.split(",")
-            if len(line) > limit and max(map(len, fields)) > limit:
-                raise error(f"{source}:{lineno}: field larger than field "
-                            f"limit ({limit})")
-        cells = list(map(str.strip, fields))
-        if not seen_header:
-            if cells != header:
-                raise error(f"{source}:{lineno}: header must be "
-                            + ",".join(header))
-            seen_header = True
-        elif len(cells) != len(header):
-            raise error(f"{source}:{lineno}: expected {len(header)} columns, "
-                        f"got {len(cells)}")
-        else:
-            yield f"{source}:{lineno}", cells
-    if not seen_header:
-        raise error(f"{source}: empty {what}")
-
-
-Member = TypeVar("Member")
-
-
-def name_cell(text: str, names: Mapping[str, Member], column: str, where: str,
-              error: type[PhyEnergyError]) -> Member:
-    """The member that ``names`` (an enum's members by value) gives a cell."""
-    member = names.get(text)
-    if member is None:
-        raise error(f"{where}: unknown {column} {text!r}")
-    return member
-
-
-def count_cell(text: str, column: str, where: str,
-               error: type[PhyEnergyError]) -> int:
-    """A cell that holds a non-negative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        reject_long_digits(text, f"{where}: {column}", error)
-        raise error(f"{where}: {column} must be an integer, got {text!r}"
-                    ) from None
-    if value < 0:
-        raise error(f"{where}: {column} must be >= 0")
     return value
 
 
@@ -243,7 +174,7 @@ def parse_cost_table(text: str, source: str = "<string>") -> InstructionCostTabl
         if loc_s != location:
             if loc_s not in LOCATION_BY_CLASS.values():
                 raise CostTableError(
-                    f"{where}: unknown operand_location {loc_s!r}")
+                    f"{where}: unknown operand_location {echo(loc_s)}")
             raise CostTableError(
                 f"{where}: operand_location of {cls.value} must be "
                 f"{location!r}, got {loc_s!r}")

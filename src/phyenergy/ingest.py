@@ -12,6 +12,11 @@ reported separately.  The column set is a reconstruction of a profiler
 export: the original tooling's exact column names are not public, so
 this schema is the package's documented interchange format.
 
+Rows are split and their cells read by :mod:`~phyenergy.readers`, as
+cost-table rows are, and filter configs go through its YAML readers;
+this module keeps the report's columns, the block letters and the
+filter fields.
+
 Parsing does constant work per row.  Every row's cells are validated
 first, the path filter runs next, and only the rows it keeps are
 attributed: the block map is indexed once per parse by prefix length,
@@ -34,12 +39,12 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, Mapping, NamedTuple, Optional, Tuple
 
 from .costmodel import (CLASS_BY_NAME, KIND_BY_NAME, EnergyReport,
-                        InstructionCostTable, count_cell, cycles_for,
-                        name_cell, read_csv_rows)
+                        InstructionCostTable, cycles_for)
 from .errors import ConfigError, MeasurementError
 from .opcount import (BlockId, DataClass, OpKind, OperationTally,
                       PipelineTallies)
-from .scenario import _as_list, read_fields, read_text, read_yaml
+from .readers import (as_list, count_cell, echo, name_cell, read_csv_rows,
+                      read_fields, read_text, read_yaml)
 
 _HEADER = ["function_path", "block", "operator", "data_type", "shape", "count"]
 
@@ -93,14 +98,18 @@ class PathFilter:
 
     A path passes when it starts with some allow prefix (an empty
     allowlist admits everything) and starts with no deny prefix.
-    ``allow`` and ``deny`` take any iterable of prefixes and are kept as
-    tuples.  Filtering is idempotent by construction.
+    ``allow`` and ``deny`` take any iterable of prefixes, except a single
+    string, and are kept as tuples.  Filtering is idempotent by
+    construction.
     """
 
     allow: Tuple[str, ...] = ()
     deny: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        if isinstance(self.allow, str) or isinstance(self.deny, str):
+            raise TypeError("PathFilter allow and deny take an iterable of "
+                            "prefixes, not a string")
         object.__setattr__(self, "allow", tuple(self.allow))
         object.__setattr__(self, "deny", tuple(self.deny))
 
@@ -231,7 +240,7 @@ def rows_from_tallies(tallies: PipelineTallies,
 
 
 def _as_prefixes(label: str, value: Any) -> Tuple[str, ...]:
-    return tuple(str(item) for item in _as_list(label, value))
+    return tuple(str(item) for item in as_list(label, value))
 
 
 def _as_block_map(label: str, value: Any) -> Dict[str, BlockId]:
@@ -244,7 +253,7 @@ def _as_block_map(label: str, value: Any) -> Dict[str, BlockId]:
         block = _BLOCK_BY_NAME.get(str(letter).strip())
         if block is None:
             raise ConfigError(
-                f"{label} value {letter!r} is not a block A-H")
+                f"{label} value {echo(letter)} is not a block A-H")
         block_map[str(prefix)] = block
     return block_map
 

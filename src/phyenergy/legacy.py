@@ -14,7 +14,7 @@ from functools import partial
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ConfigError, DomainError
-from .scenario import Converter, _as_float, _as_int, _as_list, read_fields
+from .readers import Converter, as_float, as_int, as_list, echo, read_fields
 
 
 class AuerParams(NamedTuple):
@@ -167,7 +167,7 @@ def fu_rf_power(p: FuParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Parameter-file loading: every mapping is read by scenario.read_fields.
+# Parameter-file loading: every mapping is read by readers.read_fields.
 
 
 def _record(cls: Callable, fields: dict[str, Converter],
@@ -187,36 +187,36 @@ def _non_negative(conv: Converter) -> Converter:
     return checked
 
 
-_as_count = _non_negative(_as_int)      # chains, sectors, beams, antennas
-_as_power = _non_negative(_as_float)
+_as_count = _non_negative(as_int)      # chains, sectors, beams, antennas
+_as_power = _non_negative(as_float)
 
 
 def _as_flag(label: str, value: Any) -> bool:
     if isinstance(value, bool):
         return value
-    raise ConfigError(f"{label}: expected true/false, got {value!r}")
+    raise ConfigError(f"{label}: expected true/false, got {echo(value)}")
 
 
 _carrier = _record(ComponentCarrier,
-                   {"p_tx_w": _as_float, "bandwidth_mhz": _as_float,
-                    "p_cp_var_w_per_mhz": _as_float}, {})
+                   {"p_tx_w": as_float, "bandwidth_mhz": as_float,
+                    "p_cp_var_w_per_mhz": as_float}, {})
 
 
 def _as_carriers(label: str, value: Any) -> tuple[ComponentCarrier, ...]:
     return tuple(_carrier(f"{label}[{i}]", cc)
-                 for i, cc in enumerate(_as_list(label, value)))
+                 for i, cc in enumerate(as_list(label, value)))
 
 
 _fu_params = _record(
-    FuParams, {"rho_gops_per_w": _as_float},
+    FuParams, {"rho_gops_per_w": as_float},
     {"bb": _record(FuBasebandUnit,
-                   {"l_beams": _as_count, "q_enc_gops": _as_float,
-                    "q_net_gops": _as_float, "q_ctrl_gops": _as_float}, {}),
+                   {"l_beams": _as_count, "q_enc_gops": as_float,
+                    "q_net_gops": as_float, "q_ctrl_gops": as_float}, {}),
      "rf": _record(FuRfChain,
-                   {"m_antennas": _as_count, "q_mod_gops": _as_float,
-                    "q_mix_gops": _as_float, "q_vga_gops": _as_float,
-                    "q_lna_gops": _as_float, "q_adc_gops": _as_float,
-                    "q_clk_gops": _as_float}, {})})
+                   {"m_antennas": _as_count, "q_mod_gops": as_float,
+                    "q_mix_gops": as_float, "q_vga_gops": as_float,
+                    "q_lna_gops": as_float, "q_adc_gops": as_float,
+                    "q_clk_gops": as_float}, {})})
 
 # model name -> (context, loader, evaluator, unit); the loader reads the
 # parameter mapping under the context, which fu-bb and fu-rf share.
@@ -224,30 +224,30 @@ MODELS: dict[str, tuple] = {
     "auer": ("auer",
              _record(AuerParams,
                      {"n_trx": _as_count, "p0_w": _as_power,
-                      "delta_p": _as_float, "p_out_w": _as_power,
+                      "delta_p": as_float, "p_out_w": _as_power,
                       "p_max_w": _as_power, "p_sleep_w": _as_power}, {}),
              auer_power, "W"),
     "desset": ("desset",
                _record(DessetComponents,
-                       {"p_bbu_w": _as_float, "p_rf_w": _as_float,
-                        "p_pa_w": _as_float, "p_oh_w": _as_float}, {}),
+                       {"p_bbu_w": as_float, "p_rf_w": as_float,
+                        "p_pa_w": as_float, "p_oh_w": as_float}, {}),
                desset_power, "W"),
     "yan": ("yan",
             _record(YanSegments,
-                    {"e_ue_j": _as_float, "e_bs_j": _as_float,
-                     "e_wireline_j": _as_float, "e_dc_j": _as_float}, {}),
+                    {"e_ue_j": as_float, "e_bs_j": as_float,
+                     "e_wireline_j": as_float, "e_dc_j": as_float}, {}),
             yan_energy, "J"),
     # A missing carrier list means no carriers.
     "yu": ("yu",
            _record(partial(YuParams, carriers=()),
-                   {"p_cp_static_w": _as_float}, {"carriers": _as_carriers}),
+                   {"p_cp_static_w": as_float}, {"carriers": _as_carriers}),
            yu_power, "W"),
     "tombaz": ("tombaz",
                _record(TombazParams,
-                       {"n_sectors": _as_count, "p_tx_sector_w": _as_float,
-                        "eta_pa": _as_float, "n_rf_chains": _as_count,
-                        "p_c_w": _as_float, "p_b_w": _as_float},
-                       {"dtx_enabled": _as_flag, "delta": _as_float}),
+                       {"n_sectors": _as_count, "p_tx_sector_w": as_float,
+                        "eta_pa": as_float, "n_rf_chains": _as_count,
+                        "p_c_w": as_float, "p_b_w": as_float},
+                       {"dtx_enabled": _as_flag, "delta": as_float}),
                tombaz_power, "W"),
     "fu-bb": ("fu", _fu_params, fu_bb_power, "W"),
     "fu-rf": ("fu", _fu_params, fu_rf_power, "W"),

@@ -1,0 +1,222 @@
+"""Reading input files: the text, YAML, CSV and cell rules every loader shares.
+
+Every file the package reads comes in through :func:`read_text`.  YAML
+files (scenarios, legacy parameters, filter configs) are parsed by
+:func:`read_yaml`, and their mappings are checked by :func:`read_fields`,
+which hands each value to a converter such as :func:`as_int`.  CSV files
+(cost tables, measurement reports) are split by :func:`read_csv_rows`,
+and their cells are read by :func:`name_cell` and :func:`count_cell`.
+
+Two rules hold for every message about input.  Integer text past
+Python's int/str digit limit is reported by its length
+(:func:`reject_long_digits`), and a message shows a cell or value
+through :func:`echo`, which reports text longer than :data:`ECHO_LIMIT`
+by its length.  Which keys, columns and names a format accepts is up to
+the module that defines the format.
+"""
+
+from __future__ import annotations
+
+import csv
+import math
+from pathlib import Path
+from typing import Any, Callable, Iterator, Mapping, Sequence, TypeVar
+
+import yaml
+
+from .errors import ConfigError, PhyEnergyError
+
+# Longest repr a message echoes; a longer value is shown by its length.
+ECHO_LIMIT = 60
+
+
+def echo(value: Any) -> str:
+    """How a message shows an input cell or value: its repr, or, when that
+    is longer than :data:`ECHO_LIMIT`, the length of the text (of the repr,
+    for a value that is not a string)."""
+    text = repr(value)
+    if len(text) <= ECHO_LIMIT:
+        return text
+    length = len(value) if isinstance(value, str) else len(text)
+    return f"<{length} characters>"
+
+
+def reject_long_digits(text: str, label: str,
+                       error: type[PhyEnergyError]) -> None:
+    """Called by every reader of integer text when int() refuses it: raise
+    ``error``, without echoing the digits, when ``text`` is a decimal integer
+    past Python's int/str digit limit (4300 digits by default)."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if digits.isdecimal():
+        raise error(f"{label} has too many digits ({len(text)})") from None
+
+
+# ---------------------------------------------------------------------------
+# Text and YAML files.  YAML 1.1 resolves "2.1e9" to a string, so every
+# field is coerced explicitly instead of trusting the parser's types.
+
+
+def read_text(path: str | Path, what: str,
+              error: type[PhyEnergyError]) -> str:
+    """Text of a regular file; a missing path, a directory or bytes that do
+    not decode raise error."""
+    path = Path(path)
+    if not path.is_file():
+        state = "is not a file" if path.exists() else "not found"
+        raise error(f"{what} {state}: {path}")
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} is not text: {path}: {exc}") from None
+
+
+# libyaml's parser when PyYAML was built with it, else the pure-Python one;
+# both construct the same safe types.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def read_yaml(path: str | Path, what: str) -> Any:
+    """Parse a ``what`` YAML file (None when empty); errors are ConfigError."""
+    text = read_text(path, f"{what} file", ConfigError)
+    try:
+        return yaml.load(text, Loader=_YAML_LOADER)
+    # ValueError: a scalar the safe constructors reject, such as an integer
+    # past Python's digit limit or a date like 2001-13-45.
+    except (yaml.YAMLError, ValueError) as exc:
+        raise ConfigError(f"{Path(path)}: malformed config: {exc}") from None
+
+
+# Called as ``conv(label, value)``; ``label`` is the field's <context>.<key>.
+Converter = Callable[[str, Any], Any]
+
+
+def read_fields(mapping: Any, context: str, required: Mapping[str, Converter],
+                optional: Mapping[str, Converter]) -> dict[str, Any]:
+    """Convert the ``required`` keys and any present ``optional`` keys of a
+    mapping read under ``context``; other keys are rejected.  Every YAML
+    mapping the package reads goes through here."""
+    if not isinstance(mapping, Mapping):
+        raise ConfigError(f"{context}: expected a key/value mapping")
+    # YAML keys need not be strings: "1: 2" has the integer key 1.
+    unknown = sorted(map(str, set(mapping) - set(required) - set(optional)))
+    if unknown:
+        raise ConfigError(f"unknown {context} keys: " + ", ".join(unknown))
+    missing = sorted(set(required) - set(mapping))
+    if missing:
+        raise ConfigError(f"missing {context} keys: " + ", ".join(missing))
+    return {key: conv(f"{context}.{key}", mapping[key])
+            for fields in (required, optional)
+            for key, conv in fields.items() if key in mapping}
+
+
+def as_int(label: str, value: Any) -> int:
+    if isinstance(value, bool):
+        raise ConfigError(f"{label}: expected an integer, got a boolean")
+    if isinstance(value, int):
+        return value
+    if isinstance(value, str):
+        text = value.strip()
+        try:
+            return int(text)
+        except ValueError:
+            reject_long_digits(text, label, ConfigError)
+    raise ConfigError(f"{label}: expected an integer, got {echo(value)}")
+
+
+def as_float(label: str, value: Any) -> float:
+    if isinstance(value, bool):
+        raise ConfigError(f"{label}: expected a number, got a boolean")
+    try:
+        number = float(value) if isinstance(value, (int, float, str)) else None
+    except ValueError:
+        number = None
+    except OverflowError:       # an integer beyond the float range
+        number = math.inf
+    if number is None:
+        raise ConfigError(f"{label}: expected a number, got {echo(value)}")
+    if not math.isfinite(number):
+        raise ConfigError(f"{label} must be finite")
+    return number
+
+
+def as_list(label: str, value: Any) -> Sequence[Any]:
+    """A YAML list; an empty value is an empty list."""
+    if value is None:
+        return ()
+    if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
+        raise ConfigError(f"{label} must be a list")
+    return value
+
+
+def read_csv_rows(text: str, source: str, header: Sequence[str], what: str,
+                  error: type[PhyEnergyError],
+                  ) -> Iterator[tuple[str, list[str]]]:
+    """Yield ``(where, stripped cells)`` for each data row of CSV text,
+    where ``where`` is ``<source>:<lineno>``, the prefix of a row's errors.
+
+    Blank lines and ``#`` comments are skipped, and the first remaining
+    line must be ``header``.  Each physical line is parsed on its own, so
+    an unterminated quote cannot swallow the lines after it.  A line
+    without ``"`` (or NUL, which csv rejects before Python 3.11) is split
+    on commas directly, which gives the cells the csv module would; other
+    lines go through :mod:`csv`.  Both ways refuse a field longer than
+    ``csv.field_size_limit()``.  Problems, csv's own errors included,
+    raise ``error`` as ``<source>:<lineno>: ...``; ``what`` names the file
+    kind in the empty-file error.
+    """
+    header = list(header)
+    seen_header = False
+    limit = csv.field_size_limit()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if '"' in line or "\0" in line:
+            try:
+                fields = next(csv.reader((line,)))
+            except csv.Error as exc:
+                raise error(f"{source}:{lineno}: {exc}") from None
+        else:
+            fields = line.split(",")
+            if len(line) > limit and max(map(len, fields)) > limit:
+                raise error(f"{source}:{lineno}: field larger than field "
+                            f"limit ({limit})")
+        cells = list(map(str.strip, fields))
+        if not seen_header:
+            if cells != header:
+                raise error(f"{source}:{lineno}: header must be "
+                            + ",".join(header))
+            seen_header = True
+        elif len(cells) != len(header):
+            raise error(f"{source}:{lineno}: expected {len(header)} columns, "
+                        f"got {len(cells)}")
+        else:
+            yield f"{source}:{lineno}", cells
+    if not seen_header:
+        raise error(f"{source}: empty {what}")
+
+
+Member = TypeVar("Member")
+
+
+def name_cell(text: str, names: Mapping[str, Member], column: str, where: str,
+              error: type[PhyEnergyError]) -> Member:
+    """The member that ``names`` (an enum's members by value) gives a cell."""
+    member = names.get(text)
+    if member is None:
+        raise error(f"{where}: unknown {column} {echo(text)}")
+    return member
+
+
+def count_cell(text: str, column: str, where: str,
+               error: type[PhyEnergyError]) -> int:
+    """A cell that holds a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        reject_long_digits(text, f"{where}: {column}", error)
+        raise error(f"{where}: {column} must be an integer, got {echo(text)}"
+                    ) from None
+    if value < 0:
+        raise error(f"{where}: {column} must be >= 0")
+    return value

@@ -9,8 +9,10 @@ code block limits, base graph selection thresholds) follow 3GPP
 TS 38.212; the transport block size uses a deliberately simplified
 byte-aligned capacity rule rather than the full TS 38.214 procedure.
 
-Everything here is a pure value computation except the configuration
-file loaders at the end of the module.
+This module is the model and its loader: everything here is a pure
+value computation except :func:`load_scenario` and the field tables at
+the end of the module.  How a file is read and how each value is
+checked are :mod:`~phyenergy.readers`' rules.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Mapping, NamedTuple, Optional
 
-import yaml
-
-from .errors import ConfigError, PhyEnergyError
+from .errors import ConfigError
+from .readers import (as_float, as_int, echo, read_fields, read_yaml,
+                      reject_long_digits)
 
 # OFDM symbols per slot, normal cyclic prefix (TS 38.211).
 SYMBOLS_PER_SLOT = 14
@@ -86,7 +88,8 @@ def parse_modulation(value: Any) -> Modulation:
         return _MODULATION_ALIASES[name]
     except KeyError:
         valid = ", ".join(sorted(set(_MODULATION_ALIASES)))
-        raise ConfigError(f"unknown modulation {value!r}; valid: {valid}") from None
+        raise ConfigError(f"unknown modulation {echo(value)}; valid: {valid}"
+                          ) from None
 
 
 @dataclass(frozen=True)
@@ -313,70 +316,7 @@ def select_base_graph(a_bits: int, code_rate_num: int) -> BaseGraphSpec:
 
 
 # ---------------------------------------------------------------------------
-# Configuration file loading.  YAML 1.1 resolves "2.1e9" to a string, so
-# every field is coerced explicitly instead of trusting the parser's types.
-
-# Called as ``conv(label, value)``; ``label`` is the field's <context>.<key>.
-Converter = Callable[[str, Any], Any]
-
-
-def read_fields(mapping: Any, context: str, required: Mapping[str, Converter],
-                optional: Mapping[str, Converter]) -> dict[str, Any]:
-    """Convert the ``required`` keys and any present ``optional`` keys of a
-    mapping read under ``context``; other keys are rejected.  Every YAML
-    mapping the package reads goes through here."""
-    if not isinstance(mapping, Mapping):
-        raise ConfigError(f"{context}: expected a key/value mapping")
-    # YAML keys need not be strings: "1: 2" has the integer key 1.
-    unknown = sorted(map(str, set(mapping) - set(required) - set(optional)))
-    if unknown:
-        raise ConfigError(f"unknown {context} keys: " + ", ".join(unknown))
-    missing = sorted(set(required) - set(mapping))
-    if missing:
-        raise ConfigError(f"missing {context} keys: " + ", ".join(missing))
-    return {key: conv(f"{context}.{key}", mapping[key])
-            for fields in (required, optional)
-            for key, conv in fields.items() if key in mapping}
-
-
-def reject_long_digits(text: str, label: str,
-                       error: type[PhyEnergyError]) -> None:
-    """Called by every reader of integer text when int() refuses it: raise
-    ``error``, without echoing the digits, when ``text`` is a decimal integer
-    past Python's int/str digit limit (4300 digits by default)."""
-    digits = text[1:] if text[:1] in ("+", "-") else text
-    if digits.isdecimal():
-        raise error(f"{label} has too many digits ({len(text)})") from None
-
-
-def _as_int(label: str, value: Any) -> int:
-    if isinstance(value, bool):
-        raise ConfigError(f"{label}: expected an integer, got a boolean")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        text = value.strip()
-        try:
-            return int(text)
-        except ValueError:
-            reject_long_digits(text, label, ConfigError)
-    raise ConfigError(f"{label}: expected an integer, got {value!r}")
-
-
-def _as_float(label: str, value: Any) -> float:
-    if isinstance(value, bool):
-        raise ConfigError(f"{label}: expected a number, got a boolean")
-    try:
-        number = float(value) if isinstance(value, (int, float, str)) else None
-    except ValueError:
-        number = None
-    except OverflowError:       # an integer beyond the float range
-        number = math.inf
-    if number is None:
-        raise ConfigError(f"{label}: expected a number, got {value!r}")
-    if not math.isfinite(number):
-        raise ConfigError(f"{label} must be finite")
-    return number
+# Scenario file loading (the shared rules are in :mod:`~phyenergy.readers`).
 
 
 def _as_rate(label: str, value: Any) -> int:
@@ -386,28 +326,24 @@ def _as_rate(label: str, value: Any) -> int:
         try:
             numerator, denominator = int(num), int(den)
         except ValueError:
+            # The digit rule holds for each half that int() refuses.
             for part in (num, den):
-                reject_long_digits(part.strip(), label, ConfigError)
-            raise ConfigError(f"{label}: malformed rate {value!r}") from None
+                try:
+                    int(part)
+                except ValueError:
+                    reject_long_digits(part.strip(), label, ConfigError)
+            raise ConfigError(f"{label}: malformed rate {echo(value)}"
+                              ) from None
         if denominator != 1024:
             raise ConfigError(f"{label}: rate denominator must be 1024")
         return numerator
-    return _as_int(label, value)
-
-
-def _as_list(label: str, value: Any) -> Sequence[Any]:
-    """A YAML list; an empty value is an empty list."""
-    if value is None:
-        return ()
-    if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
-        raise ConfigError(f"{label} must be a list")
-    return value
+    return as_int(label, value)
 
 
 _DECODE_FIELDS = {
-    "deg_cn": _as_int,
-    "deg_vn": _as_int,
-    "iterations": _as_int,
+    "deg_cn": as_int,
+    "deg_vn": as_int,
+    "iterations": as_int,
 }
 
 
@@ -417,26 +353,26 @@ def _as_decode(label: str, value: Any) -> DecodeConfig:
 
 
 _REQUIRED_FIELDS = {
-    "n_slots": _as_int,
-    "snr_db": _as_float,
-    "scs_khz": _as_int,
-    "n_prb": _as_int,
+    "n_slots": as_int,
+    "snr_db": as_float,
+    "scs_khz": as_int,
+    "n_prb": as_int,
     "modulation": lambda label, v: parse_modulation(v),
     "code_rate": _as_rate,
-    "n_tx": _as_int,
-    "n_rx": _as_int,
-    "n_layers": _as_int,
-    "n_ports": _as_int,
+    "n_tx": as_int,
+    "n_rx": as_int,
+    "n_layers": as_int,
+    "n_ports": as_int,
 }
 
 _OPTIONAL_FIELDS = {
-    "clock_hz": _as_float,
-    "kappa": _as_float,
-    "channel_len": _as_int,
-    "pilot_sc_per_prb": _as_int,
-    "pilot_symbols_per_slot": _as_int,
-    "tbs_override": _as_int,
-    "rx_fft_antennas": _as_int,
+    "clock_hz": as_float,
+    "kappa": as_float,
+    "channel_len": as_int,
+    "pilot_sc_per_prb": as_int,
+    "pilot_symbols_per_slot": as_int,
+    "tbs_override": as_int,
+    "rx_fft_antennas": as_int,
     "decode": _as_decode,
 }
 
@@ -445,36 +381,6 @@ def scenario_from_mapping(mapping: Mapping[str, Any]) -> Scenario:
     """Build a Scenario from a parsed config mapping, rejecting unknown keys."""
     return Scenario(**read_fields(mapping, "scenario", _REQUIRED_FIELDS,
                                   _OPTIONAL_FIELDS))
-
-
-def read_text(path: str | Path, what: str,
-              error: type[PhyEnergyError]) -> str:
-    """Text of a regular file; a missing path, a directory or bytes that do
-    not decode raise error."""
-    path = Path(path)
-    if not path.is_file():
-        state = "is not a file" if path.exists() else "not found"
-        raise error(f"{what} {state}: {path}")
-    try:
-        return path.read_text()
-    except UnicodeDecodeError as exc:
-        raise error(f"{what} is not text: {path}: {exc}") from None
-
-
-# libyaml's parser when PyYAML was built with it, else the pure-Python one;
-# both construct the same safe types.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
-def read_yaml(path: str | Path, what: str) -> Any:
-    """Parse a ``what`` YAML file (None when empty); errors are ConfigError."""
-    text = read_text(path, f"{what} file", ConfigError)
-    try:
-        return yaml.load(text, Loader=_YAML_LOADER)
-    # ValueError: a scalar the safe constructors reject, such as an integer
-    # past Python's digit limit or a date like 2001-13-45.
-    except (yaml.YAMLError, ValueError) as exc:
-        raise ConfigError(f"{Path(path)}: malformed config: {exc}") from None
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -20,7 +20,7 @@ import yaml
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from phyenergy import scenario
+from phyenergy import readers
 from phyenergy.cli import main
 
 REFERENCE_PATH = Path(__file__).parent.parent / "configs" / "reference.yaml"
@@ -132,7 +132,7 @@ def test_cli_exits_cleanly_on_any_input(tmp_path_factory, changes, sweep,
 def test_integer_past_the_digit_limit_in_a_file(tmp_path, monkeypatch, loader):
     if not hasattr(yaml, loader):
         pytest.skip("PyYAML was built without libyaml")
-    monkeypatch.setattr(scenario, "_YAML_LOADER", getattr(yaml, loader))
+    monkeypatch.setattr(readers, "_YAML_LOADER", getattr(yaml, loader))
     path = tmp_path / "long.yaml"
     path.write_text(_scenario_text([("n_slots", LONG)]))
     code, out, err = _run(["estimate", "--scenario", str(path)])
@@ -249,3 +249,60 @@ def test_reader_and_loader_errors(tmp_path, argv, text, message):
     code, out, err = _run([arg.replace("{path}", str(path)) for arg in argv])
     assert (code, out) == (1, "")
     assert err == message.replace("{path}", str(path)) + "\n"
+
+
+
+@pytest.mark.parametrize("rate", ["abc/1024", "490/abc", "4 9 0/1024"])
+def test_a_malformed_rate_is_not_too_many_digits(tmp_path, rate):
+    """Only a half of the rate that int() refuses meets the digit rule."""
+    path = tmp_path / "scenario.yaml"
+    path.write_text(_scenario_text([("code_rate", rate)]))
+    code, out, err = _run(["estimate", "--scenario", str(path)])
+    assert (code, out) == (1, "")
+    assert err == (f"error[config]: scenario.code_rate: malformed rate "
+                   f"{rate!r}\n")
+
+
+_WIDE = "x" * 100_000
+_ROW = "f,A,ADD,double_scalar,,1"
+_REPORT = ["compare", "--scenario", str(REFERENCE_PATH), "--measured",
+           "{path}"]
+_TABLE = ["estimate", "--scenario", str(REFERENCE_PATH), "--cost-table",
+          "{path}"]
+_TOMBAZ = "".join(f"{key}: 1\n" for key in ("n_sectors", "p_tx_sector_w",
+                                             "eta_pa", "n_rf_chains", "p_c_w",
+                                             "p_b_w"))
+
+
+@pytest.mark.parametrize("argv, text", [
+    (_REPORT, _REPORT_HEADER + _ROW.replace("ADD", _WIDE)),
+    (_REPORT, _REPORT_HEADER + _ROW.replace(",1", "," + _WIDE)),
+    (_REPORT, _REPORT_HEADER + _ROW.replace("double_scalar", _WIDE)),
+    (_REPORT, _REPORT_HEADER + _ROW.replace(",A,", f",{_WIDE},")),
+    (_TABLE, _TABLE_HEADER + f"ADD,double_scalar,{_WIDE},1,1"),
+    (_TABLE, _TABLE_HEADER + f"ADD,double_scalar,register,1,{_WIDE}"),
+    (_TABLE, _TABLE_HEADER + f"ADD,double_scalar,register,1,1/{_WIDE}"),
+    (_ESTIMATE, _scenario_text([("modulation", _WIDE)])),
+    (_ESTIMATE, _scenario_text([("code_rate", f"{_WIDE}/1024")])),
+    (_ESTIMATE, _scenario_text([("n_slots", _WIDE)])),
+    (_ESTIMATE, _scenario_text([("snr_db", _WIDE)])),
+    (_ESTIMATE, _scenario_text([("n_slots", list(range(30_000)))])),
+    (_REPORT[:-1] + ["report.csv", "--filter", "{path}"],
+     f"block_map:\n  nr5g/: {_WIDE}\n"),
+    (["legacy", "--model", "tombaz", "--params", "{path}"],
+     _TOMBAZ + f"dtx_enabled: {_WIDE}\n"),
+    (["sweep", "--scenario", str(REFERENCE_PATH), "--param", "n_prb",
+      "--values", _WIDE], None),
+], ids=["operator", "count", "data_type", "block", "operand_location",
+        "cycles", "cycles-fraction", "modulation", "rate", "int", "float",
+        "int-list", "block-map-letter", "legacy-flag", "sweep-value"])
+def test_a_wide_cell_is_shown_by_its_length(tmp_path, argv, text):
+    """A message names a cell or value longer than the echo limit by its
+    length: one short stderr line, not the 100 kB of input."""
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = _run([arg.replace("{path}", str(path)) for arg in argv])
+    assert (code, out) == (1, "")
+    assert err.startswith("error[") and err.count("\n") == 1, err[:300]
+    assert len(err.replace(str(path), "").encode()) < 300, err[:300]

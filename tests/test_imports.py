@@ -5,6 +5,7 @@ import graph is pinned here: every case runs in a fresh interpreter and
 reports which ``phyenergy`` modules were loaded when it finished.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -56,6 +57,14 @@ def test_legacy_loads_no_counting_costing_or_ingest():
     assert not loaded & _COUNTING
 
 
+def test_legacy_loads_only_the_cli_readers_and_legacy():
+    loaded = _loaded_after(_command(
+        "legacy", "--model", "tombaz",
+        "--params", str(CONFIGS / "tombaz.yaml")))
+    assert loaded == {"phyenergy", "phyenergy.cli", "phyenergy.errors",
+                      "phyenergy.readers", "phyenergy.legacy"}
+
+
 @pytest.mark.parametrize("argv", [
     ["estimate", "--scenario", REFERENCE],
     ["sweep", "--scenario", REFERENCE, "--param", "n_prb", "--values", "1,2"],
@@ -73,3 +82,25 @@ def test_every_exported_name_resolves():
         assert getattr(module, name) is value
     with pytest.raises(AttributeError, match="no_such_name"):
         phyenergy.no_such_name
+
+
+def _imported_names(tree: ast.Module) -> list:
+    """(module, name) for each ``from phyenergy... import name`` and each
+    ``from . import``/``from .module import`` in a module's syntax tree."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("phyenergy")):
+            found += [(node.module or ".", alias.name) for alias in node.names]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(
+    Path(phyenergy.__file__).parent.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_imports_another_modules_private_name(path):
+    """A name with a leading underscore belongs to its own module: no
+    ``phyenergy`` module imports one from another."""
+    private = [f"{module}.{name}" for module, name in
+               _imported_names(ast.parse(path.read_text()))
+               if name.startswith("_")]
+    assert private == []

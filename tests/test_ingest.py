@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import make_table, reference_scenario
 from oracles import csv_cells, longest_prefix_block, path_passes
 
-from phyenergy.costmodel import EnergyParams, build_report, read_csv_rows
+from phyenergy.costmodel import EnergyParams, build_report
 from phyenergy.errors import ConfigError, MeasurementError
 from phyenergy.ingest import (MeasuredRow, PathFilter, assign_block, compare,
                               load_filter_config, measured_cycles,
@@ -16,6 +16,7 @@ from phyenergy.ingest import (MeasuredRow, PathFilter, assign_block, compare,
                               rows_from_tallies, serialize_measurement,
                               unattributed_cycles, write_measurement)
 from phyenergy.opcount import BlockId, DataClass, OpKind, tally_pipeline
+from phyenergy.readers import read_csv_rows
 
 HEADER = "function_path,block,operator,data_type,shape,count\n"
 
@@ -138,6 +139,15 @@ def test_path_filter_takes_any_iterable_of_prefixes():
     assert not f.matches("nr5g/internal/scratch")
     assert not f.matches("matlab/startup")
     hash(f)
+
+
+@pytest.mark.parametrize("kwargs", [{"allow": "phy/"}, {"deny": "phy/"}],
+                         ids=["allow", "deny"])
+def test_path_filter_rejects_a_single_string(kwargs):
+    """A string is an iterable of one-character prefixes: ``allow="phy/"``
+    would admit ``hello`` and ``/etc``."""
+    with pytest.raises(TypeError, match="not a string"):
+        PathFilter(**kwargs)
 
 
 # Small alphabets, so that prefixes nest, repeat and outgrow the paths.
