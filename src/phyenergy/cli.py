@@ -282,9 +282,12 @@ def _resolve_table(arg: Optional[str]) -> InstructionCostTable:
 
 def _load_run(args: argparse.Namespace,
               ) -> tuple[Scenario, InstructionCostTable]:
-    from .scenario import load_scenario, with_overrides
-    s = load_scenario(args.scenario)
-    s = with_overrides(s, kappa=args.kappa, clock_hz=args.clock_hz)
+    from dataclasses import replace
+
+    from .scenario import load_scenario
+    overrides = {"kappa": args.kappa, "clock_hz": args.clock_hz}
+    s = replace(load_scenario(args.scenario),
+                **{name: v for name, v in overrides.items() if v is not None})
     return s, _resolve_table(args.cost_table)
 
 

@@ -21,10 +21,10 @@ format exact decimals from integers; ``cycles`` and ``cycles_per_bit``
 build the exact rationals only when asked for, and floats appear only
 as energies and in rendered reports.
 
-Cost-table text is split into rows and cells by
-:mod:`~phyenergy.readers`, as measurement reports are; this module keeps
-only the table's own rules: its header, the kind and class names, the
-location rule and the ``cycles`` syntax.
+Cost-table text, the bundled table's included, is read and split into
+rows and cells by :mod:`~phyenergy.readers`, as measurement reports are;
+this module keeps only the table's own rules: its header, the kind and
+class names, the location rule and the ``cycles`` syntax.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from importlib import resources
 from pathlib import Path
 from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
@@ -44,7 +43,7 @@ from .opcount import (PART_SLOTS, SLOT_INDEX, SLOT_KEYS, BlockId, DataClass,
                       OpKey, OpKind, OperationTally, PipelineTallies)
 from .opcount import expand_flops  # noqa: F401  (kept importable from here)
 from .readers import (count_cell, echo, name_cell, read_csv_rows, read_text,
-                      reject_long_digits)
+                      reject_long_parts)
 from .scenario import DerivedParams, Scenario
 
 DEFAULT_TABLE_RESOURCE = "cost_table.csv"
@@ -132,11 +131,8 @@ def _parse_cycles(text: str, where: str) -> Fraction:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         # The digit rule holds for each integer of 1/3, 0.25 and 2.5e-1.
-        for digits in re.split("[/.eE]", text):
-            try:
-                int(digits)
-            except ValueError:
-                reject_long_digits(digits, f"{where}: cycles", CostTableError)
+        reject_long_parts(re.split("[/.eE]", text), f"{where}: cycles",
+                          CostTableError)
         raise CostTableError(f"{where}: bad cycles value {echo(text)}"
                              ) from None
     if value < 0:
@@ -196,9 +192,10 @@ def load_cost_table(path: str | Path) -> InstructionCostTable:
 
 
 def load_default_cost_table() -> InstructionCostTable:
-    text = resources.files("phyenergy").joinpath(
-        "data", DEFAULT_TABLE_RESOURCE).read_text()
-    return parse_cost_table(text, source=f"bundled:{DEFAULT_TABLE_RESOURCE}")
+    """The table bundled as ``data/cost_table.csv`` next to this module."""
+    path = Path(__file__).with_name("data") / DEFAULT_TABLE_RESOURCE
+    return parse_cost_table(read_text(path, "cost table", CostTableError),
+                            source=f"bundled:{DEFAULT_TABLE_RESOURCE}")
 
 
 def _price(tally: OperationTally, table: InstructionCostTable,

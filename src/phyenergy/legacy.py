@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ConfigError, DomainError
-from .readers import Converter, as_float, as_int, as_list, echo, read_fields
+from .readers import Converter, as_float, as_int, as_list, echo, record
 
 
 class AuerParams(NamedTuple):
@@ -167,14 +167,7 @@ def fu_rf_power(p: FuParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Parameter-file loading: every mapping is read by readers.read_fields.
-
-
-def _record(cls: Callable, fields: dict[str, Converter],
-            optional: dict[str, Converter]) -> Converter:
-    """Converter building ``cls`` from a mapping read under its label."""
-    return lambda label, mapping: cls(**read_fields(mapping, label, fields,
-                                                    optional))
+# Parameter-file loading: every mapping is read by readers.record.
 
 
 def _non_negative(conv: Converter) -> Converter:
@@ -197,9 +190,9 @@ def _as_flag(label: str, value: Any) -> bool:
     raise ConfigError(f"{label}: expected true/false, got {echo(value)}")
 
 
-_carrier = _record(ComponentCarrier,
-                   {"p_tx_w": as_float, "bandwidth_mhz": as_float,
-                    "p_cp_var_w_per_mhz": as_float}, {})
+_carrier = record(ComponentCarrier,
+                  {"p_tx_w": as_float, "bandwidth_mhz": as_float,
+                   "p_cp_var_w_per_mhz": as_float}, {})
 
 
 def _as_carriers(label: str, value: Any) -> tuple[ComponentCarrier, ...]:
@@ -207,47 +200,47 @@ def _as_carriers(label: str, value: Any) -> tuple[ComponentCarrier, ...]:
                  for i, cc in enumerate(as_list(label, value)))
 
 
-_fu_params = _record(
+_fu_params = record(
     FuParams, {"rho_gops_per_w": as_float},
-    {"bb": _record(FuBasebandUnit,
-                   {"l_beams": _as_count, "q_enc_gops": as_float,
-                    "q_net_gops": as_float, "q_ctrl_gops": as_float}, {}),
-     "rf": _record(FuRfChain,
-                   {"m_antennas": _as_count, "q_mod_gops": as_float,
-                    "q_mix_gops": as_float, "q_vga_gops": as_float,
-                    "q_lna_gops": as_float, "q_adc_gops": as_float,
-                    "q_clk_gops": as_float}, {})})
+    {"bb": record(FuBasebandUnit,
+                  {"l_beams": _as_count, "q_enc_gops": as_float,
+                   "q_net_gops": as_float, "q_ctrl_gops": as_float}, {}),
+     "rf": record(FuRfChain,
+                  {"m_antennas": _as_count, "q_mod_gops": as_float,
+                   "q_mix_gops": as_float, "q_vga_gops": as_float,
+                   "q_lna_gops": as_float, "q_adc_gops": as_float,
+                   "q_clk_gops": as_float}, {})})
 
 # model name -> (context, loader, evaluator, unit); the loader reads the
 # parameter mapping under the context, which fu-bb and fu-rf share.
 MODELS: dict[str, tuple] = {
     "auer": ("auer",
-             _record(AuerParams,
-                     {"n_trx": _as_count, "p0_w": _as_power,
-                      "delta_p": as_float, "p_out_w": _as_power,
-                      "p_max_w": _as_power, "p_sleep_w": _as_power}, {}),
+             record(AuerParams,
+                    {"n_trx": _as_count, "p0_w": _as_power,
+                     "delta_p": as_float, "p_out_w": _as_power,
+                     "p_max_w": _as_power, "p_sleep_w": _as_power}, {}),
              auer_power, "W"),
     "desset": ("desset",
-               _record(DessetComponents,
-                       {"p_bbu_w": as_float, "p_rf_w": as_float,
-                        "p_pa_w": as_float, "p_oh_w": as_float}, {}),
+               record(DessetComponents,
+                      {"p_bbu_w": as_float, "p_rf_w": as_float,
+                       "p_pa_w": as_float, "p_oh_w": as_float}, {}),
                desset_power, "W"),
     "yan": ("yan",
-            _record(YanSegments,
-                    {"e_ue_j": as_float, "e_bs_j": as_float,
-                     "e_wireline_j": as_float, "e_dc_j": as_float}, {}),
+            record(YanSegments,
+                   {"e_ue_j": as_float, "e_bs_j": as_float,
+                    "e_wireline_j": as_float, "e_dc_j": as_float}, {}),
             yan_energy, "J"),
     # A missing carrier list means no carriers.
     "yu": ("yu",
-           _record(partial(YuParams, carriers=()),
-                   {"p_cp_static_w": as_float}, {"carriers": _as_carriers}),
+           record(partial(YuParams, carriers=()),
+                  {"p_cp_static_w": as_float}, {"carriers": _as_carriers}),
            yu_power, "W"),
     "tombaz": ("tombaz",
-               _record(TombazParams,
-                       {"n_sectors": _as_count, "p_tx_sector_w": as_float,
-                        "eta_pa": as_float, "n_rf_chains": _as_count,
-                        "p_c_w": as_float, "p_b_w": as_float},
-                       {"dtx_enabled": _as_flag, "delta": as_float}),
+               record(TombazParams,
+                      {"n_sectors": _as_count, "p_tx_sector_w": as_float,
+                       "eta_pa": as_float, "n_rf_chains": _as_count,
+                       "p_c_w": as_float, "p_b_w": as_float},
+                      {"dtx_enabled": _as_flag, "delta": as_float}),
                tombaz_power, "W"),
     "fu-bb": ("fu", _fu_params, fu_bb_power, "W"),
     "fu-rf": ("fu", _fu_params, fu_rf_power, "W"),

@@ -174,9 +174,6 @@ class OperationTally:
     def as_dict(self) -> Dict[OpKey, int]:
         return {SLOT_KEYS[slot]: n for slot, n in self._counts.items()}
 
-    def merged(self, other: "OperationTally") -> "OperationTally":
-        return _sum((self, other))
-
     def scaled(self, factor: int) -> "OperationTally":
         if not isinstance(factor, int) or isinstance(factor, bool) or factor < 0:
             raise DomainError("tally scale factor must be a non-negative integer")
@@ -195,7 +192,7 @@ class OperationTally:
     def __add__(self, other: "OperationTally") -> "OperationTally":
         if not isinstance(other, OperationTally):
             return NotImplemented
-        return self.merged(other)
+        return _sum((self, other))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OperationTally):

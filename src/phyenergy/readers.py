@@ -1,18 +1,21 @@
 """Reading input files: the text, YAML, CSV and cell rules every loader shares.
 
-Every file the package reads comes in through :func:`read_text`.  YAML
-files (scenarios, legacy parameters, filter configs) are parsed by
-:func:`read_yaml`, and their mappings are checked by :func:`read_fields`,
-which hands each value to a converter such as :func:`as_int`.  CSV files
-(cost tables, measurement reports) are split by :func:`read_csv_rows`,
-and their cells are read by :func:`name_cell` and :func:`count_cell`.
+Every file the package reads comes in through :func:`read_text`, the
+bundled cost table included.  YAML files (scenarios, legacy parameters,
+filter configs) are parsed by :func:`read_yaml`, and their mappings are
+checked by :func:`read_fields`, which hands each value to a converter
+such as :func:`as_int`; :func:`record` makes the converter that builds a
+record from a mapping.  CSV files (cost tables, measurement reports) are
+split by :func:`read_csv_rows`, and their cells are read by
+:func:`name_cell` and :func:`count_cell`.
 
 Two rules hold for every message about input.  Integer text past
 Python's int/str digit limit is reported by its length
-(:func:`reject_long_digits`), and a message shows a cell or value
-through :func:`echo`, which reports text longer than :data:`ECHO_LIMIT`
-by its length.  Which keys, columns and names a format accepts is up to
-the module that defines the format.
+(:func:`reject_long_digits`, or :func:`reject_long_parts` for text made
+of several integers), and a message shows a cell, value or key through
+:func:`echo`, which reports text longer than :data:`ECHO_LIMIT` by its
+length.  Which keys, columns and names a format accepts is up to the
+module that defines the format.
 """
 
 from __future__ import annotations
@@ -30,11 +33,11 @@ from .errors import ConfigError, PhyEnergyError
 ECHO_LIMIT = 60
 
 
-def echo(value: Any) -> str:
-    """How a message shows an input cell or value: its repr, or, when that
-    is longer than :data:`ECHO_LIMIT`, the length of the text (of the repr,
-    for a value that is not a string)."""
-    text = repr(value)
+def echo(value: Any, bare: bool = False) -> str:
+    """How a message shows an input cell or value: its repr, or the string
+    itself when ``bare`` (as keys print); or, when that is longer than
+    :data:`ECHO_LIMIT`, its length (the repr's, for a non-string value)."""
+    text = value if bare else repr(value)
     if len(text) <= ECHO_LIMIT:
         return text
     length = len(value) if isinstance(value, str) else len(text)
@@ -49,6 +52,17 @@ def reject_long_digits(text: str, label: str,
     digits = text[1:] if text[:1] in ("+", "-") else text
     if digits.isdecimal():
         raise error(f"{label} has too many digits ({len(text)})") from None
+
+
+def reject_long_parts(parts: Sequence[str], label: str,
+                      error: type[PhyEnergyError]) -> None:
+    """The digit rule for text made of several integers, such as a fraction:
+    :func:`reject_long_digits` for each of ``parts`` that int() refuses."""
+    for part in parts:
+        try:
+            int(part)
+        except ValueError:
+            reject_long_digits(part, label, error)
 
 
 # ---------------------------------------------------------------------------
@@ -100,13 +114,23 @@ def read_fields(mapping: Any, context: str, required: Mapping[str, Converter],
     # YAML keys need not be strings: "1: 2" has the integer key 1.
     unknown = sorted(map(str, set(mapping) - set(required) - set(optional)))
     if unknown:
-        raise ConfigError(f"unknown {context} keys: " + ", ".join(unknown))
+        raise ConfigError(f"unknown {context} keys: " + ", ".join(
+            echo(key, bare=True) for key in unknown))
     missing = sorted(set(required) - set(mapping))
     if missing:
         raise ConfigError(f"missing {context} keys: " + ", ".join(missing))
     return {key: conv(f"{context}.{key}", mapping[key])
             for fields in (required, optional)
             for key, conv in fields.items() if key in mapping}
+
+
+def record(cls: Callable, required: Mapping[str, Converter],
+           optional: Mapping[str, Converter],
+           context: str | None = None) -> Converter:
+    """Converter building ``cls`` from a mapping read under ``context``, or
+    under the label it is called with when there is none."""
+    return lambda label, mapping: cls(**read_fields(
+        mapping, context or label, required, optional))
 
 
 def as_int(label: str, value: Any) -> int:

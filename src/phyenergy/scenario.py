@@ -11,8 +11,9 @@ byte-aligned capacity rule rather than the full TS 38.214 procedure.
 
 This module is the model and its loader: everything here is a pure
 value computation except :func:`load_scenario` and the field tables at
-the end of the module.  How a file is read and how each value is
-checked are :mod:`~phyenergy.readers`' rules.
+the end of the module.  How a file is read, how each value is checked
+and how a mapping becomes a :class:`Scenario` or :class:`DecodeConfig`
+are :mod:`~phyenergy.readers`' rules.
 """
 
 from __future__ import annotations
@@ -20,14 +21,14 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Mapping, NamedTuple, Optional
 
 from .errors import ConfigError
-from .readers import (as_float, as_int, echo, read_fields, read_yaml,
-                      reject_long_digits)
+from .readers import (as_float, as_int, echo, read_yaml, record,
+                      reject_long_parts)
 
 # OFDM symbols per slot, normal cyclic prefix (TS 38.211).
 SYMBOLS_PER_SLOT = 14
@@ -326,12 +327,7 @@ def _as_rate(label: str, value: Any) -> int:
         try:
             numerator, denominator = int(num), int(den)
         except ValueError:
-            # The digit rule holds for each half that int() refuses.
-            for part in (num, den):
-                try:
-                    int(part)
-                except ValueError:
-                    reject_long_digits(part.strip(), label, ConfigError)
+            reject_long_parts((num.strip(), den.strip()), label, ConfigError)
             raise ConfigError(f"{label}: malformed rate {echo(value)}"
                               ) from None
         if denominator != 1024:
@@ -340,16 +336,9 @@ def _as_rate(label: str, value: Any) -> int:
     return as_int(label, value)
 
 
-_DECODE_FIELDS = {
-    "deg_cn": as_int,
-    "deg_vn": as_int,
-    "iterations": as_int,
-}
-
-
-def _as_decode(label: str, value: Any) -> DecodeConfig:
-    """The decode section, read under the context ``decode``."""
-    return DecodeConfig(**read_fields(value, "decode", {}, _DECODE_FIELDS))
+# The decode section is read under the context ``decode``.
+_as_decode = record(DecodeConfig, {}, {"deg_cn": as_int, "deg_vn": as_int,
+                                       "iterations": as_int}, "decode")
 
 
 _REQUIRED_FIELDS = {
@@ -377,10 +366,12 @@ _OPTIONAL_FIELDS = {
 }
 
 
+_as_scenario = record(Scenario, _REQUIRED_FIELDS, _OPTIONAL_FIELDS)
+
+
 def scenario_from_mapping(mapping: Mapping[str, Any]) -> Scenario:
     """Build a Scenario from a parsed config mapping, rejecting unknown keys."""
-    return Scenario(**read_fields(mapping, "scenario", _REQUIRED_FIELDS,
-                                  _OPTIONAL_FIELDS))
+    return _as_scenario("scenario", mapping)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -390,14 +381,3 @@ def load_scenario(path: str | Path) -> Scenario:
     if raw is None:
         raise ConfigError(f"{path}: empty scenario file")
     return scenario_from_mapping(raw)
-
-
-def with_overrides(s: Scenario, *, kappa: Optional[float] = None,
-                   clock_hz: Optional[float] = None) -> Scenario:
-    """Scenario copy with energy-model knobs replaced (CLI overrides)."""
-    updates: dict[str, float] = {}
-    if kappa is not None:
-        updates["kappa"] = kappa
-    if clock_hz is not None:
-        updates["clock_hz"] = clock_hz
-    return replace(s, **updates) if updates else s

@@ -306,3 +306,17 @@ def test_a_wide_cell_is_shown_by_its_length(tmp_path, argv, text):
     assert (code, out) == (1, "")
     assert err.startswith("error[") and err.count("\n") == 1, err[:300]
     assert len(err.replace(str(path), "").encode()) < 300, err[:300]
+
+
+@pytest.mark.parametrize("length", [100_000, 61, 60])
+def test_an_unknown_key_is_shown_bare_or_by_its_length(tmp_path, length):
+    """An unknown key prints bare up to the echo limit and by its length
+    past it, so the error stays one short line."""
+    key = "k" * length
+    path = tmp_path / "scenario.yaml"
+    path.write_text(REFERENCE_PATH.read_text() + f"? {key}\n: 1\n")
+    code, out, err = _run(["estimate", "--scenario", str(path)])
+    assert (code, out) == (1, "")
+    shown = key if length <= readers.ECHO_LIMIT else f"<{length} characters>"
+    assert err == f"error[config]: unknown scenario keys: {shown}\n"
+    assert len(err.encode()) < 300

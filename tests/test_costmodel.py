@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import make_table, reference_scenario
 
+import phyenergy
 from phyenergy.costmodel import (CostEntry, EnergyParams, InstructionCostTable,
                                  build_report, cycles_for, energy_per_cycle,
                                  expand_flops, load_cost_table,
@@ -144,6 +146,18 @@ def test_default_table_covers_pipeline_tallies():
     for block in BlockId:
         totals = cycles_for(tallies.per_block[block], table)
         assert totals.cycles > 0
+
+
+def test_default_table_is_the_bundled_file():
+    """The default table is ``data/cost_table.csv`` in the package, read as
+    any table file is.  Its ``# source:`` line names it in both cases; the
+    ``bundled:`` label prefixes only errors in the file."""
+    bundled = load_default_cost_table()
+    table = load_cost_table(Path(phyenergy.__file__).parent / "data"
+                            / "cost_table.csv")
+    assert (bundled.entries, bundled.date) == (table.entries, table.date)
+    assert bundled.source == table.source
+    assert bundled.source.startswith("bundled default, ")
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,12 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 import phyenergy
+from phyenergy.ingest import rows_from_tallies, serialize_measurement
+from phyenergy.opcount import tally_pipeline
+from phyenergy.scenario import load_scenario
 
 ROOT = Path(__file__).parent.parent
 CONFIGS = ROOT / "configs"
@@ -73,6 +77,32 @@ def test_estimate_and_sweep_load_no_ingest(argv):
     loaded = _loaded_after(_command(*argv))
     assert {"phyenergy.opcount", "phyenergy.costmodel"} <= loaded
     assert "phyenergy.ingest" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--scenario", REFERENCE],
+    ["sweep", "--scenario", REFERENCE, "--param", "n_prb", "--values", "1,2"],
+    ["compare", "--scenario", REFERENCE, "--measured", "{measured}",
+     "--filter", str(CONFIGS / "filter_example.yaml")],
+], ids=["estimate", "sweep", "compare"])
+def test_counting_commands_load_no_importlib_resources(tmp_path, argv):
+    """The bundled cost table is read as a plain file next to the package's
+    modules.  Run under ``python -S``, so that no site hook imports
+    ``importlib.resources`` first; PyYAML's directory goes on the path."""
+    measured = tmp_path / "measured.csv"
+    measured.write_text(serialize_measurement(rows_from_tallies(
+        tally_pipeline(load_scenario(REFERENCE)), path_prefix="nr5g/")))
+    argv = [arg.replace("{measured}", str(measured)) for arg in argv]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([
+        str(Path(phyenergy.__file__).parent.parent),
+        str(Path(yaml.__file__).parent.parent)])
+    report = "\nimport sys\nprint('importlib.resources' in sys.modules)"
+    done = subprocess.run([sys.executable, "-S", "-c",
+                           _command(*argv) + report], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_every_exported_name_resolves():
