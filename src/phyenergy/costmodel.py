@@ -8,7 +8,7 @@ registers, double vectors in xmm registers, and structs in memory.  A
 table row's ``operand_location`` must be the one its class implies;
 :func:`parse_cost_table` rejects any other row.
 
-Each table is compiled once, on first use, into per-slot integer
+Each table is compiled once, when it is built, into per-slot integer
 vectors indexed like :data:`~phyenergy.opcount.SLOT_KEYS`: micro-ops,
 and cycle numerators over one common denominator (the lcm of the
 table's cycle denominators).  A slot is priced as the sum of its parts
@@ -32,9 +32,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from pathlib import Path
 from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
@@ -60,22 +58,54 @@ LOCATION_BY_CLASS = {
 }
 
 
-@dataclass(frozen=True)
-class CostEntry:
+class CostEntry(NamedTuple):
     micro_ops: int
     cycles: Fraction
 
 
-@dataclass(frozen=True)
+def _compile(entries: Mapping[OpKey, CostEntry], source: str,
+             ) -> Tuple[Tuple[int, ...], Tuple[int, ...], int, Dict[int, int]]:
+    """A table compiled per slot (see :data:`~phyenergy.opcount.SLOT_KEYS`),
+    each slot priced as the sum of its :data:`~phyenergy.opcount.PART_SLOTS`:
+    ``(micro_ops, cycles, den, missing)``.  A slot costs ``micro_ops[slot]``
+    micro-ops and ``cycles[slot] / den`` cycles, unless ``missing`` maps it
+    to the first of its parts that has no table entry.  Cycles must be
+    non-negative (as :func:`parse_cost_table` ensures), so that no block of
+    a report costs more than the total."""
+    priced = {SLOT_INDEX[key]: entry for key, entry in entries.items()}
+    if any(entry.cycles < 0 for entry in priced.values()):
+        raise CostTableError(f"{source or 'cost table'}: cycles must be >= 0")
+    den = math.lcm(*[e.cycles.denominator for e in priced.values()])
+    scaled = {slot: e.cycles.numerator * (den // e.cycles.denominator)
+              for slot, e in priced.items()}
+    micro_ops = [0] * len(SLOT_KEYS)
+    cycles = [0] * len(SLOT_KEYS)
+    missing: Dict[int, int] = {}
+    for slot, parts in enumerate(PART_SLOTS):
+        lacking = [part for part in parts if part not in priced]
+        if lacking:
+            missing[slot] = lacking[0]
+        else:
+            micro_ops[slot] = sum(priced[part].micro_ops for part in parts)
+            cycles[slot] = sum(scaled[part] for part in parts)
+    return tuple(micro_ops), tuple(cycles), den, missing
+
+
 class InstructionCostTable:
-    """Lookup table from (kind, class) to micro-ops and cycles.  The
+    """Lookup table from (kind, class) to micro-ops and cycles, compiled
+    when built; a table with a negative cycles entry is refused then.  The
     operand location is not a key: a CSV row's ``operand_location`` must
     equal the one its class implies (:data:`LOCATION_BY_CLASS`), and
     :func:`parse_cost_table` rejects any other row."""
 
-    entries: Mapping[OpKey, CostEntry]
-    source: str = ""
-    date: str = ""
+    __slots__ = ("entries", "source", "date", "_kernel")
+
+    def __init__(self, entries: Mapping[OpKey, CostEntry], source: str = "",
+                 date: str = ""):
+        self.entries = entries
+        self.source = source
+        self.date = date
+        self._kernel = _compile(entries, source)
 
     def lookup(self, kind: OpKind, cls: DataClass) -> CostEntry:
         try:
@@ -87,43 +117,19 @@ class InstructionCostTable:
                 f"operand_location={LOCATION_BY_CLASS[cls]} "
                 f"(table source: {self.source or 'unknown'})") from None
 
-    @cached_property
-    def _kernel(self) -> Tuple[Tuple[int, ...], Tuple[int, ...], int,
-                               Dict[int, int]]:
-        """The table compiled per slot (see
-        :data:`~phyenergy.opcount.SLOT_KEYS`), each slot priced as the sum
-        of its :data:`~phyenergy.opcount.PART_SLOTS`:
-        ``(micro_ops, cycles, den, missing)``.  A slot costs
-        ``micro_ops[slot]`` micro-ops and ``cycles[slot] / den`` cycles,
-        unless ``missing`` maps it to the first of its parts that has no
-        table entry.  Built on first use and kept on the instance.  Cycles
-        must be non-negative (as :func:`parse_cost_table` ensures), so that
-        no block of a report costs more than the total."""
-        priced = {SLOT_INDEX[key]: entry for key, entry in self.entries.items()}
-        if any(entry.cycles < 0 for entry in priced.values()):
-            raise CostTableError(f"{self.source or 'cost table'}: cycles must "
-                                 "be >= 0")
-        den = math.lcm(*[e.cycles.denominator for e in priced.values()])
-        scaled = {slot: e.cycles.numerator * (den // e.cycles.denominator)
-                  for slot, e in priced.items()}
-        micro_ops = [0] * len(SLOT_KEYS)
-        cycles = [0] * len(SLOT_KEYS)
-        missing: Dict[int, int] = {}
-        for slot, parts in enumerate(PART_SLOTS):
-            lacking = [part for part in parts if part not in priced]
-            if lacking:
-                missing[slot] = lacking[0]
-            else:
-                micro_ops[slot] = sum(priced[part].micro_ops for part in parts)
-                cycles[slot] = sum(scaled[part] for part in parts)
-        return tuple(micro_ops), tuple(cycles), den, missing
-
 
 _HEADER = ["op_kind", "data_class", "operand_location", "micro_ops", "cycles"]
 
 # Each enum's members by value, for reading CSV cells (ingest's too).
 KIND_BY_NAME = {kind.value: kind for kind in OpKind}
 CLASS_BY_NAME = {cls.value: cls for cls in DataClass}
+
+
+# The largest reduced denominator of a cycles value (1e-300 is about
+# where floats end).  A report's cycle counts fit a float, so each then
+# prints as at most 309 whole digits and 996 decimal places, inside
+# Python's int/str digit limit.
+_MAX_CYCLES_DEN = 10 ** 300
 
 
 def _parse_cycles(text: str, where: str) -> Fraction:
@@ -137,6 +143,9 @@ def _parse_cycles(text: str, where: str) -> Fraction:
                              ) from None
     if value < 0:
         raise CostTableError(f"{where}: cycles must be >= 0")
+    if value.denominator > _MAX_CYCLES_DEN:
+        raise CostTableError(f"{where}: cycles {echo(text)} has a reduced "
+                             "denominator over 10**300")
     return value
 
 

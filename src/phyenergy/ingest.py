@@ -19,8 +19,9 @@ filter fields.
 
 Parsing does constant work per row.  Every row's cells are validated
 first, the path filter runs next, and only the rows it keeps are
-attributed: the block map is indexed once per parse by prefix length,
-longest first, so a row costs one dict probe per distinct length.
+attributed and summed per block: the block map is indexed once per parse
+by prefix length, longest first, so a row costs one dict probe per
+distinct length.
 
 Measured rows run through the same cost path as modeled tallies
 (:func:`~phyenergy.costmodel.cycles_for` over the compiled cost table),
@@ -32,15 +33,14 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+import sys
 from fractions import Fraction
-from functools import cached_property
 from pathlib import Path
 from typing import Any, Dict, Iterable, Mapping, NamedTuple, Optional, Tuple
 
 from .costmodel import (CLASS_BY_NAME, KIND_BY_NAME, EnergyReport,
                         InstructionCostTable, cycles_for)
-from .errors import ConfigError, MeasurementError
+from .errors import ConfigError, DomainError, MeasurementError
 from .opcount import (BlockId, DataClass, OpKind, OperationTally,
                       PipelineTallies)
 from .readers import (as_list, count_cell, echo, name_cell, read_csv_rows,
@@ -62,8 +62,7 @@ class MeasuredRow(NamedTuple):
     count: int
 
 
-@dataclass(frozen=True)
-class MeasurementMeta:
+class MeasurementMeta(NamedTuple):
     source: str = ""
     rows_seen: int = 0
     rows_kept: int = 0
@@ -71,47 +70,41 @@ class MeasurementMeta:
     rows_unattributed: int = 0
 
 
-@dataclass(frozen=True)
-class MeasuredReport:
+class MeasuredReport(NamedTuple):
+    """Kept rows, the parse's counts, and the rows' counts summed per
+    block, unattributed rows under None."""
+
     rows: Tuple[MeasuredRow, ...]
-    meta: MeasurementMeta = field(default_factory=MeasurementMeta)
+    meta: MeasurementMeta
+    block_tallies: Mapping[Optional[BlockId], OperationTally]
 
     @property
     def empty(self) -> bool:
         return not self.rows
 
-    @cached_property
-    def _block_tallies(self) -> Dict[Optional[BlockId], OperationTally]:
-        """Row counts summed per block, unattributed rows under None;
-        grouped on first use and kept on the report."""
-        grouped: Dict[Optional[BlockId], Dict] = {}
-        for row in self.rows:
-            counts = grouped.setdefault(row.block, {})
-            key = (row.operator, row.data_type)
-            counts[key] = counts.get(key, 0) + row.count
-        return {blk: OperationTally(counts) for blk, counts in grouped.items()}
 
-
-@dataclass(frozen=True)
-class PathFilter:
+class PathFilter(NamedTuple("PathFilter", [("allow", Tuple[str, ...]),
+                                           ("deny", Tuple[str, ...])])):
     """Prefix allow/deny filter over profiled function paths.
 
     A path passes when it starts with some allow prefix (an empty
     allowlist admits everything) and starts with no deny prefix.
     ``allow`` and ``deny`` take any iterable of prefixes, except a single
-    string, and are kept as tuples.  Filtering is idempotent by
-    construction.
+    string, and are kept as tuples, by ``_replace`` too.  Filtering is
+    idempotent by construction.
     """
 
-    allow: Tuple[str, ...] = ()
-    deny: Tuple[str, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if isinstance(self.allow, str) or isinstance(self.deny, str):
+    def __new__(cls, allow: Iterable[str] = (), deny: Iterable[str] = ()):
+        if isinstance(allow, str) or isinstance(deny, str):
             raise TypeError("PathFilter allow and deny take an iterable of "
                             "prefixes, not a string")
-        object.__setattr__(self, "allow", tuple(self.allow))
-        object.__setattr__(self, "deny", tuple(self.deny))
+        return super().__new__(cls, tuple(allow), tuple(deny))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> PathFilter:
+        return cls(*iterable)
 
     def matches(self, path: str) -> bool:
         if self.allow and not path.startswith(self.allow):
@@ -166,6 +159,8 @@ def parse_measurement_text(text: str, source: str = "<string>",
     index = _index_block_map(block_map or {})
 
     rows: list[MeasuredRow] = []
+    # Kept rows' counts by (block, operator, data type).
+    sums: Dict[Tuple[Optional[BlockId], OpKind, DataClass], int] = {}
     seen = kept = filtered = unattributed = 0
     for where, cells in read_csv_rows(text, source, _HEADER,
                                       "measurement file", MeasurementError):
@@ -194,11 +189,17 @@ def parse_measurement_text(text: str, source: str = "<string>",
         kept += 1
         rows.append(MeasuredRow(fpath, block, operator, data_type, shape,
                                 count))
+        key = (block, operator, data_type)
+        sums[key] = sums.get(key, 0) + count
 
+    grouped: Dict[Optional[BlockId], Dict] = {}
+    for (block, operator, data_type), count in sums.items():
+        grouped.setdefault(block, {})[(operator, data_type)] = count
     meta = MeasurementMeta(source=source, rows_seen=seen, rows_kept=kept,
                            rows_filtered=filtered,
                            rows_unattributed=unattributed)
-    return MeasuredReport(rows=tuple(rows), meta=meta)
+    return MeasuredReport(tuple(rows), meta, {
+        block: OperationTally(counts) for block, counts in grouped.items()})
 
 
 def serialize_measurement(rows: Iterable[MeasuredRow]) -> str:
@@ -287,7 +288,7 @@ def measured_cycles(report: MeasuredReport,
     report).  Unattributed rows are excluded here; see
     :func:`unattributed_cycles`.
     """
-    grouped = report._block_tallies
+    grouped = report.block_tallies
     out: Dict[BlockId, Fraction] = {}
     for block in BlockId:
         tally = grouped.get(block)
@@ -298,12 +299,11 @@ def measured_cycles(report: MeasuredReport,
 def unattributed_cycles(report: MeasuredReport,
                         table: InstructionCostTable) -> Fraction:
     """Cycles from rows that could not be attributed to any block."""
-    tally = report._block_tallies.get(None)
+    tally = report.block_tallies.get(None)
     return cycles_for(tally, table).cycles if tally else Fraction(0)
 
 
-@dataclass(frozen=True)
-class BlockComparison:
+class BlockComparison(NamedTuple):
     modeled_cycles: Fraction
     measured_cycles: Optional[Fraction]
     ratio: Optional[Fraction]                # modeled / measured
@@ -311,8 +311,7 @@ class BlockComparison:
     flag: str                                # over | under | match | undefined
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     per_block: Mapping[BlockId, BlockComparison]
     total: BlockComparison
     unattributed_cycles: Fraction = Fraction(0)
@@ -326,19 +325,24 @@ class ComparisonReport:
         return tuple(b for b in BlockId if self.per_block[b].flag == "under")
 
 
+def _check_float_range(*values: Fraction) -> None:
+    """DomainError unless every value fits a float.  Reports print cycle
+    counts and ratios as exact decimals or through floats, and a relative
+    error is a float: its ratio minus one, which fits when the ratio does."""
+    if max(values) > sys.float_info.max:
+        raise DomainError("measured cycles, or a modeled/measured ratio, too "
+                          "large for a float")
+
+
 def _compare_pair(modeled: Fraction,
                   measured: Optional[Fraction]) -> BlockComparison:
     if measured is None or measured == 0:
-        return BlockComparison(modeled_cycles=modeled,
-                               measured_cycles=measured,
-                               ratio=None, signed_relative_error=None,
-                               flag="undefined")
+        return BlockComparison(modeled, measured, None, None, "undefined")
     ratio = modeled / measured
-    err = float((modeled - measured) / measured)
+    _check_float_range(measured, ratio)
     flag = "over" if modeled > measured else (
         "under" if modeled < measured else "match")
-    return BlockComparison(modeled_cycles=modeled, measured_cycles=measured,
-                           ratio=ratio, signed_relative_error=err, flag=flag)
+    return BlockComparison(modeled, measured, ratio, float(ratio - 1), flag)
 
 
 def compare(modeled: EnergyReport,
@@ -349,8 +353,10 @@ def compare(modeled: EnergyReport,
     Blocks missing from ``measured`` (or measured at zero cycles) get
     an undefined ratio rather than an error.  Totals compare the sum
     of modeled cycles against the sum of the measured cycles that are
-    present.
+    present.  A measured or unattributed cycle count, ratio or relative
+    error beyond the float range raises DomainError.
     """
+    _check_float_range(unattributed)
     per_block = {}
     total_modeled = Fraction(0)
     total_measured = Fraction(0)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Mapping, NamedTuple, Optional
@@ -93,8 +93,7 @@ def parse_modulation(value: Any) -> Modulation:
                           ) from None
 
 
-@dataclass(frozen=True)
-class DecodeConfig:
+class DecodeConfig(NamedTuple):
     """Belief-propagation decoder shape assumptions."""
 
     deg_cn: int = 19      # check-node degree
@@ -104,7 +103,8 @@ class DecodeConfig:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One downlink transmission configuration."""
+    """One downlink transmission configuration: the package's one
+    dataclass, as its variants are made with ``dataclasses.replace``."""
 
     n_slots: int                    # slots simulated
     snr_db: float                   # recorded for reporting only
@@ -123,12 +123,11 @@ class Scenario:
     pilot_symbols_per_slot: int = 1
     tbs_override: Optional[int] = None       # force transport block bits
     rx_fft_antennas: Optional[int] = None    # receive-FFT antenna count
-    decode: DecodeConfig = field(default_factory=DecodeConfig)
+    decode: DecodeConfig = DecodeConfig()
 
 
 class DerivedParams(NamedTuple):
-    """Air-interface quantities expanded from a Scenario.  A NamedTuple,
-    cheaper to build than a frozen dataclass: every derive builds one."""
+    """Air-interface quantities expanded from a Scenario."""
 
     qm: int             # bits per modulation symbol
     n_f: int            # occupied subcarriers
@@ -148,8 +147,7 @@ class DerivedParams(NamedTuple):
     n_ccb: int          # coded bits per code block
 
 
-@dataclass(frozen=True)
-class BaseGraphSpec:
+class BaseGraphSpec(NamedTuple):
     """Shape summary of a standard LDPC base graph."""
 
     bg: int

@@ -5,13 +5,16 @@ algorithm in question, never by evaluating a formula, so agreement
 with the package's closed-form counts is meaningful.
 
 The ingest oracles at the end keep the plain loops that the indexed
-attribution, the tuple-based path filter and the comma split replaced.
+attribution, the tuple-based path filter, the comma split and the parse's
+per-block grouping replaced.
 """
 
 from __future__ import annotations
 
 import csv
 from collections import Counter
+
+from phyenergy.opcount import OperationTally
 
 
 def schoolbook_product_ops(m: int, k: int, n: int) -> tuple[int, int]:
@@ -234,3 +237,14 @@ def path_passes(path, allow, deny):
 def csv_cells(line):
     """The cells the csv module reads from one line."""
     return next(csv.reader((line,)))
+
+
+def block_tallies(rows):
+    """Row counts summed per block, unattributed rows under None, in a
+    second pass over the kept rows."""
+    grouped = {}
+    for row in rows:
+        counts = grouped.setdefault(row.block, {})
+        key = (row.operator, row.data_type)
+        counts[key] = counts.get(key, 0) + row.count
+    return {blk: OperationTally(counts) for blk, counts in grouped.items()}

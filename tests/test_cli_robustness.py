@@ -320,3 +320,66 @@ def test_an_unknown_key_is_shown_bare_or_by_its_length(tmp_path, length):
     shown = key if length <= readers.ECHO_LIMIT else f"<{length} characters>"
     assert err == f"error[config]: unknown scenario keys: {shown}\n"
     assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize("n_slots, row", [
+    (4 * 10 ** 298, "x,A,XOR,logical_scalar,,1"),
+    (1, f"x,A,XOR,double_scalar,,{HUGE}"),
+    (1, f"y,,XOR,double_scalar,,{HUGE}"),
+    (1, "x,A,LOG,double_scalar,," + "9" * 4299),
+], ids=["ratio", "measured", "unattributed", "digit-limit"])
+def test_compare_past_the_float_range(tmp_path, n_slots, row):
+    """A ratio of a huge model to a tiny measurement, a measured or an
+    unattributed count past the float range, and one whose exact decimal
+    would pass the int/str digit limit all fail as a domain error."""
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(_scenario_text([("n_slots", n_slots)]))
+    report = tmp_path / "report.csv"
+    report.write_text(_REPORT_HEADER + row + "\n")
+    code, out, err = _run(["compare", "--scenario", str(scenario),
+                           "--measured", str(report)])
+    assert (code, out) == (1, "")
+    assert err == ("error[domain]: measured cycles, or a modeled/measured "
+                   "ratio, too large for a float\n")
+
+
+def _table_with_add_cycles(cycles: str) -> str:
+    """The bundled table with one row's cycles replaced."""
+    text = (Path(readers.__file__).with_name("data")
+            / "cost_table.csv").read_text()
+    row = "ADD,double_scalar,register,1,"
+    assert text.count("\n" + row) == 1
+    return re.sub(f"(?m)^{row}.*$", row + cycles, text)
+
+
+@pytest.mark.parametrize("cycles, shown", [
+    ("1e-5000", "'1e-5000'"), ("1e-301", "'1e-301'"),
+    (f"1/{10 ** 300 + 1}", "<303 characters>"),
+], ids=["1e-5000", "1e-301", "fraction"])
+def test_cycles_finer_than_the_bound_are_refused(tmp_path, cycles, shown):
+    """A 5000-place decimal would print as more digits than Python's
+    int/str limit allows."""
+    path = tmp_path / "table.csv"
+    path.write_text(_table_with_add_cycles(cycles))
+    code, out, err = _run(["estimate", "--scenario", str(REFERENCE_PATH),
+                           "--cost-table", str(path)])
+    line = path.read_text().splitlines().index(
+        "ADD,double_scalar,register,1," + cycles) + 1
+    assert (code, out) == (1, "")
+    assert err == (f"error[cost-table]: {path}:{line}: cycles {shown} has a "
+                   "reduced denominator over 10**300\n")
+
+
+@pytest.mark.parametrize("cycles", ["1e-300", f"1/{2 ** 996}",
+                                    f"{10 ** 400 + 1}e-300"],
+                         ids=["1e-300", "2**-996", "long-1e-300"])
+def test_cycles_at_the_bound_price_and_print(tmp_path, cycles):
+    """A reduced denominator of 10**300, or just under it, is accepted,
+    and the estimate prints every row."""
+    path = tmp_path / "table.csv"
+    path.write_text(_table_with_add_cycles(cycles))
+    code, out, err = _run(["estimate", "--scenario", str(REFERENCE_PATH),
+                           "--cost-table", str(path), "--format",
+                           "delimited-table"])
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 10

@@ -412,7 +412,7 @@ def test_a_table_with_negative_cycles_cannot_price():
     in code with a negative entry is refused when compiled."""
     entries = dict(make_table().entries)
     entries[(OpKind.ADD, DS)] = CostEntry(micro_ops=1, cycles=Fraction(-1))
-    table = InstructionCostTable(entries=entries, source="negative")
     with pytest.raises(CostTableError, match="negative: cycles must be >= 0"):
+        table = InstructionCostTable(entries=entries, source="negative")
         build_report(tally_pipeline(reference_scenario()), table,
                      EnergyParams(kappa=1e-25, clock_hz=2.1e9))

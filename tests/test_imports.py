@@ -134,3 +134,27 @@ def test_no_module_imports_another_modules_private_name(path):
                _imported_names(ast.parse(path.read_text()))
                if name.startswith("_")]
     assert private == []
+
+
+def test_scenario_is_the_only_dataclass_and_nothing_is_cached_lazily():
+    """Every record but ``Scenario`` is a ``NamedTuple`` (the cost table is
+    a slotted class compiled when built), and no module imports or
+    decorates with ``cached_property``, so no record computes state after
+    it is built."""
+    dataclasses, cached = [], []
+    for path in sorted(Path(phyenergy.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            # The names a node imports, or else its decorators, each by
+            # its last dotted part and without arguments.
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names]
+            else:
+                names = [ast.unparse(dec).split("(")[0]
+                         for dec in getattr(node, "decorator_list", ())]
+            names = [name.split(".")[-1] for name in names]
+            if isinstance(node, ast.ClassDef) and "dataclass" in names:
+                dataclasses.append(f"{path.stem}.{node.name}")
+            if "cached_property" in names:
+                cached.append(f"{path.stem}:{node.lineno}")
+    assert dataclasses == ["scenario.Scenario"]
+    assert cached == []

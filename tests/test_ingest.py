@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_table, reference_scenario
-from oracles import csv_cells, longest_prefix_block, path_passes
+from oracles import (block_tallies, csv_cells, longest_prefix_block,
+                     path_passes)
 
 from phyenergy.costmodel import EnergyParams, build_report
 from phyenergy.errors import ConfigError, MeasurementError
@@ -150,6 +151,14 @@ def test_path_filter_rejects_a_single_string(kwargs):
         PathFilter(**kwargs)
 
 
+def test_path_filter_is_a_tuple_whose_replace_keeps_its_rules():
+    f = PathFilter(allow=["nr5g/"])
+    assert f == (("nr5g/",), ()) and hash(f) == hash((("nr5g/",), ()))
+    assert f._replace(deny=["x/"]) == PathFilter(("nr5g/",), ("x/",))
+    with pytest.raises(TypeError, match="not a string"):
+        f._replace(deny="x/")
+
+
 # Small alphabets, so that prefixes nest, repeat and outgrow the paths.
 _PATH_TEXT = st.text(alphabet="ab/é中", max_size=6)
 _BLOCK_MAPS = st.dictionaries(_PATH_TEXT, st.sampled_from(list(BlockId)),
@@ -180,6 +189,29 @@ def test_attribution_with_empty_nested_and_long_prefixes(path, block):
 def test_tuple_filter_equals_the_prefix_loop(allow, deny, path):
     assert PathFilter(allow, deny).matches(path) == path_passes(path, allow,
                                                                 deny)
+
+
+# Rows over a few paths, blocks, operators and data types, so that keys
+# repeat; counts include zero, whose rows still name their block.
+_ROWS = st.lists(st.builds(
+    MeasuredRow, function_path=st.sampled_from(["ab/x", "a/y", "q", ""]),
+    block=st.none() | st.sampled_from(list(BlockId)),
+    operator=st.sampled_from([OpKind.ADD, OpKind.XOR, OpKind.FLOP]),
+    data_type=st.sampled_from([DataClass.INT_SCALAR, DataClass.STRUCT]),
+    shape=st.just(""), count=st.integers(min_value=0, max_value=10 ** 30)),
+    max_size=12)
+
+
+@given(rows=_ROWS, block_map=_BLOCK_MAPS, allow=st.lists(_PATH_TEXT,
+                                                         max_size=2))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_block_tallies_equal_the_grouping_loop(rows, block_map, allow):
+    """The parse groups kept rows per block as a second pass over them
+    would, attributed and unattributed rows alike."""
+    report = parse_measurement_text(serialize_measurement(rows),
+                                    path_filter=PathFilter(allow),
+                                    block_map=block_map)
+    assert report.block_tallies == block_tallies(report.rows)
 
 
 # Lines as the reader sees them: no line break (splitlines removes those),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -393,6 +394,18 @@ def test_decode_section_parsed():
     assert s.decode.deg_cn == 19
     with pytest.raises(ConfigError, match="unknown decode keys"):
         scenario_from_mapping({**_base_mapping(), "decode": {"spin": 1}})
+
+
+def test_decode_config_is_a_tuple_and_only_a_scenario_is_a_dataclass():
+    """Records compare equal to plain tuples and take ``_replace``, not
+    ``dataclasses.replace``; a Scenario still takes the latter."""
+    assert DecodeConfig() == (19, 3, 8)
+    assert DecodeConfig()._replace(iterations=2) == DecodeConfig(iterations=2)
+    with pytest.raises(TypeError):
+        dataclasses.replace(DecodeConfig(), iterations=2)
+    s = dataclasses.replace(reference_scenario(),
+                            decode=DecodeConfig(iterations=2))
+    assert s.decode == (19, 3, 2)
 
 
 def _params(name):
