@@ -28,7 +28,7 @@ from .readers import echo, read_yaml, reject_long_digits
 if TYPE_CHECKING:
     from fractions import Fraction
 
-    from .costmodel import BlockCost, EnergyReport, InstructionCostTable
+    from .costmodel import EnergyReport, InstructionCostTable
     from .ingest import ComparisonReport
     from .scenario import DerivedParams, Scenario
 
@@ -36,6 +36,9 @@ COST_TABLE_ENV = "PHYENERGY_COST_TABLE"
 
 _FORMATS = ("structured-text", "delimited-table")
 _SWEEP_PARAMS = ("modulation", "n_prb", "n_layers", "n_slots")
+# The names of legacy.MODELS, sorted, so that building the parser loads no
+# legacy module.
+_LEGACY_MODELS = ("auer", "desset", "fu-bb", "fu-rf", "tombaz", "yan", "yu")
 
 
 # ---------------------------------------------------------------------------
@@ -109,19 +112,20 @@ def _entries(rep: EnergyReport | ComparisonReport) -> Iterator[tuple]:
     return zip(_ROWS, (*rep.per_block.values(), rep.total))
 
 
-def _cycle_fields(cost: BlockCost) -> list[str]:
-    """Micro-ops, cycles and cycles per bit: all the sweep layouts print."""
-    num, den, bits = cost.cycle_num, cost.cycle_den, cost.bits
-    return [str(cost.micro_ops), fmt_ratio(num, den),
-            fmt_float(num / (den * bits)) if bits > 0 else "undefined"]
+def _cycle_fields(micro_ops: int, num: int, den: int, bits: int,
+                  ) -> list[str]:
+    """Micro-ops, cycles and cycles per bit, from the first four fields of
+    a ``BlockCost``: all the sweep layouts print."""
+    return [str(micro_ops), fmt_ratio(num, den),
+            f"{num / (den * bits):.6g}" if bits > 0 else "undefined"]
 
 
 def _estimate_rows(rep: EnergyReport) -> list[list[str]]:
     """Name, side and cost fields for each block, then the total."""
-    return [[name, side, *_cycle_fields(cost), fmt_float(cost.energy_j),
-             "undefined" if cost.energy_nj_per_bit is None
-             else fmt_float(cost.energy_nj_per_bit)]
-            for (name, side), cost in _entries(rep)]
+    return [[name, side, *_cycle_fields(micro_ops, num, den, bits),
+             f"{energy_j:.6g}", "undefined" if nj is None else f"{nj:.6g}"]
+            for (name, side), (micro_ops, num, den, bits, energy_j, nj)
+            in _entries(rep)]
 
 
 def _comparison_rows(result: ComparisonReport) -> list[list[str]]:
@@ -223,7 +227,7 @@ def render_sweep_table(param: str, results: Sequence[tuple[str, EnergyReport]],
                        ) -> str:
     return _table(
         (param, "block") + _COST_KEYS[:3],
-        [[label, name, *_cycle_fields(cost)]
+        [[label, name, *_cycle_fields(*cost[:4])]
          for label, rep in results for (name, _), cost in _entries(rep)])
 
 
@@ -233,7 +237,7 @@ def render_sweep_text(param: str, results: Sequence[tuple[str, EnergyReport]],
     for label, rep in results:
         _section(lines, "", label,
                  [(name, "cycles={1} cycles_per_bit={2}".format(
-                     *_cycle_fields(cost)))
+                     *_cycle_fields(*cost[:4])))
                   for (name, _), cost in _entries(rep)])
     return "\n".join(lines) + "\n"
 
@@ -396,7 +400,6 @@ def cmd_legacy(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from . import legacy        # its model table lists the --model names
     parser = argparse.ArgumentParser(
         prog="phyenergy",
         description="Operation counting and energy estimation for a 5G NR "
@@ -445,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="evaluate a literature base-station "
                                 "power model")
     p_leg.add_argument("--model", required=True,
-                       help="model name: " + ", ".join(sorted(legacy.MODELS)))
+                       help="model name: " + ", ".join(_LEGACY_MODELS))
     p_leg.add_argument("--params", required=True,
                        help="model parameter file")
     p_leg.add_argument("--out", default=None, help="write output to a file")

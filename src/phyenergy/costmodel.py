@@ -34,7 +34,8 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, Mapping, NamedTuple, Optional, Tuple
+from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
+                    Tuple)
 
 from .errors import ConfigError, CostTableError, CoverageError, DomainError
 from .opcount import (PART_SLOTS, SLOT_INDEX, SLOT_KEYS, BlockId, DataClass,
@@ -131,10 +132,36 @@ CLASS_BY_NAME = {cls.value: cls for cls in DataClass}
 # Python's int/str digit limit.
 _MAX_CYCLES_DEN = 10 ** 300
 
+# Fraction builds 10**abs(exponent) for a decimal exponent before any rule
+# can see the value, which takes seconds from a few million on.  A positive
+# exponent past the int/str digit limit, 4300, is refused.  The integer part
+# of a mantissa has at most 4300 digits, so under -4601 any exponent gives
+# zero or a value finer than 10**-301, whose reduced denominator is over
+# 10**300: such an exponent is read as -4601, which decides the same.
+_MAX_CYCLES_EXPONENT = 4300
+_MIN_CYCLES_EXPONENT = -4601
+# A decimal with an exponent, in Fraction's own grammar; text of any other
+# form goes to Fraction as it is, which refuses it or builds no power.  It
+# is compiled on first use, and a cell with no E never uses it.
+_DECIMAL_WITH_EXPONENT = (
+    r"\s*[-+]?(?=\d|\.\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?"
+    r"E([-+]?\d+(?:_\d+)*)\s*")
+
 
 def _parse_cycles(text: str, where: str) -> Fraction:
+    form = ("E" in text.upper()
+            and re.fullmatch(_DECIMAL_WITH_EXPONENT, text, re.IGNORECASE))
     try:
-        value = Fraction(text)
+        exponent = int(form[1]) if form else 0
+    except ValueError:      # past the digit limit: Fraction refuses it too
+        exponent = 0
+    if exponent > _MAX_CYCLES_EXPONENT:
+        raise CostTableError(f"{where}: cycles {echo(text)} has a decimal "
+                             f"exponent over {_MAX_CYCLES_EXPONENT}")
+    parsed = (text if exponent >= _MIN_CYCLES_EXPONENT
+              else f"{text[:form.start(1)]}{_MIN_CYCLES_EXPONENT}")
+    try:
+        value = Fraction(parsed)
     except (ValueError, ZeroDivisionError):
         # The digit rule holds for each integer of 1/3, 0.25 and 2.5e-1.
         reject_long_parts(re.split("[/.eE]", text), f"{where}: cycles",
@@ -207,28 +234,33 @@ def load_default_cost_table() -> InstructionCostTable:
                             source=f"bundled:{DEFAULT_TABLE_RESOURCE}")
 
 
-def _price(tally: OperationTally, table: InstructionCostTable,
-           ) -> Tuple[int, int, int]:
-    """Micro-ops, and cycles as a numerator over a denominator; the
-    denominator is the table's, the same for every tally."""
-    micro_ops_of, cycles_of, den, missing = table._kernel
-    counts = tally.slot_counts()
-    if missing and not missing.keys().isdisjoint(counts):
-        # Name the first absent key in expanded (kind, class) order: parts
-        # ascend within a slot, so that is the smallest first-lacking part.
-        table.lookup(*SLOT_KEYS[min(missing[slot] for slot in counts
-                                    if slot in missing)])
-    micro_ops = cycles = 0
-    for slot, n in counts.items():
-        micro_ops += n * micro_ops_of[slot]
-        cycles += n * cycles_of[slot]
-    return micro_ops, cycles, den
+def _price(tallies: Iterable[OperationTally], table: InstructionCostTable,
+           ) -> List[Tuple[int, int]]:
+    """Micro-ops, and cycles as a numerator over the table's denominator,
+    for each tally in turn."""
+    micro_ops_of, cycles_of, _, missing = table._kernel
+    priced = []
+    for tally in tallies:
+        counts = tally.slot_counts()
+        if missing and not missing.keys().isdisjoint(counts):
+            # Name the first absent key in expanded (kind, class) order:
+            # parts ascend within a slot, so that is the smallest
+            # first-lacking part.
+            table.lookup(*SLOT_KEYS[min(missing[slot] for slot in counts
+                                        if slot in missing)])
+        micro_ops = cycles = 0
+        for slot, n in counts.items():
+            micro_ops += n * micro_ops_of[slot]
+            cycles += n * cycles_of[slot]
+        priced.append((micro_ops, cycles))
+    return priced
 
 
 def cycles_for(tally: OperationTally, table: InstructionCostTable) -> CostEntry:
     """Micro-ops and cycles for a tally under a cost table (exact)."""
-    micro_ops, cycles, den = _price(tally, table)
-    return CostEntry(micro_ops=micro_ops, cycles=Fraction(cycles, den))
+    [(micro_ops, cycles)] = _price((tally,), table)
+    return CostEntry(micro_ops=micro_ops,
+                     cycles=Fraction(cycles, table._kernel[2]))
 
 
 def energy_per_cycle(kappa: float, clock_hz: float) -> float:
@@ -315,11 +347,11 @@ def build_report(tallies: PipelineTallies, table: InstructionCostTable,
     the total's energies covers every block's."""
     eps = energy.epsilon
     bits = tallies.bits_transmitted
-    priced = [_price(tallies.per_block[block], table) for block in _BLOCKS]
-    den = priced[0][2]          # the table's, the same for every tally
+    priced = _price(map(tallies.per_block.__getitem__, _BLOCKS), table)
+    den = table._kernel[2]
     try:
-        total = _block_cost(sum([micro_ops for micro_ops, _, _ in priced]),
-                            sum([cycles for _, cycles, _ in priced]),
+        total = _block_cost(sum([micro_ops for micro_ops, _ in priced]),
+                            sum([cycles for _, cycles in priced]),
                             den, bits, eps)
         finite = (math.isfinite(total.energy_j)
                   and math.isfinite(total.energy_nj_per_bit or 0.0))
@@ -329,6 +361,6 @@ def build_report(tallies: PipelineTallies, table: InstructionCostTable,
         raise DomainError("energy is not finite: too many cycles, or too "
                           "much energy per cycle, for a float")
     per_block = {block: _block_cost(micro_ops, cycles, den, bits, eps)
-                 for block, (micro_ops, cycles, _) in zip(_BLOCKS, priced)}
+                 for block, (micro_ops, cycles) in zip(_BLOCKS, priced)}
     return EnergyReport(per_block, total, bits, energy, table.source,
                         table.date, tallies.derived, scenario)

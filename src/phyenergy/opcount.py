@@ -15,19 +15,25 @@ G       UE    layer demapping, demodulation, descrambling
 H       UE    LDPC decoding (normalized min-sum) and CRC checks
 ======  ====  =====================================================
 
-Each counter returns an :class:`OperationTally`, a multiset of
+Each public counter returns an :class:`OperationTally`, a multiset of
 (operation kind, data class) pairs, stored sparsely by slot: the
 number of the pair in :data:`SLOT_KEYS`.  Counts are closed-form in the
 scenario's derived parameters; nothing here touches sample data.
 
-Counters fill a ``{slot: count}`` dict from the module's slot numbers
-and wrap it once, zero counts dropped, with no per-entry key or type
-check: their integer inputs come from :func:`~phyenergy.scenario.derive`,
-whose :func:`~phyenergy.scenario.validate` has checked once that every
-integer field of the scenario is an ``int``.  A block of several terms
-(A, F, H) sums their dicts in one pass, and :func:`tally_pipeline`
-scales by ``n_slots`` in that same pass.  Only the public
-:class:`OperationTally` constructor validates keys and counts.
+Every formula is a private term that returns a raw ``{slot: count}``
+dict, and a block is the tuple of its terms: A is tb_crc, segmentation,
+cb_crc and ldpc_encode; B and G scrambling, modulation and
+layer_mapping; C precoding; D and E fft; F ls and mmse; H ldpc_decode,
+cb_crc_check and tb_crc_check.  :func:`tally_pipeline` merges each tuple
+once, scaling by ``n_slots`` in the same pass, and wraps it once, with no
+key or type check: its integer inputs come from
+:func:`~phyenergy.scenario.derive`, whose
+:func:`~phyenergy.scenario.validate` has checked once that every integer
+field of the scenario is an ``int``.  The public ``count_*`` functions
+are the validating boundary: each refuses an argument that is not an
+``int``, or is a bool, and then wraps the same term, or merges the same
+tuple.  The public :class:`OperationTally` constructor validates keys
+and counts.
 
 Data classes follow the block split: the bit-oriented stages (block A,
 block G, and the scrambling/modulation inputs of block B) count as
@@ -41,11 +47,11 @@ model's compiled tables read it from there.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, Iterator, Mapping, NamedTuple, Tuple
+from typing import Dict, Iterator, Mapping, NamedTuple, Sequence, Tuple
 
 from .errors import DomainError
 from .scenario import DecodeConfig, DerivedParams, Scenario, BaseGraphSpec
-from .scenario import BASE_GRAPHS, derive
+from .scenario import BASE_GRAPHS, derive, is_int
 
 
 class OpKind(enum.Enum):
@@ -127,6 +133,9 @@ _ADD_DS, _MUL_DS, _DIV_DS, _XOR_DS, _LOG_DS, _FLOP_DS = _slots(
     OpKind.LOG, OpKind.FLOP)
 (_XOR_LV,) = _slots(DataClass.LOGICAL_VECTOR, OpKind.XOR)
 
+# A block as the tuple of its terms' raw {slot: count} dicts.
+_Terms = Tuple[Dict[int, int], ...]
+
 
 class OperationTally:
     """Immutable multiset of (operation kind, data class) counts.
@@ -149,8 +158,7 @@ class OperationTally:
                 slot = None
             if slot is None:
                 raise DomainError(f"bad tally key {key!r}")
-            if type(value) is not int and (not isinstance(value, int)
-                                           or isinstance(value, bool)):
+            if not is_int(value):
                 raise DomainError(f"tally count for {key} must be an integer")
             if value < 0:
                 raise DomainError(f"tally count for {key} is negative")
@@ -192,7 +200,7 @@ class OperationTally:
     def __add__(self, other: "OperationTally") -> "OperationTally":
         if not isinstance(other, OperationTally):
             return NotImplemented
-        return _sum((self, other))
+        return _merge((self._counts, other._counts))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OperationTally):
@@ -221,11 +229,16 @@ def _of_slots(counts: Dict[int, int]) -> OperationTally:
     return tally
 
 
-def _sum(terms: Iterable[OperationTally], factor: int = 1) -> OperationTally:
-    """The merge of ``terms``, scaled by ``factor`` (>= 1), in one pass."""
+def _merge(terms: Sequence[Mapping[int, int]], factor: int = 1,
+           ) -> OperationTally:
+    """The merge of raw ``{slot: count}`` terms, scaled by ``factor``
+    (>= 1), in one pass and wrapped once; one term at factor 1 is wrapped
+    as it is."""
+    if factor == 1 and len(terms) == 1:
+        return _of_slots(terms[0])
     counts: Dict[int, int] = {}
     for term in terms:
-        for slot, n in term._counts.items():
+        for slot, n in term.items():
             counts[slot] = counts.get(slot, 0) + n * factor
     return _of_slots(counts)
 
@@ -239,6 +252,14 @@ def expand_flops(tally: OperationTally) -> OperationTally:
     return _of_slots(counts)
 
 
+def _check_ints(**args: object) -> None:
+    """Refuse any argument that is not an ``int``, or is a bool: the terms
+    trust every input to be one."""
+    for name, value in args.items():
+        if not is_int(value):
+            raise DomainError(f"{name} must be an integer")
+
+
 def _ilog2(n: int) -> int:
     if n < 1 or n & (n - 1):
         raise DomainError(f"{n} is not a power of two")
@@ -249,6 +270,15 @@ def _ilog2(n: int) -> int:
 # Block A: CRC attach, segmentation, LDPC encoding
 
 
+def _crc(a_bits: int, p: int = 32) -> Dict[int, int]:
+    if a_bits < 0:
+        raise DomainError("CRC payload length must be >= 0")
+    if p < 1:
+        raise DomainError("CRC word width must be >= 1")
+    per_kind = 5 * (a_bits // p) + 1
+    return {_AND_LS: per_kind, _XOR_LS: per_kind, _SHIFT_LS: per_kind}
+
+
 def count_crc(a_bits: int, p: int = 32) -> OperationTally:
     """Table-driven CRC over ``a_bits`` payload bits, ``p`` bits per step.
 
@@ -256,13 +286,14 @@ def count_crc(a_bits: int, p: int = 32) -> OperationTally:
     and shift; one trailing operation of each kind finishes the digest:
     5*floor(a_bits/p) + 1 per kind.
     """
-    if a_bits < 0:
-        raise DomainError("CRC payload length must be >= 0")
-    if p < 1:
-        raise DomainError("CRC word width must be >= 1")
-    per_kind = 5 * (a_bits // p) + 1
-    return _of_slots({_AND_LS: per_kind, _XOR_LS: per_kind,
-                      _SHIFT_LS: per_kind})
+    _check_ints(a_bits=a_bits, p=p)
+    return _of_slots(_crc(a_bits, p))
+
+
+def _segmentation(c: int) -> Dict[int, int]:
+    if c < 1:
+        raise DomainError("segmentation needs at least one code block")
+    return {_FLOP_IS: 9}
 
 
 def count_segmentation(c: int) -> OperationTally:
@@ -272,9 +303,27 @@ def count_segmentation(c: int) -> OperationTally:
     blocks.  The nine operations are generic integer arithmetic,
     recorded as FLOPs in the integer class.
     """
-    if c < 1:
-        raise DomainError("segmentation needs at least one code block")
-    return _of_slots({_FLOP_IS: 9})
+    _check_ints(c=c)
+    return _of_slots(_segmentation(c))
+
+
+def _ldpc_encode(k: int, z: int, n1: int, rows: int, cols: int,
+                 n_ccb: int, c: int) -> Dict[int, int]:
+    if min(k, z, rows, cols, c) < 1 or n1 < 0 or n_ccb < 1:
+        raise DomainError("LDPC encode arguments must be positive")
+    if k < 2 * z:
+        raise DomainError("LDPC encode needs k >= 2z")
+    if n_ccb + 2 * z < k:
+        raise DomainError("LDPC encode needs n_ccb + 2z >= k")
+    out_elems = rows * z * c
+    inner = cols * z
+    return {
+        _CMP_IS: 2 * (k - 2 * z) * c,
+        _SET_IS: (rows * cols + (n_ccb + 2 * z - k)) * c,
+        _DIV_IS: n1 * c,
+        _MUL_IS: out_elems * inner,
+        _ADD_IS: out_elems * (inner - 1),
+    }
 
 
 def count_ldpc_encode(k: int, z: int, n1: int, rows: int, cols: int,
@@ -290,21 +339,14 @@ def count_ldpc_encode(k: int, z: int, n1: int, rows: int, cols: int,
       elements takes cols*z multiplies and cols*z - 1 additions
     * writing the rate-matched output: n_ccb + 2z - k stores
     """
-    if min(k, z, rows, cols, c) < 1 or n1 < 0 or n_ccb < 1:
-        raise DomainError("LDPC encode arguments must be positive")
-    if k < 2 * z:
-        raise DomainError("LDPC encode needs k >= 2z")
-    if n_ccb + 2 * z < k:
-        raise DomainError("LDPC encode needs n_ccb + 2z >= k")
-    out_elems = rows * z * c
-    inner = cols * z
-    return _of_slots({
-        _CMP_IS: 2 * (k - 2 * z) * c,
-        _SET_IS: (rows * cols + (n_ccb + 2 * z - k)) * c,
-        _DIV_IS: n1 * c,
-        _MUL_IS: out_elems * inner,
-        _ADD_IS: out_elems * (inner - 1),
-    })
+    _check_ints(k=k, z=z, n1=n1, rows=rows, cols=cols, n_ccb=n_ccb, c=c)
+    return _of_slots(_ldpc_encode(k, z, n1, rows, cols, n_ccb, c))
+
+
+def _block_a(d: DerivedParams, bg: BaseGraphSpec) -> _Terms:
+    """Block A: tb_crc, segmentation, cb_crc, ldpc_encode."""
+    return (_crc(d.a), _segmentation(d.c), _crc(d.b),
+            _ldpc_encode(d.k, d.z, bg.n1, bg.rows, bg.cols, d.n_ccb, d.c))
 
 
 def count_block_a(d: DerivedParams, bg: BaseGraphSpec) -> OperationTally:
@@ -314,18 +356,33 @@ def count_block_a(d: DerivedParams, bg: BaseGraphSpec) -> OperationTally:
     payload ``b`` (the sum of all code block sizes).  Rate matching and
     concatenation are index bookkeeping and contribute no operations.
     """
-    return _sum(_terms_a(d, bg))
-
-
-def _terms_a(d: DerivedParams, bg: BaseGraphSpec,
-             ) -> Tuple[OperationTally, ...]:
-    return (count_crc(d.a), count_segmentation(d.c), count_crc(d.b),
-            count_ldpc_encode(k=d.k, z=d.z, n1=bg.n1, rows=bg.rows,
-                              cols=bg.cols, n_ccb=d.n_ccb, c=d.c))
+    _check_ints(**d._asdict())
+    _check_ints(**bg._asdict())
+    return _merge(_block_a(d, bg))
 
 
 # ---------------------------------------------------------------------------
 # Blocks B and G: scrambling, modulation mapping, layer mapping
+
+
+def _scrambling(m_cw: int) -> Dict[int, int]:
+    return {_XOR_LV: 6 * m_cw}
+
+
+def _modulation(n_symbols: int) -> Dict[int, int]:
+    return {_LOOKUP_IS: n_symbols}
+
+
+def _layer_mapping(n_symbols: int) -> Dict[int, int]:
+    return {_SHIFT_IS: n_symbols}
+
+
+def _block_b(m_cw: int, n_symbols: int) -> _Terms:
+    """Blocks B and G: scrambling, modulation, layer_mapping."""
+    if m_cw < 0 or n_symbols < 0:
+        raise DomainError("block B sizes must be >= 0")
+    return (_scrambling(m_cw), _modulation(n_symbols),
+            _layer_mapping(n_symbols))
 
 
 def count_block_b(m_cw: int, n_symbols: int) -> OperationTally:
@@ -335,10 +392,8 @@ def count_block_b(m_cw: int, n_symbols: int) -> OperationTally:
     sequence update plus the masking itself).  Modulation is one table
     lookup per symbol; layer mapping shifts each symbol into place.
     """
-    if m_cw < 0 or n_symbols < 0:
-        raise DomainError("block B sizes must be >= 0")
-    return _of_slots({_XOR_LV: 6 * m_cw, _LOOKUP_IS: n_symbols,
-                      _SHIFT_IS: n_symbols})
+    _check_ints(m_cw=m_cw, n_symbols=n_symbols)
+    return _merge(_block_b(m_cw, n_symbols))
 
 
 def count_block_g(m_cw: int, n_symbols: int) -> OperationTally:
@@ -350,6 +405,15 @@ def count_block_g(m_cw: int, n_symbols: int) -> OperationTally:
 # Block C: antenna-port mapping
 
 
+def _precoding(p: int, v: int, m_symb_layer: int) -> Dict[int, int]:
+    if v < 1 or p < v:
+        raise DomainError("precoding needs p >= v >= 1")
+    if m_symb_layer < 0:
+        raise DomainError("symbol count must be >= 0")
+    per_symbol = 2 * p * v * v + v ** 3 + v + p * v + (2 * p * v - p)
+    return {_FLOP_DS: m_symb_layer * per_symbol}
+
+
 def count_block_c(p: int, v: int, m_symb_layer: int) -> OperationTally:
     """Precoding over ``p`` ports and ``v`` layers.
 
@@ -357,16 +421,18 @@ def count_block_c(p: int, v: int, m_symb_layer: int) -> OperationTally:
     (2pv^2 + v^3 flops), singular-value regularization (v), forming
     the precoder (pv), and applying it (2pv - p).
     """
-    if v < 1 or p < v:
-        raise DomainError("precoding needs p >= v >= 1")
-    if m_symb_layer < 0:
-        raise DomainError("symbol count must be >= 0")
-    per_symbol = 2 * p * v * v + v ** 3 + v + p * v + (2 * p * v - p)
-    return _of_slots({_FLOP_DS: m_symb_layer * per_symbol})
+    _check_ints(p=p, v=v, m_symb_layer=m_symb_layer)
+    return _of_slots(_precoding(p, v, m_symb_layer))
 
 
 # ---------------------------------------------------------------------------
 # Blocks D and E: OFDM transforms
+
+
+def _fft(g: int, n_ant: int, n_fft: int) -> Dict[int, int]:
+    if g < 1 or n_ant < 1:
+        raise DomainError("transform counts need g >= 1 and n_ant >= 1")
+    return {_FLOP_DS: 5 * g * n_ant * n_fft * _ilog2(n_fft)}
 
 
 def count_block_d(g: int, n_ant: int, n_fft: int) -> OperationTally:
@@ -375,9 +441,8 @@ def count_block_d(g: int, n_ant: int, n_fft: int) -> OperationTally:
     5*n_fft*log2(n_fft) real flops per transform.  ``n_fft`` must be a
     power of two.
     """
-    if g < 1 or n_ant < 1:
-        raise DomainError("transform counts need g >= 1 and n_ant >= 1")
-    return _of_slots({_FLOP_DS: 5 * g * n_ant * n_fft * _ilog2(n_fft)})
+    _check_ints(g=g, n_ant=n_ant, n_fft=n_fft)
+    return _of_slots(_fft(g, n_ant, n_fft))
 
 
 def count_block_e(g: int, n_ant: int, n_fft: int) -> OperationTally:
@@ -389,15 +454,8 @@ def count_block_e(g: int, n_ant: int, n_fft: int) -> OperationTally:
 # Block F: channel estimation and equalization
 
 
-def count_ls(v: int, n_r: int, n_t: int, l: int, g: int,
-             k_p: int) -> OperationTally:
-    """Least-squares channel estimation from pilot observations.
-
-    Solves, per layer/receive-antenna pair, a linear system with
-    l*n_t unknowns from g*k_p pilot equations (see :func:`count_block_f`)
-    via the normal equations: Gram matrix build, Gauss-Jordan inversion,
-    and the pseudo-inverse application.
-    """
+def _ls(v: int, n_r: int, n_t: int, l: int, g: int,
+        k_p: int) -> Dict[int, int]:
     if v < 0 or n_r < 0:
         raise DomainError("ls: v and n_r must be >= 0")
     if min(l, n_t, g, k_p) < 1:
@@ -409,7 +467,33 @@ def count_ls(v: int, n_r: int, n_t: int, l: int, g: int,
         + unknowns ** 3                      # inversion
         + pilots * unknowns * (2 * unknowns - 1)   # (A^H A)^-1 A^H
     )
-    return _of_slots({_FLOP_DS: v * n_r * bracket})
+    return {_FLOP_DS: v * n_r * bracket}
+
+
+def count_ls(v: int, n_r: int, n_t: int, l: int, g: int,
+             k_p: int) -> OperationTally:
+    """Least-squares channel estimation from pilot observations.
+
+    Solves, per layer/receive-antenna pair, a linear system with
+    l*n_t unknowns from g*k_p pilot equations (see :func:`count_block_f`)
+    via the normal equations: Gram matrix build, Gauss-Jordan inversion,
+    and the pseudo-inverse application.
+    """
+    _check_ints(v=v, n_r=n_r, n_t=n_t, l=l, g=g, k_p=k_p)
+    return _of_slots(_ls(v, n_r, n_t, l, g, k_p))
+
+
+def _mmse(n_r: int, n_t: int, n_f: int, g: int) -> Dict[int, int]:
+    if min(n_r, n_t, g) < 1 or n_f < 0:
+        raise DomainError("mmse: n_r, n_t, g must be >= 1 and n_f >= 0")
+    setup = 2 * n_r * n_t ** 2 + n_r ** 3 + n_r + n_r * n_t
+    per_sc = (
+        3 * n_t
+        + n_t * n_r * (2 * n_t - 1)
+        + n_t * n_r * (2 * n_r - 1)
+        + n_t * g * (2 * n_r - 1)
+    )
+    return {_FLOP_DS: setup + n_f * per_sc}
 
 
 def count_mmse(n_r: int, n_t: int, n_f: int, g: int) -> OperationTally:
@@ -426,33 +510,45 @@ def count_mmse(n_r: int, n_t: int, n_f: int, g: int) -> OperationTally:
     counts give the same either way.  The term is kept, because changing
     it would move every sweep over asymmetric antenna counts.
     """
-    if min(n_r, n_t, g) < 1 or n_f < 0:
-        raise DomainError("mmse: n_r, n_t, g must be >= 1 and n_f >= 0")
-    setup = 2 * n_r * n_t ** 2 + n_r ** 3 + n_r + n_r * n_t
-    per_sc = (
-        3 * n_t
-        + n_t * n_r * (2 * n_t - 1)
-        + n_t * n_r * (2 * n_r - 1)
-        + n_t * g * (2 * n_r - 1)
-    )
-    return _of_slots({_FLOP_DS: setup + n_f * per_sc})
+    _check_ints(n_r=n_r, n_t=n_t, n_f=n_f, g=g)
+    return _of_slots(_mmse(n_r, n_t, n_f, g))
+
+
+def _block_f(d: DerivedParams, s: Scenario) -> _Terms:
+    """Block F: ls, mmse."""
+    return (_ls(s.n_layers, s.n_rx, s.n_tx, s.channel_len, d.g, d.k_p),
+            _mmse(s.n_rx, s.n_tx, d.n_f, d.g))
 
 
 def count_block_f(d: DerivedParams, s: Scenario) -> OperationTally:
     """Least squares plus MMSE.  A modelling choice: estimation is costed
     over g*k_p = 14*k_p pilot equations whatever pilot_symbols_per_slot
     is, 0 included, so the pilot symbol count never reaches block F."""
-    return _sum(_terms_f(d, s))
-
-
-def _terms_f(d: DerivedParams, s: Scenario) -> Tuple[OperationTally, ...]:
-    return (count_ls(v=s.n_layers, n_r=s.n_rx, n_t=s.n_tx, l=s.channel_len,
-                     g=d.g, k_p=d.k_p),
-            count_mmse(n_r=s.n_rx, n_t=s.n_tx, n_f=d.n_f, g=d.g))
+    _check_ints(**d._asdict(), n_layers=s.n_layers, n_rx=s.n_rx,
+                n_tx=s.n_tx, channel_len=s.channel_len)
+    return _merge(_block_f(d, s))
 
 
 # ---------------------------------------------------------------------------
 # Block H: LDPC decoding and CRC checks
+
+
+def _ldpc_decode(n_vn: int, w_cn: int, deg_cn: int, deg_vn: int,
+                 iters: int, c: int) -> Dict[int, int]:
+    if n_vn < 0 or w_cn < 0:
+        raise DomainError("decode: node counts must be >= 0")
+    if deg_cn < 1 or deg_vn < 1:
+        raise DomainError("decode: node degrees must be >= 1")
+    if iters < 0 or c < 1:
+        raise DomainError("decode: iters >= 0 and c >= 1 required")
+    edge_ops = iters * w_cn * deg_cn * c
+    return {
+        _DIV_DS: n_vn * c,
+        _LOG_DS: n_vn * c,
+        _MUL_DS: edge_ops,
+        _ADD_DS: iters * (n_vn * deg_vn + n_vn * (deg_vn + 1)) * c,
+        _XOR_DS: edge_ops,
+    }
 
 
 def count_ldpc_decode(n_vn: int, w_cn: int, deg_cn: int, deg_vn: int,
@@ -466,25 +562,26 @@ def count_ldpc_decode(n_vn: int, w_cn: int, deg_cn: int, deg_vn: int,
     additions per variable node plus one sign XOR per check-node
     edge).  Check/variable node degrees are taken as constants.
     """
-    if n_vn < 0 or w_cn < 0:
-        raise DomainError("decode: node counts must be >= 0")
-    if deg_cn < 1 or deg_vn < 1:
-        raise DomainError("decode: node degrees must be >= 1")
-    if iters < 0 or c < 1:
-        raise DomainError("decode: iters >= 0 and c >= 1 required")
-    edge_ops = iters * w_cn * deg_cn * c
-    return _of_slots({
-        _DIV_DS: n_vn * c,
-        _LOG_DS: n_vn * c,
-        _MUL_DS: edge_ops,
-        _ADD_DS: iters * (n_vn * deg_vn + n_vn * (deg_vn + 1)) * c,
-        _XOR_DS: edge_ops,
-    })
+    _check_ints(n_vn=n_vn, w_cn=w_cn, deg_cn=deg_cn, deg_vn=deg_vn,
+                iters=iters, c=c)
+    return _of_slots(_ldpc_decode(n_vn, w_cn, deg_cn, deg_vn, iters, c))
+
+
+def _crc_check(bits: int, p: int = 32) -> Dict[int, int]:
+    return {**_crc(bits, p), _CMP_LS: 1}
 
 
 def count_crc_decode(bits: int, p: int = 32) -> OperationTally:
     """CRC check: recompute the digest, then one compare."""
-    return _of_slots({**count_crc(bits, p)._counts, _CMP_LS: 1})
+    _check_ints(bits=bits, p=p)
+    return _of_slots(_crc_check(bits, p))
+
+
+def _block_h(d: DerivedParams, decode: DecodeConfig) -> _Terms:
+    """Block H: ldpc_decode, cb_crc_check, tb_crc_check."""
+    return (_ldpc_decode(d.n_ccb, d.n_ccb - d.k, decode.deg_cn,
+                         decode.deg_vn, decode.iterations, d.c),
+            _crc_check(d.b), _crc_check(d.a))
 
 
 def count_block_h(d: DerivedParams, decode: DecodeConfig) -> OperationTally:
@@ -494,19 +591,16 @@ def count_block_h(d: DerivedParams, decode: DecodeConfig) -> OperationTally:
     redundancy handled per check node is the coded length minus the
     systematic payload.
     """
-    return _sum(_terms_h(d, decode))
-
-
-def _terms_h(d: DerivedParams, decode: DecodeConfig,
-             ) -> Tuple[OperationTally, ...]:
-    return (count_ldpc_decode(n_vn=d.n_ccb, w_cn=d.n_ccb - d.k,
-                              deg_cn=decode.deg_cn, deg_vn=decode.deg_vn,
-                              iters=decode.iterations, c=d.c),
-            count_crc_decode(d.b), count_crc_decode(d.a))
+    _check_ints(**d._asdict(), **decode._asdict())
+    return _merge(_block_h(d, decode))
 
 
 # ---------------------------------------------------------------------------
 # Full pipeline
+
+
+# Blocks in order, looked up once: an attribute of the enum class is slow.
+_BLOCKS = tuple(BlockId)
 
 
 class PipelineTallies(NamedTuple):
@@ -518,24 +612,24 @@ class PipelineTallies(NamedTuple):
 
     @property
     def total(self) -> OperationTally:
-        return _sum(self.per_block.values())
+        return _merge([tally._counts for tally in self.per_block.values()])
 
 
 def tally_pipeline(s: Scenario) -> PipelineTallies:
     """Count every block of the chain for a scenario, scaled by n_slots."""
     d = derive(s)
-    bg = BASE_GRAPHS[d.bg]
-    e_antennas = s.rx_fft_antennas if s.rx_fft_antennas is not None else s.n_tx
     n = s.n_slots
-    per_block = {
-        BlockId.A: _sum(_terms_a(d, bg), n),
-        BlockId.B: count_block_b(d.m_cw, d.n_symbols).scaled(n),
-        BlockId.C: count_block_c(s.n_ports, s.n_layers,
-                                 d.m_symb_layer).scaled(n),
-        BlockId.D: count_block_d(d.g, s.n_tx, d.n_fft).scaled(n),
-        BlockId.E: count_block_e(d.g, e_antennas, d.n_fft).scaled(n),
-        BlockId.F: _sum(_terms_f(d, s), n),
-        BlockId.G: count_block_g(d.m_cw, d.n_symbols).scaled(n),
-        BlockId.H: _sum(_terms_h(d, s.decode), n),
-    }
+    # Blocks G and E mirror B and D; E differs only with rx_fft_antennas.
+    bit_blocks = _merge(_block_b(d.m_cw, d.n_symbols), n)
+    transforms = _merge((_fft(d.g, s.n_tx, d.n_fft),), n)
+    per_block = dict(zip(_BLOCKS, (
+        _merge(_block_a(d, BASE_GRAPHS[d.bg]), n),
+        bit_blocks,
+        _merge((_precoding(s.n_ports, s.n_layers, d.m_symb_layer),), n),
+        transforms,
+        transforms if s.rx_fft_antennas is None
+        else _merge((_fft(d.g, s.rx_fft_antennas, d.n_fft),), n),
+        _merge(_block_f(d, s), n),
+        bit_blocks,
+        _merge(_block_h(d, s.decode), n))))
     return PipelineTallies(per_block, d.a * n, d)

@@ -551,6 +551,24 @@ def test_legacy_models_frozen_values(capsys, model, params, expected_key,
     assert out == f"model: {model}\n{expected_key}: {expected}\n"
 
 
+def test_legacy_model_names_are_the_models_table():
+    """The parser lists the legacy models from a tuple of its own, so that
+    building it loads no legacy module; the tuple must stay the table's
+    sorted names."""
+    from phyenergy import legacy
+    assert cli._LEGACY_MODELS == tuple(sorted(legacy.MODELS))
+
+
+def test_legacy_help_lists_every_model(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as done:
+        main(["legacy", "--help"])
+    assert done.value.code == 0
+    from phyenergy import legacy
+    listed = "--model MODEL model name: " + ", ".join(sorted(legacy.MODELS))
+    assert listed in " ".join(capsys.readouterr().out.split())
+
+
 def test_legacy_unknown_model(capsys):
     code, _, err = run(capsys, "legacy", "--model", "watts",
                        "--params", str(CONFIGS / "auer.yaml"))

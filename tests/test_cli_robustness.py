@@ -13,6 +13,7 @@ import csv
 import io
 import math
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -368,6 +369,30 @@ def test_cycles_finer_than_the_bound_are_refused(tmp_path, cycles, shown):
     assert (code, out) == (1, "")
     assert err == (f"error[cost-table]: {path}:{line}: cycles {shown} has a "
                    "reduced denominator over 10**300\n")
+
+
+@pytest.mark.parametrize("cycles, reason", [
+    ("1e-10000000", "has a reduced denominator over 10**300"),
+    ("1e-1000000", "has a reduced denominator over 10**300"),
+    ("1e1000000", "has a decimal exponent over 4300"),
+    ("1e-5000", "has a reduced denominator over 10**300"),
+    ("1e4301", "has a decimal exponent over 4300"),
+], ids=["1e-10000000", "1e-1000000", "1e1000000", "1e-5000", "1e4301"])
+def test_a_cycles_exponent_past_the_digit_limit_fails_fast(tmp_path, cycles,
+                                                           reason):
+    """Fraction would build 10**abs(exponent) first, a stall of seconds
+    for a 12-character cell; the exponent is bounded before that."""
+    path = tmp_path / "table.csv"
+    path.write_text(_table_with_add_cycles(cycles))
+    started = time.perf_counter()
+    code, out, err = _run(["estimate", "--scenario", str(REFERENCE_PATH),
+                           "--cost-table", str(path)])
+    assert time.perf_counter() - started < 1.0
+    line = path.read_text().splitlines().index(
+        "ADD,double_scalar,register,1," + cycles) + 1
+    assert (code, out) == (1, "")
+    assert err == (f"error[cost-table]: {path}:{line}: cycles '{cycles}' "
+                   f"{reason}\n")
 
 
 @pytest.mark.parametrize("cycles", ["1e-300", f"1/{2 ** 996}",

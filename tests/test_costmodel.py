@@ -416,3 +416,31 @@ def test_a_table_with_negative_cycles_cannot_price():
         table = InstructionCostTable(entries=entries, source="negative")
         build_report(tally_pipeline(reference_scenario()), table,
                      EnergyParams(kappa=1e-25, clock_hz=2.1e9))
+
+
+@pytest.mark.parametrize("cycles, value", [
+    ("0e-10000000", Fraction(0)),
+    ("1" + "0" * 4299 + "e-4301", Fraction(1, 100)),
+    ("1e-4601", "denominator"),
+    ("-1e-10000000", ">= 0"),
+    ("1e4300", Fraction(10 ** 4300)),
+    ("1e 5000", "bad cycles value"),
+    ("1e -99999", "bad cycles value"),
+    ("1/2e99999", "bad cycles value"),
+    ("1e" + "9" * 5000, "digit"),
+], ids=["zero", "long-mantissa", "bound", "negative", "largest-exponent",
+        "space-after-e", "space-before-sign", "fraction-form",
+        "long-exponent"])
+def test_cycles_exponents_near_the_bound(cycles, value):
+    """Under -4601 an exponent is read as -4601, which keeps every outcome:
+    zero is zero, anything else is finer than 10**-300, and a negative
+    value stays negative.  Up to 4300 a positive exponent parses.  Text
+    that Fraction's grammar refuses keeps Fraction's refusal."""
+    text = _HEADER + "ADD,double_scalar,register,1," + cycles + "\n"
+    if isinstance(value, str):
+        with pytest.raises(CostTableError, match=value):
+            parse_cost_table(text, source="t")
+    else:
+        entry = parse_cost_table(text, source="t").entries[
+            (OpKind.ADD, DataClass.DOUBLE_SCALAR)]
+        assert entry.cycles == value

@@ -105,6 +105,24 @@ def test_counting_commands_load_no_importlib_resources(tmp_path, argv):
     assert done.stdout.splitlines()[-1] == "False"
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--scenario", REFERENCE],
+    ["sweep", "--scenario", REFERENCE, "--param", "n_prb", "--values", "1,2"],
+    ["compare", "--scenario", REFERENCE, "--measured", "{measured}",
+     "--filter", str(CONFIGS / "filter_example.yaml")],
+], ids=["estimate", "sweep", "compare"])
+def test_counting_commands_load_no_legacy(tmp_path, argv):
+    """The ``--model`` help names come from a tuple in ``cli``, so building
+    the parser loads no ``legacy``."""
+    measured = tmp_path / "measured.csv"
+    measured.write_text(serialize_measurement(rows_from_tallies(
+        tally_pipeline(load_scenario(REFERENCE)), path_prefix="nr5g/")))
+    loaded = _loaded_after(_command(
+        *[arg.replace("{measured}", str(measured)) for arg in argv]))
+    assert "phyenergy.costmodel" in loaded
+    assert "phyenergy.legacy" not in loaded
+
+
 def test_every_exported_name_resolves():
     for name in phyenergy.__all__:
         value = getattr(phyenergy, name)

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_scenario
@@ -9,6 +9,7 @@ from oracles import (block_a_ops, block_c_flops, block_h_ops, crc_slice_ops,
                      gauss_jordan_inverse_ops, ls_bracket_ops, mmse_flops,
                      radix2_fft_ops, schoolbook_product_ops)
 
+from phyenergy import opcount
 from phyenergy.errors import DomainError
 from phyenergy.opcount import (EMPTY_TALLY, BlockId, DataClass, OpKind,
                                OperationTally, count_block_a, count_block_b,
@@ -17,9 +18,9 @@ from phyenergy.opcount import (EMPTY_TALLY, BlockId, DataClass, OpKind,
                                count_crc, count_crc_decode, count_ldpc_decode,
                                count_ldpc_encode, count_ls, count_mmse,
                                count_segmentation, tally_pipeline)
-from phyenergy.scenario import (LIFTING_SIZES, TB_CRC_BITS, BaseGraphSpec,
-                                DecodeConfig, Modulation, derive,
-                                select_base_graph)
+from phyenergy.scenario import (BASE_GRAPHS, LIFTING_SIZES, TB_CRC_BITS,
+                                BaseGraphSpec, DecodeConfig, Modulation,
+                                derive, select_base_graph)
 
 LS = DataClass.LOGICAL_SCALAR
 IS = DataClass.INT_SCALAR
@@ -519,25 +520,28 @@ def test_pipeline_total_is_blockwise_sum(reference):
 
 
 @st.composite
-def _valid_scenarios(draw):
-    """Scenarios across the whole valid space, optional fields included."""
-    n_tx = draw(st.integers(min_value=1, max_value=8))
-    n_rx = draw(st.integers(min_value=1, max_value=8))
+def _valid_scenarios(draw, max_prb=275, max_antennas=8, max_channel_len=8,
+                     max_tbs=200_000):
+    """Scenarios across the whole valid space, optional fields included;
+    the bounds shrink it where a loop oracle must stay fast."""
+    n_tx = draw(st.integers(min_value=1, max_value=max_antennas))
+    n_rx = draw(st.integers(min_value=1, max_value=max_antennas))
     n_layers = draw(st.integers(min_value=1, max_value=min(n_tx, n_rx)))
-    optional = st.one_of(st.none(), st.integers(min_value=1, max_value=8))
+    optional = st.one_of(st.none(),
+                         st.integers(min_value=1, max_value=max_antennas))
     return reference_scenario(
         n_slots=draw(st.integers(min_value=1, max_value=5)),
         scs_khz=draw(st.sampled_from([15, 30, 60, 120])),
-        n_prb=draw(st.integers(min_value=1, max_value=275)),
+        n_prb=draw(st.integers(min_value=1, max_value=max_prb)),
         modulation=draw(st.sampled_from(list(Modulation))),
         code_rate=draw(st.integers(min_value=1, max_value=1023)),
         n_tx=n_tx, n_rx=n_rx, n_layers=n_layers,
-        n_ports=draw(st.integers(min_value=n_layers, max_value=8)),
-        channel_len=draw(st.integers(min_value=1, max_value=8)),
+        n_ports=draw(st.integers(min_value=n_layers, max_value=max_antennas)),
+        channel_len=draw(st.integers(min_value=1, max_value=max_channel_len)),
         pilot_sc_per_prb=draw(st.integers(min_value=1, max_value=12)),
         pilot_symbols_per_slot=draw(st.integers(min_value=0, max_value=13)),
         tbs_override=draw(st.one_of(
-            st.none(), st.integers(min_value=0, max_value=200_000))),
+            st.none(), st.integers(min_value=0, max_value=max_tbs))),
         rx_fft_antennas=draw(optional),
         decode=DecodeConfig(
             deg_cn=draw(st.integers(min_value=1, max_value=24)),
@@ -592,3 +596,127 @@ def test_fused_pipeline_equals_its_validated_terms(s):
         assert tallies.per_block[block] == merged.scaled(s.n_slots)
         for count in tallies.per_block[block].slot_counts().values():
             assert type(count) is int and count > 0
+
+
+# ---------------------------------------------------------------------------
+# The pipeline against the loop oracles
+
+
+def _flops(n: int) -> OperationTally:
+    return OperationTally({(OpKind.FLOP, DS): n})
+
+
+@given(s=_valid_scenarios(max_prb=2, max_antennas=4, max_channel_len=2,
+                          max_tbs=56))
+@settings(max_examples=60, deadline=None, derandomize=True,
+          phases=[phase for phase in Phase if phase is not Phase.explain])
+def test_pipeline_matches_the_loop_oracles(s):
+    """Every block of the pipeline is its loop oracle's count (blocks B and
+    G the closed form over derive's sizes) times n_slots.  Loop oracles
+    take time in proportion to the counts, so the draw stays small and its
+    lifting size at most 8."""
+    d = derive(s)
+    assume(d.z <= 8)
+    bg = BASE_GRAPHS[d.bg]
+    e_antennas = s.n_tx if s.rx_fft_antennas is None else s.rx_fft_antennas
+    bits = OperationTally({(OpKind.XOR, DataClass.LOGICAL_VECTOR): 6 * d.m_cw,
+                           (OpKind.LOOKUP, IS): d.n_symbols,
+                           (OpKind.SHIFT, IS): d.n_symbols})
+    oracles = {
+        BlockId.A: _tally(block_a_ops(d.a, d.b, d.c, d.k, d.z, bg.n1,
+                                      bg.rows, bg.cols, d.n_ccb)),
+        BlockId.B: bits,
+        BlockId.C: _flops(block_c_flops(s.n_ports, s.n_layers,
+                                        d.m_symb_layer)),
+        BlockId.D: _flops(d.g * s.n_tx * radix2_fft_ops(d.n_fft)),
+        BlockId.E: _flops(d.g * e_antennas * radix2_fft_ops(d.n_fft)),
+        BlockId.F: _flops(s.n_layers * s.n_rx * ls_bracket_ops(
+            s.channel_len, s.n_tx, d.g, d.k_p)
+            + mmse_flops(s.n_rx, s.n_tx, d.n_f, d.g)),
+        BlockId.G: bits,
+        BlockId.H: _tally(block_h_ops(
+            d.a, d.b, d.c, n_vn=d.n_ccb, w_cn=d.n_ccb - d.k,
+            deg_cn=s.decode.deg_cn, deg_vn=s.decode.deg_vn,
+            iters=s.decode.iterations)),
+    }
+    tallies = tally_pipeline(s)
+    assert list(tallies.per_block) == list(oracles)
+    for block, oracle in oracles.items():
+        assert tallies.per_block[block] == oracle.scaled(s.n_slots), block
+
+
+# ---------------------------------------------------------------------------
+# The public counters are the validating boundary
+
+
+class _Int(int):
+    """An int subclass: accepted wherever an int is."""
+
+
+_REFERENCE_DERIVED = derive(reference_scenario())
+
+# Each public counter with valid integer arguments.
+_PUBLIC_CALLS = [
+    (count_crc, (3824, 32)),
+    (count_segmentation, (2,)),
+    (count_ldpc_encode, (44, 2, 316, 46, 68, 128, 1)),
+    (count_block_b, (1000, 250)),
+    (count_block_g, (1000, 250)),
+    (count_block_c, (4, 2, 10)),
+    (count_block_d, (14, 4, 256)),
+    (count_block_e, (14, 4, 256)),
+    (count_ls, (2, 2, 2, 2, 14, 24)),
+    (count_mmse, (2, 2, 12, 14)),
+    (count_ldpc_decode, (64, 14, 19, 3, 8, 1)),
+    (count_crc_decode, (3824, 32)),
+]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: count_crc(100.0), "a_bits must be an integer"),
+    (lambda: count_block_b(1.0, 2), "m_cw must be an integer"),
+    (lambda: count_ldpc_decode(64, 14, 19, 3, iters=True, c=1),
+     "iters must be an integer"),
+    (lambda: count_block_a(_REFERENCE_DERIVED._replace(a=1.5),
+                           BASE_GRAPHS[_REFERENCE_DERIVED.bg]),
+     "a must be an integer"),
+    (lambda: count_block_a(_REFERENCE_DERIVED,
+                           BASE_GRAPHS[1]._replace(n1=316.0)),
+     "n1 must be an integer"),
+    (lambda: count_block_f(_REFERENCE_DERIVED,
+                           reference_scenario(channel_len=8.0)),
+     "channel_len must be an integer"),
+    (lambda: count_block_h(_REFERENCE_DERIVED,
+                           DecodeConfig(iterations=False)),
+     "iterations must be an integer"),
+], ids=["crc-float", "block_b-float", "decode-bool", "block_a-derived",
+        "block_a-graph", "block_f-scenario", "block_h-decode"])
+def test_public_counters_refuse_non_integers(call, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize("count, args", _PUBLIC_CALLS,
+                         ids=[count.__name__ for count, _ in _PUBLIC_CALLS])
+def test_every_argument_of_a_public_counter_must_be_an_int(count, args):
+    """A float, a bool or None in any position is refused before counting,
+    so no count is ever a float; an int subclass counts as the int does."""
+    for i, value in enumerate(args):
+        for bad in (float(value), True, None):
+            with pytest.raises(DomainError, match="must be an integer"):
+                count(*args[:i], bad, *args[i + 1:])
+    assert count(*map(_Int, args)) == count(*args)
+
+
+def test_the_pipeline_never_runs_the_public_check(monkeypatch):
+    """tally_pipeline trusts validate's one type check: the public
+    counters' per-argument check is not on its path."""
+    expected = tally_pipeline(reference_scenario(n_slots=3))
+
+    def refuse(**args):
+        raise AssertionError("type check on the pipeline path")
+
+    monkeypatch.setattr(opcount, "_check_ints", refuse)
+    assert tally_pipeline(reference_scenario(n_slots=3)) == expected
+    with pytest.raises(AssertionError):
+        count_crc(100)

@@ -17,9 +17,10 @@ from phyenergy.ingest import load_filter_config
 from phyenergy.legacy import evaluate_model
 from phyenergy.opcount import tally_pipeline
 from phyenergy.scenario import (LIFTING_SIZES, DecodeConfig, Modulation,
-                                base_graph_id, derive, load_scenario,
-                                parse_modulation, scenario_from_mapping,
-                                select_base_graph, validate)
+                                base_graph_id, derive, is_int,
+                                load_scenario, parse_modulation,
+                                scenario_from_mapping, select_base_graph,
+                                validate)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +233,45 @@ def test_validate_reports_every_non_integer_field():
     assert validate(s) == ["n_prb must be an integer",
                            "n_tx must be an integer",
                            "decode.deg_cn must be an integer"]
+
+
+class _Int(int):
+    """An int subclass, as a YAML loader or a caller might pass."""
+
+
+@pytest.mark.parametrize("value, expected", [
+    (0, True), (-(10 ** 400), True), (_Int(3), True),
+    (True, False), (False, False), (1.0, False), (None, False), ("1", False),
+])
+def test_is_int_is_the_one_integer_rule(value, expected):
+    """The rule validate, the tally constructor and the public counters
+    share: an int or an int subclass, never a bool."""
+    assert is_int(value) is expected
+
+
+@pytest.mark.parametrize("overrides,problems", [
+    ({"n_prb": None}, ["n_prb must be an integer"]),
+    ({"decode": DecodeConfig(iterations=None)},
+     ["decode.iterations must be an integer"]),
+    ({"n_slots": None, "tbs_override": True},
+     ["n_slots must be an integer", "tbs_override must be an integer"]),
+    ({"n_prb": _Int(52), "decode": DecodeConfig(deg_cn=_Int(19))}, []),
+    ({"tbs_override": _Int(8000), "rx_fft_antennas": _Int(2)}, []),
+], ids=["none-n_prb", "none-iterations", "none-and-bool",
+        "int-subclass-required", "int-subclass-optional"])
+def test_integer_rule_refuses_none_and_accepts_int_subclasses(overrides,
+                                                              problems):
+    """None in a required integer field is refused, as is a bool anywhere;
+    an int subclass is accepted and counts exactly as the plain int does."""
+    s = reference_scenario(**overrides)
+    assert validate(s) == problems
+    if not problems:
+        plain = dataclasses.replace(s, **{
+            name: (value._replace(**{f: int(v) for f, v in
+                                     value._asdict().items()})
+                   if isinstance(value, DecodeConfig) else int(value))
+            for name, value in overrides.items()})
+        assert tally_pipeline(s) == tally_pipeline(plain)
 
 
 def test_n_prb_is_capped_at_a_full_carrier():
