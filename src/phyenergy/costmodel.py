@@ -195,8 +195,9 @@ def parse_cost_table(text: str, source: str = "<string>") -> InstructionCostTabl
                     meta[tag] = body[len(prefix):].strip()
 
     entries: Dict[OpKey, CostEntry] = {}
-    for where, row in read_csv_rows(text, source, _HEADER, "cost table",
-                                    CostTableError):
+    for lineno, row in read_csv_rows(text, source, _HEADER, "cost table",
+                                     CostTableError):
+        where = f"{source}:{lineno}"
         kind_s, cls_s, loc_s, uops_s, cyc_s = row
         kind = name_cell(kind_s, KIND_BY_NAME, "op_kind", where,
                          CostTableError)

@@ -162,22 +162,30 @@ def parse_measurement_text(text: str, source: str = "<string>",
     # Kept rows' counts by (block, operator, data type).
     sums: Dict[Tuple[Optional[BlockId], OpKind, DataClass], int] = {}
     seen = kept = filtered = unattributed = 0
-    for where, cells in read_csv_rows(text, source, _HEADER,
-                                      "measurement file", MeasurementError):
+    for lineno, cells in read_csv_rows(text, source, _HEADER,
+                                       "measurement file", MeasurementError):
         fpath, block_s, op_s, type_s, shape, count_s = cells
         seen += 1
 
         # Every cell is checked before the filter, so a denied row with a
-        # bad cell fails too.
-        operator = name_cell(op_s, KIND_BY_NAME, "operator", where,
-                             MeasurementError)
-        data_type = name_cell(type_s, CLASS_BY_NAME, "data_type", where,
-                              MeasurementError)
-        count = count_cell(count_s, "count", where, MeasurementError)
-        block: Optional[BlockId] = None
-        if block_s:
-            block = name_cell(block_s, _BLOCK_BY_NAME, "block", where,
-                              MeasurementError)
+        # bad cell fails too.  A row that fails a check is read again by
+        # the cell readers, in column order, for their message.
+        operator = KIND_BY_NAME.get(op_s)
+        data_type = CLASS_BY_NAME.get(type_s)
+        try:
+            count = int(count_s)
+        except ValueError:
+            count = -1          # refused by count_cell below
+        block = _BLOCK_BY_NAME.get(block_s)
+        if (operator is None or data_type is None or count < 0
+                or (block is None and block_s)):
+            where = f"{source}:{lineno}"
+            name_cell(op_s, KIND_BY_NAME, "operator", where, MeasurementError)
+            name_cell(type_s, CLASS_BY_NAME, "data_type", where,
+                      MeasurementError)
+            count_cell(count_s, "count", where, MeasurementError)
+            name_cell(block_s, _BLOCK_BY_NAME, "block", where,
+                      MeasurementError)
 
         if not path_filter.matches(fpath):
             filtered += 1

@@ -7,7 +7,11 @@ checked by :func:`read_fields`, which hands each value to a converter
 such as :func:`as_int`; :func:`record` makes the converter that builds a
 record from a mapping.  CSV files (cost tables, measurement reports) are
 split by :func:`read_csv_rows`, and their cells are read by
-:func:`name_cell` and :func:`count_cell`.
+:func:`name_cell` and :func:`count_cell`.  :func:`read_text` drops one
+leading byte order mark (U+FEFF), so a CSV file saved with one reads like
+the same file without it.  :func:`read_csv_rows` walks the text
+:data:`CHUNK_CHARS` characters at a time, so the memory a parse holds
+beyond the text and what its caller keeps does not grow with the file.
 
 Two rules hold for every message about input.  Integer text past
 Python's int/str digit limit is reported by its length
@@ -72,16 +76,17 @@ def reject_long_parts(parts: Sequence[str], label: str,
 
 def read_text(path: str | Path, what: str,
               error: type[PhyEnergyError]) -> str:
-    """Text of a regular file; a missing path, a directory or bytes that do
-    not decode raise error."""
+    """Text of a regular file without one leading byte order mark; a missing
+    path, a directory or bytes that do not decode raise error."""
     path = Path(path)
     if not path.is_file():
         state = "is not a file" if path.exists() else "not found"
         raise error(f"{what} {state}: {path}")
     try:
-        return path.read_text()
+        text = path.read_text()
     except UnicodeDecodeError as exc:
         raise error(f"{what} is not text: {path}: {exc}") from None
+    return text.removeprefix("\ufeff")
 
 
 # libyaml's parser when PyYAML was built with it, else the pure-Python one;
@@ -172,26 +177,43 @@ def as_list(label: str, value: Any) -> Sequence[Any]:
     return value
 
 
+# read_csv_rows splits the text this many characters at a time, cutting
+# each piece just after the first "\n" at or past this length.
+CHUNK_CHARS = 1 << 16
+
+
+def _lines(text: str) -> Iterator[str]:
+    r"""``text.splitlines()``, a chunk at a time.  Each chunk but the last
+    ends in ``\n``, which ends every line break it can end (``\r\n`` is
+    the only two-character one), so the lines are the same for any text."""
+    start, end = 0, len(text)
+    while start < end:
+        cut = text.find("\n", start + CHUNK_CHARS) + 1 or end
+        yield from text[start:cut].splitlines()
+        start = cut
+
+
 def read_csv_rows(text: str, source: str, header: Sequence[str], what: str,
                   error: type[PhyEnergyError],
-                  ) -> Iterator[tuple[str, list[str]]]:
-    """Yield ``(where, stripped cells)`` for each data row of CSV text,
-    where ``where`` is ``<source>:<lineno>``, the prefix of a row's errors.
+                  ) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(lineno, stripped cells)`` for each data row of CSV text;
+    a caller reports a problem in a row as ``<source>:<lineno>: ...``.
 
-    Blank lines and ``#`` comments are skipped, and the first remaining
-    line must be ``header``.  Each physical line is parsed on its own, so
-    an unterminated quote cannot swallow the lines after it.  A line
-    without ``"`` (or NUL, which csv rejects before Python 3.11) is split
-    on commas directly, which gives the cells the csv module would; other
-    lines go through :mod:`csv`.  Both ways refuse a field longer than
-    ``csv.field_size_limit()``.  Problems, csv's own errors included,
-    raise ``error`` as ``<source>:<lineno>: ...``; ``what`` names the file
-    kind in the empty-file error.
+    Lines are those of ``text.splitlines()``, read :data:`CHUNK_CHARS`
+    characters at a time.  Blank lines and ``#`` comments are skipped, and
+    the first remaining line must be ``header``.  Each physical line is
+    parsed on its own, so an unterminated quote cannot swallow the lines
+    after it.  A line without ``"`` (or NUL, which csv rejects before
+    Python 3.11) is split on commas directly, which gives the cells the csv
+    module would; other lines go through :mod:`csv`.  Both ways refuse a
+    field longer than ``csv.field_size_limit()``.  Problems, csv's own
+    errors included, raise ``error`` as ``<source>:<lineno>: ...``;
+    ``what`` names the file kind in the empty-file error.
     """
     header = list(header)
     seen_header = False
     limit = csv.field_size_limit()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -215,7 +237,7 @@ def read_csv_rows(text: str, source: str, header: Sequence[str], what: str,
             raise error(f"{source}:{lineno}: expected {len(header)} columns, "
                         f"got {len(cells)}")
         else:
-            yield f"{source}:{lineno}", cells
+            yield lineno, cells
     if not seen_header:
         raise error(f"{source}: empty {what}")
 

@@ -5,8 +5,8 @@ algorithm in question, never by evaluating a formula, so agreement
 with the package's closed-form counts is meaningful.
 
 The ingest oracles at the end keep the plain loops that the indexed
-attribution, the tuple-based path filter, the comma split and the parse's
-per-block grouping replaced.
+attribution, the tuple-based path filter, the comma split, the chunked line
+split and the parse's per-block grouping replaced.
 """
 
 from __future__ import annotations
@@ -237,6 +237,33 @@ def path_passes(path, allow, deny):
 def csv_cells(line):
     """The cells the csv module reads from one line."""
     return next(csv.reader((line,)))
+
+
+def csv_rows(text, source, header, what, error):
+    """The data rows of CSV text as ``(lineno, stripped cells)``, one line
+    of ``text.splitlines()`` at a time, every line through the csv module;
+    the same problems raise ``error`` with the same messages."""
+    seen_header = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            cells = [cell.strip() for cell in csv_cells(line)]
+        except csv.Error as exc:
+            raise error(f"{source}:{lineno}: {exc}") from None
+        if not seen_header:
+            if cells != list(header):
+                raise error(f"{source}:{lineno}: header must be "
+                            + ",".join(header))
+            seen_header = True
+        elif len(cells) != len(header):
+            raise error(f"{source}:{lineno}: expected {len(header)} columns, "
+                        f"got {len(cells)}")
+        else:
+            yield lineno, cells
+    if not seen_header:
+        raise error(f"{source}: empty {what}")
 
 
 def block_tallies(rows):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from phyenergy import cli, opcount, scenario
 from phyenergy.cli import fmt_exact, fmt_float, fmt_opt, main
-from phyenergy.costmodel import LOCATION_BY_CLASS
+from phyenergy.costmodel import LOCATION_BY_CLASS, load_cost_table
 from phyenergy.ingest import rows_from_tallies, serialize_measurement
 from phyenergy.opcount import DataClass, OpKind, tally_pipeline
 from phyenergy.scenario import load_scenario
@@ -528,6 +528,63 @@ def test_compare_filter_attributes_unlabeled_rows(capsys, tmp_path):
     a_row = lines[1].split(",")
     assert a_row[0] == "A" and a_row[2] == "500"
     assert lines[-1].split(",")[2] == "7"   # stray row lands unattributed
+
+
+def _with_bom(path: Path, boms: int = 1) -> str:
+    marked = path.with_name(f"bom{boms}_{path.name}")
+    marked.write_text("\ufeff" * boms + path.read_text())
+    return str(marked)
+
+
+@pytest.mark.parametrize("fmt", ["structured-text", "delimited-table"])
+def test_csv_inputs_with_a_byte_order_mark_read_as_without(
+        capsys, tmp_path, measurement_file, fmt):
+    table = write_uniform_csv(tmp_path / "uniform.csv", cycles="3")
+    for command, flag, path in (
+            (["estimate"], "--cost-table", table),
+            (["compare", "--measured", measurement_file], "--cost-table",
+             table),
+            (["compare", "--cost-table", table], "--measured",
+             measurement_file)):
+        argv = [*command, "--scenario", REFERENCE, "--format", fmt, flag]
+        plain = run(capsys, *argv, path)
+        assert plain[0] == 0
+        assert run(capsys, *argv, _with_bom(Path(path))) == plain
+    assert load_cost_table(_with_bom(Path(table))).source == (
+        "uniform test table")
+
+
+def test_a_second_byte_order_mark_still_fails(capsys, tmp_path,
+                                              measurement_file):
+    table = _with_bom(Path(write_uniform_csv(tmp_path / "uniform.csv")), 2)
+    measured = _with_bom(Path(measurement_file), 2)
+    code, out, err = run(capsys, "estimate", "--scenario", REFERENCE,
+                         "--cost-table", table)
+    assert (code, out) == (1, "")
+    assert err == (f"error[cost-table]: {table}:1: header must be "
+                   "op_kind,data_class,operand_location,micro_ops,cycles\n")
+    code, out, err = run(capsys, "compare", "--scenario", REFERENCE,
+                         "--measured", measured)
+    assert (code, out) == (1, "")
+    assert err == (f"error[measured]: {measured}:1: header must be "
+                   "function_path,block,operator,data_type,shape,count\n")
+
+
+def test_a_byte_order_mark_inside_a_cell_still_fails(capsys, tmp_path):
+    measured = tmp_path / "m.csv"
+    measured.write_text("function_path,block,operator,data_type,shape,count\n"
+                        "nr5g/x,A,\ufeffADD,int_scalar,1,5\n")
+    code, out, err = run(capsys, "compare", "--scenario", REFERENCE,
+                         "--measured", str(measured))
+    assert (code, out, err) == (1, "", f"error[measured]: {measured}:2: "
+                                "unknown operator '\\ufeffADD'\n")
+    table = tmp_path / "t.csv"
+    table.write_text("op_kind,data_class,operand_location,micro_ops,cycles\n"
+                     "ADD,\ufeffint_scalar,register,1,1\n")
+    code, out, err = run(capsys, "estimate", "--scenario", REFERENCE,
+                         "--cost-table", str(table))
+    assert (code, out, err) == (1, "", f"error[cost-table]: {table}:2: "
+                                "unknown data_class '\\ufeffint_scalar'\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 import csv
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_table, reference_scenario
-from oracles import (block_tallies, csv_cells, longest_prefix_block,
-                     path_passes)
+from oracles import (block_tallies, csv_cells, csv_rows,
+                     longest_prefix_block, path_passes)
 
+from phyenergy import readers
 from phyenergy.costmodel import EnergyParams, build_report
 from phyenergy.errors import ConfigError, MeasurementError
 from phyenergy.ingest import (MeasuredRow, PathFilter, assign_block, compare,
@@ -266,6 +269,75 @@ def test_field_size_limit_is_the_same_on_both_paths(quote):
                 parse_measurement_text(text)
             assert str(exc.value) == (
                 f"<string>:2: field larger than field limit ({limit})")
+
+
+# Every separator str.splitlines() knows; "\r\n" is the one of two
+# characters, so a cut between its halves would add a line.
+_SEPARATORS = ["\r\n", *_LINE_BREAKS]
+_ROW_TEXTS = st.sampled_from(["a,b", " a , b ", "x,y", "#c", "", "a", "a,b,c",
+                              '"a,b",c', '"a', "\0,b", "\r", "\n"])
+_CHUNKED_TEXTS = (
+    st.lists(st.tuples(_ROW_TEXTS, st.sampled_from(_SEPARATORS)), max_size=40)
+    .map(lambda parts: "".join(line + sep for line, sep in parts))
+    | st.lists(st.sampled_from([",", '"', "a", " ", "#", "\0", *_SEPARATORS]),
+               max_size=200).map("".join))
+
+
+def _outcome(rows):
+    """The rows an iterator yields, and the message it stops with."""
+    read = []
+    try:
+        for row in rows:
+            read.append(row)
+    except MeasurementError as exc:
+        return read, str(exc)
+    return read, None
+
+
+@given(text=_CHUNKED_TEXTS, chunk=st.integers(min_value=1, max_value=64))
+@settings(max_examples=600, deadline=None, derandomize=True)
+def test_chunked_lines_are_the_splitlines_lines(text, chunk):
+    """Cut anywhere, the reader yields the rows and raises the error of a
+    loop over ``text.splitlines()``."""
+    args = (text, "s", ["a", "b"], "file", MeasurementError)
+    with mock.patch.object(readers, "CHUNK_CHARS", chunk):
+        assert _outcome(read_csv_rows(*args)) == _outcome(csv_rows(*args))
+
+
+def test_parsing_holds_no_memory_per_line():
+    """Beyond the text and the rows it keeps, a parse of 50 000 rows holds
+    under 1 MB at its peak; a list of every line would take about 5 MB."""
+    text = HEADER + "".join(f"nr5g/path/number_{i},A,ADD,int_scalar,4x4,{i}\n"
+                            for i in range(50_000))
+    tracemalloc.start()
+    try:
+        report = parse_measurement_text(text)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.meta.rows_kept == 50_000
+    assert peak - current < 1_000_000
+
+
+@pytest.mark.parametrize("row, message", [
+    ("f,A,NOP,int_scalar,1,5", "unknown operator 'NOP'"),
+    ("f,A,ADD,int_thing,1,5", "unknown data_type 'int_thing'"),
+    ("f,A,ADD,int_scalar,1,x", "count must be an integer, got 'x'"),
+    ("f,A,ADD,int_scalar,1,-3", "count must be >= 0"),
+    ("f,A,ADD,int_scalar,1," + "9" * 5000, "count has too many digits (5000)"),
+    ("f,Z,ADD,int_scalar,1,5", "unknown block 'Z'"),
+    # The first bad cell in column order is the one reported.
+    ("f,Z,NOP,int_thing,1,x", "unknown operator 'NOP'"),
+    ("f,Z,ADD,int_thing,1,x", "unknown data_type 'int_thing'"),
+    ("f,Z,ADD,int_scalar,1,x", "count must be an integer, got 'x'"),
+    ('"f,A,ADD,int_scalar,1,5', "expected 6 columns, got 1"),
+    ("f,A,ADD,int_scalar,5", "expected 6 columns, got 5"),
+])
+def test_errors_past_the_first_chunk_carry_their_line(row, message):
+    text = HEADER + "nr5g/p,A,ADD,int_scalar,1,5\n" * 99_998 + row + "\n"
+    with pytest.raises(MeasurementError) as exc:
+        parse_measurement_text(text)
+    assert str(exc.value) == f"<string>:100000: {message}"
 
 
 def test_a_denied_row_is_still_validated():
