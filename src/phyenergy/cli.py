@@ -271,7 +271,7 @@ def render_compare_table(result: ComparisonReport) -> str:
 
 def _emit(text: str, out_path: Optional[str]) -> None:
     if out_path:
-        Path(out_path).write_text(text)
+        Path(out_path).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 

@@ -21,7 +21,9 @@ Parsing does constant work per row.  Every row's cells are validated
 first, the path filter runs next, and only the rows it keeps are
 attributed and summed per block: the block map is indexed once per parse
 by prefix length, longest first, so a row costs one dict probe per
-distinct length.
+distinct length.  No row outlives its line: a :class:`MeasuredReport`
+holds the parse's counters and the per-block sums, and
+:class:`MeasuredRow` is the record :func:`serialize_measurement` writes.
 
 Measured rows run through the same cost path as modeled tallies
 (:func:`~phyenergy.costmodel.cycles_for` over the compiled cost table),
@@ -71,16 +73,15 @@ class MeasurementMeta(NamedTuple):
 
 
 class MeasuredReport(NamedTuple):
-    """Kept rows, the parse's counts, and the rows' counts summed per
-    block, unattributed rows under None."""
+    """The parse's counts, and the kept rows' counts summed per block,
+    unattributed rows under None.  The rows themselves are not kept."""
 
-    rows: Tuple[MeasuredRow, ...]
     meta: MeasurementMeta
     block_tallies: Mapping[Optional[BlockId], OperationTally]
 
     @property
     def empty(self) -> bool:
-        return not self.rows
+        return not self.meta.rows_kept
 
 
 class PathFilter(NamedTuple("PathFilter", [("allow", Tuple[str, ...]),
@@ -158,13 +159,12 @@ def parse_measurement_text(text: str, source: str = "<string>",
     path_filter = path_filter or PathFilter()
     index = _index_block_map(block_map or {})
 
-    rows: list[MeasuredRow] = []
     # Kept rows' counts by (block, operator, data type).
     sums: Dict[Tuple[Optional[BlockId], OpKind, DataClass], int] = {}
     seen = kept = filtered = unattributed = 0
     for lineno, cells in read_csv_rows(text, source, _HEADER,
                                        "measurement file", MeasurementError):
-        fpath, block_s, op_s, type_s, shape, count_s = cells
+        fpath, block_s, op_s, type_s, _shape, count_s = cells
         seen += 1
 
         # Every cell is checked before the filter, so a denied row with a
@@ -195,8 +195,6 @@ def parse_measurement_text(text: str, source: str = "<string>",
             if block is None:
                 unattributed += 1
         kept += 1
-        rows.append(MeasuredRow(fpath, block, operator, data_type, shape,
-                                count))
         key = (block, operator, data_type)
         sums[key] = sums.get(key, 0) + count
 
@@ -206,7 +204,7 @@ def parse_measurement_text(text: str, source: str = "<string>",
     meta = MeasurementMeta(source=source, rows_seen=seen, rows_kept=kept,
                            rows_filtered=filtered,
                            rows_unattributed=unattributed)
-    return MeasuredReport(tuple(rows), meta, {
+    return MeasuredReport(meta, {
         block: OperationTally(counts) for block, counts in grouped.items()})
 
 
@@ -228,7 +226,7 @@ def serialize_measurement(rows: Iterable[MeasuredRow]) -> str:
 
 
 def write_measurement(rows: Iterable[MeasuredRow], path: str | Path) -> None:
-    Path(path).write_text(serialize_measurement(rows))
+    Path(path).write_text(serialize_measurement(rows), encoding="utf-8")
 
 
 def rows_from_tallies(tallies: PipelineTallies,
@@ -248,8 +246,16 @@ def rows_from_tallies(tallies: PipelineTallies,
     return rows
 
 
+def _as_prefix(label: str, value: Any) -> str:
+    # YAML reads 010 as 8 and on as True; str() would rewrite the prefix.
+    if not isinstance(value, str):
+        raise ConfigError(f"{label} {echo(value)} is not a string; quote it")
+    return value
+
+
 def _as_prefixes(label: str, value: Any) -> Tuple[str, ...]:
-    return tuple(str(item) for item in as_list(label, value))
+    return tuple(_as_prefix(f"{label} item", item)
+                 for item in as_list(label, value))
 
 
 def _as_block_map(label: str, value: Any) -> Dict[str, BlockId]:
@@ -259,11 +265,12 @@ def _as_block_map(label: str, value: Any) -> Dict[str, BlockId]:
         raise ConfigError(f"{label} must be a mapping")
     block_map: Dict[str, BlockId] = {}
     for prefix, letter in value.items():
+        prefix = _as_prefix(f"{label} key", prefix)
         block = _BLOCK_BY_NAME.get(str(letter).strip())
         if block is None:
             raise ConfigError(
                 f"{label} value {echo(letter)} is not a block A-H")
-        block_map[str(prefix)] = block
+        block_map[prefix] = block
     return block_map
 
 

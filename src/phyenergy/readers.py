@@ -1,17 +1,18 @@
 """Reading input files: the text, YAML, CSV and cell rules every loader shares.
 
 Every file the package reads comes in through :func:`read_text`, the
-bundled cost table included.  YAML files (scenarios, legacy parameters,
-filter configs) are parsed by :func:`read_yaml`, and their mappings are
-checked by :func:`read_fields`, which hands each value to a converter
-such as :func:`as_int`; :func:`record` makes the converter that builds a
-record from a mapping.  CSV files (cost tables, measurement reports) are
-split by :func:`read_csv_rows`, and their cells are read by
-:func:`name_cell` and :func:`count_cell`.  :func:`read_text` drops one
-leading byte order mark (U+FEFF), so a CSV file saved with one reads like
-the same file without it.  :func:`read_csv_rows` walks the text
-:data:`CHUNK_CHARS` characters at a time, so the memory a parse holds
-beyond the text and what its caller keeps does not grow with the file.
+bundled cost table included, and is decoded as UTF-8 whatever the locale.
+YAML files (scenarios, legacy parameters, filter configs) are parsed by
+:func:`read_yaml`, and their mappings are checked by :func:`read_fields`,
+which hands each value to a converter such as :func:`as_int`;
+:func:`record` makes the converter that builds a record from a mapping.
+CSV files (cost tables, measurement reports) are split by
+:func:`read_csv_rows`, and their cells are read by :func:`name_cell` and
+:func:`count_cell`.  :func:`read_text` drops one leading byte order mark
+(U+FEFF), so a CSV file saved with one reads like the same file without
+it.  :func:`read_csv_rows` walks the text :data:`CHUNK_CHARS` characters
+at a time, so the memory a parse holds beyond the text and what its
+caller keeps does not grow with the file.
 
 Two rules hold for every message about input.  Integer text past
 Python's int/str digit limit is reported by its length
@@ -76,14 +77,14 @@ def reject_long_parts(parts: Sequence[str], label: str,
 
 def read_text(path: str | Path, what: str,
               error: type[PhyEnergyError]) -> str:
-    """Text of a regular file without one leading byte order mark; a missing
-    path, a directory or bytes that do not decode raise error."""
+    """UTF-8 text of a regular file without one leading byte order mark; a
+    missing path, a directory or bytes that do not decode raise error."""
     path = Path(path)
     if not path.is_file():
         state = "is not a file" if path.exists() else "not found"
         raise error(f"{what} {state}: {path}")
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{what} is not text: {path}: {exc}") from None
     return text.removeprefix("\ufeff")

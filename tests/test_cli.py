@@ -707,6 +707,26 @@ def test_directory_path_fails_with_loader_code(capsys, tmp_path,
     assert "is not a file" in err
 
 
+def test_input_is_read_as_utf8_whatever_the_locale(capsys, tmp_path):
+    """Under the C locale, with UTF-8 mode and locale coercion off, the
+    locale's encoding is ASCII; a scenario with a non-ASCII comment still
+    reads, and the estimate is the reference one."""
+    scenario = tmp_path / "s.yaml"
+    scenario.write_text(Path(REFERENCE).read_text(encoding="utf-8")
+                        + "# café\n", encoding="utf-8")
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith(("LC_", "PYTHONUTF8", "PYTHONIOENCODING"))}
+    env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "phyenergy",
+                           "estimate", "--scenario", str(scenario)],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          timeout=120)
+    _, expected, _ = run(capsys, "estimate", "--scenario", REFERENCE)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == expected.encode("ascii")
+
+
 # ---------------------------------------------------------------------------
 # scripts
 

@@ -253,6 +253,26 @@ def test_reader_and_loader_errors(tmp_path, argv, text, message):
 
 
 
+@pytest.mark.parametrize("text, message", [
+    ("allow: [010, on, 1_000]\n", "filter.allow item 8 is not a string"),
+    ("deny: [nr5g/, on]\n", "filter.deny item True is not a string"),
+    ("block_map: {0x1F: A, ~: B}\n",
+     "filter.block_map key 31 is not a string"),
+    ("block_map: {nr5g/: A, ~: B}\n",
+     "filter.block_map key None is not a string"),
+], ids=["allow-octal", "deny-bool", "block-map-hex", "block-map-null"])
+def test_a_filter_prefix_yaml_did_not_read_as_a_string(tmp_path, text,
+                                                       message):
+    """YAML reads 010 as 8, on as True, 0x1F as 31 and ~ as None; a prefix
+    it did not read as a string is refused, not rewritten by str()."""
+    path = tmp_path / "filter.yaml"
+    path.write_text(text)
+    code, out, err = _run(["compare", "--scenario", str(REFERENCE_PATH),
+                           "--measured", "report.csv", "--filter", str(path)])
+    assert (code, out) == (1, "")
+    assert err == f"error[config]: {path}: {message}; quote it\n"
+
+
 @pytest.mark.parametrize("rate", ["abc/1024", "490/abc", "4 9 0/1024"])
 def test_a_malformed_rate_is_not_too_many_digits(tmp_path, rate):
     """Only a half of the rate that int() refuses meets the digit rule."""

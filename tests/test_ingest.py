@@ -14,12 +14,14 @@ from oracles import (block_tallies, csv_cells, csv_rows,
 from phyenergy import readers
 from phyenergy.costmodel import EnergyParams, build_report
 from phyenergy.errors import ConfigError, MeasurementError
-from phyenergy.ingest import (MeasuredRow, PathFilter, assign_block, compare,
-                              load_filter_config, measured_cycles,
-                              parse_measurement, parse_measurement_text,
-                              rows_from_tallies, serialize_measurement,
-                              unattributed_cycles, write_measurement)
-from phyenergy.opcount import BlockId, DataClass, OpKind, tally_pipeline
+from phyenergy.ingest import (MeasuredReport, MeasuredRow, PathFilter,
+                              assign_block, compare, load_filter_config,
+                              measured_cycles, parse_measurement,
+                              parse_measurement_text, rows_from_tallies,
+                              serialize_measurement, unattributed_cycles,
+                              write_measurement)
+from phyenergy.opcount import (BlockId, DataClass, OperationTally, OpKind,
+                               tally_pipeline)
 from phyenergy.readers import read_csv_rows
 
 HEADER = "function_path,block,operator,data_type,shape,count\n"
@@ -31,6 +33,31 @@ nr5g/scrambling,B,XOR,logical_vector,64,4000
 nr5g/helpers/pad,,SET,int_scalar,1,12
 """
 
+# SMALL's rows as the writer's records.
+SMALL_ROWS = [
+    MeasuredRow("nr5g/dlsch/crc", BlockId.A, OpKind.XOR,
+                DataClass.LOGICAL_SCALAR, "32", 596),
+    MeasuredRow("nr5g/dlsch/crc", BlockId.A, OpKind.AND,
+                DataClass.LOGICAL_SCALAR, "32", 596),
+    MeasuredRow("nr5g/scrambling", BlockId.B, OpKind.XOR,
+                DataClass.LOGICAL_VECTOR, "64", 4000),
+    MeasuredRow("nr5g/helpers/pad", None, OpKind.SET, DataClass.INT_SCALAR,
+                "1", 12),
+]
+
+# SMALL's kept rows summed per block; its row in no block under None.
+SMALL_A = {(OpKind.XOR, DataClass.LOGICAL_SCALAR): 596,
+           (OpKind.AND, DataClass.LOGICAL_SCALAR): 596}
+SMALL_B = {(OpKind.XOR, DataClass.LOGICAL_VECTOR): 4000}
+SMALL_PAD = {(OpKind.SET, DataClass.INT_SCALAR): 12}
+
+
+def tallies(**by_block):
+    """Expected ``block_tallies``: counts keyed by block letter, or by
+    ``none`` for the unattributed rows."""
+    return {None if name == "none" else BlockId(name):
+            OperationTally(counts) for name, counts in by_block.items()}
+
 
 # ---------------------------------------------------------------------------
 # Parsing
@@ -41,11 +68,8 @@ def test_parse_small_report():
     assert report.meta.rows_seen == 4
     assert report.meta.rows_kept == 4
     assert report.meta.rows_unattributed == 1
-    assert report.rows[0].block is BlockId.A
-    assert report.rows[0].operator is OpKind.XOR
-    assert report.rows[0].data_type is DataClass.LOGICAL_SCALAR
-    assert report.rows[0].count == 596
-    assert report.rows[3].block is None
+    assert report.block_tallies == tallies(A=SMALL_A, B=SMALL_B,
+                                           none=SMALL_PAD)
 
 
 def test_parse_requires_header():
@@ -81,7 +105,8 @@ def test_parse_errors_carry_row_numbers():
 
 def test_parse_block_letter_case_insensitive():
     report = parse_measurement_text(HEADER + "f,h,ADD,int_scalar,1,5\n")
-    assert report.rows[0].block is BlockId.H
+    assert report.block_tallies == tallies(
+        H={(OpKind.ADD, DataClass.INT_SCALAR): 5})
 
 
 def test_parse_missing_file(tmp_path):
@@ -92,10 +117,11 @@ def test_parse_missing_file(tmp_path):
 def test_roundtrip_through_file(tmp_path):
     report = parse_measurement_text(SMALL)
     path = tmp_path / "m.csv"
-    write_measurement(report.rows, path)
+    write_measurement(SMALL_ROWS, path)
+    assert path.read_text(encoding="utf-8") == SMALL
     again = parse_measurement(path)
-    assert again.rows == report.rows
-    assert serialize_measurement(again.rows) == serialize_measurement(report.rows)
+    assert again.block_tallies == report.block_tallies
+    assert again.meta == report.meta._replace(source=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -117,15 +143,17 @@ def test_filter_applied_during_parse():
     assert report.meta.rows_kept == 3
     assert report.meta.rows_filtered == 1
     assert report.meta.rows_unattributed == 0
-    assert all(r.block is not None for r in report.rows)
+    assert report.block_tallies == tallies(A=SMALL_A, B=SMALL_B)
 
 
 def test_filter_is_idempotent():
     f = PathFilter(allow=("nr5g/",), deny=("nr5g/helpers/",))
     once = parse_measurement_text(SMALL, path_filter=f)
-    again = parse_measurement_text(serialize_measurement(once.rows),
+    kept = [row for row in SMALL_ROWS if f.matches(row.function_path)]
+    again = parse_measurement_text(serialize_measurement(kept),
                                    path_filter=f)
-    assert again.rows == once.rows
+    assert again.block_tallies == once.block_tallies
+    assert again.meta == once.meta._replace(rows_seen=3, rows_filtered=0)
 
 
 def test_longest_prefix_attribution():
@@ -209,12 +237,18 @@ _ROWS = st.lists(st.builds(
                                                          max_size=2))
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_block_tallies_equal_the_grouping_loop(rows, block_map, allow):
-    """The parse groups kept rows per block as a second pass over them
-    would, attributed and unattributed rows alike."""
+    """The parse filters, attributes and groups the rows as the plain loops
+    over them do, attributed and unattributed rows alike."""
     report = parse_measurement_text(serialize_measurement(rows),
                                     path_filter=PathFilter(allow),
                                     block_map=block_map)
-    assert report.block_tallies == block_tallies(report.rows)
+    kept = [row._replace(block=row.block or longest_prefix_block(
+                row.function_path, block_map))
+            for row in rows if path_passes(row.function_path, allow, ())]
+    assert report.block_tallies == block_tallies(kept)
+    assert report.meta[1:] == (
+        len(rows), len(kept), len(rows) - len(kept),
+        sum(row.block is None for row in kept))
 
 
 # Lines as the reader sees them: no line break (splitlines removes those),
@@ -260,10 +294,13 @@ def test_field_size_limit_is_the_same_on_both_paths(quote):
     limit = csv.field_size_limit()
     for size, ok in ((limit, True), (limit + 1, False)):
         fpath = quote + "p" * size + quote
-        text = HEADER + f"{fpath},A,ADD,int_scalar,1,5\n"
+        text = HEADER + f"{fpath},,ADD,int_scalar,1,5\n"
         if ok:
-            report = parse_measurement_text(text)
-            assert report.rows[0].function_path == "p" * size
+            # The path reaches attribution as the whole, unquoted cell.
+            report = parse_measurement_text(
+                text, block_map={"p" * size: BlockId.B})
+            assert report.block_tallies == tallies(
+                B={(OpKind.ADD, DataClass.INT_SCALAR): 5})
         else:
             with pytest.raises(MeasurementError) as exc:
                 parse_measurement_text(text)
@@ -302,6 +339,21 @@ def test_chunked_lines_are_the_splitlines_lines(text, chunk):
     args = (text, "s", ["a", "b"], "file", MeasurementError)
     with mock.patch.object(readers, "CHUNK_CHARS", chunk):
         assert _outcome(read_csv_rows(*args)) == _outcome(csv_rows(*args))
+
+
+def test_the_report_holds_no_memory_per_row():
+    """A parse keeps its counters and per-block sums only: one record per
+    kept row would hold about 13 MB for these 50 000 rows."""
+    text = HEADER + "".join(f"nr5g/path/number_{i},A,ADD,int_scalar,4x4,{i}\n"
+                            for i in range(50_000))
+    tracemalloc.start()
+    try:
+        report = parse_measurement_text(text)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.meta.rows_kept == 50_000
+    assert held < 1_000_000
 
 
 def test_parsing_holds_no_memory_per_line():
@@ -358,17 +410,18 @@ def test_a_denied_row_is_still_validated():
             assert str(exc.value) == message
 
 
+# Each row's count is a power of two of its own, so a sum names its rows.
 MIXED = HEADER + """\
 nr5g/dlsch/crc,A,XOR,logical_scalar,32,1
 nr5g/dlsch/ldpc,,XOR,logical_scalar,32,2
-nr5g/dlsch/ldpc/inner,,ADD,int_scalar,1,3
-nr5g/scrambling,,XOR,logical_vector,64,4
-nr5g/helpers/pad,,SET,int_scalar,1,5
-nr5g/helpers/pad,H,SET,int_scalar,1,6
-nr5g/unmapped,,SET,int_scalar,1,7
-nr5g/unmapped,c,SET,int_scalar,1,8
-matlab/startup,,SET,int_scalar,1,9
-ext/lib,,SET,int_scalar,1,10
+nr5g/dlsch/ldpc/inner,,ADD,int_scalar,1,4
+nr5g/scrambling,,XOR,logical_vector,64,8
+nr5g/helpers/pad,,SET,int_scalar,1,16
+nr5g/helpers/pad,H,SET,int_scalar,1,32
+nr5g/unmapped,,SET,int_scalar,1,64
+nr5g/unmapped,c,SET,int_scalar,1,128
+matlab/startup,,SET,int_scalar,1,256
+ext/lib,,SET,int_scalar,1,512
 """
 
 
@@ -385,27 +438,42 @@ def test_counters_on_a_mixed_report():
     meta = report.meta
     assert (meta.rows_seen, meta.rows_kept, meta.rows_filtered,
             meta.rows_unattributed) == (10, 7, 3, 2)
-    assert [(r.count, r.block) for r in report.rows] == [
-        (1, BlockId.A), (2, BlockId.A), (3, BlockId.H), (4, BlockId.B),
-        (7, None), (8, BlockId.C), (10, None)]
+    set_int = (OpKind.SET, DataClass.INT_SCALAR)
+    assert report.block_tallies == tallies(
+        A={(OpKind.XOR, DataClass.LOGICAL_SCALAR): 1 + 2},
+        H={(OpKind.ADD, DataClass.INT_SCALAR): 4},
+        B={(OpKind.XOR, DataClass.LOGICAL_VECTOR): 8},
+        C={set_int: 128},
+        none={set_int: 64 + 512})
 
 
 def test_measured_row_is_a_positional_record():
     assert MeasuredRow._fields == ("function_path", "block", "operator",
                                    "data_type", "shape", "count")
-    row = parse_measurement_text(SMALL).rows[0]
-    assert row == MeasuredRow("nr5g/dlsch/crc", BlockId.A, OpKind.XOR,
-                              DataClass.LOGICAL_SCALAR, "32", 596)
+    row = MeasuredRow("nr5g/dlsch/crc", BlockId.A, OpKind.XOR,
+                      DataClass.LOGICAL_SCALAR, "32", 596)
+    text = serialize_measurement([row])
+    assert text == HEADER + SMALL.splitlines(keepends=True)[1]
+    assert parse_measurement_text(text).block_tallies == tallies(
+        A={(OpKind.XOR, DataClass.LOGICAL_SCALAR): 596})
+
+
+def test_measured_report_is_a_positional_record():
+    assert MeasuredReport._fields == ("meta", "block_tallies")
+    report = parse_measurement_text(SMALL)
+    assert report == MeasuredReport(report.meta, report.block_tallies)
+    assert not report.empty
+    denied = parse_measurement_text(
+        SMALL, path_filter=PathFilter(deny=("nr5g/",)))
+    assert denied.empty and denied.block_tallies == {}
 
 
 def test_block_map_fills_empty_cells_only():
-    block_map = {"nr5g/helpers/": BlockId.D}
+    block_map = {"nr5g/helpers/": BlockId.D, "nr5g/scrambling": BlockId.C}
     report = parse_measurement_text(SMALL, block_map=block_map)
     assert report.meta.rows_unattributed == 0
-    by_path = {r.function_path: r for r in report.rows}
-    assert by_path["nr5g/helpers/pad"].block is BlockId.D
-    # explicit letters win over the map
-    assert by_path["nr5g/scrambling"].block is BlockId.B
+    # The empty cell takes the map's block; explicit letters win over it.
+    assert report.block_tallies == tallies(A=SMALL_A, B=SMALL_B, D=SMALL_PAD)
 
 
 def test_load_filter_config(tmp_path):
