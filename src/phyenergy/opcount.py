@@ -15,24 +15,23 @@ G       UE    layer demapping, demodulation, descrambling
 H       UE    LDPC decoding (normalized min-sum) and CRC checks
 ======  ====  =====================================================
 
-Each public counter returns an :class:`OperationTally`, a multiset of
+Every counter returns an :class:`OperationTally`, a multiset of
 (operation kind, data class) pairs, stored sparsely by slot: the
 number of the pair in :data:`SLOT_KEYS`.  Counts are closed-form in the
 scenario's derived parameters; nothing here touches sample data.
 
 Every formula is a private term that returns a raw ``{slot: count}``
-dict, and a block is the tuple of its terms: A is tb_crc, segmentation,
-cb_crc and ldpc_encode; B and G scrambling, modulation and
-layer_mapping; C precoding; D and E fft; F ls and mmse; H ldpc_decode,
-cb_crc_check and tb_crc_check.  :func:`tally_pipeline` merges each tuple
-once, scaling by ``n_slots`` in the same pass, and wraps it once, with no
-key or type check: its integer inputs come from
-:func:`~phyenergy.scenario.derive`, whose
+dict, and a block is the tuple of its terms; :data:`TERMS` names each
+term, in block order, with the blocks it is part of.
+:func:`tally_pipeline` merges each tuple once, scaling by ``n_slots`` in
+the same pass, and wraps it once, with no key or type check: its integer
+inputs come from :func:`~phyenergy.scenario.derive`, whose
 :func:`~phyenergy.scenario.validate` has checked once that every integer
-field of the scenario is an ``int``.  The public ``count_*`` functions
-are the validating boundary: each refuses an argument that is not an
-``int``, or is a bool, and then wraps the same term, or merges the same
-tuple.  The public :class:`OperationTally` constructor validates keys
+field of the scenario is an ``int``.  :func:`count_term` is the checked
+entry to one term by name, and ``count_block_a`` to ``count_block_h`` to
+one block each (the benchmark times each block through them): each
+refuses an argument that is not an ``int``, or is a bool, before it
+counts.  The public :class:`OperationTally` constructor validates keys
 and counts.
 
 Data classes follow the block split: the bit-oriented stages (block A,
@@ -47,7 +46,8 @@ model's compiled tables read it from there.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterator, Mapping, NamedTuple, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, Mapping, NamedTuple, Sequence,
+                    Tuple)
 
 from .errors import DomainError
 from .scenario import DecodeConfig, DerivedParams, Scenario, BaseGraphSpec
@@ -271,6 +271,12 @@ def _ilog2(n: int) -> int:
 
 
 def _crc(a_bits: int, p: int = 32) -> Dict[int, int]:
+    """Table-driven CRC over ``a_bits`` payload bits, ``p`` bits per step.
+
+    Each full word costs five logical operations in each of AND, XOR
+    and shift; one trailing operation of each kind finishes the digest:
+    5*floor(a_bits/p) + 1 per kind.
+    """
     if a_bits < 0:
         raise DomainError("CRC payload length must be >= 0")
     if p < 1:
@@ -279,36 +285,31 @@ def _crc(a_bits: int, p: int = 32) -> Dict[int, int]:
     return {_AND_LS: per_kind, _XOR_LS: per_kind, _SHIFT_LS: per_kind}
 
 
-def count_crc(a_bits: int, p: int = 32) -> OperationTally:
-    """Table-driven CRC over ``a_bits`` payload bits, ``p`` bits per step.
-
-    Each full word costs five logical operations in each of AND, XOR
-    and shift; one trailing operation of each kind finishes the digest:
-    5*floor(a_bits/p) + 1 per kind.
-    """
-    _check_ints(a_bits=a_bits, p=p)
-    return _of_slots(_crc(a_bits, p))
-
-
 def _segmentation(c: int) -> Dict[int, int]:
-    if c < 1:
-        raise DomainError("segmentation needs at least one code block")
-    return {_FLOP_IS: 9}
-
-
-def count_segmentation(c: int) -> OperationTally:
     """Code block segmentation bookkeeping: nine ops per transport block.
 
     The cost is per TB and does not grow with the number of code
     blocks.  The nine operations are generic integer arithmetic,
     recorded as FLOPs in the integer class.
     """
-    _check_ints(c=c)
-    return _of_slots(_segmentation(c))
+    if c < 1:
+        raise DomainError("segmentation needs at least one code block")
+    return {_FLOP_IS: 9}
 
 
 def _ldpc_encode(k: int, z: int, n1: int, rows: int, cols: int,
                  n_ccb: int, c: int) -> Dict[int, int]:
+    """LDPC systematic encoding cost for ``c`` identical code blocks.
+
+    Per code block:
+
+    * validation of the non-filler payload: 2*(k - 2z) compares
+    * base graph expansion: rows*cols replacements
+    * one modulo (costed as a division) per non-null entry: n1
+    * generator-matrix product, schoolbook: each of the rows*z output
+      elements takes cols*z multiplies and cols*z - 1 additions
+    * writing the rate-matched output: n_ccb + 2z - k stores
+    """
     if min(k, z, rows, cols, c) < 1 or n1 < 0 or n_ccb < 1:
         raise DomainError("LDPC encode arguments must be positive")
     if k < 2 * z:
@@ -326,25 +327,7 @@ def _ldpc_encode(k: int, z: int, n1: int, rows: int, cols: int,
     }
 
 
-def count_ldpc_encode(k: int, z: int, n1: int, rows: int, cols: int,
-                      n_ccb: int, c: int) -> OperationTally:
-    """LDPC systematic encoding cost for ``c`` identical code blocks.
-
-    Per code block:
-
-    * validation of the non-filler payload: 2*(k - 2z) compares
-    * base graph expansion: rows*cols replacements
-    * one modulo (costed as a division) per non-null entry: n1
-    * generator-matrix product, schoolbook: each of the rows*z output
-      elements takes cols*z multiplies and cols*z - 1 additions
-    * writing the rate-matched output: n_ccb + 2z - k stores
-    """
-    _check_ints(k=k, z=z, n1=n1, rows=rows, cols=cols, n_ccb=n_ccb, c=c)
-    return _of_slots(_ldpc_encode(k, z, n1, rows, cols, n_ccb, c))
-
-
 def _block_a(d: DerivedParams, bg: BaseGraphSpec) -> _Terms:
-    """Block A: tb_crc, segmentation, cb_crc, ldpc_encode."""
     return (_crc(d.a), _segmentation(d.c), _crc(d.b),
             _ldpc_encode(d.k, d.z, bg.n1, bg.rows, bg.cols, d.n_ccb, d.c))
 
@@ -378,7 +361,6 @@ def _layer_mapping(n_symbols: int) -> Dict[int, int]:
 
 
 def _block_b(m_cw: int, n_symbols: int) -> _Terms:
-    """Blocks B and G: scrambling, modulation, layer_mapping."""
     if m_cw < 0 or n_symbols < 0:
         raise DomainError("block B sizes must be >= 0")
     return (_scrambling(m_cw), _modulation(n_symbols),
@@ -456,6 +438,13 @@ def count_block_e(g: int, n_ant: int, n_fft: int) -> OperationTally:
 
 def _ls(v: int, n_r: int, n_t: int, l: int, g: int,
         k_p: int) -> Dict[int, int]:
+    """Least-squares channel estimation from pilot observations.
+
+    Solves, per layer/receive-antenna pair, a linear system with
+    l*n_t unknowns from g*k_p pilot equations (see :func:`count_block_f`)
+    via the normal equations: Gram matrix build, Gauss-Jordan inversion,
+    and the pseudo-inverse application.
+    """
     if v < 0 or n_r < 0:
         raise DomainError("ls: v and n_r must be >= 0")
     if min(l, n_t, g, k_p) < 1:
@@ -470,33 +459,7 @@ def _ls(v: int, n_r: int, n_t: int, l: int, g: int,
     return {_FLOP_DS: v * n_r * bracket}
 
 
-def count_ls(v: int, n_r: int, n_t: int, l: int, g: int,
-             k_p: int) -> OperationTally:
-    """Least-squares channel estimation from pilot observations.
-
-    Solves, per layer/receive-antenna pair, a linear system with
-    l*n_t unknowns from g*k_p pilot equations (see :func:`count_block_f`)
-    via the normal equations: Gram matrix build, Gauss-Jordan inversion,
-    and the pseudo-inverse application.
-    """
-    _check_ints(v=v, n_r=n_r, n_t=n_t, l=l, g=g, k_p=k_p)
-    return _of_slots(_ls(v, n_r, n_t, l, g, k_p))
-
-
 def _mmse(n_r: int, n_t: int, n_f: int, g: int) -> Dict[int, int]:
-    if min(n_r, n_t, g) < 1 or n_f < 0:
-        raise DomainError("mmse: n_r, n_t, g must be >= 1 and n_f >= 0")
-    setup = 2 * n_r * n_t ** 2 + n_r ** 3 + n_r + n_r * n_t
-    per_sc = (
-        3 * n_t
-        + n_t * n_r * (2 * n_t - 1)
-        + n_t * n_r * (2 * n_r - 1)
-        + n_t * g * (2 * n_r - 1)
-    )
-    return {_FLOP_DS: setup + n_f * per_sc}
-
-
-def count_mmse(n_r: int, n_t: int, n_f: int, g: int) -> OperationTally:
     """MMSE equalization across ``n_f`` subcarriers and ``g`` symbols.
 
     One SVD-based filter setup per slot (2*n_r*n_t^2 + n_r^3 + n_r +
@@ -510,12 +473,19 @@ def count_mmse(n_r: int, n_t: int, n_f: int, g: int) -> OperationTally:
     counts give the same either way.  The term is kept, because changing
     it would move every sweep over asymmetric antenna counts.
     """
-    _check_ints(n_r=n_r, n_t=n_t, n_f=n_f, g=g)
-    return _of_slots(_mmse(n_r, n_t, n_f, g))
+    if min(n_r, n_t, g) < 1 or n_f < 0:
+        raise DomainError("mmse: n_r, n_t, g must be >= 1 and n_f >= 0")
+    setup = 2 * n_r * n_t ** 2 + n_r ** 3 + n_r + n_r * n_t
+    per_sc = (
+        3 * n_t
+        + n_t * n_r * (2 * n_t - 1)
+        + n_t * n_r * (2 * n_r - 1)
+        + n_t * g * (2 * n_r - 1)
+    )
+    return {_FLOP_DS: setup + n_f * per_sc}
 
 
 def _block_f(d: DerivedParams, s: Scenario) -> _Terms:
-    """Block F: ls, mmse."""
     return (_ls(s.n_layers, s.n_rx, s.n_tx, s.channel_len, d.g, d.k_p),
             _mmse(s.n_rx, s.n_tx, d.n_f, d.g))
 
@@ -535,6 +505,15 @@ def count_block_f(d: DerivedParams, s: Scenario) -> OperationTally:
 
 def _ldpc_decode(n_vn: int, w_cn: int, deg_cn: int, deg_vn: int,
                  iters: int, c: int) -> Dict[int, int]:
+    """Normalized min-sum decoding for ``c`` code blocks.
+
+    Initialization computes one LLR per variable node (a division and
+    a logarithm each).  Every iteration then runs the horizontal step
+    (one product per check-node edge), the vertical step (deg_vn
+    additions per variable node), and the decision step (deg_vn + 1
+    additions per variable node plus one sign XOR per check-node
+    edge).  Check/variable node degrees are taken as constants.
+    """
     if n_vn < 0 or w_cn < 0:
         raise DomainError("decode: node counts must be >= 0")
     if deg_cn < 1 or deg_vn < 1:
@@ -551,34 +530,12 @@ def _ldpc_decode(n_vn: int, w_cn: int, deg_cn: int, deg_vn: int,
     }
 
 
-def count_ldpc_decode(n_vn: int, w_cn: int, deg_cn: int, deg_vn: int,
-                      iters: int, c: int) -> OperationTally:
-    """Normalized min-sum decoding for ``c`` code blocks.
-
-    Initialization computes one LLR per variable node (a division and
-    a logarithm each).  Every iteration then runs the horizontal step
-    (one product per check-node edge), the vertical step (deg_vn
-    additions per variable node), and the decision step (deg_vn + 1
-    additions per variable node plus one sign XOR per check-node
-    edge).  Check/variable node degrees are taken as constants.
-    """
-    _check_ints(n_vn=n_vn, w_cn=w_cn, deg_cn=deg_cn, deg_vn=deg_vn,
-                iters=iters, c=c)
-    return _of_slots(_ldpc_decode(n_vn, w_cn, deg_cn, deg_vn, iters, c))
-
-
 def _crc_check(bits: int, p: int = 32) -> Dict[int, int]:
+    """CRC check: recompute the digest, then one compare."""
     return {**_crc(bits, p), _CMP_LS: 1}
 
 
-def count_crc_decode(bits: int, p: int = 32) -> OperationTally:
-    """CRC check: recompute the digest, then one compare."""
-    _check_ints(bits=bits, p=p)
-    return _of_slots(_crc_check(bits, p))
-
-
 def _block_h(d: DerivedParams, decode: DecodeConfig) -> _Terms:
-    """Block H: ldpc_decode, cb_crc_check, tb_crc_check."""
     return (_ldpc_decode(d.n_ccb, d.n_ccb - d.k, decode.deg_cn,
                          decode.deg_vn, decode.iterations, d.c),
             _crc_check(d.b), _crc_check(d.a))
@@ -596,7 +553,35 @@ def count_block_h(d: DerivedParams, decode: DecodeConfig) -> OperationTally:
 
 
 # ---------------------------------------------------------------------------
-# Full pipeline
+# Terms by name, and the full pipeline
+
+
+# Every term in block order: its name, the blocks whose tuple lists it,
+# and the function that counts it.
+TERMS: Dict[str, Tuple[str, Callable[..., Dict[int, int]]]] = {
+    "tb_crc": ("A", _crc), "segmentation": ("A", _segmentation),
+    "cb_crc": ("A", _crc), "ldpc_encode": ("A", _ldpc_encode),
+    "scrambling": ("BG", _scrambling), "modulation": ("BG", _modulation),
+    "layer_mapping": ("BG", _layer_mapping),
+    "precoding": ("C", _precoding),
+    "fft": ("DE", _fft),
+    "ls": ("F", _ls), "mmse": ("F", _mmse),
+    "ldpc_decode": ("H", _ldpc_decode), "cb_crc_check": ("H", _crc_check),
+    "tb_crc_check": ("H", _crc_check),
+}
+
+
+def count_term(name: str, /, **args: int) -> OperationTally:
+    """The term :data:`TERMS` names, called with its arguments by keyword.
+    An unknown name, or an argument that is not an ``int``, is a bool or is
+    negative, raises :class:`DomainError`."""
+    entry = TERMS.get(name)
+    if entry is None:
+        raise DomainError(f"unknown term {name!r}")
+    _check_ints(**args)
+    if any(value < 0 for value in args.values()):
+        raise DomainError(f"{name} arguments must be >= 0")
+    return _of_slots(entry[1](**args))
 
 
 # Blocks in order, looked up once: an attribute of the enum class is slow.

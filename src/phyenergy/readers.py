@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Hashable
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence, TypeVar
 
@@ -90,9 +91,30 @@ def read_text(path: str | Path, what: str,
     return text.removeprefix("\ufeff")
 
 
+class _UniqueKeys:
+    """Mixed into a PyYAML loader: a key repeated in one mapping raises
+    ConfigError, without the path, which :func:`read_yaml` adds.  A key that
+    a ``<<`` merge brings in may be overridden by the mapping's own."""
+
+    # Runs on each mapping before it is built, and on a merged one before
+    # it is merged in: only the first run sees the mapping's own keys alone.
+    def flatten_mapping(self, node: yaml.MappingNode) -> None:
+        if not hasattr(node, "unique"):
+            node.unique, seen = True, {}
+            for key_node, _ in node.value:
+                if key_node.tag != "tag:yaml.org,2002:merge":
+                    key = self.construct_object(key_node)
+                    if isinstance(key, Hashable) and seen.setdefault(
+                            key, key_node) is not key_node:
+                        raise ConfigError(f"duplicate key {echo(key)} (line "
+                                          f"{key_node.start_mark.line + 1})")
+        super().flatten_mapping(node)
+
+
 # libyaml's parser when PyYAML was built with it, else the pure-Python one;
 # both construct the same safe types.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_YAML_LOADER = type("Loader", (_UniqueKeys, getattr(
+    yaml, "CSafeLoader", yaml.SafeLoader)), {})
 
 
 def read_yaml(path: str | Path, what: str) -> Any:
@@ -100,6 +122,8 @@ def read_yaml(path: str | Path, what: str) -> Any:
     text = read_text(path, f"{what} file", ConfigError)
     try:
         return yaml.load(text, Loader=_YAML_LOADER)
+    except ConfigError as exc:      # a repeated key
+        raise ConfigError(f"{Path(path)}: {exc}") from None
     # ValueError: a scalar the safe constructors reject, such as an integer
     # past Python's digit limit or a date like 2001-13-45.
     except (yaml.YAMLError, ValueError) as exc:

@@ -27,8 +27,7 @@ from phyenergy.legacy import (AuerParams, ComponentCarrier, DessetComponents,
                               desset_power, fu_bb_power, fu_rf_power,
                               tombaz_power, yan_energy, yu_power)
 from phyenergy.opcount import (BlockId, DataClass, OperationTally, OpKind,
-                               count_block_d, count_crc, count_ldpc_decode,
-                               count_ldpc_encode, count_ls, tally_pipeline)
+                               count_block_d, count_term, tally_pipeline)
 from phyenergy.scenario import DecodeConfig, Modulation, load_scenario
 
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -80,8 +79,8 @@ def test_criterion_2_formula_vs_oracle():
         rows = rng.randint(1, 8 // z)
         cols = rng.randint(1, 8 // z)
         k = 2 * z
-        tally = count_ldpc_encode(k=k, z=z, n1=1, rows=rows, cols=cols,
-                                  n_ccb=max(1, k), c=1)
+        tally = count_term("ldpc_encode", k=k, z=z, n1=1, rows=rows,
+                           cols=cols, n_ccb=max(1, k), c=1)
         muls, adds = schoolbook_product_ops(rows * z, cols * z, 1)
         assert tally.get(OpKind.MUL, DataClass.INT_SCALAR) == muls
         assert tally.get(OpKind.ADD, DataClass.INT_SCALAR) == adds
@@ -92,7 +91,7 @@ def test_criterion_2_formula_vs_oracle():
         n_t = rng.randint(1, 8 // l)
         g = rng.randint(1, 14)
         k_p = rng.randint(1, 8)
-        tally = count_ls(v=1, n_r=1, n_t=n_t, l=l, g=g, k_p=k_p)
+        tally = count_term("ls", v=1, n_r=1, n_t=n_t, l=l, g=g, k_p=k_p)
         assert (tally.get(OpKind.FLOP, DataClass.DOUBLE_SCALAR)
                 == ls_bracket_ops(l, n_t, g, k_p))
 
@@ -111,7 +110,7 @@ def test_criterion_2_formula_vs_oracle():
     for _ in range(1000):
         bits = rng.randint(0, 100_000)
         expected = crc_slice_ops(bits, 32)
-        tally = count_crc(bits)
+        tally = count_term("tb_crc", a_bits=bits)
         for kind in (OpKind.AND, OpKind.XOR, OpKind.SHIFT):
             assert tally.get(kind, DataClass.LOGICAL_SCALAR) == expected
 
@@ -163,14 +162,16 @@ def test_criterion_4_linearity():
 
     # encoder and decoder tallies scale exactly with the code block count
     for c in (1, 2, 5):
-        enc = count_ldpc_encode(k=8448, z=384, n1=316, rows=46, cols=68,
-                                n_ccb=25344, c=c)
-        assert enc == count_ldpc_encode(k=8448, z=384, n1=316, rows=46,
-                                        cols=68, n_ccb=25344, c=1).scaled(c)
-        dec = count_ldpc_decode(n_vn=25344, w_cn=16896, deg_cn=19, deg_vn=3,
-                                iters=8, c=c)
-        assert dec == count_ldpc_decode(n_vn=25344, w_cn=16896, deg_cn=19,
-                                        deg_vn=3, iters=8, c=1).scaled(c)
+        enc = count_term("ldpc_encode", k=8448, z=384, n1=316, rows=46,
+                         cols=68, n_ccb=25344, c=c)
+        assert enc == count_term("ldpc_encode", k=8448, z=384, n1=316,
+                                 rows=46, cols=68, n_ccb=25344,
+                                 c=1).scaled(c)
+        dec = count_term("ldpc_decode", n_vn=25344, w_cn=16896, deg_cn=19,
+                         deg_vn=3, iters=8, c=c)
+        assert dec == count_term("ldpc_decode", n_vn=25344, w_cn=16896,
+                                 deg_cn=19, deg_vn=3, iters=8,
+                                 c=1).scaled(c)
 
     # energy is epsilon times cycles, and scales with cycles, to 1e-12
     energy = EnergyParams(kappa=1e-25, clock_hz=2.1e9)

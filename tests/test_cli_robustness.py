@@ -91,6 +91,14 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _loader(monkeypatch, base):
+    """Read YAML with the package's loader built on ``base``."""
+    if not hasattr(yaml, base):
+        pytest.skip("PyYAML was built without libyaml")
+    monkeypatch.setattr(readers, "_YAML_LOADER", type(
+        "Loader", (readers._UniqueKeys, getattr(yaml, base)), {}))
+
+
 @given(changes=_CHANGES, sweep=st.none() | _SWEEPS, kappa=_KAPPAS,
        clock_hz=_CLOCKS, fmt=_FORMATS)
 @example(changes=[("n_slots", HUGE)], sweep=None, kappa=None, clock_hz=None,
@@ -131,9 +139,7 @@ def test_cli_exits_cleanly_on_any_input(tmp_path_factory, changes, sweep,
 
 @pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
 def test_integer_past_the_digit_limit_in_a_file(tmp_path, monkeypatch, loader):
-    if not hasattr(yaml, loader):
-        pytest.skip("PyYAML was built without libyaml")
-    monkeypatch.setattr(readers, "_YAML_LOADER", getattr(yaml, loader))
+    _loader(monkeypatch, loader)
     path = tmp_path / "long.yaml"
     path.write_text(_scenario_text([("n_slots", LONG)]))
     code, out, err = _run(["estimate", "--scenario", str(path)])
@@ -271,6 +277,49 @@ def test_a_filter_prefix_yaml_did_not_read_as_a_string(tmp_path, text,
                            "--measured", "report.csv", "--filter", str(path)])
     assert (code, out) == (1, "")
     assert err == f"error[config]: {path}: {message}; quote it\n"
+
+
+_COMPARE = ["compare", "--scenario", str(REFERENCE_PATH), "--measured",
+            "report.csv", "--filter", "{path}"]
+
+
+@pytest.mark.parametrize("base", ["CSafeLoader", "SafeLoader"])
+@pytest.mark.parametrize("argv, text, message", [
+    (_ESTIMATE, REFERENCE_PATH.read_text() + "n_prb: 3\n",
+     "duplicate key 'n_prb' (line 17)"),
+    (_COMPARE, "block_map:\n  nr5g/: A\n  nr5g/: B\n",
+     "duplicate key 'nr5g/' (line 3)"),
+    (["legacy", "--model", "fu-rf", "--params", "{path}"],
+     _FU_PARAMS.replace("  m_antennas: 4\n", "  m_antennas: 4\n"
+                        "  m_antennas: 8\n"),
+     "duplicate key 'm_antennas' (line 10)"),
+], ids=["scenario", "filter-block-map", "legacy-params"])
+def test_a_key_repeated_in_one_mapping(tmp_path, monkeypatch, base, argv,
+                                       text, message):
+    """A repeated key is refused with its line, not silently read as the
+    last of the two values."""
+    _loader(monkeypatch, base)
+    path = tmp_path / "input.yaml"
+    path.write_text(text)
+    code, out, err = _run([arg.replace("{path}", str(path)) for arg in argv])
+    assert (code, out) == (1, "")
+    assert err == f"error[config]: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("base", ["CSafeLoader", "SafeLoader"])
+def test_a_mapping_may_override_the_keys_it_merges(tmp_path, monkeypatch,
+                                                   base):
+    """Own keys override merged ones, also where a mapping that merges
+    another is itself merged before it is built."""
+    _loader(monkeypatch, base)
+    path = tmp_path / "merged.yaml"
+    path.write_text("c: &c {x: 0}\nouter:\n  inner: &b\n    <<: *c\n"
+                    "    x: 1\nother:\n  <<: *b\n  x: 2\n")
+    assert readers.read_yaml(path, "test") == {
+        "c": {"x": 0}, "outer": {"inner": {"x": 1}}, "other": {"x": 2}}
+    path.write_text("<<: {n_prb: 3}\n" + REFERENCE_PATH.read_text())
+    assert _run(["estimate", "--scenario", str(path)]) == _run(
+        ["estimate", "--scenario", str(REFERENCE_PATH)])
 
 
 @pytest.mark.parametrize("rate", ["abc/1024", "490/abc", "4 9 0/1024"])

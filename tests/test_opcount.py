@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import Phase, assume, given, settings
@@ -11,13 +12,11 @@ from oracles import (block_a_ops, block_c_flops, block_h_ops, crc_slice_ops,
 
 from phyenergy import opcount
 from phyenergy.errors import DomainError
-from phyenergy.opcount import (EMPTY_TALLY, BlockId, DataClass, OpKind,
+from phyenergy.opcount import (EMPTY_TALLY, TERMS, BlockId, DataClass, OpKind,
                                OperationTally, count_block_a, count_block_b,
                                count_block_c, count_block_d, count_block_e,
                                count_block_f, count_block_g, count_block_h,
-                               count_crc, count_crc_decode, count_ldpc_decode,
-                               count_ldpc_encode, count_ls, count_mmse,
-                               count_segmentation, tally_pipeline)
+                               count_term, tally_pipeline)
 from phyenergy.scenario import (BASE_GRAPHS, LIFTING_SIZES, TB_CRC_BITS,
                                 BaseGraphSpec, DecodeConfig, Modulation,
                                 derive, select_base_graph)
@@ -118,7 +117,7 @@ def test_tally_scaling_distributes(a, b, m, n):
 def test_crc_frozen_values():
     # 5 * floor(bits/32) + 1 in each of AND, XOR, SHIFT
     for bits, expected in [(0, 1), (24, 1), (31, 1), (32, 6), (3824, 596)]:
-        t = count_crc(bits)
+        t = count_term("tb_crc", a_bits=bits)
         for kind in (OpKind.AND, OpKind.XOR, OpKind.SHIFT):
             assert t.get(kind, LS) == expected
         assert t.total_ops() == 3 * expected
@@ -128,7 +127,7 @@ def test_crc_frozen_values():
        p=st.integers(min_value=1, max_value=128))
 @settings(max_examples=200, deadline=None)
 def test_crc_matches_slice_loop_oracle(bits, p):
-    t = count_crc(bits, p)
+    t = count_term("tb_crc", a_bits=bits, p=p)
     expected = crc_slice_ops(bits, p)
     assert t.get(OpKind.AND, LS) == expected
     assert t.get(OpKind.XOR, LS) == expected
@@ -137,13 +136,13 @@ def test_crc_matches_slice_loop_oracle(bits, p):
 
 def test_crc_rejects_bad_arguments():
     with pytest.raises(DomainError):
-        count_crc(-1)
+        count_term("tb_crc", a_bits=-1)
     with pytest.raises(DomainError):
-        count_crc(10, p=0)
+        count_term("tb_crc", a_bits=10, p=0)
 
 
 def test_crc_decode_adds_one_compare():
-    t = count_crc_decode(3824)
+    t = count_term("cb_crc_check", bits=3824)
     assert t.get(OpKind.CMP, LS) == 1
     assert t.get(OpKind.XOR, LS) == 596
 
@@ -153,16 +152,16 @@ def test_crc_decode_adds_one_compare():
 
 
 def test_segmentation_is_per_transport_block():
-    assert count_segmentation(1) == count_segmentation(7)
-    assert count_segmentation(1).get(OpKind.FLOP, IS) == 9
+    assert count_term("segmentation", c=1) == count_term("segmentation", c=7)
+    assert count_term("segmentation", c=1).get(OpKind.FLOP, IS) == 9
     with pytest.raises(DomainError):
-        count_segmentation(0)
+        count_term("segmentation", c=0)
 
 
 def test_ldpc_encode_frozen_example():
     # graph 1 shape, lifting 2, payload 44 bits, 128 rate-matched bits
-    t = count_ldpc_encode(k=44, z=2, n1=316, rows=46, cols=68,
-                          n_ccb=128, c=1)
+    t = count_term("ldpc_encode", k=44, z=2, n1=316, rows=46, cols=68,
+                   n_ccb=128, c=1)
     assert t.get(OpKind.CMP, IS) == 80            # 2*(44 - 4)
     assert t.get(OpKind.DIV, IS) == 316           # one modulo per entry
     assert t.get(OpKind.MUL, IS) == 12512         # 92 * 136
@@ -171,10 +170,10 @@ def test_ldpc_encode_frozen_example():
 
 
 def test_ldpc_encode_scales_with_code_blocks():
-    one = count_ldpc_encode(k=44, z=2, n1=316, rows=46, cols=68,
-                            n_ccb=128, c=1)
-    three = count_ldpc_encode(k=44, z=2, n1=316, rows=46, cols=68,
-                              n_ccb=128, c=3)
+    one = count_term("ldpc_encode", k=44, z=2, n1=316, rows=46, cols=68,
+                     n_ccb=128, c=1)
+    three = count_term("ldpc_encode", k=44, z=2, n1=316, rows=46, cols=68,
+                       n_ccb=128, c=3)
     assert three == one.scaled(3)
 
 
@@ -184,8 +183,8 @@ def test_ldpc_encode_scales_with_code_blocks():
 def test_ldpc_encode_product_matches_schoolbook(z, c):
     rows, cols, info = 46, 68, 22
     k = info * z
-    t = count_ldpc_encode(k=k, z=z, n1=316, rows=rows, cols=cols,
-                          n_ccb=66 * z, c=c)
+    t = count_term("ldpc_encode", k=k, z=z, n1=316, rows=rows, cols=cols,
+                   n_ccb=66 * z, c=c)
     muls, adds = schoolbook_product_ops(rows * z, cols * z, 1)
     assert t.get(OpKind.MUL, IS) == muls * c
     assert t.get(OpKind.ADD, IS) == adds * c
@@ -193,7 +192,8 @@ def test_ldpc_encode_product_matches_schoolbook(z, c):
 
 def test_ldpc_encode_rejects_underfull_payload():
     with pytest.raises(DomainError):
-        count_ldpc_encode(k=3, z=2, n1=10, rows=4, cols=6, n_ccb=8, c=1)
+        count_term("ldpc_encode", k=3, z=2, n1=10, rows=4, cols=6, n_ccb=8,
+                   c=1)
 
 
 def test_block_a_composition():
@@ -201,9 +201,12 @@ def test_block_a_composition():
     d = derive(s)
     bg = select_base_graph(d.a, s.code_rate)
     t = count_block_a(d, bg)
-    expected = (count_crc(d.a) + count_segmentation(d.c) + count_crc(d.b)
-                + count_ldpc_encode(k=d.k, z=d.z, n1=bg.n1, rows=bg.rows,
-                                    cols=bg.cols, n_ccb=d.n_ccb, c=d.c))
+    expected = (count_term("tb_crc", a_bits=d.a)
+                + count_term("segmentation", c=d.c)
+                + count_term("cb_crc", a_bits=d.b)
+                + count_term("ldpc_encode", k=d.k, z=d.z, n1=bg.n1,
+                             rows=bg.rows, cols=bg.cols, n_ccb=d.n_ccb,
+                             c=d.c))
     assert t == expected
     assert t.get(OpKind.DIV, IS) == 316 * d.c
 
@@ -293,7 +296,7 @@ def test_block_e_same_shape_as_d():
 
 def test_ls_frozen_example():
     # 2 layers, 2 rx antennas, 4 unknowns, 336 pilot equations
-    t = count_ls(v=2, n_r=2, n_t=2, l=2, g=14, k_p=24)
+    t = count_term("ls", v=2, n_r=2, n_t=2, l=2, g=14, k_p=24)
     assert t.get(OpKind.FLOP, DS) == 80832
     assert 80832 == 2 * 2 * 20208
 
@@ -304,7 +307,7 @@ def test_ls_frozen_example():
        k_p=st.integers(min_value=1, max_value=64))
 @settings(max_examples=120, deadline=None)
 def test_ls_bracket_matches_loop_oracle(l, n_t, g, k_p):
-    t = count_ls(v=1, n_r=1, n_t=n_t, l=l, g=g, k_p=k_p)
+    t = count_term("ls", v=1, n_r=1, n_t=n_t, l=l, g=g, k_p=k_p)
     assert t.get(OpKind.FLOP, DS) == ls_bracket_ops(l, n_t, g, k_p)
 
 
@@ -316,8 +319,10 @@ def test_ls_inversion_term_is_cubic(n):
 
 
 def test_mmse_frozen_examples():
-    assert count_mmse(n_r=1, n_t=1, n_f=1, g=1).get(OpKind.FLOP, DS) == 11
-    assert count_mmse(n_r=2, n_t=2, n_f=12, g=14).get(OpKind.FLOP, DS) == 1398
+    one = count_term("mmse", n_r=1, n_t=1, n_f=1, g=1)
+    assert one.get(OpKind.FLOP, DS) == 11
+    two = count_term("mmse", n_r=2, n_t=2, n_f=12, g=14)
+    assert two.get(OpKind.FLOP, DS) == 1398
 
 
 @given(n_r=st.integers(min_value=1, max_value=5),
@@ -326,14 +331,15 @@ def test_mmse_frozen_examples():
        g=st.integers(min_value=1, max_value=14))
 @settings(max_examples=100, deadline=None)
 def test_mmse_matches_loop_oracle(n_r, n_t, n_f, g):
-    assert count_mmse(n_r, n_t, n_f, g) == OperationTally(
-        {(OpKind.FLOP, DS): mmse_flops(n_r, n_t, n_f, g)})
+    t = count_term("mmse", n_r=n_r, n_t=n_t, n_f=n_f, g=g)
+    assert t == OperationTally({(OpKind.FLOP, DS): mmse_flops(n_r, n_t, n_f,
+                                                               g)})
 
 
 def test_mmse_affine_in_subcarriers():
-    t0 = count_mmse(2, 2, 0, 14).get(OpKind.FLOP, DS)
-    t1 = count_mmse(2, 2, 1, 14).get(OpKind.FLOP, DS)
-    t9 = count_mmse(2, 2, 9, 14).get(OpKind.FLOP, DS)
+    t0 = count_term("mmse", n_r=2, n_t=2, n_f=0, g=14).get(OpKind.FLOP, DS)
+    t1 = count_term("mmse", n_r=2, n_t=2, n_f=1, g=14).get(OpKind.FLOP, DS)
+    t9 = count_term("mmse", n_r=2, n_t=2, n_f=9, g=14).get(OpKind.FLOP, DS)
     assert t9 - t0 == 9 * (t1 - t0)
 
 
@@ -341,7 +347,8 @@ def test_block_f_composition():
     s = reference_scenario()
     d = derive(s)
     t = count_block_f(d, s)
-    expected = (count_ls(2, 4, 4, 8, 14, 312) + count_mmse(4, 4, 624, 14))
+    expected = (count_term("ls", v=2, n_r=4, n_t=4, l=8, g=14, k_p=312)
+                + count_term("mmse", n_r=4, n_t=4, n_f=624, g=14))
     assert t == expected
 
 
@@ -351,8 +358,8 @@ def test_block_f_composition():
 
 def test_decode_frozen_addition_count():
     # 64 variable nodes, degree 3, 8 iterations: 8*(64*3 + 64*4) additions
-    t = count_ldpc_decode(n_vn=64, w_cn=14, deg_cn=19, deg_vn=3,
-                          iters=8, c=1)
+    t = count_term("ldpc_decode", n_vn=64, w_cn=14, deg_cn=19, deg_vn=3,
+                   iters=8, c=1)
     assert t.get(OpKind.ADD, DS) == 3584
     assert t.get(OpKind.DIV, DS) == 64
     assert t.get(OpKind.LOG, DS) == 64
@@ -361,8 +368,8 @@ def test_decode_frozen_addition_count():
 
 
 def test_decode_zero_iterations_keeps_initialization():
-    t = count_ldpc_decode(n_vn=64, w_cn=14, deg_cn=19, deg_vn=3,
-                          iters=0, c=1)
+    t = count_term("ldpc_decode", n_vn=64, w_cn=14, deg_cn=19, deg_vn=3,
+                   iters=0, c=1)
     assert t.get(OpKind.DIV, DS) == 64
     assert t.get(OpKind.MUL, DS) == 0
 
@@ -371,9 +378,12 @@ def test_decode_zero_iterations_keeps_initialization():
        c=st.integers(min_value=1, max_value=6))
 @settings(max_examples=60, deadline=None)
 def test_decode_iteration_cost_is_linear(iters, c):
-    base = count_ldpc_decode(100, 30, 19, 3, 0, c)
-    one = count_ldpc_decode(100, 30, 19, 3, 1, c)
-    many = count_ldpc_decode(100, 30, 19, 3, iters, c)
+    base = count_term("ldpc_decode", n_vn=100, w_cn=30, deg_cn=19, deg_vn=3,
+                      iters=0, c=c)
+    one = count_term("ldpc_decode", n_vn=100, w_cn=30, deg_cn=19, deg_vn=3,
+                     iters=1, c=c)
+    many = count_term("ldpc_decode", n_vn=100, w_cn=30, deg_cn=19, deg_vn=3,
+                      iters=iters, c=c)
     per_iter = {k: one.get(*k) - base.get(*k) for k, _ in one.items()}
     for key, delta in per_iter.items():
         assert many.get(*key) == base.get(*key) + iters * delta
@@ -383,8 +393,10 @@ def test_block_h_composition():
     s = reference_scenario()
     d = derive(s)
     t = count_block_h(d, s.decode)
-    expected = (count_ldpc_decode(d.n_ccb, d.n_ccb - d.k, 19, 3, 8, d.c)
-                + count_crc_decode(d.b) + count_crc_decode(d.a))
+    expected = (count_term("ldpc_decode", n_vn=d.n_ccb, w_cn=d.n_ccb - d.k,
+                           deg_cn=19, deg_vn=3, iters=8, c=d.c)
+                + count_term("cb_crc_check", bits=d.b)
+                + count_term("tb_crc_check", bits=d.a))
     assert t == expected
     assert t.get(OpKind.CMP, LS) == 2
 
@@ -492,8 +504,10 @@ def test_rx_fft_antenna_override_only_moves_block_e():
 def test_mmse_setup_cubes_the_receive_antenna_count():
     """The MMSE set-up's SVD cube term is n_r**3, not block C's cube of the
     column count (n_t**3, which would give 96 for the first case)."""
-    assert count_mmse(8, 2, 0, 1) == OperationTally({(OpKind.FLOP, DS): 600})
-    assert count_mmse(2, 8, 0, 1) == OperationTally({(OpKind.FLOP, DS): 282})
+    assert count_term("mmse", n_r=8, n_t=2, n_f=0, g=1) == OperationTally(
+        {(OpKind.FLOP, DS): 600})
+    assert count_term("mmse", n_r=2, n_t=8, n_f=0, g=1) == OperationTally(
+        {(OpKind.FLOP, DS): 282})
 
 
 def test_block_f_ignores_the_pilot_symbol_count():
@@ -549,43 +563,68 @@ def _valid_scenarios(draw, max_prb=275, max_antennas=8, max_channel_len=8,
             iterations=draw(st.integers(min_value=0, max_value=12))))
 
 
+def _term_args(s, d, bg, n_ant):
+    """Each term's arguments as tally_pipeline passes them, with ``n_ant``
+    antennas for the transform."""
+    return {
+        "tb_crc": dict(a_bits=d.a),
+        "segmentation": dict(c=d.c),
+        "cb_crc": dict(a_bits=d.b),
+        "ldpc_encode": dict(k=d.k, z=d.z, n1=bg.n1, rows=bg.rows,
+                            cols=bg.cols, n_ccb=d.n_ccb, c=d.c),
+        "scrambling": dict(m_cw=d.m_cw),
+        "modulation": dict(n_symbols=d.n_symbols),
+        "layer_mapping": dict(n_symbols=d.n_symbols),
+        "precoding": dict(p=s.n_ports, v=s.n_layers,
+                          m_symb_layer=d.m_symb_layer),
+        "fft": dict(g=d.g, n_ant=n_ant, n_fft=d.n_fft),
+        "ls": dict(v=s.n_layers, n_r=s.n_rx, n_t=s.n_tx, l=s.channel_len,
+                   g=d.g, k_p=d.k_p),
+        "mmse": dict(n_r=s.n_rx, n_t=s.n_tx, n_f=d.n_f, g=d.g),
+        "ldpc_decode": dict(n_vn=d.n_ccb, w_cn=d.n_ccb - d.k,
+                            deg_cn=s.decode.deg_cn, deg_vn=s.decode.deg_vn,
+                            iters=s.decode.iterations, c=d.c),
+        "cb_crc_check": dict(bits=d.b),
+        "tb_crc_check": dict(bits=d.a),
+    }
+
+
 def _public_terms(s):
-    """Each block's one-slot tally and its terms, from the public count_*
-    functions."""
+    """Each block's one-slot tally from its public ``count_block_*``
+    function, and its terms: every term :data:`TERMS` lists for the block,
+    through :func:`count_term`."""
     d = derive(s)
     bg = select_base_graph(d.a, s.code_rate)
     e_antennas = s.n_tx if s.rx_fft_antennas is None else s.rx_fft_antennas
-    blocks = {BlockId.A: count_block_a(d, bg), BlockId.F: count_block_f(d, s),
-              BlockId.H: count_block_h(d, s.decode)}
-    terms = {
-        BlockId.A: [count_crc(d.a), count_segmentation(d.c), count_crc(d.b),
-                    count_ldpc_encode(k=d.k, z=d.z, n1=bg.n1, rows=bg.rows,
-                                      cols=bg.cols, n_ccb=d.n_ccb, c=d.c)],
-        BlockId.B: [count_block_b(d.m_cw, d.n_symbols)],
-        BlockId.C: [count_block_c(s.n_ports, s.n_layers, d.m_symb_layer)],
-        BlockId.D: [count_block_d(d.g, s.n_tx, d.n_fft)],
-        BlockId.E: [count_block_e(d.g, e_antennas, d.n_fft)],
-        BlockId.F: [count_ls(v=s.n_layers, n_r=s.n_rx, n_t=s.n_tx,
-                             l=s.channel_len, g=d.g, k_p=d.k_p),
-                    count_mmse(n_r=s.n_rx, n_t=s.n_tx, n_f=d.n_f, g=d.g)],
-        BlockId.G: [count_block_g(d.m_cw, d.n_symbols)],
-        BlockId.H: [count_ldpc_decode(n_vn=d.n_ccb, w_cn=d.n_ccb - d.k,
-                                      deg_cn=s.decode.deg_cn,
-                                      deg_vn=s.decode.deg_vn,
-                                      iters=s.decode.iterations, c=d.c),
-                    count_crc_decode(d.b), count_crc_decode(d.a)],
+    blocks = {
+        BlockId.A: count_block_a(d, bg),
+        BlockId.B: count_block_b(d.m_cw, d.n_symbols),
+        BlockId.C: count_block_c(s.n_ports, s.n_layers, d.m_symb_layer),
+        BlockId.D: count_block_d(d.g, s.n_tx, d.n_fft),
+        BlockId.E: count_block_e(d.g, e_antennas, d.n_fft),
+        BlockId.F: count_block_f(d, s),
+        BlockId.G: count_block_g(d.m_cw, d.n_symbols),
+        BlockId.H: count_block_h(d, s.decode),
     }
-    return {block: (blocks.get(block, parts[0]), parts)
-            for block, parts in terms.items()}
+    terms = {}
+    for block in BlockId:
+        args = _term_args(s, d, bg, e_antennas if block is BlockId.E
+                          else s.n_tx)
+        assert list(args) == list(TERMS)
+        terms[block] = [count_term(name, **args[name])
+                        for name, (letters, _) in TERMS.items()
+                        if block.value in letters]
+    return {block: (blocks[block], terms[block]) for block in BlockId}
 
 
 @given(s=_valid_scenarios())
 @settings(max_examples=150, deadline=None, derandomize=True,
           phases=[phase for phase in Phase if phase is not Phase.explain])
 def test_fused_pipeline_equals_its_validated_terms(s):
-    """Each block is the merge of its public terms, every term re-validated
-    through the public constructor, scaled by n_slots; every stored count
-    is a positive int."""
+    """Each block is the merge of the terms TERMS lists for it, no more and
+    no fewer, every term re-validated through the public constructor,
+    scaled by n_slots; its count_block_* function gives that merge for one
+    slot, and every stored count is a positive int."""
     tallies = tally_pipeline(s)
     assert list(tallies.per_block) == list(BlockId)
     for block, (per_slot, terms) in _public_terms(s).items():
@@ -655,27 +694,43 @@ class _Int(int):
 
 _REFERENCE_DERIVED = derive(reference_scenario())
 
-# Each public counter with valid integer arguments.
+# Each term with valid integer arguments.
+_TERM_CALLS = {
+    "tb_crc": dict(a_bits=3824, p=32),
+    "segmentation": dict(c=2),
+    "cb_crc": dict(a_bits=3824, p=32),
+    "ldpc_encode": dict(k=44, z=2, n1=316, rows=46, cols=68, n_ccb=128, c=1),
+    "scrambling": dict(m_cw=1000),
+    "modulation": dict(n_symbols=250),
+    "layer_mapping": dict(n_symbols=250),
+    "precoding": dict(p=4, v=2, m_symb_layer=10),
+    "fft": dict(g=14, n_ant=4, n_fft=256),
+    "ls": dict(v=2, n_r=2, n_t=2, l=2, g=14, k_p=24),
+    "mmse": dict(n_r=2, n_t=2, n_f=12, g=14),
+    "ldpc_decode": dict(n_vn=64, w_cn=14, deg_cn=19, deg_vn=3, iters=8, c=1),
+    "cb_crc_check": dict(bits=3824, p=32),
+    "tb_crc_check": dict(bits=3824, p=32),
+}
+
+# Each public counter with valid integer arguments, by keyword: every term
+# through count_term, and the block counters that take plain integers.
 _PUBLIC_CALLS = [
-    (count_crc, (3824, 32)),
-    (count_segmentation, (2,)),
-    (count_ldpc_encode, (44, 2, 316, 46, 68, 128, 1)),
-    (count_block_b, (1000, 250)),
-    (count_block_g, (1000, 250)),
-    (count_block_c, (4, 2, 10)),
-    (count_block_d, (14, 4, 256)),
-    (count_block_e, (14, 4, 256)),
-    (count_ls, (2, 2, 2, 2, 14, 24)),
-    (count_mmse, (2, 2, 12, 14)),
-    (count_ldpc_decode, (64, 14, 19, 3, 8, 1)),
-    (count_crc_decode, (3824, 32)),
+    *((partial(count_term, name), args) for name, args in _TERM_CALLS.items()),
+    (count_block_b, dict(m_cw=1000, n_symbols=250)),
+    (count_block_g, dict(m_cw=1000, n_symbols=250)),
+    (count_block_c, dict(p=4, v=2, m_symb_layer=10)),
+    (count_block_d, dict(g=14, n_ant=4, n_fft=256)),
+    (count_block_e, dict(g=14, n_ant=4, n_fft=256)),
 ]
+_PUBLIC_IDS = [*_TERM_CALLS, "count_block_b", "count_block_g",
+               "count_block_c", "count_block_d", "count_block_e"]
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: count_crc(100.0), "a_bits must be an integer"),
+    (lambda: count_term("tb_crc", a_bits=100.0), "a_bits must be an integer"),
     (lambda: count_block_b(1.0, 2), "m_cw must be an integer"),
-    (lambda: count_ldpc_decode(64, 14, 19, 3, iters=True, c=1),
+    (lambda: count_term("ldpc_decode", n_vn=64, w_cn=14, deg_cn=19, deg_vn=3,
+                        iters=True, c=1),
      "iters must be an integer"),
     (lambda: count_block_a(_REFERENCE_DERIVED._replace(a=1.5),
                            BASE_GRAPHS[_REFERENCE_DERIVED.bg]),
@@ -696,16 +751,32 @@ def test_public_counters_refuse_non_integers(call, message):
         call()
 
 
-@pytest.mark.parametrize("count, args", _PUBLIC_CALLS,
-                         ids=[count.__name__ for count, _ in _PUBLIC_CALLS])
+@pytest.mark.parametrize("count, args", _PUBLIC_CALLS, ids=_PUBLIC_IDS)
 def test_every_argument_of_a_public_counter_must_be_an_int(count, args):
     """A float, a bool or None in any position is refused before counting,
     so no count is ever a float; an int subclass counts as the int does."""
-    for i, value in enumerate(args):
+    for name, value in args.items():
         for bad in (float(value), True, None):
             with pytest.raises(DomainError, match="must be an integer"):
-                count(*args[:i], bad, *args[i + 1:])
-    assert count(*map(_Int, args)) == count(*args)
+                count(**{**args, name: bad})
+    as_subclass = {name: _Int(value) for name, value in args.items()}
+    assert count(**as_subclass) == count(**args)
+
+
+def test_count_term_knows_every_term_and_no_other():
+    assert list(_TERM_CALLS) == list(TERMS)
+    with pytest.raises(DomainError, match="^unknown term 'crc'$"):
+        count_term("crc", a_bits=3824)
+
+
+@pytest.mark.parametrize("name", ["scrambling", "modulation", "layer_mapping"])
+def test_count_term_refuses_a_negative_argument(name):
+    """The bit-level terms have no range check of their own (their block
+    checks its sizes), so count_term refuses a negative argument for them
+    rather than return a negative count."""
+    (arg,) = _TERM_CALLS[name]
+    with pytest.raises(DomainError, match=f"^{name} arguments must be >= 0$"):
+        count_term(name, **{arg: -1})
 
 
 def test_the_pipeline_never_runs_the_public_check(monkeypatch):
@@ -719,4 +790,4 @@ def test_the_pipeline_never_runs_the_public_check(monkeypatch):
     monkeypatch.setattr(opcount, "_check_ints", refuse)
     assert tally_pipeline(reference_scenario(n_slots=3)) == expected
     with pytest.raises(AssertionError):
-        count_crc(100)
+        count_term("tb_crc", a_bits=100)
