@@ -364,6 +364,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     else:
         path_filter, block_map = ingest.PathFilter(), {}
     report = ingest.parse_measurement(args.measured, path_filter, block_map)
+    if not report.meta.rows_seen:
+        raise MeasurementError(f"{args.measured}: no data rows")
     if report.empty:
         raise MeasurementError(
             f"{args.measured}: no rows left after filtering "

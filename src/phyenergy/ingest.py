@@ -17,13 +17,19 @@ cost-table rows are, and filter configs go through its YAML readers;
 this module keeps the report's columns, the block letters and the
 filter fields.
 
-Parsing does constant work per row.  Every row's cells are validated
-first, the path filter runs next, and only the rows it keeps are
-attributed and summed per block: the block map is indexed once per parse
-by prefix length, longest first, so a row costs one dict probe per
-distinct length.  No row outlives its line: a :class:`MeasuredReport`
-holds the parse's counters and the per-block sums, and
-:class:`MeasuredRow` is the record :func:`serialize_measurement` writes.
+A report is read a chunk of columns at a time
+(:func:`~phyenergy.readers.read_csv_columns`).  Every cell of a chunk is
+validated first, a column at a time: one dict probe per name cell and one
+``int()`` per count, with no row position built.  So a row the filter
+drops still fails on a bad cell, and only a chunk that fails is read
+again by the cell readers, a row at a time, for its first bad row's
+``<source>:<line>`` message.  The path filter runs next, and only the rows
+it keeps are attributed and summed per block: the block map is indexed
+once per parse by prefix length, longest first, so a row costs one dict
+probe per distinct length.  No row outlives its chunk: a
+:class:`MeasuredReport` holds the parse's counters and the per-block
+sums, and :class:`MeasuredRow` is the record
+:func:`serialize_measurement` writes.
 
 Measured rows run through the same cost path as modeled tallies
 (:func:`~phyenergy.costmodel.cycles_for` over the compiled cost table),
@@ -38,14 +44,15 @@ import io
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Dict, Iterable, Mapping, NamedTuple, Optional, Tuple
+from typing import (Any, Dict, Iterable, Mapping, NamedTuple, NoReturn,
+                    Optional, Sequence, Tuple)
 
 from .costmodel import (CLASS_BY_NAME, KIND_BY_NAME, EnergyReport,
                         InstructionCostTable, cycles_for)
 from .errors import ConfigError, DomainError, MeasurementError
 from .opcount import (BlockId, DataClass, OpKind, OperationTally,
                       PipelineTallies)
-from .readers import (as_list, count_cell, echo, name_cell, read_csv_rows,
+from .readers import (as_list, count_cell, echo, name_cell, read_csv_columns,
                       read_fields, read_text, read_yaml)
 
 _HEADER = ["function_path", "block", "operator", "data_type", "shape", "count"]
@@ -53,6 +60,8 @@ _HEADER = ["function_path", "block", "operator", "data_type", "shape", "count"]
 # Block letters in either case.
 _BLOCK_BY_NAME = {name: blk for blk in BlockId
                   for name in (blk.value, blk.value.lower())}
+# A block cell's block; an empty cell has none.
+_BLOCK_CELL = {**_BLOCK_BY_NAME, "": None}
 
 
 class MeasuredRow(NamedTuple):
@@ -152,6 +161,24 @@ def parse_measurement(path: str | Path,
                                   block_map=block_map)
 
 
+def _reject_first_bad_row(source: str, linenos: Sequence[int],
+                          block_cells: Sequence[str], op_cells: Sequence[str],
+                          type_cells: Sequence[str],
+                          count_cells: Sequence[str]) -> NoReturn:
+    """Raise the message of the first row of a chunk with a bad cell,
+    checking its operator, data_type, count and block in that order."""
+    for lineno, block_s, op_s, type_s, count_s in zip(
+            linenos, block_cells, op_cells, type_cells, count_cells):
+        where = f"{source}:{lineno}"
+        name_cell(op_s, KIND_BY_NAME, "operator", where, MeasurementError)
+        name_cell(type_s, CLASS_BY_NAME, "data_type", where, MeasurementError)
+        count_cell(count_s, "count", where, MeasurementError)
+        if block_s:
+            name_cell(block_s, _BLOCK_BY_NAME, "block", where,
+                      MeasurementError)
+    raise AssertionError("a chunk that failed a check has no bad cell")
+
+
 def parse_measurement_text(text: str, source: str = "<string>",
                            path_filter: Optional[PathFilter] = None,
                            block_map: Optional[Mapping[str, BlockId]] = None,
@@ -162,41 +189,38 @@ def parse_measurement_text(text: str, source: str = "<string>",
     # Kept rows' counts by (block, operator, data type).
     sums: Dict[Tuple[Optional[BlockId], OpKind, DataClass], int] = {}
     seen = kept = filtered = unattributed = 0
-    for lineno, cells in read_csv_rows(text, source, _HEADER,
-                                       "measurement file", MeasurementError):
-        fpath, block_s, op_s, type_s, _shape, count_s = cells
-        seen += 1
+    for linenos, columns in read_csv_columns(
+            text, source, _HEADER, "measurement file", MeasurementError):
+        paths, block_cells, op_cells, type_cells, _, count_cells = columns
+        seen += len(linenos)
 
         # Every cell is checked before the filter, so a denied row with a
-        # bad cell fails too.  A row that fails a check is read again by
-        # the cell readers, in column order, for their message.
-        operator = KIND_BY_NAME.get(op_s)
-        data_type = CLASS_BY_NAME.get(type_s)
+        # bad cell fails too.  A chunk that fails a check is read again by
+        # the cell readers, a row at a time, for the first bad row's message.
         try:
-            count = int(count_s)
-        except ValueError:
-            count = -1          # refused by count_cell below
-        block = _BLOCK_BY_NAME.get(block_s)
-        if (operator is None or data_type is None or count < 0
-                or (block is None and block_s)):
-            where = f"{source}:{lineno}"
-            name_cell(op_s, KIND_BY_NAME, "operator", where, MeasurementError)
-            name_cell(type_s, CLASS_BY_NAME, "data_type", where,
-                      MeasurementError)
-            count_cell(count_s, "count", where, MeasurementError)
-            name_cell(block_s, _BLOCK_BY_NAME, "block", where,
-                      MeasurementError)
+            operators = list(map(KIND_BY_NAME.__getitem__, op_cells))
+            data_types = list(map(CLASS_BY_NAME.__getitem__, type_cells))
+            counts = list(map(int, count_cells))
+            blocks = list(map(_BLOCK_CELL.__getitem__, block_cells))
+            valid = min(counts) >= 0
+        except (KeyError, ValueError):
+            valid = False
+        if not valid:
+            _reject_first_bad_row(source, linenos, block_cells, op_cells,
+                                  type_cells, count_cells)
 
-        if not path_filter.matches(fpath):
-            filtered += 1
-            continue
-        if block is None:
-            block = _lookup(fpath, index)
+        for fpath, block, operator, data_type, count in zip(
+                paths, blocks, operators, data_types, counts):
+            if not path_filter.matches(fpath):
+                filtered += 1
+                continue
             if block is None:
-                unattributed += 1
-        kept += 1
-        key = (block, operator, data_type)
-        sums[key] = sums.get(key, 0) + count
+                block = _lookup(fpath, index)
+                if block is None:
+                    unattributed += 1
+            kept += 1
+            key = (block, operator, data_type)
+            sums[key] = sums.get(key, 0) + count
 
     grouped: Dict[Optional[BlockId], Dict] = {}
     for (block, operator, data_type), count in sums.items():

@@ -7,12 +7,20 @@ YAML files (scenarios, legacy parameters, filter configs) are parsed by
 which hands each value to a converter such as :func:`as_int`;
 :func:`record` makes the converter that builds a record from a mapping.
 CSV files (cost tables, measurement reports) are split by
-:func:`read_csv_rows`, and their cells are read by :func:`name_cell` and
-:func:`count_cell`.  :func:`read_text` drops one leading byte order mark
-(U+FEFF), so a CSV file saved with one reads like the same file without
-it.  :func:`read_csv_rows` walks the text :data:`CHUNK_CHARS` characters
-at a time, so the memory a parse holds beyond the text and what its
-caller keeps does not grow with the file.
+:func:`read_csv_columns`, a chunk of columns at a time, or by
+:func:`read_csv_rows`, a row at a time, and their cells are read by
+:func:`name_cell` and :func:`count_cell`.  :func:`read_text` drops one
+leading byte order mark (U+FEFF), so a CSV file saved with one reads like
+the same file without it.
+
+:func:`read_csv_columns` cuts the text after the header line into chunks
+of about :data:`CHUNK_CHARS` characters.  A plain chunk (ASCII, with no
+quote, ``#``, NUL or whitespace but ``\\n``, the header's comma count on
+every line, and no longer than the csv field limit) is split into one
+list per column by a few whole-chunk splits; every line of any other
+chunk goes through :mod:`csv` on its own.  Either way the cells are those
+of csv over each line, and the memory a parse holds beyond the text and
+what its caller keeps does not grow with the file.
 
 Two rules hold for every message about input.  Integer text past
 Python's int/str digit limit is reported by its length
@@ -28,6 +36,7 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Hashable
+from itertools import repeat
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence, TypeVar
 
@@ -202,69 +211,124 @@ def as_list(label: str, value: Any) -> Sequence[Any]:
     return value
 
 
-# read_csv_rows splits the text this many characters at a time, cutting
-# each piece just after the first "\n" at or past this length.
-CHUNK_CHARS = 1 << 16
+# read_csv_columns cuts the text after the header line into chunks of
+# this many characters, each running on to just past the next "\n".
+CHUNK_CHARS = 1 << 14
+
+# Characters no plain chunk holds: the quote, the comment mark, NUL (which
+# csv rejects before Python 3.11), and every ASCII space and line break but
+# "\n", so that no cell of a plain chunk needs stripping.
+_NOT_PLAIN = '"#\0\t\r\v\f\x1c\x1d\x1e\x1f '
 
 
-def _lines(text: str) -> Iterator[str]:
-    r"""``text.splitlines()``, a chunk at a time.  Each chunk but the last
-    ends in ``\n``, which ends every line break it can end (``\r\n`` is
-    the only two-character one), so the lines are the same for any text."""
-    start, end = 0, len(text)
+def _chunks(text: str, start: int = 0) -> Iterator[str]:
+    r"""``text[start:]`` in pieces of about :data:`CHUNK_CHARS` characters.
+    Each piece but the last ends in ``\n``, which ends every line break it
+    can end (``\r\n`` is the only two-character one), so the lines of the
+    pieces are the lines of the text for any cut."""
+    end = len(text)
     while start < end:
         cut = text.find("\n", start + CHUNK_CHARS) + 1 or end
-        yield from text[start:cut].splitlines()
+        yield text[start:cut]
         start = cut
+
+
+def _line_cells(raw: str, source: str, lineno: int,
+                error: type[PhyEnergyError]) -> list[str] | None:
+    """The stripped cells :mod:`csv` reads from a line, or None when the
+    line is blank or a ``#`` comment."""
+    line = raw.strip()
+    if not line or line.startswith("#"):
+        return None
+    try:
+        return list(map(str.strip, next(csv.reader((line,)))))
+    except csv.Error as exc:
+        raise error(f"{source}:{lineno}: {exc}") from None
+
+
+def _plain_columns(chunk: str, width: int,
+                   limit: int) -> list[list[str]] | None:
+    """The columns of a plain chunk, or None when the chunk is not plain:
+    ASCII, no character of :data:`_NOT_PLAIN`, no blank line, ``width - 1``
+    commas on every line, and no longer than the csv field limit.  Split on
+    commas, such a chunk gives the cells csv would, already stripped."""
+    if (len(chunk) > limit or not chunk.isascii()
+            or any(char in chunk for char in _NOT_PLAIN)):
+        return None
+    lines = chunk.split("\n")
+    if not lines[-1]:
+        lines.pop()             # the chunk's final "\n"
+    if "" in lines or set(map(str.count, lines,
+                              repeat(","))) != {width - 1}:
+        return None
+    cells = ",".join(lines).split(",")
+    return [cells[column::width] for column in range(width)]
+
+
+def read_csv_columns(text: str, source: str, header: Sequence[str],
+                     what: str, error: type[PhyEnergyError],
+                     ) -> Iterator[tuple[Sequence[int], list[list[str]]]]:
+    """Yield ``(linenos, columns)`` for each chunk of the data rows of CSV
+    text (see the module docstring): one list of stripped cells per column
+    of ``header``, and each row's line number, by which a caller reports a
+    problem in the row as ``<source>:<lineno>: ...``.
+
+    Lines are those of ``text.splitlines()``.  Blank lines and ``#``
+    comments are skipped, and the first remaining line must be ``header``.
+    A line read through csv is read on its own, so an unterminated quote
+    cannot swallow the lines after it.  Problems, csv's own errors
+    included, raise ``error`` as ``<source>:<lineno>: ...`` once the rows
+    before them are yielded; ``what`` names the file kind in the
+    empty-file error.
+    """
+    header = list(header)
+    offset = 0
+    lines = (line for chunk in _chunks(text)
+             for line in chunk.splitlines(keepends=True))
+    for lineno, raw in enumerate(lines, start=1):
+        offset += len(raw)
+        cells = _line_cells(raw, source, lineno, error)
+        if cells is not None:
+            break
+    else:
+        raise error(f"{source}: empty {what}")
+    if cells != header:
+        raise error(f"{source}:{lineno}: header must be " + ",".join(header))
+
+    width, limit = len(header), csv.field_size_limit()
+    for chunk in _chunks(text, offset):
+        first = lineno + 1
+        columns = _plain_columns(chunk, width, limit)
+        if columns is not None:
+            lineno += len(columns[0])
+            yield range(first, lineno + 1), columns
+            continue
+        linenos, rows = [], []
+        try:
+            for lineno, raw in enumerate(chunk.splitlines(), start=first):
+                cells = _line_cells(raw, source, lineno, error)
+                if cells is None:
+                    continue
+                if len(cells) != width:
+                    raise error(f"{source}:{lineno}: expected {width} "
+                                f"columns, got {len(cells)}")
+                linenos.append(lineno)
+                rows.append(cells)
+        except error:
+            if rows:        # the rows before a bad line are read first
+                yield linenos, list(map(list, zip(*rows)))
+            raise
+        if rows:
+            yield linenos, list(map(list, zip(*rows)))
 
 
 def read_csv_rows(text: str, source: str, header: Sequence[str], what: str,
                   error: type[PhyEnergyError],
                   ) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(lineno, stripped cells)`` for each data row of CSV text;
-    a caller reports a problem in a row as ``<source>:<lineno>: ...``.
-
-    Lines are those of ``text.splitlines()``, read :data:`CHUNK_CHARS`
-    characters at a time.  Blank lines and ``#`` comments are skipped, and
-    the first remaining line must be ``header``.  Each physical line is
-    parsed on its own, so an unterminated quote cannot swallow the lines
-    after it.  A line without ``"`` (or NUL, which csv rejects before
-    Python 3.11) is split on commas directly, which gives the cells the csv
-    module would; other lines go through :mod:`csv`.  Both ways refuse a
-    field longer than ``csv.field_size_limit()``.  Problems, csv's own
-    errors included, raise ``error`` as ``<source>:<lineno>: ...``;
-    ``what`` names the file kind in the empty-file error.
-    """
-    header = list(header)
-    seen_header = False
-    limit = csv.field_size_limit()
-    for lineno, raw in enumerate(_lines(text), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if '"' in line or "\0" in line:
-            try:
-                fields = next(csv.reader((line,)))
-            except csv.Error as exc:
-                raise error(f"{source}:{lineno}: {exc}") from None
-        else:
-            fields = line.split(",")
-            if len(line) > limit and max(map(len, fields)) > limit:
-                raise error(f"{source}:{lineno}: field larger than field "
-                            f"limit ({limit})")
-        cells = list(map(str.strip, fields))
-        if not seen_header:
-            if cells != header:
-                raise error(f"{source}:{lineno}: header must be "
-                            + ",".join(header))
-            seen_header = True
-        elif len(cells) != len(header):
-            raise error(f"{source}:{lineno}: expected {len(header)} columns, "
-                        f"got {len(cells)}")
-        else:
-            yield lineno, cells
-    if not seen_header:
-        raise error(f"{source}: empty {what}")
+    """:func:`read_csv_columns` a row at a time: ``(lineno, cells)``."""
+    for linenos, columns in read_csv_columns(text, source, header, what,
+                                             error):
+        yield from zip(linenos, map(list, zip(*columns)))
 
 
 Member = TypeVar("Member")

@@ -6,7 +6,8 @@ with the package's closed-form counts is meaningful.
 
 The ingest oracles at the end keep the plain loops that the indexed
 attribution, the tuple-based path filter, the comma split, the chunked line
-split and the parse's per-block grouping replaced.
+split, the column-at-a-time cell checks and the parse's per-block grouping
+replaced.
 """
 
 from __future__ import annotations
@@ -14,7 +15,10 @@ from __future__ import annotations
 import csv
 from collections import Counter
 
-from phyenergy.opcount import OperationTally
+from phyenergy.errors import MeasurementError
+from phyenergy.ingest import MeasuredReport, MeasuredRow, MeasurementMeta
+from phyenergy.opcount import BlockId, DataClass, OperationTally, OpKind
+from phyenergy.readers import count_cell, name_cell
 
 
 def schoolbook_product_ops(m: int, k: int, n: int) -> tuple[int, int]:
@@ -275,3 +279,41 @@ def block_tallies(rows):
         key = (row.operator, row.data_type)
         counts[key] = counts.get(key, 0) + row.count
     return {blk: OperationTally(counts) for blk, counts in grouped.items()}
+
+
+_HEADER = ["function_path", "block", "operator", "data_type", "shape", "count"]
+_KINDS = {kind.value: kind for kind in OpKind}
+_CLASSES = {cls.value: cls for cls in DataClass}
+_BLOCKS = {name: blk for blk in BlockId
+           for name in (blk.value, blk.value.lower())}
+
+
+def parse_rows(text, source, allow, deny, block_map):
+    """A measurement report parsed a row at a time over :func:`csv_rows`:
+    each row's cells checked in column order (operator, data_type, count,
+    then a non-empty block), then the path filter, then the longest prefix
+    for a row without a block, then the kept counts summed per block."""
+    rows = []
+    seen = filtered = 0
+    for lineno, cells in csv_rows(text, source, _HEADER, "measurement file",
+                                  MeasurementError):
+        fpath, block_s, op_s, type_s, shape, count_s = cells
+        where = f"{source}:{lineno}"
+        seen += 1
+        operator = name_cell(op_s, _KINDS, "operator", where,
+                             MeasurementError)
+        data_type = name_cell(type_s, _CLASSES, "data_type", where,
+                              MeasurementError)
+        count = count_cell(count_s, "count", where, MeasurementError)
+        block = (name_cell(block_s, _BLOCKS, "block", where, MeasurementError)
+                 if block_s else None)
+        if not path_passes(fpath, allow, deny):
+            filtered += 1
+            continue
+        if block is None:
+            block = longest_prefix_block(fpath, block_map)
+        rows.append(MeasuredRow(fpath, block, operator, data_type, shape,
+                                count))
+    meta = MeasurementMeta(source, seen, len(rows), filtered,
+                           sum(row.block is None for row in rows))
+    return MeasuredReport(meta, block_tallies(rows))

@@ -509,6 +509,16 @@ def test_compare_everything_filtered_out(capsys, measurement_file, tmp_path):
     assert "no rows left" in err
 
 
+def test_compare_header_only_report_has_no_data_rows(capsys, tmp_path):
+    """A report with a header and no rows is not a filtering problem."""
+    path = tmp_path / "m.csv"
+    path.write_text("function_path,block,operator,data_type,shape,count\n")
+    code, out, err = run(capsys, "compare", "--scenario", REFERENCE,
+                         "--measured", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error[measured]: {path}: no data rows\n"
+
+
 def test_compare_filter_attributes_unlabeled_rows(capsys, tmp_path):
     path = tmp_path / "m.csv"
     path.write_text(

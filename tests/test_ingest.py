@@ -1,4 +1,5 @@
 import csv
+import random
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import make_table, reference_scenario
 from oracles import (block_tallies, csv_cells, csv_rows,
-                     longest_prefix_block, path_passes)
+                     longest_prefix_block, parse_rows, path_passes)
 
 from phyenergy import readers
 from phyenergy.costmodel import EnergyParams, build_report
@@ -339,6 +340,112 @@ def test_chunked_lines_are_the_splitlines_lines(text, chunk):
     args = (text, "s", ["a", "b"], "file", MeasurementError)
     with mock.patch.object(readers, "CHUNK_CHARS", chunk):
         assert _outcome(read_csv_rows(*args)) == _outcome(csv_rows(*args))
+
+
+# Rows of the plain kind, mostly, and lines of every kind that makes a
+# chunk not plain, under a six-column header of short names.
+_SHORT_HEADER = ["a", "b", "c", "d", "e", "f"]
+_PLAIN_LINES = st.lists(st.sampled_from(["p", "q/r", "A", "", "-1", "x"]),
+                        min_size=6, max_size=6).map(",".join)
+_ODD_LINES = st.sampled_from([
+    '"p,q",b,c,d,e,f', 'p,"A",c,d,e,f', '"p', "p,\0,c,d,e,f",
+    "#p,b,c,d,e,f", "p,b#,c,d,e,f", "", "  ",
+    " p ,b,c,d,e,f", "p,\tb,c,d,e,f", "p,b,c,d,e,\xa0f", "p,b,c,d,e,\u3000",
+    "p,b,c,d,e", "p,b,c,d,e,f,g", "p,b,c,d,e,fffffffffffffffffffffffffffff",
+    # Lines of 5 and 7 cells side by side hold 6 cells a line on average.
+    "p,b,c,d,e\np,b,c,d,e,f,g", "p,b,c,d,e,f,g\n,,,,"])
+_ROW_SEPARATORS = st.sampled_from(["\n"] * 5 + ["\r\n", "\x85", "\u2028"])
+
+
+@st.composite
+def _reports(draw):
+    lines = draw(st.lists(st.sampled_from(["# note", ""]), max_size=2))
+    lines.append(",".join(_SHORT_HEADER))
+    lines += draw(st.lists(st.one_of(_PLAIN_LINES, _PLAIN_LINES, _ODD_LINES),
+                           max_size=60))
+    text = "".join(line + draw(_ROW_SEPARATORS) for line in lines)
+    return text[:-1] if draw(st.booleans()) and text.endswith("\n") else text
+
+
+@given(text=_reports(), chunk=st.integers(min_value=1, max_value=256),
+       limit=st.none() | st.integers(min_value=1, max_value=40))
+@settings(max_examples=600, deadline=None, derandomize=True)
+def test_the_reader_equals_the_line_loop(text, chunk, limit):
+    """Plain chunks split in bulk and the others a line at a time, the
+    reader yields the rows and raises the error of csv over every line,
+    at every chunk size and csv field limit."""
+    args = (text, "s", _SHORT_HEADER, "file", MeasurementError)
+    default = csv.field_size_limit()
+    try:
+        if limit is not None:
+            csv.field_size_limit(limit)
+        with mock.patch.object(readers, "CHUNK_CHARS", chunk):
+            assert _outcome(read_csv_rows(*args)) == _outcome(csv_rows(*args))
+    finally:
+        csv.field_size_limit(default)
+
+
+def test_a_blank_line_is_no_row_of_a_one_column_file():
+    """A blank line has the comma count of a one-column row, and is still
+    skipped."""
+    rows = read_csv_rows("x\na\n\nb\n", "s", ["x"], "file", MeasurementError)
+    assert list(rows) == [(2, ["a"]), (4, ["b"])]
+
+
+def _parse_outcome(parse, *args):
+    try:
+        return parse(*args)
+    except MeasurementError as exc:
+        return str(exc)
+
+
+_REPORT_PATHS = ["phy/a/x", "phy/a/inner/y", "phy/b", "phy/debug/z",
+                 "ext/q", "other"]
+_REPORT_MAP = {"phy/a/": BlockId.A, "phy/a/inner/": BlockId.B,
+               "phy/b": BlockId.C, "ext/": BlockId.D}
+# Bad cells by column: block, operator, data_type and count.
+_BAD_CELLS = {1: ["Z", "Ab", "I"], 2: ["NOP", "add", ""],
+              3: ["int128", "INT_SCALAR"],
+              5: ["x", "-3", "1.5", "", "9" * 5000]}
+
+
+@given(seed=st.integers(min_value=0, max_value=2 ** 32),
+       n_rows=st.integers(min_value=0, max_value=3000),
+       n_bad=st.integers(min_value=0, max_value=3),
+       chunk=st.integers(min_value=1, max_value=512),
+       allow=st.sampled_from([(), ("phy/",), ("phy/", "ext/")]),
+       deny=st.sampled_from([(), ("phy/debug/",)]))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_the_parse_equals_the_row_loop(seed, n_rows, n_bad, chunk, allow,
+                                       deny):
+    """Checked a column at a time, a report gives the report or the first
+    bad row's message of a loop that checks, filters and attributes each
+    row in turn."""
+    rng = random.Random(seed)
+    rows = [[rng.choice(_REPORT_PATHS), rng.choice(["", "", "A", "h"]),
+             rng.choice(["ADD", "XOR", "FLOP"]),
+             rng.choice(["int_scalar", "double_vector"]), "4x4",
+             str(rng.randrange(10 ** rng.randrange(1, 25)))]
+            for _ in range(n_rows)]
+    for _ in range(n_bad if rows else 0):
+        column = rng.choice(list(_BAD_CELLS))
+        rng.choice(rows)[column] = rng.choice(_BAD_CELLS[column])
+    text = HEADER + "".join(",".join(row) + "\n" for row in rows)
+    with mock.patch.object(readers, "CHUNK_CHARS", chunk):
+        got = _parse_outcome(parse_measurement_text, text, "s",
+                             PathFilter(allow, deny), _REPORT_MAP)
+    assert got == _parse_outcome(parse_rows, text, "s", allow, deny,
+                                 _REPORT_MAP)
+
+
+def test_the_first_bad_row_of_a_chunk_is_reported():
+    """Two bad rows in one chunk: the earlier one is reported, though the
+    later one's bad cell is in a column checked first."""
+    text = (HEADER + "p,A,ADD,int_scalar,1,5\n" * 3
+            + "p,A,ADD,int_scalar,1,x\n" + "p,A,NOP,int_scalar,1,5\n")
+    with pytest.raises(MeasurementError) as exc:
+        parse_measurement_text(text)
+    assert str(exc.value) == "<string>:5: count must be an integer, got 'x'"
 
 
 def test_the_report_holds_no_memory_per_row():
