@@ -23,10 +23,11 @@ validated first, a column at a time: one dict probe per name cell and one
 ``int()`` per count, with no row position built.  So a row the filter
 drops still fails on a bad cell, and only a chunk that fails is read
 again by the cell readers, a row at a time, for its first bad row's
-``<source>:<line>`` message.  The path filter runs next, and only the rows
-it keeps are attributed and summed per block: the block map is indexed
-once per parse by prefix length, longest first, so a row costs one dict
-probe per distinct length.  No row outlives its chunk: a
+``<source>:<line>`` message.  The path filter runs next, on the whole path
+column at once (two ``str.startswith`` maps), and only the rows it keeps
+are attributed and summed: the block map is indexed by prefix length, so
+a kept row with an empty block cell costs one dict probe per length,
+longest first, up to the first match.  No row outlives its chunk: a
 :class:`MeasuredReport` holds the parse's counters and the per-block
 sums, and :class:`MeasuredRow` is the record
 :func:`serialize_measurement` writes.
@@ -43,6 +44,8 @@ import csv
 import io
 import sys
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import gt, not_
 from pathlib import Path
 from typing import (Any, Dict, Iterable, Mapping, NamedTuple, NoReturn,
                     Optional, Sequence, Tuple)
@@ -116,6 +119,8 @@ class PathFilter(NamedTuple("PathFilter", [("allow", Tuple[str, ...]),
     def _make(cls, iterable: Iterable) -> PathFilter:
         return cls(*iterable)
 
+    # parse_measurement_text applies this rule to a column of paths at
+    # once; a change to it changes that expression too.
     def matches(self, path: str) -> bool:
         if self.allow and not path.startswith(self.allow):
             return False
@@ -183,12 +188,12 @@ def parse_measurement_text(text: str, source: str = "<string>",
                            path_filter: Optional[PathFilter] = None,
                            block_map: Optional[Mapping[str, BlockId]] = None,
                            ) -> MeasuredReport:
-    path_filter = path_filter or PathFilter()
+    allow, deny = path_filter or PathFilter()
     index = _index_block_map(block_map or {})
 
     # Kept rows' counts by (block, operator, data type).
     sums: Dict[Tuple[Optional[BlockId], OpKind, DataClass], int] = {}
-    seen = kept = filtered = unattributed = 0
+    seen = kept = unattributed = 0
     for linenos, columns in read_csv_columns(
             text, source, _HEADER, "measurement file", MeasurementError):
         paths, block_cells, op_cells, type_cells, _, count_cells = columns
@@ -209,16 +214,18 @@ def parse_measurement_text(text: str, source: str = "<string>",
             _reject_first_bad_row(source, linenos, block_cells, op_cells,
                                   type_cells, count_cells)
 
-        for fpath, block, operator, data_type, count in zip(
-                paths, blocks, operators, data_types, counts):
-            if not path_filter.matches(fpath):
-                filtered += 1
-                continue
+        # PathFilter.matches over the chunk, a column at a time (keep the
+        # two in step): allowed, or no allowlist, and not denied.
+        denied = map(str.startswith, paths, repeat(deny))
+        keep = list(map(gt, map(str.startswith, paths, repeat(allow)), denied)
+                    if allow else map(not_, denied))
+        kept += keep.count(True)
+        for fpath, block, operator, data_type, count in compress(
+                zip(paths, blocks, operators, data_types, counts), keep):
             if block is None:
                 block = _lookup(fpath, index)
                 if block is None:
                     unattributed += 1
-            kept += 1
             key = (block, operator, data_type)
             sums[key] = sums.get(key, 0) + count
 
@@ -226,7 +233,7 @@ def parse_measurement_text(text: str, source: str = "<string>",
     for (block, operator, data_type), count in sums.items():
         grouped.setdefault(block, {})[(operator, data_type)] = count
     meta = MeasurementMeta(source=source, rows_seen=seen, rows_kept=kept,
-                           rows_filtered=filtered,
+                           rows_filtered=seen - kept,
                            rows_unattributed=unattributed)
     return MeasuredReport(meta, {
         block: OperationTally(counts) for block, counts in grouped.items()})

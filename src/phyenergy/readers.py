@@ -11,7 +11,8 @@ CSV files (cost tables, measurement reports) are split by
 :func:`read_csv_rows`, a row at a time, and their cells are read by
 :func:`name_cell` and :func:`count_cell`.  :func:`read_text` drops one
 leading byte order mark (U+FEFF), so a CSV file saved with one reads like
-the same file without it.
+the same file without it, and reads with universal newlines, so a file's
+``\\r\\n`` and lone ``\\r`` line ends arrive as ``\\n``.
 
 :func:`read_csv_columns` cuts the text after the header line into chunks
 of about :data:`CHUNK_CHARS` characters.  A plain chunk (ASCII, with no
@@ -217,7 +218,8 @@ CHUNK_CHARS = 1 << 14
 
 # Characters no plain chunk holds: the quote, the comment mark, NUL (which
 # csv rejects before Python 3.11), and every ASCII space and line break but
-# "\n", so that no cell of a plain chunk needs stripping.
+# "\n", so that no cell of a plain chunk needs stripping.  Only a string
+# passed in holds "\r": read_text gives a file's line ends as "\n".
 _NOT_PLAIN = '"#\0\t\r\v\f\x1c\x1d\x1e\x1f '
 
 

@@ -392,6 +392,21 @@ def test_a_blank_line_is_no_row_of_a_one_column_file():
     assert list(rows) == [(2, ["a"]), (4, ["b"])]
 
 
+def test_a_crlf_report_file_is_read_in_bulk(tmp_path):
+    """A report file with CRLF line ends reaches the reader with "\\n" ends,
+    so every chunk is split in bulk, and it gives its "\\n" twin's report."""
+    lf = HEADER + "".join(f"phy/a/f{i},,ADD,int_scalar,4x4,{i}\n"
+                          for i in range(40))
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(lf.replace("\n", "\r\n").encode())
+    block_map = {"phy/a/": BlockId.A}
+    with mock.patch.object(readers, "_line_cells",
+                           wraps=readers._line_cells) as spy:
+        report = parse_measurement(path, None, block_map)
+    assert spy.call_count == 1          # the header
+    assert report == parse_measurement_text(lf, str(path), None, block_map)
+
+
 def _parse_outcome(parse, *args):
     try:
         return parse(*args)
@@ -403,6 +418,12 @@ _REPORT_PATHS = ["phy/a/x", "phy/a/inner/y", "phy/b", "phy/debug/z",
                  "ext/q", "other"]
 _REPORT_MAP = {"phy/a/": BlockId.A, "phy/a/inner/": BlockId.B,
                "phy/b": BlockId.C, "ext/": BlockId.D}
+# No prefix; "" (every path); a key longer than every path; three nested
+# prefix lengths.
+_REPORT_MAPS = [_REPORT_MAP, {}, {"": BlockId.E, "phy/a/": BlockId.A},
+                {"phy/a/inner/y/z": BlockId.F, "phy/b": BlockId.G},
+                {"phy/": BlockId.H, "phy/a/": BlockId.A,
+                 "phy/a/inner/": BlockId.B}]
 # Bad cells by column: block, operator, data_type and count.
 _BAD_CELLS = {1: ["Z", "Ab", "I"], 2: ["NOP", "add", ""],
               3: ["int128", "INT_SCALAR"],
@@ -413,8 +434,9 @@ _BAD_CELLS = {1: ["Z", "Ab", "I"], 2: ["NOP", "add", ""],
        n_rows=st.integers(min_value=0, max_value=3000),
        n_bad=st.integers(min_value=0, max_value=3),
        chunk=st.integers(min_value=1, max_value=512),
-       allow=st.sampled_from([(), ("phy/",), ("phy/", "ext/")]),
-       deny=st.sampled_from([(), ("phy/debug/",)]))
+       allow=st.sampled_from([(), ("phy/",), ("phy/", "ext/"), ("",),
+                              ("phy/b", "other")]),
+       deny=st.sampled_from([(), ("phy/debug/",), ("",), ("phy/a/x",)]))
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_the_parse_equals_the_row_loop(seed, n_rows, n_bad, chunk, allow,
                                        deny):
@@ -422,6 +444,7 @@ def test_the_parse_equals_the_row_loop(seed, n_rows, n_bad, chunk, allow,
     bad row's message of a loop that checks, filters and attributes each
     row in turn."""
     rng = random.Random(seed)
+    block_map = rng.choice(_REPORT_MAPS)
     rows = [[rng.choice(_REPORT_PATHS), rng.choice(["", "", "A", "h"]),
              rng.choice(["ADD", "XOR", "FLOP"]),
              rng.choice(["int_scalar", "double_vector"]), "4x4",
@@ -433,9 +456,9 @@ def test_the_parse_equals_the_row_loop(seed, n_rows, n_bad, chunk, allow,
     text = HEADER + "".join(",".join(row) + "\n" for row in rows)
     with mock.patch.object(readers, "CHUNK_CHARS", chunk):
         got = _parse_outcome(parse_measurement_text, text, "s",
-                             PathFilter(allow, deny), _REPORT_MAP)
+                             PathFilter(allow, deny), block_map)
     assert got == _parse_outcome(parse_rows, text, "s", allow, deny,
-                                 _REPORT_MAP)
+                                 block_map)
 
 
 def test_the_first_bad_row_of_a_chunk_is_reported():
