@@ -19,11 +19,10 @@ import math
 import os
 import sys
 from functools import lru_cache
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .errors import ConfigError, MeasurementError, PhyEnergyError, UsageError
-from .readers import echo, read_yaml, reject_long_digits
+from .readers import echo, read_yaml, reject_long_digits, write_text
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -269,11 +268,12 @@ def render_compare_table(result: ComparisonReport) -> str:
 # Command implementations
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+def _emit(args: argparse.Namespace, text: str) -> int:
+    if args.out:
+        write_text(args.out, text)
     else:
         sys.stdout.write(text)
+    return 0
 
 
 def _resolve_table(arg: Optional[str]) -> InstructionCostTable:
@@ -303,13 +303,10 @@ def _estimate(s: Scenario, table: InstructionCostTable) -> EnergyReport:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    s, table = _load_run(args)
-    rep = _estimate(s, table)
-    fmt = args.format or "structured-text"
-    text = (render_estimate_text(rep) if fmt == "structured-text"
-            else render_estimate_table(rep))
-    _emit(text, args.out)
-    return 0
+    rep = _estimate(*_load_run(args))
+    return _emit(args, render_estimate_table(rep)
+                 if args.format == "delimited-table"
+                 else render_estimate_text(rep))
 
 
 def _sweep_scenarios(s: Scenario, param: str,
@@ -348,37 +345,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # with no partial output.
     results = [(label, _estimate(scenario, table))
                for label, scenario in pairs]
-    fmt = args.format or "delimited-table"
-    text = (render_sweep_table(args.param, results)
-            if fmt == "delimited-table"
-            else render_sweep_text(args.param, results))
-    _emit(text, args.out)
-    return 0
+    return _emit(args, render_sweep_text(args.param, results)
+                 if args.format == "structured-text"
+                 else render_sweep_table(args.param, results))
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     from . import ingest
     s, table = _load_run(args)
-    if args.filter:
-        path_filter, block_map = ingest.load_filter_config(args.filter)
-    else:
-        path_filter, block_map = ingest.PathFilter(), {}
+    path_filter, block_map = (ingest.load_filter_config(args.filter)
+                              if args.filter else (ingest.PathFilter(), {}))
     report = ingest.parse_measurement(args.measured, path_filter, block_map)
     if not report.meta.rows_seen:
-        raise MeasurementError(f"{args.measured}: no data rows")
+        raise MeasurementError(f"{report.meta.source}: no data rows")
     if report.empty:
         raise MeasurementError(
-            f"{args.measured}: no rows left after filtering "
+            f"{report.meta.source}: no rows left after filtering "
             f"({report.meta.rows_filtered} filtered out)")
-    modeled = _estimate(s, table)
-    measured = ingest.measured_cycles(report, table)
-    unattributed = ingest.unattributed_cycles(report, table)
-    result = ingest.compare(modeled, measured, unattributed)
-    fmt = args.format or "structured-text"
-    text = (render_compare_text(result) if fmt == "structured-text"
-            else render_compare_table(result))
-    _emit(text, args.out)
-    return 0
+    result = ingest.compare(_estimate(s, table),
+                            ingest.measured_cycles(report, table),
+                            ingest.unattributed_cycles(report, table))
+    return _emit(args, render_compare_table(result)
+                 if args.format == "delimited-table"
+                 else render_compare_text(result))
 
 
 def cmd_legacy(args: argparse.Namespace) -> int:
@@ -387,14 +376,10 @@ def cmd_legacy(args: argparse.Namespace) -> int:
         raise UsageError(
             f"unknown model {args.model!r}; valid: "
             + ", ".join(sorted(legacy.MODELS)))
-    path = Path(args.params)
-    raw = read_yaml(path, "params")
-    if raw is None:
-        raise ConfigError(f"{path}: empty params file")
-    value, unit = legacy.evaluate_model(args.model, raw)
+    value, unit = read_yaml(args.params, "params", lambda _, raw:
+                            legacy.evaluate_model(args.model, raw))
     key = "power_w" if unit == "W" else "energy_j"
-    _emit(f"model: {args.model}\n{key}: {fmt_float(value)}\n", args.out)
-    return 0
+    return _emit(args, f"model: {args.model}\n{key}: {fmt_float(value)}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,10 @@ class names, the location rule and the ``cycles`` syntax.
 from __future__ import annotations
 
 import math
+import os
 import re
 import sys
 from fractions import Fraction
-from pathlib import Path
 from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
                     Tuple)
 
@@ -41,8 +41,8 @@ from .errors import ConfigError, CostTableError, CoverageError, DomainError
 from .opcount import (PART_SLOTS, SLOT_INDEX, SLOT_KEYS, BlockId, DataClass,
                       OpKey, OpKind, OperationTally, PipelineTallies)
 from .opcount import expand_flops  # noqa: F401  (kept importable from here)
-from .readers import (count_cell, echo, name_cell, read_csv_rows, read_text,
-                      reject_long_parts)
+from .readers import (count_cell, echo, name_cell, path_text, read_csv_rows,
+                      read_text, reject_long_parts)
 from .scenario import DerivedParams, Scenario
 
 DEFAULT_TABLE_RESOURCE = "cost_table.csv"
@@ -223,14 +223,15 @@ def parse_cost_table(text: str, source: str = "<string>") -> InstructionCostTabl
                                 date=meta["date"])
 
 
-def load_cost_table(path: str | Path) -> InstructionCostTable:
+def load_cost_table(path: str | os.PathLike[str]) -> InstructionCostTable:
     return parse_cost_table(read_text(path, "cost table", CostTableError),
-                            source=str(Path(path)))
+                            source=path_text(path))
 
 
 def load_default_cost_table() -> InstructionCostTable:
     """The table bundled as ``data/cost_table.csv`` next to this module."""
-    path = Path(__file__).with_name("data") / DEFAULT_TABLE_RESOURCE
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        DEFAULT_TABLE_RESOURCE)
     return parse_cost_table(read_text(path, "cost table", CostTableError),
                             source=f"bundled:{DEFAULT_TABLE_RESOURCE}")
 

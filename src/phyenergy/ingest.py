@@ -42,11 +42,11 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import sys
 from fractions import Fraction
 from itertools import compress, repeat
 from operator import gt, not_
-from pathlib import Path
 from typing import (Any, Dict, Iterable, Mapping, NamedTuple, NoReturn,
                     Optional, Sequence, Tuple)
 
@@ -55,8 +55,9 @@ from .costmodel import (CLASS_BY_NAME, KIND_BY_NAME, EnergyReport,
 from .errors import ConfigError, DomainError, MeasurementError
 from .opcount import (BlockId, DataClass, OpKind, OperationTally,
                       PipelineTallies)
-from .readers import (as_list, count_cell, echo, name_cell, read_csv_columns,
-                      read_fields, read_text, read_yaml)
+from .readers import (as_list, count_cell, echo, name_cell, path_text,
+                      read_csv_columns, read_text, read_yaml, record,
+                      write_text)
 
 _HEADER = ["function_path", "block", "operator", "data_type", "shape", "count"]
 
@@ -96,6 +97,14 @@ class MeasuredReport(NamedTuple):
         return not self.meta.rows_kept
 
 
+def _passes(paths: Sequence[str], allow: Tuple[str, ...],
+            deny: Tuple[str, ...]) -> list[bool]:
+    """Which paths pass: allowed, or no allowlist, and not denied."""
+    denied = map(str.startswith, paths, repeat(deny))
+    return list(map(gt, map(str.startswith, paths, repeat(allow)), denied)
+                if allow else map(not_, denied))
+
+
 class PathFilter(NamedTuple("PathFilter", [("allow", Tuple[str, ...]),
                                            ("deny", Tuple[str, ...])])):
     """Prefix allow/deny filter over profiled function paths.
@@ -119,12 +128,8 @@ class PathFilter(NamedTuple("PathFilter", [("allow", Tuple[str, ...]),
     def _make(cls, iterable: Iterable) -> PathFilter:
         return cls(*iterable)
 
-    # parse_measurement_text applies this rule to a column of paths at
-    # once; a change to it changes that expression too.
     def matches(self, path: str) -> bool:
-        if self.allow and not path.startswith(self.allow):
-            return False
-        return not path.startswith(self.deny)
+        return _passes((path,), *self)[0]
 
 
 # A block map indexed by prefix length, longest first:
@@ -154,14 +159,13 @@ def assign_block(path: str, block_map: Mapping[str, BlockId]) -> Optional[BlockI
     return _lookup(path, _index_block_map(block_map))
 
 
-def parse_measurement(path: str | Path,
+def parse_measurement(path: str | os.PathLike[str],
                       path_filter: Optional[PathFilter] = None,
                       block_map: Optional[Mapping[str, BlockId]] = None,
                       ) -> MeasuredReport:
     """Read a measurement file, filter it, and attribute rows to blocks."""
-    path = Path(path)
     text = read_text(path, "measurement file", MeasurementError)
-    return parse_measurement_text(text, source=str(path),
+    return parse_measurement_text(text, source=path_text(path),
                                   path_filter=path_filter,
                                   block_map=block_map)
 
@@ -214,11 +218,7 @@ def parse_measurement_text(text: str, source: str = "<string>",
             _reject_first_bad_row(source, linenos, block_cells, op_cells,
                                   type_cells, count_cells)
 
-        # PathFilter.matches over the chunk, a column at a time (keep the
-        # two in step): allowed, or no allowlist, and not denied.
-        denied = map(str.startswith, paths, repeat(deny))
-        keep = list(map(gt, map(str.startswith, paths, repeat(allow)), denied)
-                    if allow else map(not_, denied))
+        keep = _passes(paths, allow, deny)
         kept += keep.count(True)
         for fpath, block, operator, data_type, count in compress(
                 zip(paths, blocks, operators, data_types, counts), keep):
@@ -256,8 +256,9 @@ def serialize_measurement(rows: Iterable[MeasuredRow]) -> str:
     return out.getvalue()
 
 
-def write_measurement(rows: Iterable[MeasuredRow], path: str | Path) -> None:
-    Path(path).write_text(serialize_measurement(rows), encoding="utf-8")
+def write_measurement(rows: Iterable[MeasuredRow],
+                      path: str | os.PathLike[str]) -> None:
+    write_text(path, serialize_measurement(rows))
 
 
 def rows_from_tallies(tallies: PipelineTallies,
@@ -309,15 +310,11 @@ _FILTER_FIELDS = {"allow": _as_prefixes, "deny": _as_prefixes,
                   "block_map": _as_block_map}
 
 
-def load_filter_config(path: str | Path) -> tuple[PathFilter, Dict[str, BlockId]]:
+def load_filter_config(path: str | os.PathLike[str],
+                       ) -> tuple[PathFilter, Dict[str, BlockId]]:
     """Read a filter config: allow/deny prefix lists plus a block map."""
-    path = Path(path)
-    raw = read_yaml(path, "filter")
-    try:
-        fields = read_fields({} if raw is None else raw, "filter", {},
-                             _FILTER_FIELDS)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    fields = read_yaml(path, "filter", record(dict, {}, _FILTER_FIELDS),
+                       empty={})
     block_map = fields.pop("block_map", {})
     return PathFilter(**fields), block_map
 

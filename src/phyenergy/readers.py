@@ -1,11 +1,14 @@
-"""Reading input files: the text, YAML, CSV and cell rules every loader shares.
+"""Files: the path, text, YAML, CSV and cell rules every loader shares.
 
 Every file the package reads comes in through :func:`read_text`, the
-bundled cost table included, and is decoded as UTF-8 whatever the locale.
-YAML files (scenarios, legacy parameters, filter configs) are parsed by
-:func:`read_yaml`, and their mappings are checked by :func:`read_fields`,
-which hands each value to a converter such as :func:`as_int`;
-:func:`record` makes the converter that builds a record from a mapping.
+bundled cost table included, and every file it writes goes out through
+:func:`write_text`, as UTF-8 whatever the locale.  Each opens a path, and
+messages and a report's ``source`` show it, as :func:`path_text` gives it.
+YAML files (scenarios, legacy parameters, filter configs) are read by
+:func:`read_yaml` through a converter, and any ConfigError names the file.
+Mappings are checked by :func:`read_fields`, which hands each value to a
+converter such as :func:`as_int`; :func:`record` makes the converter that
+builds a record from a mapping.
 CSV files (cost tables, measurement reports) are split by
 :func:`read_csv_columns`, a chunk of columns at a time, or by
 :func:`read_csv_rows`, a row at a time, and their cells are read by
@@ -36,9 +39,9 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from collections.abc import Hashable
 from itertools import repeat
-from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence, TypeVar
 
 import yaml
@@ -86,19 +89,30 @@ def reject_long_parts(parts: Sequence[str], label: str,
 # field is coerced explicitly instead of trusting the parser's types.
 
 
-def read_text(path: str | Path, what: str,
+def path_text(path: str | os.PathLike[str]) -> str:
+    """The path a file is opened by and shown as: ``os.path.normpath``, so
+    ``t.csv/`` is ``t.csv``, and ``a/../b`` is ``b`` by the text alone."""
+    return os.path.normpath(path)
+
+
+def read_text(path: str | os.PathLike[str], what: str,
               error: type[PhyEnergyError]) -> str:
     """UTF-8 text of a regular file without one leading byte order mark; a
     missing path, a directory or bytes that do not decode raise error."""
-    path = Path(path)
-    if not path.is_file():
-        state = "is not a file" if path.exists() else "not found"
+    path = path_text(path)
+    if not os.path.isfile(path):
+        state = "is not a file" if os.path.exists(path) else "not found"
         raise error(f"{what} {state}: {path}")
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            return file.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise error(f"{what} is not text: {path}: {exc}") from None
-    return text.removeprefix("\ufeff")
+
+
+def write_text(path: str | os.PathLike[str], text: str) -> None:
+    with open(path_text(path), "w", encoding="utf-8") as file:
+        file.write(text)
 
 
 class _UniqueKeys:
@@ -127,21 +141,28 @@ _YAML_LOADER = type("Loader", (_UniqueKeys, getattr(
     yaml, "CSafeLoader", yaml.SafeLoader)), {})
 
 
-def read_yaml(path: str | Path, what: str) -> Any:
-    """Parse a ``what`` YAML file (None when empty); errors are ConfigError."""
-    text = read_text(path, f"{what} file", ConfigError)
-    try:
-        return yaml.load(text, Loader=_YAML_LOADER)
-    except ConfigError as exc:      # a repeated key
-        raise ConfigError(f"{Path(path)}: {exc}") from None
-    # ValueError: a scalar the safe constructors reject, such as an integer
-    # past Python's digit limit or a date like 2001-13-45.
-    except (yaml.YAMLError, ValueError) as exc:
-        raise ConfigError(f"{Path(path)}: malformed config: {exc}") from None
-
-
 # Called as ``conv(label, value)``; ``label`` is the field's <context>.<key>.
 Converter = Callable[[str, Any], Any]
+
+
+def read_yaml(path: str | os.PathLike[str], what: str, convert: Converter,
+              empty: Any = None) -> Any:
+    """``convert(what, value)`` of a YAML file's value, or of ``empty`` for
+    an empty file (an error when None); any ConfigError names the file."""
+    path = path_text(path)
+    text = read_text(path, f"{what} file", ConfigError)
+    try:
+        try:
+            value = yaml.load(text, Loader=_YAML_LOADER)
+        # ValueError: a scalar the safe constructors reject, such as an
+        # integer past Python's digit limit or a date like 2001-13-45.
+        except (yaml.YAMLError, ValueError) as exc:
+            raise ConfigError(f"malformed config: {exc}") from None
+        if value is None and empty is None:
+            raise ConfigError(f"empty {what} file")
+        return convert(what, empty if value is None else value)
+    except ConfigError as exc:  # a repeated key, or any error above
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def read_fields(mapping: Any, context: str, required: Mapping[str, Converter],

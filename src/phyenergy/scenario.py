@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
-from pathlib import Path
 from typing import Any, Mapping, NamedTuple, Optional
 
 from .errors import ConfigError
@@ -378,10 +378,6 @@ def scenario_from_mapping(mapping: Mapping[str, Any]) -> Scenario:
     return _as_scenario("scenario", mapping)
 
 
-def load_scenario(path: str | Path) -> Scenario:
+def load_scenario(path: str | os.PathLike[str]) -> Scenario:
     """Read a scenario config file (YAML mapping)."""
-    path = Path(path)
-    raw = read_yaml(path, "scenario")
-    if raw is None:
-        raise ConfigError(f"{path}: empty scenario file")
-    return scenario_from_mapping(raw)
+    return read_yaml(path, "scenario", _as_scenario)

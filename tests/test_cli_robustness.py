@@ -171,9 +171,9 @@ _REPORT_HEADER = "function_path,block,operator,data_type,shape,count\n"
     ("report", f"f,A,ADD,double_scalar,,{LONG}",
      "error[measured]: {path}:2: count has too many digits (5001)"),
     ("scenario", _scenario_text([("n_slots", str(LONG))]),
-     "error[config]: scenario.n_slots has too many digits (5001)"),
+     "error[config]: {path}: scenario.n_slots has too many digits (5001)"),
     ("scenario", _scenario_text([("code_rate", f"{LONG}/1024")]),
-     "error[config]: scenario.code_rate has too many digits (5001)"),
+     "error[config]: {path}: scenario.code_rate has too many digits (5001)"),
 ], ids=["micro_ops", "cycles", "cycles-fraction", "cycles-decimal", "count",
         "quoted-scenario-value", "rate"])
 def test_integer_text_past_the_digit_limit(tmp_path, kind, text, message):
@@ -243,7 +243,7 @@ _ESTIMATE = ["estimate", "--scenario", "{path}"]
      "error[config]: {path}: filter.block_map must be a mapping"),
     (["legacy", "--model", "fu-rf", "--params", "{path}"],
      _FU_PARAMS.replace("rho_gops_per_w: 8.0", "rho_gops_per_w: 0"),
-     "error[config]: rho_gops_per_w must be positive"),
+     "error[config]: {path}: rho_gops_per_w must be positive"),
 ], ids=["sweep-no-values", "empty-params", "empty-scenario", "decode-deg-cn",
         "decode-deg-vn", "decode-iterations", "filter-block-map-list",
         "fu-rf-zero-rho"])
@@ -315,7 +315,7 @@ def test_a_mapping_may_override_the_keys_it_merges(tmp_path, monkeypatch,
     path = tmp_path / "merged.yaml"
     path.write_text("c: &c {x: 0}\nouter:\n  inner: &b\n    <<: *c\n"
                     "    x: 1\nother:\n  <<: *b\n  x: 2\n")
-    assert readers.read_yaml(path, "test") == {
+    assert readers.read_yaml(path, "test", lambda _, value: value) == {
         "c": {"x": 0}, "outer": {"inner": {"x": 1}}, "other": {"x": 2}}
     path.write_text("<<: {n_prb: 3}\n" + REFERENCE_PATH.read_text())
     assert _run(["estimate", "--scenario", str(path)]) == _run(
@@ -329,8 +329,8 @@ def test_a_malformed_rate_is_not_too_many_digits(tmp_path, rate):
     path.write_text(_scenario_text([("code_rate", rate)]))
     code, out, err = _run(["estimate", "--scenario", str(path)])
     assert (code, out) == (1, "")
-    assert err == (f"error[config]: scenario.code_rate: malformed rate "
-                   f"{rate!r}\n")
+    assert err == (f"error[config]: {path}: scenario.code_rate: malformed "
+                   f"rate {rate!r}\n")
 
 
 _WIDE = "x" * 100_000
@@ -388,7 +388,7 @@ def test_an_unknown_key_is_shown_bare_or_by_its_length(tmp_path, length):
     code, out, err = _run(["estimate", "--scenario", str(path)])
     assert (code, out) == (1, "")
     shown = key if length <= readers.ECHO_LIMIT else f"<{length} characters>"
-    assert err == f"error[config]: unknown scenario keys: {shown}\n"
+    assert err == f"error[config]: {path}: unknown scenario keys: {shown}\n"
     assert len(err.encode()) < 300
 
 

@@ -79,30 +79,40 @@ def test_estimate_and_sweep_load_no_ingest(argv):
     assert "phyenergy.ingest" not in loaded
 
 
+# Standard modules no command loads: the bundled cost table is a plain file
+# next to the package's modules, and paths are os.path text, not pathlib
+# objects (pathlib pulls in urllib.parse and ipaddress).
+_UNLOADED = ["importlib.resources", "pathlib", "urllib.parse", "ipaddress"]
+
+
 @pytest.mark.parametrize("argv", [
     ["estimate", "--scenario", REFERENCE],
     ["sweep", "--scenario", REFERENCE, "--param", "n_prb", "--values", "1,2"],
     ["compare", "--scenario", REFERENCE, "--measured", "{measured}",
      "--filter", str(CONFIGS / "filter_example.yaml")],
-], ids=["estimate", "sweep", "compare"])
+    ["legacy", "--model", "tombaz", "--params", str(CONFIGS / "tombaz.yaml")],
+    ["estimate", "--scenario", REFERENCE, "--out", "{out}"],
+], ids=["estimate", "sweep", "compare", "legacy", "estimate-out"])
 def test_counting_commands_load_no_importlib_resources(tmp_path, argv):
-    """The bundled cost table is read as a plain file next to the package's
-    modules.  Run under ``python -S``, so that no site hook imports
-    ``importlib.resources`` first; PyYAML's directory goes on the path."""
+    """No command, writing a file or not, loads a module of
+    :data:`_UNLOADED`.  Run under ``python -S``, so that no site hook
+    imports one first; PyYAML's directory goes on the path."""
     measured = tmp_path / "measured.csv"
     measured.write_text(serialize_measurement(rows_from_tallies(
         tally_pipeline(load_scenario(REFERENCE)), path_prefix="nr5g/")))
-    argv = [arg.replace("{measured}", str(measured)) for arg in argv]
+    argv = [arg.replace("{measured}", str(measured)).replace(
+        "{out}", str(tmp_path / "out.txt")) for arg in argv]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([
         str(Path(phyenergy.__file__).parent.parent),
         str(Path(yaml.__file__).parent.parent)])
-    report = "\nimport sys\nprint('importlib.resources' in sys.modules)"
+    report = (f"\nimport sys\nprint([name for name in {_UNLOADED!r} "
+              "if name in sys.modules])")
     done = subprocess.run([sys.executable, "-S", "-c",
                            _command(*argv) + report], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "False"
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("argv", [
