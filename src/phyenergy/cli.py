@@ -19,7 +19,8 @@ import math
 import os
 import sys
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from itertools import chain
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import ConfigError, MeasurementError, PhyEnergyError, UsageError
 from .readers import echo, read_yaml, reject_long_digits, write_text
@@ -89,15 +90,14 @@ def fmt_opt(q: Optional[Fraction | float], as_float: bool = False) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Report rendering.  Each report has one row model (``_estimate_rows``,
-# ``_comparison_rows``) that both of its layouts read.  Structured text is
-# ``key:`` sections of indented ``name: value`` lines, written out as
-# f-strings for the estimate and by ``_section`` elsewhere; every delimited
-# table comes from ``_table``.
+# Report rendering.  The blocks and total of an estimate and of a sweep, as
+# text and as a table, are each one ``%`` template built at import from
+# ``_ROWS`` and filled with one ``%`` over a report's flat ``_cost_rows``.
+# An estimate's other sections are f-strings.  Both comparison layouts read
+# one row model, ``_comparison_rows``, through ``_section`` and ``_table``.
 
 _COST_KEYS = ("micro_ops", "cycles", "cycles_per_bit", "energy_j",
               "energy_nj_per_bit")
-_BLOCK_KEYS = ("side",) + _COST_KEYS
 _COMPARISON_KEYS = ("modeled_cycles", "measured_cycles", "ratio",
                     "signed_relative_error", "flag")
 
@@ -106,25 +106,40 @@ _COMPARISON_KEYS = ("modeled_cycles", "measured_cycles", "ratio",
 _ROWS = (*zip("ABCDEFGH", ("BS",) * 4 + ("UE",) * 4), ("TOTAL", ""))
 
 
-def _entries(rep: EnergyReport | ComparisonReport) -> Iterator[tuple]:
-    """(Name, side) and record of each block, then of the total."""
-    return zip(_ROWS, (*rep.per_block.values(), rep.total))
+def _layout(row: str, total: Optional[str] = None) -> dict[bool, str]:
+    """A ``%`` template per report: ``row`` for each block and ``total``
+    (``row`` if None) for the total, with ``{name}`` and ``{side}`` filled
+    in, keyed by whether the report has payload bits.  ``{per_bit}`` (the
+    per-bit fields) takes ``%.6g`` with bits and ``undefined`` without."""
+    return {bits: "".join(
+        fmt.format(name=name, side=side,
+                   per_bit="%.6g" if bits else "undefined")
+        for (name, side), fmt in zip(_ROWS, (row,) * 8 + (total or row,)))
+        for bits in (True, False)}
 
 
-def _cycle_fields(micro_ops: int, num: int, den: int, bits: int,
-                  ) -> list[str]:
-    """Micro-ops, cycles and cycles per bit, from the first four fields of
-    a ``BlockCost``: all the sweep layouts print."""
-    return [str(micro_ops), fmt_ratio(num, den),
-            f"{num / (den * bits):.6g}" if bits > 0 else "undefined"]
+_ESTIMATE_TEXT = _layout(
+    "  {name}:\n    side: {side}\n    micro_ops: %s\n    cycles: %s\n"
+    "    cycles_per_bit: {per_bit}\n    energy_j: %.6g\n"
+    "    energy_nj_per_bit: {per_bit}\n",
+    "total:\n  micro_ops: %s\n  cycles: %s\n  cycles_per_bit: {per_bit}\n"
+    "  energy_j: %.6g\n  energy_nj_per_bit: {per_bit}\n")
+_ESTIMATE_TABLE = _layout("{name},{side},%s,%s,{per_bit},%.6g,{per_bit}\n")
+_SWEEP_TEXT = _layout("  {name}: cycles=%s cycles_per_bit={per_bit}\n")
+_SWEEP_TABLE = _layout("%s,{name},%s,%s,{per_bit}\n")
 
 
-def _estimate_rows(rep: EnergyReport) -> list[list[str]]:
-    """Name, side and cost fields for each block, then the total."""
-    return [[name, side, *_cycle_fields(micro_ops, num, den, bits),
-             f"{energy_j:.6g}", "undefined" if nj is None else f"{nj:.6g}"]
-            for (name, side), (micro_ops, num, den, bits, energy_j, nj)
-            in _entries(rep)]
+def _cost_rows(rep: EnergyReport) -> list[tuple]:
+    """Each block's, then the total's, fields in the estimate layouts'
+    order: micro-ops, cycles and energy, with cycles per bit after the
+    cycles and nJ per bit last when the report has payload bits."""
+    costs = (*rep.per_block.values(), rep.total)
+    if rep.bits_transmitted > 0:
+        return [(micro_ops, fmt_ratio(num, den), num / (den * bits),
+                 energy_j, nj)
+                for micro_ops, num, den, bits, energy_j, nj in costs]
+    return [(micro_ops, fmt_ratio(num, den), energy_j)
+            for micro_ops, num, den, _, energy_j, _ in costs]
 
 
 def _comparison_rows(result: ComparisonReport) -> list[list[str]]:
@@ -132,7 +147,8 @@ def _comparison_rows(result: ComparisonReport) -> list[list[str]]:
     return [[name, fmt_exact(cmp.modeled_cycles),
              fmt_opt(cmp.measured_cycles), fmt_opt(cmp.ratio),
              fmt_opt(cmp.signed_relative_error, as_float=True), cmp.flag]
-            for (name, _), cmp in _entries(result)]
+            for (name, _), cmp in zip(_ROWS, (*result.per_block.values(),
+                                              result.total))]
 
 
 def _section(lines: list[str], indent: str, key: str, pairs) -> None:
@@ -194,9 +210,9 @@ derived:
 
 def render_estimate_text(rep: EnergyReport) -> str:
     e = rep.energy
-    lines = [] if rep.scenario is None else [
-        _scenario_text(rep.scenario, rep.derived)]
-    lines.append(f"""energy:
+    scenario = ("" if rep.scenario is None
+                else _scenario_text(rep.scenario, rep.derived) + "\n")
+    return f"""{scenario}energy:
   kappa_j_s2: {e.kappa:.6g}
   clock_hz: {e.clock_hz:.6g}
   epsilon_j_per_cycle: {e.epsilon:.6g}
@@ -204,41 +220,36 @@ cost_table:
   source: {rep.table_source}
   date: {rep.table_date or "unknown"}
 bits_transmitted: {rep.bits_transmitted}
-blocks:""")
-    *blocks, total = _estimate_rows(rep)
-    lines += [f"  {name}:\n    side: {side}\n    micro_ops: {micro_ops}\n"
-              f"    cycles: {cycles}\n    cycles_per_bit: {per_bit}\n"
-              f"    energy_j: {energy_j}\n    energy_nj_per_bit: {nj}"
-              for name, side, micro_ops, cycles, per_bit, energy_j, nj
-              in blocks]
-    _, _, micro_ops, cycles, per_bit, energy_j, nj = total
-    lines.append(f"total:\n  micro_ops: {micro_ops}\n  cycles: {cycles}\n"
-                 f"  cycles_per_bit: {per_bit}\n  energy_j: {energy_j}\n"
-                 f"  energy_nj_per_bit: {nj}\n")
-    return "\n".join(lines)
+blocks:
+""" + _ESTIMATE_TEXT[rep.bits_transmitted > 0] % tuple(
+        chain.from_iterable(_cost_rows(rep)))
 
 
 def render_estimate_table(rep: EnergyReport) -> str:
-    return _table(("block",) + _BLOCK_KEYS, _estimate_rows(rep))
+    return ",".join(("block", "side") + _COST_KEYS) + "\n" + _ESTIMATE_TABLE[
+        rep.bits_transmitted > 0] % tuple(chain.from_iterable(_cost_rows(rep)))
 
 
 def render_sweep_table(param: str, results: Sequence[tuple[str, EnergyReport]],
                        ) -> str:
-    return _table(
-        (param, "block") + _COST_KEYS[:3],
-        [[label, name, *_cycle_fields(*cost[:4])]
-         for label, rep in results for (name, _), cost in _entries(rep)])
+    lines = [",".join((param, "block") + _COST_KEYS[:3]) + "\n"]
+    for label, rep in results:
+        bits = rep.bits_transmitted > 0
+        end = 3 if bits else 2      # micro-ops, cycles[, cycles per bit]
+        lines.append(_SWEEP_TABLE[bits] % tuple(chain.from_iterable(
+            (label, *row[:end]) for row in _cost_rows(rep))))
+    return "".join(lines)
 
 
 def render_sweep_text(param: str, results: Sequence[tuple[str, EnergyReport]],
                       ) -> str:
-    lines = [f"sweep: {param}"]
+    lines = [f"sweep: {param}\n"]
     for label, rep in results:
-        _section(lines, "", label,
-                 [(name, "cycles={1} cycles_per_bit={2}".format(
-                     *_cycle_fields(*cost[:4])))
-                  for (name, _), cost in _entries(rep)])
-    return "\n".join(lines) + "\n"
+        bits = rep.bits_transmitted > 0
+        end = 3 if bits else 2      # cycles[, cycles per bit]
+        lines.append(f"{label}:\n" + _SWEEP_TEXT[bits] % tuple(
+            chain.from_iterable(row[1:end] for row in _cost_rows(rep))))
+    return "".join(lines)
 
 
 def render_compare_text(result: ComparisonReport) -> str:

@@ -328,17 +328,6 @@ class EnergyReport(NamedTuple):
 _BLOCKS = tuple(BlockId)
 
 
-def _block_cost(micro_ops: int, cycles: int, den: int, bits: int,
-                eps: float) -> BlockCost:
-    """Cost of ``cycles / den`` cycles.  Integer true division is
-    correctly rounded, so ``cycles / den`` is the float of the exact
-    rational, reduced or not; it raises OverflowError past the float
-    range."""
-    energy_j = cycles / den * eps
-    return BlockCost(micro_ops, cycles, den, bits, energy_j,
-                     energy_j / bits * 1e9 if bits > 0 else None)
-
-
 def build_report(tallies: PipelineTallies, table: InstructionCostTable,
                  energy: EnergyParams,
                  scenario: Optional[Scenario] = None) -> EnergyReport:
@@ -351,10 +340,18 @@ def build_report(tallies: PipelineTallies, table: InstructionCostTable,
     bits = tallies.bits_transmitted
     priced = _price(map(tallies.per_block.__getitem__, _BLOCKS), table)
     den = table._kernel[2]
+    costs = []
     try:
-        total = _block_cost(sum([micro_ops for micro_ops, _ in priced]),
-                            sum([cycles for _, cycles in priced]),
-                            den, bits, eps)
+        # The total first.  Integer true division is correctly rounded, so
+        # ``cycles / den`` is the float of the exact rational, reduced or
+        # not; it raises OverflowError past the float range.
+        for micro_ops, cycles in ((sum([m for m, _ in priced]),
+                                   sum([c for _, c in priced])), *priced):
+            energy_j = cycles / den * eps
+            costs.append(BlockCost(micro_ops, cycles, den, bits, energy_j,
+                                   energy_j / bits * 1e9 if bits > 0
+                                   else None))
+        total = costs[0]
         finite = (math.isfinite(total.energy_j)
                   and math.isfinite(total.energy_nj_per_bit or 0.0))
     except OverflowError:       # a count too large to mix with floats
@@ -362,7 +359,6 @@ def build_report(tallies: PipelineTallies, table: InstructionCostTable,
     if not finite:
         raise DomainError("energy is not finite: too many cycles, or too "
                           "much energy per cycle, for a float")
-    per_block = {block: _block_cost(micro_ops, cycles, den, bits, eps)
-                 for block, (micro_ops, cycles) in zip(_BLOCKS, priced)}
+    per_block = dict(zip(_BLOCKS, costs[1:]))
     return EnergyReport(per_block, total, bits, energy, table.source,
                         table.date, tallies.derived, scenario)

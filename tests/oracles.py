@@ -4,10 +4,11 @@ Everything here counts by *simulating the loop structure* of the
 algorithm in question, never by evaluating a formula, so agreement
 with the package's closed-form counts is meaningful.
 
-The ingest oracles at the end keep the plain loops that the indexed
-attribution, the tuple-based path filter, the comma split, the chunked line
-split, the column-at-a-time cell checks and the parse's per-block grouping
-replaced.
+The ingest oracles keep the plain loops that the indexed attribution, the
+tuple-based path filter, the comma split, the chunked line split, the
+column-at-a-time cell checks and the parse's per-block grouping replaced.
+The renderers at the end build an estimate's and a sweep's blocks a row at
+a time, as the package did before its ``%`` templates.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import csv
 from collections import Counter
 
+from phyenergy.cli import _scenario_text, fmt_ratio
 from phyenergy.errors import MeasurementError
 from phyenergy.ingest import MeasuredReport, MeasuredRow, MeasurementMeta
 from phyenergy.opcount import BlockId, DataClass, OperationTally, OpKind
@@ -317,3 +319,80 @@ def parse_rows(text, source, allow, deny, block_map):
     meta = MeasurementMeta(source, seen, len(rows), filtered,
                            sum(row.block is None for row in rows))
     return MeasuredReport(meta, block_tallies(rows))
+
+
+# ---------------------------------------------------------------------------
+# Estimate and sweep renderers, a row at a time
+
+_COST_KEYS = ("micro_ops", "cycles", "cycles_per_bit", "energy_j",
+              "energy_nj_per_bit")
+_ROWS = (*zip("ABCDEFGH", ("BS",) * 4 + ("UE",) * 4), ("TOTAL", ""))
+
+
+def _entries(rep):
+    return zip(_ROWS, (*rep.per_block.values(), rep.total))
+
+
+def _cycle_fields(micro_ops, num, den, bits):
+    return [str(micro_ops), fmt_ratio(num, den),
+            f"{num / (den * bits):.6g}" if bits > 0 else "undefined"]
+
+
+def _estimate_rows(rep):
+    return [[name, side, *_cycle_fields(micro_ops, num, den, bits),
+             f"{energy_j:.6g}", "undefined" if nj is None else f"{nj:.6g}"]
+            for (name, side), (micro_ops, num, den, bits, energy_j, nj)
+            in _entries(rep)]
+
+
+def _table(header, rows):
+    return "\n".join([",".join(header)] + [",".join(row) for row in rows]
+                     ) + "\n"
+
+
+def render_estimate_text(rep):
+    """Each block's lines from its row of :func:`_estimate_rows`."""
+    e = rep.energy
+    lines = [] if rep.scenario is None else [
+        _scenario_text(rep.scenario, rep.derived)]
+    lines.append(f"""energy:
+  kappa_j_s2: {e.kappa:.6g}
+  clock_hz: {e.clock_hz:.6g}
+  epsilon_j_per_cycle: {e.epsilon:.6g}
+cost_table:
+  source: {rep.table_source}
+  date: {rep.table_date or "unknown"}
+bits_transmitted: {rep.bits_transmitted}
+blocks:""")
+    *blocks, total = _estimate_rows(rep)
+    lines += [f"  {name}:\n    side: {side}\n    micro_ops: {micro_ops}\n"
+              f"    cycles: {cycles}\n    cycles_per_bit: {per_bit}\n"
+              f"    energy_j: {energy_j}\n    energy_nj_per_bit: {nj}"
+              for name, side, micro_ops, cycles, per_bit, energy_j, nj
+              in blocks]
+    _, _, micro_ops, cycles, per_bit, energy_j, nj = total
+    lines.append(f"total:\n  micro_ops: {micro_ops}\n  cycles: {cycles}\n"
+                 f"  cycles_per_bit: {per_bit}\n  energy_j: {energy_j}\n"
+                 f"  energy_nj_per_bit: {nj}\n")
+    return "\n".join(lines)
+
+
+def render_estimate_table(rep):
+    return _table(("block", "side") + _COST_KEYS, _estimate_rows(rep))
+
+
+def render_sweep_table(param, results):
+    return _table(
+        (param, "block") + _COST_KEYS[:3],
+        [[label, name, *_cycle_fields(*cost[:4])]
+         for label, rep in results for (name, _), cost in _entries(rep)])
+
+
+def render_sweep_text(param, results):
+    lines = [f"sweep: {param}"]
+    for label, rep in results:
+        lines.append(f"{label}:")
+        lines += [f"  {name}: cycles={cycles} cycles_per_bit={per_bit}"
+                  for (name, _), cost in _entries(rep)
+                  for _, cycles, per_bit in [_cycle_fields(*cost[:4])]]
+    return "\n".join(lines) + "\n"

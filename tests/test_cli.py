@@ -1,20 +1,26 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
+from conftest import make_table, reference_scenario
 from phyenergy import cli, opcount, scenario
 from phyenergy.cli import fmt_exact, fmt_float, fmt_opt, main
-from phyenergy.costmodel import LOCATION_BY_CLASS, load_cost_table
+from phyenergy.costmodel import (LOCATION_BY_CLASS, EnergyParams,
+                                 build_report, load_cost_table,
+                                 load_default_cost_table)
 from phyenergy.ingest import rows_from_tallies, serialize_measurement
 from phyenergy.opcount import DataClass, OpKind, tally_pipeline
-from phyenergy.scenario import load_scenario
+from phyenergy.scenario import DecodeConfig, load_scenario
+from test_opcount import _valid_scenarios
 
 ROOT = Path(__file__).parent.parent
 CONFIGS = ROOT / "configs"
@@ -119,6 +125,69 @@ def test_rendered_block_names_and_sides_follow_the_block_order():
     name/side table: it must list BlockId's members in order."""
     assert cli._ROWS == (*((b.value, b.side) for b in opcount.BlockId),
                          ("TOTAL", ""))
+
+
+class _Int(int):
+    """An int subclass whose ``str()`` is not its digits: a field printed
+    with ``%d`` instead of ``%s`` or ``{}`` would show."""
+
+    def __str__(self):
+        return f"{int(self)}i"
+
+
+def _with_int_subclasses(s):
+    """``s`` with every integer field that holds an int an ``_Int``."""
+    return replace(s, decode=DecodeConfig(*map(_Int, s.decode)), **{
+        name: _Int(getattr(s, name)) for name in scenario._INT_FIELDS
+        if "." not in name and getattr(s, name) is not None})
+
+
+# The bundled table (cycles in twelfths: exact decimals), and tables whose
+# cycles print as six significant digits.
+_TABLES = (load_default_cost_table(), make_table(cycles=Fraction(1, 3)),
+           make_table(micro_ops=3, cycles=Fraction(5, 7)))
+_REFERENCE_ARGS = dict(snr_db=10.0, kappa=1e-25, clock_hz=2.1e9, table=0,
+                       with_scenario=True, subclass=False, labels=["52", "x"])
+
+
+@given(s=_valid_scenarios(),
+       snr_db=st.floats(-1e3, 1e3), kappa=st.floats(1e-30, 1e-20),
+       clock_hz=st.floats(1e6, 1e11), table=st.integers(0, len(_TABLES) - 1),
+       with_scenario=st.booleans(), subclass=st.booleans(),
+       labels=st.lists(st.text(max_size=4), min_size=2, max_size=2))
+@example(s=reference_scenario(tbs_override=0), **_REFERENCE_ARGS)
+@example(s=reference_scenario(tbs_override=8000, rx_fft_antennas=2),
+         **_REFERENCE_ARGS)
+@example(s=reference_scenario(), **{**_REFERENCE_ARGS, "with_scenario": False})
+@example(s=reference_scenario(tbs_override=8000, rx_fft_antennas=2),
+         **{**_REFERENCE_ARGS, "subclass": True, "labels": ["%s", "100%"]})
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_templates_render_as_the_row_oracles(s, snr_db, kappa, clock_hz,
+                                             table, with_scenario, subclass,
+                                             labels):
+    """The estimate and sweep layouts, filled from their ``%`` templates,
+    are byte for byte the row-at-a-time renderers, for a report with
+    payload bits and for the same scenario with none; each sweep has one
+    report of each."""
+    s = replace(s, snr_db=snr_db, kappa=kappa, clock_hz=clock_hz)
+    if subclass:
+        s = _with_int_subclasses(s)
+    reports = [build_report(tally_pipeline(x), _TABLES[table],
+                            EnergyParams(x.kappa, x.clock_hz),
+                            scenario=x if with_scenario else None)
+               for x in (s, replace(s, tbs_override=0))]
+    assert reports[1].bits_transmitted == 0
+    for rep in reports:
+        assert (cli.render_estimate_text(rep)
+                == oracles.render_estimate_text(rep))
+        assert (cli.render_estimate_table(rep)
+                == oracles.render_estimate_table(rep))
+    results = list(zip(labels, reports))
+    for param in ("n_prb", "modulation"):
+        assert (cli.render_sweep_text(param, results)
+                == oracles.render_sweep_text(param, results))
+        assert (cli.render_sweep_table(param, results)
+                == oracles.render_sweep_table(param, results))
 
 
 # ---------------------------------------------------------------------------

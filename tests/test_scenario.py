@@ -16,8 +16,8 @@ from phyenergy.errors import ConfigError
 from phyenergy.ingest import load_filter_config
 from phyenergy.legacy import evaluate_model
 from phyenergy.opcount import tally_pipeline
-from phyenergy.scenario import (LIFTING_SIZES, DecodeConfig, Modulation,
-                                base_graph_id, derive, is_int,
+from phyenergy.scenario import (_INT_FIELDS, LIFTING_SIZES, DecodeConfig,
+                                Modulation, base_graph_id, derive, is_int,
                                 load_scenario, parse_modulation,
                                 scenario_from_mapping, select_base_graph,
                                 validate)
@@ -272,6 +272,32 @@ def test_integer_rule_refuses_none_and_accepts_int_subclasses(overrides,
                    if isinstance(value, DecodeConfig) else int(value))
             for name, value in overrides.items()})
         assert tally_pipeline(s) == tally_pipeline(plain)
+
+
+def _reference_with(name, value):
+    """The reference scenario with integer field ``name`` set to ``value``."""
+    if name.startswith("decode."):
+        return reference_scenario(
+            decode=DecodeConfig()._replace(**{name[len("decode."):]: value}))
+    return reference_scenario(**{name: value})
+
+
+@pytest.mark.parametrize("value", [True, 1.0, None, "1", _Int(3)],
+                         ids=["bool", "float", "none", "str", "int-subclass"])
+@pytest.mark.parametrize("name", _INT_FIELDS)
+def test_integer_fields_are_checked_one_field_at_a_time_on_failure(name,
+                                                                   value):
+    """Whatever the one-pass type check decides, validate lists exactly the
+    problems of the field-by-field rule: None passes only in the two
+    optional fields, and an int subclass passes everywhere, leaving the
+    range rules to judge it as the plain int."""
+    problems = validate(_reference_with(name, value))
+    if isinstance(value, _Int):
+        assert problems == validate(_reference_with(name, int(value)))
+    elif value is None and name in ("tbs_override", "rx_fft_antennas"):
+        assert problems == []
+    else:
+        assert problems == [f"{name} must be an integer"]
 
 
 def test_n_prb_is_capped_at_a_full_carrier():
