@@ -14,13 +14,14 @@ _EXPORTS = {
                      "DomainError", "MeasurementError", "PhyEnergyError"),
                     "errors"),
     **dict.fromkeys(("BaseGraphSpec", "DecodeConfig", "DerivedParams",
-                     "Modulation", "Scenario", "derive", "load_scenario",
-                     "select_base_graph", "validate"), "scenario"),
+                     "Modulation", "Scenario", "derive", "energy_per_cycle",
+                     "load_scenario", "select_base_graph", "validate"),
+                    "scenario"),
     **dict.fromkeys(("BlockId", "DataClass", "OperationTally", "OpKind",
                      "PipelineTallies", "tally_pipeline"), "opcount"),
     **dict.fromkeys(("EnergyParams", "EnergyReport", "InstructionCostTable",
-                     "build_report", "cycles_for", "energy_per_cycle",
-                     "load_cost_table", "load_default_cost_table"),
+                     "build_report", "cycles_for", "load_cost_table",
+                     "load_default_cost_table"),
                     "costmodel"),
     **dict.fromkeys(("ComparisonReport", "MeasuredReport", "PathFilter",
                      "compare", "measured_cycles", "parse_measurement"),

@@ -19,7 +19,8 @@ over its slots.  A report's :class:`BlockCost` records carry each cycle
 count as an integer numerator over the table's denominator, so renderers
 format exact decimals from integers; ``cycles`` and ``cycles_per_bit``
 build the exact rationals only when asked for, and floats appear only
-as energies and in rendered reports.
+as energies (cycles times the report's ``epsilon``, which
+:func:`~phyenergy.scenario.energy_per_cycle` gives) and in rendered reports.
 
 Cost-table text, the bundled table's included, is read and split into
 rows and cells by :mod:`~phyenergy.readers`, as measurement reports are;
@@ -32,18 +33,17 @@ from __future__ import annotations
 import math
 import os
 import re
-import sys
 from fractions import Fraction
 from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
                     Tuple)
 
-from .errors import ConfigError, CostTableError, CoverageError, DomainError
+from .errors import CostTableError, CoverageError, DomainError
 from .opcount import (PART_SLOTS, SLOT_INDEX, SLOT_KEYS, BlockId, DataClass,
                       OpKey, OpKind, OperationTally, PipelineTallies)
 from .opcount import expand_flops  # noqa: F401  (kept importable from here)
 from .readers import (count_cell, echo, name_cell, path_text, read_csv_rows,
                       read_text, reject_long_parts)
-from .scenario import DerivedParams, Scenario
+from .scenario import DerivedParams, Scenario, energy_per_cycle
 
 DEFAULT_TABLE_RESOURCE = "cost_table.csv"
 
@@ -265,27 +265,9 @@ def cycles_for(tally: OperationTally, table: InstructionCostTable) -> CostEntry:
                      cycles=Fraction(cycles, table._kernel[2]))
 
 
-def energy_per_cycle(kappa: float, clock_hz: float) -> float:
-    """Joules per cycle: kappa times the squared clock frequency."""
-    if kappa <= 0 or clock_hz <= 0:
-        raise ConfigError("kappa and clock_hz must be positive")
-    epsilon = kappa * clock_hz * clock_hz     # nan or inf if either one is
-    if not math.isfinite(epsilon):
-        raise ConfigError("kappa, clock_hz and kappa * clock_hz**2 must be "
-                          "finite")
-    if epsilon < sys.float_info.min:          # zero or subnormal
-        raise ConfigError("kappa * clock_hz**2 must be at least the smallest "
-                          f"normal float, {sys.float_info.min:g}")
-    return epsilon
-
-
 class EnergyParams(NamedTuple):
     kappa: float
     clock_hz: float
-
-    @property
-    def epsilon(self) -> float:
-        return energy_per_cycle(self.kappa, self.clock_hz)
 
 
 class BlockCost(NamedTuple):
@@ -318,6 +300,7 @@ class EnergyReport(NamedTuple):
     total: BlockCost
     bits_transmitted: int
     energy: EnergyParams
+    epsilon: float              # joules per cycle, checked
     table_source: str
     table_date: str
     derived: DerivedParams      # from the pipeline tallies
@@ -333,10 +316,11 @@ def build_report(tallies: PipelineTallies, table: InstructionCostTable,
                  scenario: Optional[Scenario] = None) -> EnergyReport:
     """Attach costs to pipeline tallies and aggregate totals.
 
-    An energy beyond the float range raises DomainError.  Table cycles
-    are non-negative, so no block costs more than the total, and checking
-    the total's energies covers every block's."""
-    eps = energy.epsilon
+    A bad energy scale raises ConfigError, an energy beyond the float range
+    DomainError.  Table cycles are non-negative, so no block costs more
+    than the total, and checking the total's energies covers every
+    block's."""
+    eps = energy_per_cycle(energy.kappa, energy.clock_hz)
     bits = tallies.bits_transmitted
     priced = _price(map(tallies.per_block.__getitem__, _BLOCKS), table)
     den = table._kernel[2]
@@ -360,5 +344,5 @@ def build_report(tallies: PipelineTallies, table: InstructionCostTable,
         raise DomainError("energy is not finite: too many cycles, or too "
                           "much energy per cycle, for a float")
     per_block = dict(zip(_BLOCKS, costs[1:]))
-    return EnergyReport(per_block, total, bits, energy, table.source,
+    return EnergyReport(per_block, total, bits, energy, eps, table.source,
                         table.date, tallies.derived, scenario)

@@ -394,25 +394,17 @@ def compare(modeled: EnergyReport,
     """Per-block modeled/measured ratios with over/under flags.
 
     Blocks missing from ``measured`` (or measured at zero cycles) get
-    an undefined ratio rather than an error.  Totals compare the sum
-    of modeled cycles against the sum of the measured cycles that are
-    present.  A measured or unattributed cycle count, ratio or relative
-    error beyond the float range raises DomainError.
+    an undefined ratio rather than an error.  Totals compare the modeled
+    total, the exact sum of its blocks, against the sum of the measured
+    cycles that are present.  A measured or unattributed cycle count,
+    ratio or relative error beyond the float range raises DomainError.
     """
     _check_float_range(unattributed)
-    per_block = {}
-    total_modeled = Fraction(0)
-    total_measured = Fraction(0)
-    any_measured = False
-    for block in BlockId:
-        m_cycles = modeled.per_block[block].cycles
-        meas = measured.get(block)
-        per_block[block] = _compare_pair(m_cycles, meas)
-        total_modeled += m_cycles
-        if meas is not None:
-            total_measured += meas
-            any_measured = True
-    total = _compare_pair(total_modeled,
-                          total_measured if any_measured else None)
+    meas = [measured.get(block) for block in BlockId]
+    per_block = {block: _compare_pair(modeled.per_block[block].cycles, m)
+                 for block, m in zip(BlockId, meas)}
+    present = [m for m in meas if m is not None]
+    total = _compare_pair(modeled.total.cycles,
+                          sum(present) if present else None)
     return ComparisonReport(per_block=per_block, total=total,
                             unattributed_cycles=unattributed)

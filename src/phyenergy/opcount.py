@@ -328,17 +328,15 @@ def _ldpc_encode(k: int, z: int, n1: int, rows: int, cols: int,
 
 
 def _block_a(d: DerivedParams, bg: BaseGraphSpec) -> _Terms:
+    """The per-code-block CRCs are costed as one pass over the total
+    payload ``b`` (the sum of all code block sizes).  Rate matching and
+    concatenation are index bookkeeping and contribute no operations."""
     return (_crc(d.a), _segmentation(d.c), _crc(d.b),
             _ldpc_encode(d.k, d.z, bg.n1, bg.rows, bg.cols, d.n_ccb, d.c))
 
 
 def count_block_a(d: DerivedParams, bg: BaseGraphSpec) -> OperationTally:
-    """Transport channel encoding: TB CRC, segmentation, CB CRCs, LDPC.
-
-    The per-code-block CRCs are costed as one pass over the total
-    payload ``b`` (the sum of all code block sizes).  Rate matching and
-    concatenation are index bookkeeping and contribute no operations.
-    """
+    """Transport channel encoding: TB CRC, segmentation, CB CRCs, LDPC."""
     _check_ints(**d._asdict())
     _check_ints(**bg._asdict())
     return _merge(_block_a(d, bg))
@@ -349,14 +347,18 @@ def count_block_a(d: DerivedParams, bg: BaseGraphSpec) -> OperationTally:
 
 
 def _scrambling(m_cw: int) -> Dict[int, int]:
+    """Six vectorized XORs per codeword bit (Gold sequence update plus the
+    masking itself)."""
     return {_XOR_LV: 6 * m_cw}
 
 
 def _modulation(n_symbols: int) -> Dict[int, int]:
+    """One table lookup per symbol."""
     return {_LOOKUP_IS: n_symbols}
 
 
 def _layer_mapping(n_symbols: int) -> Dict[int, int]:
+    """One shift per symbol, into its place."""
     return {_SHIFT_IS: n_symbols}
 
 
@@ -368,12 +370,7 @@ def _block_b(m_cw: int, n_symbols: int) -> _Terms:
 
 
 def count_block_b(m_cw: int, n_symbols: int) -> OperationTally:
-    """Scrambling, modulation and layer mapping for one codeword.
-
-    Scrambling costs six vectorized XORs per codeword bit (Gold
-    sequence update plus the masking itself).  Modulation is one table
-    lookup per symbol; layer mapping shifts each symbol into place.
-    """
+    """Scrambling, modulation and layer mapping for one codeword."""
     _check_ints(m_cw=m_cw, n_symbols=n_symbols)
     return _merge(_block_b(m_cw, n_symbols))
 
@@ -388,6 +385,9 @@ def count_block_g(m_cw: int, n_symbols: int) -> OperationTally:
 
 
 def _precoding(p: int, v: int, m_symb_layer: int) -> Dict[int, int]:
+    """Per layer-mapped symbol: an SVD of the p-by-v channel estimate
+    (2pv^2 + v^3 flops), singular-value regularization (v), forming
+    the precoder (pv), and applying it (2pv - p)."""
     if v < 1 or p < v:
         raise DomainError("precoding needs p >= v >= 1")
     if m_symb_layer < 0:
@@ -397,12 +397,7 @@ def _precoding(p: int, v: int, m_symb_layer: int) -> Dict[int, int]:
 
 
 def count_block_c(p: int, v: int, m_symb_layer: int) -> OperationTally:
-    """Precoding over ``p`` ports and ``v`` layers.
-
-    Per layer-mapped symbol: an SVD of the p-by-v channel estimate
-    (2pv^2 + v^3 flops), singular-value regularization (v), forming
-    the precoder (pv), and applying it (2pv - p).
-    """
+    """Precoding over ``p`` ports and ``v`` layers."""
     _check_ints(p=p, v=v, m_symb_layer=m_symb_layer)
     return _of_slots(_precoding(p, v, m_symb_layer))
 
@@ -412,17 +407,15 @@ def count_block_c(p: int, v: int, m_symb_layer: int) -> OperationTally:
 
 
 def _fft(g: int, n_ant: int, n_fft: int) -> Dict[int, int]:
+    """5*n_fft*log2(n_fft) real flops per radix-2 transform.  ``n_fft``
+    must be a power of two."""
     if g < 1 or n_ant < 1:
         raise DomainError("transform counts need g >= 1 and n_ant >= 1")
     return {_FLOP_DS: 5 * g * n_ant * n_fft * _ilog2(n_fft)}
 
 
 def count_block_d(g: int, n_ant: int, n_fft: int) -> OperationTally:
-    """Radix-2 transforms for ``g`` symbols on ``n_ant`` antennas.
-
-    5*n_fft*log2(n_fft) real flops per transform.  ``n_fft`` must be a
-    power of two.
-    """
+    """Radix-2 transforms for ``g`` symbols on ``n_ant`` antennas."""
     _check_ints(g=g, n_ant=n_ant, n_fft=n_fft)
     return _of_slots(_fft(g, n_ant, n_fft))
 
@@ -441,9 +434,9 @@ def _ls(v: int, n_r: int, n_t: int, l: int, g: int,
     """Least-squares channel estimation from pilot observations.
 
     Solves, per layer/receive-antenna pair, a linear system with
-    l*n_t unknowns from g*k_p pilot equations (see :func:`count_block_f`)
-    via the normal equations: Gram matrix build, Gauss-Jordan inversion,
-    and the pseudo-inverse application.
+    l*n_t unknowns from g*k_p pilot equations via the normal equations:
+    Gram matrix build, Gauss-Jordan inversion, and the pseudo-inverse
+    application.
     """
     if v < 0 or n_r < 0:
         raise DomainError("ls: v and n_r must be >= 0")
@@ -486,14 +479,15 @@ def _mmse(n_r: int, n_t: int, n_f: int, g: int) -> Dict[int, int]:
 
 
 def _block_f(d: DerivedParams, s: Scenario) -> _Terms:
+    """A modelling choice: estimation is costed over g*k_p = 14*k_p pilot
+    equations whatever pilot_symbols_per_slot is, 0 included, so the
+    pilot symbol count never reaches block F."""
     return (_ls(s.n_layers, s.n_rx, s.n_tx, s.channel_len, d.g, d.k_p),
             _mmse(s.n_rx, s.n_tx, d.n_f, d.g))
 
 
 def count_block_f(d: DerivedParams, s: Scenario) -> OperationTally:
-    """Least squares plus MMSE.  A modelling choice: estimation is costed
-    over g*k_p = 14*k_p pilot equations whatever pilot_symbols_per_slot
-    is, 0 included, so the pilot symbol count never reaches block F."""
+    """Least squares plus MMSE."""
     _check_ints(**d._asdict(), n_layers=s.n_layers, n_rx=s.n_rx,
                 n_tx=s.n_tx, channel_len=s.channel_len)
     return _merge(_block_f(d, s))
@@ -536,18 +530,16 @@ def _crc_check(bits: int, p: int = 32) -> Dict[int, int]:
 
 
 def _block_h(d: DerivedParams, decode: DecodeConfig) -> _Terms:
+    """The decoder sees the full coded block (n_ccb variable nodes); the
+    redundancy handled per check node is the coded length minus the
+    systematic payload."""
     return (_ldpc_decode(d.n_ccb, d.n_ccb - d.k, decode.deg_cn,
                          decode.deg_vn, decode.iterations, d.c),
             _crc_check(d.b), _crc_check(d.a))
 
 
 def count_block_h(d: DerivedParams, decode: DecodeConfig) -> OperationTally:
-    """LDPC decoding plus CB and TB CRC checks.
-
-    The decoder sees the full coded block (n_ccb variable nodes); the
-    redundancy handled per check node is the coded length minus the
-    systematic payload.
-    """
+    """LDPC decoding plus CB and TB CRC checks."""
     _check_ints(**d._asdict(), **decode._asdict())
     return _merge(_block_h(d, decode))
 

@@ -358,7 +358,7 @@ def render_estimate_text(rep):
     lines.append(f"""energy:
   kappa_j_s2: {e.kappa:.6g}
   clock_hz: {e.clock_hz:.6g}
-  epsilon_j_per_cycle: {e.epsilon:.6g}
+  epsilon_j_per_cycle: {rep.epsilon:.6g}
 cost_table:
   source: {rep.table_source}
   date: {rep.table_date or "unknown"}

@@ -17,6 +17,7 @@ from phyenergy.cli import fmt_exact, fmt_float, fmt_opt, main
 from phyenergy.costmodel import (LOCATION_BY_CLASS, EnergyParams,
                                  build_report, load_cost_table,
                                  load_default_cost_table)
+from phyenergy.errors import ConfigError
 from phyenergy.ingest import rows_from_tallies, serialize_measurement
 from phyenergy.opcount import DataClass, OpKind, tally_pipeline
 from phyenergy.scenario import DecodeConfig, load_scenario
@@ -331,6 +332,20 @@ def test_underflowing_energy_per_cycle_is_a_config_error(capsys, fmt):
     assert out == ""
     assert err.startswith("error[config]:")
     assert "smallest normal float" in err
+
+
+def test_overflowing_energy_per_cycle_fails_the_sweep_at_derive(capsys):
+    # kappa * clock_hz**2 overflows: refused by validate, before counting
+    code, out, err = run(capsys, "sweep", "--scenario", REFERENCE,
+                         "--kappa", "1e300", "--param", "n_prb",
+                         "--values", "1,2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error[config]:")
+    assert "kappa * clock_hz**2 must be finite" in err
+    with pytest.raises(ConfigError,
+                       match=r"kappa \* clock_hz\*\*2 must be finite"):
+        scenario.derive(replace(load_scenario(REFERENCE), kappa=1e300))
 
 
 @pytest.mark.parametrize("text,message", [

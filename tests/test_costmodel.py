@@ -9,12 +9,13 @@ from conftest import make_table, reference_scenario
 
 import phyenergy
 from phyenergy.costmodel import (CostEntry, EnergyParams, InstructionCostTable,
-                                 build_report, cycles_for, energy_per_cycle,
-                                 expand_flops, load_cost_table,
-                                 load_default_cost_table, parse_cost_table)
+                                 build_report, cycles_for, expand_flops,
+                                 load_cost_table, load_default_cost_table,
+                                 parse_cost_table)
 from phyenergy.errors import ConfigError, CostTableError, CoverageError
 from phyenergy.opcount import (BlockId, DataClass, OpKind, OperationTally,
                                tally_pipeline)
+from phyenergy.scenario import energy_per_cycle
 
 DS = DataClass.DOUBLE_SCALAR
 
@@ -345,8 +346,10 @@ def test_energy_per_cycle_rejects_nonpositive():
         energy_per_cycle(1e-25, -1.0)
 
 
-def test_energy_params_epsilon():
-    assert EnergyParams(kappa=1e-25, clock_hz=2.1e9).epsilon == 1e-25 * 2.1e9 * 2.1e9
+def test_report_epsilon(uniform_table):
+    report = build_report(tally_pipeline(reference_scenario()), uniform_table,
+                          EnergyParams(kappa=1e-25, clock_hz=2.1e9))
+    assert report.epsilon == 1e-25 * 2.1e9 * 2.1e9
 
 
 @given(f=st.floats(min_value=1e6, max_value=1e10),
@@ -374,7 +377,7 @@ def test_report_totals_are_blockwise_sums(uniform_table):
         cost = report.per_block[b]
         assert cost.cycles_per_bit == cost.cycles / 32248
         assert cost.energy_j == pytest.approx(
-            float(cost.cycles) * report.energy.epsilon, rel=1e-12)
+            float(cost.cycles) * report.epsilon, rel=1e-12)
 
 
 def test_report_energy_scales_with_kappa(uniform_table):

@@ -6,21 +6,22 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_scenario
+from conftest import make_table, reference_scenario
 
-from phyenergy.costmodel import energy_per_cycle
-from phyenergy.errors import ConfigError
+from phyenergy.costmodel import EnergyParams, build_report
+from phyenergy.errors import ConfigError, DomainError
 from phyenergy.ingest import load_filter_config
 from phyenergy.legacy import evaluate_model
 from phyenergy.opcount import tally_pipeline
 from phyenergy.scenario import (_INT_FIELDS, LIFTING_SIZES, DecodeConfig,
-                                Modulation, base_graph_id, derive, is_int,
+                                Modulation, _as_scenario, base_graph_id,
+                                derive, energy_per_cycle, is_int,
                                 load_scenario, parse_modulation,
-                                scenario_from_mapping, select_base_graph,
-                                validate)
+                                select_base_graph, validate)
+from test_opcount import _valid_scenarios
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +336,54 @@ def test_energy_per_cycle_rejects_underflow(kappa, clock_hz):
         energy_per_cycle(kappa, clock_hz)
 
 
+@pytest.mark.parametrize("kappa,clock_hz,problem", [
+    (-math.inf, 2.1e9, "kappa must be finite"),
+    (0.0, 2.1e9, "kappa must be positive"),
+    (1e-25, -math.inf, "clock_hz must be finite"),
+    (1e-25, 0.0, "clock_hz must be positive"),
+    (-1.0, math.nan, "kappa must be positive"),     # the first rule broken
+    (1e300, 2.1e9, "kappa * clock_hz**2 must be finite"),
+])
+def test_validate_reports_the_first_energy_scale_rule_broken(kappa, clock_hz,
+                                                             problem):
+    s = reference_scenario(kappa=kappa, clock_hz=clock_hz)
+    assert validate(s) == [problem]
+
+
+# Log-uniform over the positive floats, subnormals included: 2**-1074 is
+# the smallest, and 2**1023 leaves room below the largest.
+_SCALES = st.floats(min_value=-1074, max_value=1023).map(lambda e: 2.0 ** e)
+_TABLE = make_table()
+
+
+@given(s=_valid_scenarios(), kappa=_SCALES, clock_hz=_SCALES)
+@example(s=reference_scenario(), kappa=1e-300, clock_hz=1e-20)
+@example(s=reference_scenario(), kappa=1e300, clock_hz=2.1e9)
+@example(s=reference_scenario(), kappa=1e-25, clock_hz=2.1e9)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_a_scenario_validates_exactly_when_its_energy_scale_prices(
+        s, kappa, clock_hz):
+    """validate and build_report apply one energy-scale rule: a scenario
+    validates exactly when its report prices without ConfigError, and then
+    the report's epsilon is kappa * clock_hz**2."""
+    tallies = tally_pipeline(s)         # the counts ignore the energy scale
+    s = dataclasses.replace(s, kappa=kappa, clock_hz=clock_hz)
+    problems = validate(s)
+    try:
+        report = build_report(tallies, _TABLE, EnergyParams(kappa, clock_hz))
+    except ConfigError as exc:
+        assert problems == [str(exc)]
+        with pytest.raises(ConfigError, match=re.escape(str(exc))):
+            tally_pipeline(s)
+        return
+    except DomainError:                 # a finite epsilon, too many joules
+        epsilon = energy_per_cycle(kappa, clock_hz)
+    else:
+        epsilon = report.epsilon
+    assert problems == []
+    assert epsilon == kappa * clock_hz * clock_hz
+
+
 def test_every_layer_maps_onto_one_codeword():
     # A modelling choice: TS 38.211 would split 5-8 layers over two
     # codewords, the model keeps one for any layer count.
@@ -418,7 +467,7 @@ def test_missing_file_names_path(tmp_path):
 
 def test_scientific_notation_strings_coerced():
     # YAML 1.1 resolves 2.1e9 as a string; the loader must still accept it.
-    s = scenario_from_mapping({
+    s = _as_scenario("scenario", {
         "n_slots": 1, "snr_db": "10", "scs_khz": 15, "n_prb": 52,
         "modulation": "16QAM", "code_rate": "490/1024", "n_tx": 4,
         "n_rx": 4, "n_layers": 2, "n_ports": 4, "clock_hz": "2.1e9",
@@ -431,7 +480,7 @@ def test_scientific_notation_strings_coerced():
 
 def test_rate_denominator_must_be_1024():
     with pytest.raises(ConfigError, match="denominator"):
-        scenario_from_mapping({**_base_mapping(), "code_rate": "1/2"})
+        _as_scenario("scenario", {**_base_mapping(), "code_rate": "1/2"})
 
 
 def _base_mapping():
@@ -443,7 +492,7 @@ def _base_mapping():
 
 
 def test_defaults_applied():
-    s = scenario_from_mapping(_base_mapping())
+    s = _as_scenario("scenario", _base_mapping())
     assert s.clock_hz == 2.1e9
     assert s.kappa == 1e-25
     assert s.channel_len == 8
@@ -454,12 +503,12 @@ def test_defaults_applied():
 
 
 def test_decode_section_parsed():
-    s = scenario_from_mapping({**_base_mapping(),
-                               "decode": {"iterations": 12}})
+    s = _as_scenario("scenario", {**_base_mapping(),
+                                  "decode": {"iterations": 12}})
     assert s.decode.iterations == 12
     assert s.decode.deg_cn == 19
     with pytest.raises(ConfigError, match="unknown decode keys"):
-        scenario_from_mapping({**_base_mapping(), "decode": {"spin": 1}})
+        _as_scenario("scenario", {**_base_mapping(), "decode": {"spin": 1}})
 
 
 def test_decode_config_is_a_tuple_and_only_a_scenario_is_a_dataclass():
@@ -493,10 +542,10 @@ def _model(name):
 # the field is required, a valid mapping, load(mapping, tmp_path)).
 LOADER_CASES = {
     "scenario": ("scenario", "n_prb", True, _base_mapping(),
-                 lambda m, _: scenario_from_mapping(m)),
+                 lambda m, _: _as_scenario("scenario", m)),
     "decode": ("decode", "iterations", False, {"iterations": 8},
-               lambda m, _: scenario_from_mapping({**_base_mapping(),
-                                                   "decode": m})),
+               lambda m, _: _as_scenario("scenario", {**_base_mapping(),
+                                                      "decode": m})),
     "auer": ("auer", "n_trx", True, _params("auer"), _model("auer")),
     "desset": ("desset", "p_bbu_w", True, _params("desset"),
                _model("desset")),
