@@ -229,11 +229,10 @@ def load_cost_table(path: str | os.PathLike[str]) -> InstructionCostTable:
 
 
 def load_default_cost_table() -> InstructionCostTable:
-    """The table bundled as ``data/cost_table.csv`` next to this module."""
-    path = os.path.join(os.path.dirname(__file__), "data",
-                        DEFAULT_TABLE_RESOURCE)
-    return parse_cost_table(read_text(path, "cost table", CostTableError),
-                            source=f"bundled:{DEFAULT_TABLE_RESOURCE}")
+    """The table bundled as ``data/cost_table.csv`` next to this module,
+    read as any table file is (its ``# source:`` line names it)."""
+    return load_cost_table(os.path.join(os.path.dirname(__file__), "data",
+                                        DEFAULT_TABLE_RESOURCE))
 
 
 def _price(tallies: Iterable[OperationTally], table: InstructionCostTable,

@@ -261,16 +261,15 @@ def write_measurement(rows: Iterable[MeasuredRow],
     write_text(path, serialize_measurement(rows))
 
 
-def rows_from_tallies(tallies: PipelineTallies,
-                      path_prefix: str = "model/") -> list[MeasuredRow]:
+def rows_from_tallies(tallies: PipelineTallies) -> list[MeasuredRow]:
     """Synthesize measurement rows that mirror modeled tallies exactly.
 
-    Used to exercise the ingest/compare path against the model itself;
-    re-ingesting these rows must reproduce every per-block cycle count.
-    """
+    Used to exercise the ingest/compare path against the model itself (the
+    paths start ``nr5g/``, which ``configs/filter_example.yaml`` allows);
+    re-ingesting these rows must reproduce every per-block cycle count."""
     rows = []
     for block in BlockId:
-        fpath = f"{path_prefix}block_{block.value.lower()}"
+        fpath = f"nr5g/block_{block.value.lower()}"
         for (kind, cls), count in tallies.per_block[block].items():
             rows.append(MeasuredRow(function_path=fpath, block=block,
                                     operator=kind, data_type=cls,
@@ -331,18 +330,19 @@ def measured_cycles(report: MeasuredReport,
     report).  Unattributed rows are excluded here; see
     :func:`unattributed_cycles`.
     """
-    grouped = report.block_tallies
-    out: Dict[BlockId, Fraction] = {}
-    for block in BlockId:
-        tally = grouped.get(block)
-        out[block] = cycles_for(tally, table).cycles if tally else Fraction(0)
-    return out
+    return {block: _cycles_of(report, block, table) for block in BlockId}
 
 
 def unattributed_cycles(report: MeasuredReport,
                         table: InstructionCostTable) -> Fraction:
     """Cycles from rows that could not be attributed to any block."""
-    tally = report.block_tallies.get(None)
+    return _cycles_of(report, None, table)
+
+
+def _cycles_of(report: MeasuredReport, block: Optional[BlockId],
+               table: InstructionCostTable) -> Fraction:
+    """One group's cycles: the block's, or the unattributed rows' (None)."""
+    tally = report.block_tallies.get(block)
     return cycles_for(tally, table).cycles if tally else Fraction(0)
 
 

@@ -27,12 +27,13 @@ term, in block order, with the blocks it is part of.
 the same pass, and wraps it once, with no key or type check: its integer
 inputs come from :func:`~phyenergy.scenario.derive`, whose
 :func:`~phyenergy.scenario.validate` has checked once that every integer
-field of the scenario is an ``int``.  :func:`count_term` is the checked
-entry to one term by name, and ``count_block_a`` to ``count_block_h`` to
-one block each (the benchmark times each block through them): each
-refuses an argument that is not an ``int``, or is a bool, before it
-counts.  The public :class:`OperationTally` constructor validates keys
-and counts.
+field of the scenario is an ``int``.  The checked entries, :func:`count_term`
+(one term by name) and ``count_block_a`` to ``count_block_h`` (one block
+each, as the benchmark times them), refuse an argument that breaks the
+counters' one input rule, :func:`_check_ints` (a non-negative ``int``, not
+a bool).  A term keeps only its structural rules (``>= 1``, ``k >= 2z``,
+``p >= v``, powers of two), and block H checks the one count it computes,
+``n_ccb - k``.  The public :class:`OperationTally` checks keys and counts.
 
 Data classes follow the block split: the bit-oriented stages (block A,
 block G, and the scrambling/modulation inputs of block B) count as
@@ -158,10 +159,7 @@ class OperationTally:
                 slot = None
             if slot is None:
                 raise DomainError(f"bad tally key {key!r}")
-            if not is_int(value):
-                raise DomainError(f"tally count for {key} must be an integer")
-            if value < 0:
-                raise DomainError(f"tally count for {key} is negative")
+            _check_ints(**{f"tally count for {key}": value})
             if value:
                 cleaned[slot] = value
         self._counts = cleaned
@@ -183,8 +181,7 @@ class OperationTally:
         return {SLOT_KEYS[slot]: n for slot, n in self._counts.items()}
 
     def scaled(self, factor: int) -> "OperationTally":
-        if not isinstance(factor, int) or isinstance(factor, bool) or factor < 0:
-            raise DomainError("tally scale factor must be a non-negative integer")
+        _check_ints(factor=factor)
         if factor <= 1:
             return self if factor else EMPTY_TALLY
         return _of_slots({slot: n * factor
@@ -253,11 +250,13 @@ def expand_flops(tally: OperationTally) -> OperationTally:
 
 
 def _check_ints(**args: object) -> None:
-    """Refuse any argument that is not an ``int``, or is a bool: the terms
-    trust every input to be one."""
+    """The counters' one input rule: every argument is an ``int``, not a
+    bool, and ``>= 0``.  The terms trust every input to keep it."""
     for name, value in args.items():
         if not is_int(value):
             raise DomainError(f"{name} must be an integer")
+        if value < 0:
+            raise DomainError(f"{name} must be >= 0")
 
 
 def _ilog2(n: int) -> int:
@@ -270,18 +269,12 @@ def _ilog2(n: int) -> int:
 # Block A: CRC attach, segmentation, LDPC encoding
 
 
-def _crc(a_bits: int, p: int = 32) -> Dict[int, int]:
-    """Table-driven CRC over ``a_bits`` payload bits, ``p`` bits per step.
-
-    Each full word costs five logical operations in each of AND, XOR
-    and shift; one trailing operation of each kind finishes the digest:
-    5*floor(a_bits/p) + 1 per kind.
-    """
-    if a_bits < 0:
-        raise DomainError("CRC payload length must be >= 0")
-    if p < 1:
-        raise DomainError("CRC word width must be >= 1")
-    per_kind = 5 * (a_bits // p) + 1
+def _crc(a_bits: int) -> Dict[int, int]:
+    """Table-driven CRC over ``a_bits`` payload bits, 32 bits per step:
+    each full word costs five logical operations in each of AND, XOR and
+    shift, and one more of each finishes the digest, so 5*floor(a_bits/32)
+    + 1 per kind."""
+    per_kind = 5 * (a_bits // 32) + 1
     return {_AND_LS: per_kind, _XOR_LS: per_kind, _SHIFT_LS: per_kind}
 
 
@@ -310,7 +303,7 @@ def _ldpc_encode(k: int, z: int, n1: int, rows: int, cols: int,
       elements takes cols*z multiplies and cols*z - 1 additions
     * writing the rate-matched output: n_ccb + 2z - k stores
     """
-    if min(k, z, rows, cols, c) < 1 or n1 < 0 or n_ccb < 1:
+    if min(k, z, rows, cols, c, n_ccb) < 1:
         raise DomainError("LDPC encode arguments must be positive")
     if k < 2 * z:
         raise DomainError("LDPC encode needs k >= 2z")
@@ -363,8 +356,6 @@ def _layer_mapping(n_symbols: int) -> Dict[int, int]:
 
 
 def _block_b(m_cw: int, n_symbols: int) -> _Terms:
-    if m_cw < 0 or n_symbols < 0:
-        raise DomainError("block B sizes must be >= 0")
     return (_scrambling(m_cw), _modulation(n_symbols),
             _layer_mapping(n_symbols))
 
@@ -375,9 +366,7 @@ def count_block_b(m_cw: int, n_symbols: int) -> OperationTally:
     return _merge(_block_b(m_cw, n_symbols))
 
 
-def count_block_g(m_cw: int, n_symbols: int) -> OperationTally:
-    """Receiver mirror of block B; identical counts, integer/logical."""
-    return count_block_b(m_cw, n_symbols)
+count_block_g = count_block_b      # block B's receiver mirror, same counts
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +379,6 @@ def _precoding(p: int, v: int, m_symb_layer: int) -> Dict[int, int]:
     the precoder (pv), and applying it (2pv - p)."""
     if v < 1 or p < v:
         raise DomainError("precoding needs p >= v >= 1")
-    if m_symb_layer < 0:
-        raise DomainError("symbol count must be >= 0")
     per_symbol = 2 * p * v * v + v ** 3 + v + p * v + (2 * p * v - p)
     return {_FLOP_DS: m_symb_layer * per_symbol}
 
@@ -420,9 +407,7 @@ def count_block_d(g: int, n_ant: int, n_fft: int) -> OperationTally:
     return _of_slots(_fft(g, n_ant, n_fft))
 
 
-def count_block_e(g: int, n_ant: int, n_fft: int) -> OperationTally:
-    """Receiver FFT bank; same cost shape as block D."""
-    return count_block_d(g, n_ant, n_fft)
+count_block_e = count_block_d      # the receiver FFT bank, as block D
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +423,6 @@ def _ls(v: int, n_r: int, n_t: int, l: int, g: int,
     Gram matrix build, Gauss-Jordan inversion, and the pseudo-inverse
     application.
     """
-    if v < 0 or n_r < 0:
-        raise DomainError("ls: v and n_r must be >= 0")
     if min(l, n_t, g, k_p) < 1:
         raise DomainError("ls: l, n_t, g, k_p must be >= 1")
     unknowns = l * n_t
@@ -466,8 +449,8 @@ def _mmse(n_r: int, n_t: int, n_f: int, g: int) -> Dict[int, int]:
     counts give the same either way.  The term is kept, because changing
     it would move every sweep over asymmetric antenna counts.
     """
-    if min(n_r, n_t, g) < 1 or n_f < 0:
-        raise DomainError("mmse: n_r, n_t, g must be >= 1 and n_f >= 0")
+    if min(n_r, n_t, g) < 1:
+        raise DomainError("mmse: n_r, n_t, g must be >= 1")
     setup = 2 * n_r * n_t ** 2 + n_r ** 3 + n_r + n_r * n_t
     per_sc = (
         3 * n_t
@@ -508,12 +491,8 @@ def _ldpc_decode(n_vn: int, w_cn: int, deg_cn: int, deg_vn: int,
     additions per variable node plus one sign XOR per check-node
     edge).  Check/variable node degrees are taken as constants.
     """
-    if n_vn < 0 or w_cn < 0:
-        raise DomainError("decode: node counts must be >= 0")
-    if deg_cn < 1 or deg_vn < 1:
-        raise DomainError("decode: node degrees must be >= 1")
-    if iters < 0 or c < 1:
-        raise DomainError("decode: iters >= 0 and c >= 1 required")
+    if min(deg_cn, deg_vn, c) < 1:
+        raise DomainError("decode: deg_cn, deg_vn and c must be >= 1")
     edge_ops = iters * w_cn * deg_cn * c
     return {
         _DIV_DS: n_vn * c,
@@ -524,15 +503,17 @@ def _ldpc_decode(n_vn: int, w_cn: int, deg_cn: int, deg_vn: int,
     }
 
 
-def _crc_check(bits: int, p: int = 32) -> Dict[int, int]:
+def _crc_check(bits: int) -> Dict[int, int]:
     """CRC check: recompute the digest, then one compare."""
-    return {**_crc(bits, p), _CMP_LS: 1}
+    return {**_crc(bits), _CMP_LS: 1}
 
 
 def _block_h(d: DerivedParams, decode: DecodeConfig) -> _Terms:
     """The decoder sees the full coded block (n_ccb variable nodes); the
     redundancy handled per check node is the coded length minus the
-    systematic payload."""
+    systematic payload, a count this layer computes and so checks."""
+    if d.n_ccb < d.k:
+        raise DomainError("decode needs n_ccb >= k")
     return (_ldpc_decode(d.n_ccb, d.n_ccb - d.k, decode.deg_cn,
                          decode.deg_vn, decode.iterations, d.c),
             _crc_check(d.b), _crc_check(d.a))
@@ -564,15 +545,16 @@ TERMS: Dict[str, Tuple[str, Callable[..., Dict[int, int]]]] = {
 
 
 def count_term(name: str, /, **args: int) -> OperationTally:
-    """The term :data:`TERMS` names, called with its arguments by keyword.
-    An unknown name, or an argument that is not an ``int``, is a bool or is
-    negative, raises :class:`DomainError`."""
+    """The term :data:`TERMS` names, called with exactly its arguments, by
+    keyword.  An unknown name, a missing or unknown keyword, or an argument
+    that breaks :func:`_check_ints` raises :class:`DomainError`."""
     entry = TERMS.get(name)
     if entry is None:
         raise DomainError(f"unknown term {name!r}")
+    code = entry[1].__code__
+    if args.keys() != set(params := code.co_varnames[:code.co_argcount]):
+        raise DomainError(f"{name} takes {', '.join(params)}")
     _check_ints(**args)
-    if any(value < 0 for value in args.values()):
-        raise DomainError(f"{name} arguments must be >= 0")
     return _of_slots(entry[1](**args))
 
 

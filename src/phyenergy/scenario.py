@@ -27,7 +27,7 @@ import math
 import os
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Any, NamedTuple, Optional
 
@@ -197,8 +197,12 @@ _INT_FIELDS = ("n_slots", "n_prb", "n_tx", "n_rx", "n_layers", "n_ports",
                "channel_len", "scs_khz", "code_rate", "pilot_sc_per_prb",
                "pilot_symbols_per_slot", "decode.deg_cn", "decode.deg_vn",
                "decode.iterations", "tbs_override", "rx_fft_antennas")
-_int_fields_of = attrgetter(*_INT_FIELDS)
-_INT_OR_NONE = frozenset((int, type(None)))
+_REAL_FIELDS = ("snr_db", "clock_hz", "kappa")
+_fields_of = attrgetter(*_INT_FIELDS, *_REAL_FIELDS, "modulation")
+# The field types of the usual scenario, in _fields_of's order.
+_USUAL_TYPES = frozenset((int,) * 14 + (tbs, rx) + (float,) * 3 + (Modulation,)
+                         for tbs in (int, type(None))
+                         for rx in (int, type(None)))
 
 
 def is_int(value: object) -> bool:
@@ -206,6 +210,22 @@ def is_int(value: object) -> bool:
     an ``int`` subclass other than ``bool``."""
     return type(value) is int or (isinstance(value, int)
                                   and not isinstance(value, bool))
+
+
+def _type_problems(s: Scenario) -> list[str]:
+    """Each field of ``s`` whose value has the wrong type, in turn."""
+    problems = [f"{name} must be a real number" for name in _REAL_FIELDS
+                if not isinstance(value := getattr(s, name), float)
+                and not (is_int(value) and abs(value) <= sys.float_info.max)]
+    if not isinstance(s.modulation, Modulation):
+        problems.append("modulation must be a Modulation")
+    if not isinstance(s.decode, DecodeConfig):
+        problems.append("decode must be a DecodeConfig")
+        s = replace(s, decode=DecodeConfig())    # so its fields can be read
+    return problems + [f"{name} must be an integer"
+                       for name, value in zip(_INT_FIELDS, _fields_of(s))
+                       if not is_int(value)
+                       and not (value is None and name in _INT_FIELDS[-2:])]
 
 
 def energy_per_cycle(kappa: float, clock_hz: float) -> float:
@@ -222,7 +242,7 @@ def energy_per_cycle(kappa: float, clock_hz: float) -> float:
         raise ConfigError("clock_hz must be finite")
     if clock_hz <= 0:
         raise ConfigError("clock_hz must be positive")
-    epsilon = kappa * clock_hz * clock_hz
+    epsilon = float(kappa) * clock_hz * clock_hz     # a float for int fields
     if epsilon == math.inf:
         raise ConfigError("kappa * clock_hz**2 must be finite")
     if epsilon < sys.float_info.min:          # zero or subnormal
@@ -234,20 +254,16 @@ def energy_per_cycle(kappa: float, clock_hz: float) -> float:
 def validate(s: Scenario) -> list[str]:
     """Return a list of violated configuration rules (empty when valid).
 
-    Integer fields that hold no ``int`` (or a bool) are reported alone,
-    before any range rule: the counters trust every integer to be one."""
-    values = _int_fields_of(s)
-    # The usual scenario (every field an exact int, None only in the two
-    # optional ones) passes in one pass over the types, where sixteen
-    # is_int steps took about 0.5 us of each of derive's two validations
-    # per sweep-grid operation.  Any other scenario, an int subclass
-    # included, is judged field by field.
-    if not (_INT_OR_NONE.issuperset(map(type, values))
-            and None not in values[:-2]):
-        problems = [f"{name} must be an integer"
-                    for name, value in zip(_INT_FIELDS, values)
-                    if not is_int(value)
-                    and not (value is None and name in _INT_FIELDS[-2:])]
+    Fields of the wrong type are reported alone, before any range rule: an
+    integer field must hold an ``int``, not a bool (the counters trust it),
+    and snr_db, clock_hz and kappa a float or an ``int`` a float can hold."""
+    # The usual scenario (exact ints and floats, None only in the optional
+    # ints) passes in one test of its field types: a test per field took
+    # about 0.5 us of each of derive's two validations per sweep-grid
+    # operation.  Any other scenario is judged field by field.
+    values = _fields_of(s) if isinstance(s.decode, DecodeConfig) else ()
+    if tuple(map(type, values)) not in _USUAL_TYPES:
+        problems = _type_problems(s)
         if problems:
             return problems
 

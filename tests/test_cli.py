@@ -545,7 +545,7 @@ def test_sweep_slots_scale_cycles(capsys):
 @pytest.fixture
 def measurement_file(tmp_path):
     tallies = tally_pipeline(load_scenario(REFERENCE))
-    rows = rows_from_tallies(tallies, path_prefix="nr5g/")
+    rows = rows_from_tallies(tallies)
     path = tmp_path / "measured.csv"
     path.write_text(serialize_measurement(rows))
     return str(path)
@@ -835,10 +835,12 @@ def test_synth_measurement_script_round_trips_through_compare(capsys,
     subprocess.run([sys.executable, str(script), REFERENCE, str(out)],
                    cwd=tmp_path, env=env, check=True, capture_output=True,
                    timeout=120)
-    code, text, _ = run(capsys, "compare", "--scenario", REFERENCE,
-                        "--measured", str(out))
-    assert code == 0
-    flags = [line for line in text.splitlines() if "flag:" in line]
-    assert len(flags) == 9                    # eight blocks plus total
-    assert all(line.endswith("flag: match") for line in flags)
-    assert "unattributed_cycles: 0\n" in text
+    # Its rows are under nr5g/, so the example filter keeps every one.
+    for filter_args in ([], ["--filter", str(CONFIGS / "filter_example.yaml")]):
+        code, text, _ = run(capsys, "compare", "--scenario", REFERENCE,
+                            "--measured", str(out), *filter_args)
+        assert code == 0
+        flags = [line for line in text.splitlines() if "flag:" in line]
+        assert len(flags) == 9                    # eight blocks plus total
+        assert all(line.endswith("flag: match") for line in flags)
+        assert "unattributed_cycles: 0\n" in text

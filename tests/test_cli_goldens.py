@@ -84,8 +84,7 @@ def _argv(name: str, measured: str) -> list[str]:
 
 @pytest.fixture(scope="module")
 def measured(tmp_path_factory) -> str:
-    rows = rows_from_tallies(tally_pipeline(load_scenario(REFERENCE)),
-                             path_prefix="nr5g/")
+    rows = rows_from_tallies(tally_pipeline(load_scenario(REFERENCE)))
     path = tmp_path_factory.mktemp("goldens") / "measured.csv"
     path.write_text(serialize_measurement(rows))
     return str(path)

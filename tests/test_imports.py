@@ -99,7 +99,7 @@ def test_counting_commands_load_no_importlib_resources(tmp_path, argv):
     imports one first; PyYAML's directory goes on the path."""
     measured = tmp_path / "measured.csv"
     measured.write_text(serialize_measurement(rows_from_tallies(
-        tally_pipeline(load_scenario(REFERENCE)), path_prefix="nr5g/")))
+        tally_pipeline(load_scenario(REFERENCE)))))
     argv = [arg.replace("{measured}", str(measured)).replace(
         "{out}", str(tmp_path / "out.txt")) for arg in argv]
     env = dict(os.environ)
@@ -126,7 +126,7 @@ def test_counting_commands_load_no_legacy(tmp_path, argv):
     the parser loads no ``legacy``."""
     measured = tmp_path / "measured.csv"
     measured.write_text(serialize_measurement(rows_from_tallies(
-        tally_pipeline(load_scenario(REFERENCE)), path_prefix="nr5g/")))
+        tally_pipeline(load_scenario(REFERENCE)))))
     loaded = _loaded_after(_command(
         *[arg.replace("{measured}", str(measured)) for arg in argv]))
     assert "phyenergy.costmodel" in loaded

@@ -2,7 +2,7 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_scenario
@@ -18,8 +18,8 @@ from phyenergy.opcount import (EMPTY_TALLY, TERMS, BlockId, DataClass, OpKind,
                                count_block_f, count_block_g, count_block_h,
                                count_term, tally_pipeline)
 from phyenergy.scenario import (BASE_GRAPHS, LIFTING_SIZES, TB_CRC_BITS,
-                                BaseGraphSpec, DecodeConfig, Modulation,
-                                derive, select_base_graph)
+                                BaseGraphSpec, DecodeConfig, DerivedParams,
+                                Modulation, derive, select_base_graph)
 
 LS = DataClass.LOGICAL_SCALAR
 IS = DataClass.INT_SCALAR
@@ -123,12 +123,11 @@ def test_crc_frozen_values():
         assert t.total_ops() == 3 * expected
 
 
-@given(bits=st.integers(min_value=0, max_value=100_000),
-       p=st.integers(min_value=1, max_value=128))
+@given(bits=st.integers(min_value=0, max_value=100_000))
 @settings(max_examples=200, deadline=None)
-def test_crc_matches_slice_loop_oracle(bits, p):
-    t = count_term("tb_crc", a_bits=bits, p=p)
-    expected = crc_slice_ops(bits, p)
+def test_crc_matches_slice_loop_oracle(bits):
+    t = count_term("tb_crc", a_bits=bits)
+    expected = crc_slice_ops(bits, 32)
     assert t.get(OpKind.AND, LS) == expected
     assert t.get(OpKind.XOR, LS) == expected
     assert t.get(OpKind.SHIFT, LS) == expected
@@ -137,8 +136,8 @@ def test_crc_matches_slice_loop_oracle(bits, p):
 def test_crc_rejects_bad_arguments():
     with pytest.raises(DomainError):
         count_term("tb_crc", a_bits=-1)
-    with pytest.raises(DomainError):
-        count_term("tb_crc", a_bits=10, p=0)
+    with pytest.raises(DomainError, match="^tb_crc takes a_bits$"):
+        count_term("tb_crc", a_bits=10, p=32)   # the word width is fixed
 
 
 def test_crc_decode_adds_one_compare():
@@ -696,9 +695,9 @@ _REFERENCE_DERIVED = derive(reference_scenario())
 
 # Each term with valid integer arguments.
 _TERM_CALLS = {
-    "tb_crc": dict(a_bits=3824, p=32),
+    "tb_crc": dict(a_bits=3824),
     "segmentation": dict(c=2),
-    "cb_crc": dict(a_bits=3824, p=32),
+    "cb_crc": dict(a_bits=3824),
     "ldpc_encode": dict(k=44, z=2, n1=316, rows=46, cols=68, n_ccb=128, c=1),
     "scrambling": dict(m_cw=1000),
     "modulation": dict(n_symbols=250),
@@ -708,8 +707,8 @@ _TERM_CALLS = {
     "ls": dict(v=2, n_r=2, n_t=2, l=2, g=14, k_p=24),
     "mmse": dict(n_r=2, n_t=2, n_f=12, g=14),
     "ldpc_decode": dict(n_vn=64, w_cn=14, deg_cn=19, deg_vn=3, iters=8, c=1),
-    "cb_crc_check": dict(bits=3824, p=32),
-    "tb_crc_check": dict(bits=3824, p=32),
+    "cb_crc_check": dict(bits=3824),
+    "tb_crc_check": dict(bits=3824),
 }
 
 # Each public counter with valid integer arguments, by keyword: every term
@@ -769,14 +768,137 @@ def test_count_term_knows_every_term_and_no_other():
         count_term("crc", a_bits=3824)
 
 
-@pytest.mark.parametrize("name", ["scrambling", "modulation", "layer_mapping"])
+@pytest.mark.parametrize("name", _TERM_CALLS)
 def test_count_term_refuses_a_negative_argument(name):
-    """The bit-level terms have no range check of their own (their block
-    checks its sizes), so count_term refuses a negative argument for them
-    rather than return a negative count."""
-    (arg,) = _TERM_CALLS[name]
-    with pytest.raises(DomainError, match=f"^{name} arguments must be >= 0$"):
-        count_term(name, **{arg: -1})
+    """No term checks its arguments' sign: count_term refuses a negative
+    argument of any term, by name, before the term runs."""
+    for arg in _TERM_CALLS[name]:
+        with pytest.raises(DomainError, match=f"^{arg} must be >= 0$"):
+            count_term(name, **{**_TERM_CALLS[name], arg: -1})
+
+
+@pytest.mark.parametrize("name", _TERM_CALLS)
+def test_count_term_refuses_a_missing_or_unknown_keyword(name):
+    """count_term takes exactly a term's parameters, and its DomainError
+    names the term and all of them, in order."""
+    args = _TERM_CALLS[name]
+    message = f"^{name} takes {', '.join(args)}$"
+    for arg in args:
+        with pytest.raises(DomainError, match=message):
+            count_term(name, **{k: v for k, v in args.items() if k != arg})
+    with pytest.raises(DomainError, match=message):
+        count_term(name, **args, foo=2)
+    with pytest.raises(DomainError, match=message):
+        count_term(name)
+
+
+@pytest.mark.parametrize("count, args", _PUBLIC_CALLS, ids=_PUBLIC_IDS)
+def test_every_argument_of_a_public_counter_must_be_non_negative(count,
+                                                                 args):
+    for name in args:
+        with pytest.raises(DomainError, match=f"^{name} must be >= 0$"):
+            count(**{**args, name: -1})
+
+
+def _negated(record, field):
+    return record._replace(**{field: -1})
+
+
+_REFERENCE_GRAPH = BASE_GRAPHS[_REFERENCE_DERIVED.bg]
+_REFERENCE_SCENARIO = reference_scenario()
+_D = _REFERENCE_DERIVED
+
+# The record-taking block counters: for each record they take, its fields
+# and a call with the named field of that record at -1.
+_RECORD_CALLS = {
+    "a-derived": (DerivedParams._fields,
+                  lambda f: count_block_a(_negated(_D, f), _REFERENCE_GRAPH)),
+    "a-graph": (BaseGraphSpec._fields,
+                lambda f: count_block_a(_D, _negated(_REFERENCE_GRAPH, f))),
+    "f-derived": (DerivedParams._fields,
+                  lambda f: count_block_f(_negated(_D, f),
+                                          _REFERENCE_SCENARIO)),
+    "f-scenario": (("n_layers", "n_rx", "n_tx", "channel_len"),
+                   lambda f: count_block_f(_D, reference_scenario(**{f: -1}))),
+    "h-derived": (DerivedParams._fields,
+                  lambda f: count_block_h(_negated(_D, f), DecodeConfig())),
+    "h-decode": (DecodeConfig._fields,
+                 lambda f: count_block_h(_D, _negated(DecodeConfig(), f))),
+}
+
+
+@pytest.mark.parametrize("record", _RECORD_CALLS)
+def test_record_taking_block_counters_refuse_a_negative_field(record):
+    """count_block_a, _f and _h refuse -1 in any field they are given, by
+    the field's name, as the plain-integer counters do."""
+    fields, call = _RECORD_CALLS[record]
+    for field in fields:
+        with pytest.raises(DomainError, match=f"^{field} must be >= 0$"):
+            call(field)
+
+
+def test_block_h_refuses_fewer_coded_than_information_bits():
+    """The check-node count n_ccb - k is block H's own arithmetic, not an
+    argument, so block H checks it: no count ever goes negative."""
+    d = _D._replace(n_ccb=_D.k - 8)
+    with pytest.raises(DomainError, match="^decode needs n_ccb >= k$"):
+        count_block_h(d, DecodeConfig())
+    assert count_block_h(d._replace(n_ccb=d.k), DecodeConfig())
+
+
+def test_tally_scale_factor_follows_the_input_rule():
+    t = OperationTally({(OpKind.ADD, DS): 3})
+    with pytest.raises(DomainError, match="^factor must be >= 0$"):
+        t.scaled(-1)
+    for bad in (2.0, True):
+        with pytest.raises(DomainError, match="^factor must be an integer$"):
+            t.scaled(bad)
+    assert t.scaled(_Int(2)) == t + t
+
+
+# Integers for every field: small ones, -2 and -1 included, drawn often, so
+# that all of a record's fields can pass the input rule while some break a
+# structural rule, and large ones too.
+_ANY_INT = st.integers(min_value=-2, max_value=64) | st.integers(min_value=0)
+
+
+def _records(record):
+    return st.builds(record, *[_ANY_INT for _ in record._fields])
+
+
+@given(d=_records(DerivedParams), bg=_records(BaseGraphSpec),
+       decode=_records(DecodeConfig),
+       ints=st.lists(_ANY_INT, min_size=4, max_size=4),
+       block=st.sampled_from("abcdefgh"))
+@example(d=_D._replace(n_ccb=_D.k - 8),
+         bg=_REFERENCE_GRAPH, decode=DecodeConfig(), ints=[1, 1, 1, 1],
+         block="h")
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_a_public_counter_refuses_or_counts_non_negative_ints(d, bg, decode,
+                                                              ints, block):
+    """Over arbitrary integers in every field and argument, a public block
+    counter either raises DomainError or returns a tally of non-negative
+    ints: no combination of inputs slips a negative count past the input
+    rule and the terms' structural rules."""
+    a, b, c, taps = ints
+    scenario = reference_scenario(n_layers=a, n_rx=b, n_tx=c,
+                                  channel_len=taps)
+    calls = {
+        "a": lambda: count_block_a(d, bg),
+        "b": lambda: count_block_b(a, b),
+        "c": lambda: count_block_c(a, b, c),
+        "d": lambda: count_block_d(a, b, c),
+        "e": lambda: count_block_e(a, b, c),
+        "f": lambda: count_block_f(d, scenario),
+        "g": lambda: count_block_g(a, b),
+        "h": lambda: count_block_h(d, decode),
+    }
+    try:
+        tally = calls[block]()
+    except DomainError:
+        return
+    for count in tally.slot_counts().values():
+        assert type(count) is int and count > 0
 
 
 def test_the_pipeline_never_runs_the_public_check(monkeypatch):

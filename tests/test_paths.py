@@ -96,7 +96,7 @@ def test_an_empty_filter_file_means_no_filter(capsys, tmp_path):
     reference = str(ROOT / REFERENCE)
     measured = tmp_path / "measured.csv"
     write_measurement(rows_from_tallies(tally_pipeline(
-        load_scenario(reference)), path_prefix="nr5g/"), measured)
+        load_scenario(reference))), measured)
     empty = tmp_path / "filter.yaml"
     empty.write_text("# no keys\n")
     argv = ["compare", "--scenario", reference, "--measured", str(measured)]

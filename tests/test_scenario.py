@@ -301,6 +301,66 @@ def test_integer_fields_are_checked_one_field_at_a_time_on_failure(name,
         assert problems == [f"{name} must be an integer"]
 
 
+@pytest.mark.parametrize("overrides, problems", [
+    ({"kappa": 10 ** 400}, ["kappa must be a real number"]),
+    ({"kappa": "x"}, ["kappa must be a real number"]),
+    ({"snr_db": None}, ["snr_db must be a real number"]),
+    ({"clock_hz": True}, ["clock_hz must be a real number"]),
+    ({"decode": {"deg_cn": 19}}, ["decode must be a DecodeConfig"]),
+    ({"modulation": "QPSK"}, ["modulation must be a Modulation"]),
+    ({"decode": (19, 3, 8), "n_prb": 52.0, "kappa": None, "n_slots": 0},
+     ["kappa must be a real number", "decode must be a DecodeConfig",
+      "n_prb must be an integer"]),
+    ({"kappa": 1, "clock_hz": 10 ** 200},
+     ["kappa * clock_hz**2 must be finite"]),
+    ({"snr_db": 10, "clock_hz": 2_100_000_000}, []),
+], ids=["huge-int-kappa", "str-kappa", "none-snr_db", "bool-clock_hz",
+        "dict-decode", "str-modulation", "several", "int-overflow",
+        "int-reals"])
+def test_validate_reports_a_field_of_the_wrong_type(overrides, problems):
+    """A scenario built in code may hold anything: validate lists each field
+    of the wrong type, alone and never raising, and derive refuses it.  A
+    real-number field takes a float or an int a float can hold."""
+    s = reference_scenario(**overrides)
+    assert validate(s) == problems
+    if problems:
+        with pytest.raises(ConfigError, match=re.escape("; ".join(problems))):
+            derive(s)
+    else:
+        assert tally_pipeline(s) == tally_pipeline(reference_scenario())
+
+
+_SCENARIO_FIELDS = [field.name for field in dataclasses.fields(
+    reference_scenario())]
+_ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.just(10 ** 400), st.floats(),
+    st.text(max_size=3), st.just("QPSK"), st.dictionaries(st.text(max_size=2),
+                                                         st.integers()),
+    st.tuples(st.integers(), st.integers(), st.integers()),
+    st.sampled_from(list(Modulation)), st.just(DecodeConfig()))
+
+
+@given(field=st.sampled_from(_SCENARIO_FIELDS + list(_INT_FIELDS[11:14])),
+       value=_ANY_VALUE)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_validate_never_raises_on_a_field_of_any_value(field, value):
+    """Whatever one field holds, validate returns a list of messages, and
+    derive either refuses the scenario with ConfigError or expands it."""
+    if field.startswith("decode."):
+        s = _reference_with(field, value)
+    else:
+        s = reference_scenario(**{field: value})
+    problems = validate(s)
+    assert all(isinstance(problem, str) for problem in problems)
+    try:
+        derive(s)
+    except ConfigError as exc:
+        if problems:
+            assert str(exc) == "; ".join(problems)
+    else:
+        assert problems == []
+
+
 def test_n_prb_is_capped_at_a_full_carrier():
     assert validate(reference_scenario(n_prb=275)) == []
     assert "n_prb must be <= 275" in validate(reference_scenario(n_prb=276))
