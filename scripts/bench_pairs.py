@@ -1,0 +1,108 @@
+#!/usr/bin/env python3
+"""Benchmark two checkouts in alternating pairs and compare their metrics.
+
+usage: bench_pairs.py PARENT CHANGE --workload W --seed S --seconds T
+                      --pairs N [--trace {0,1}]
+
+Each run is one ``perfbench/run.py`` process, started in the root of its
+checkout; runs go one at a time, and the side that runs first alternates
+from pair to pair.  A run whose last line reports ``failed`` other than 0,
+or ``correct`` false, stops the script with exit status 1.
+
+The metrics compared are those CHANGE's ``BENCHMARK.json`` lists: the
+end-to-end ones, or with ``--trace 1`` the per-layer ones.  For each, the
+script prints every pair, then each side's median and quartiles, the ratio
+of the medians (change over parent) and in how many pairs the change was
+better.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+
+def summarize(parent: list[float], change: list[float], better: str) -> dict:
+    """Median and quartiles of each side's values, the ratio of the medians
+    and the pairs the change won; ``parent[i]`` and ``change[i]`` are pair
+    ``i``, and ``better`` is ``"higher"`` or ``"lower"``."""
+    def spread(values):
+        if len(values) == 1:
+            return values[0], values[0], values[0]
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        return q1, median, q3
+
+    won = sum(c > p if better == "higher" else c < p
+              for p, c in zip(parent, change))
+    parent_q, change_q = spread(parent), spread(change)
+    return {"parent": parent_q, "change": change_q,
+            "ratio": change_q[1] / parent_q[1] if parent_q[1] else None,
+            "won": won, "pairs": len(parent)}
+
+
+def run_once(root: str, args: argparse.Namespace) -> dict:
+    """One benchmark run in checkout ``root``: its last line's metrics."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", args.workload,
+         "--seed", str(args.seed), "--seconds", str(args.seconds),
+         "--trace", str(args.trace)],
+        cwd=root, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        result = {}
+    if (done.returncode or result.get("failed") != 0
+            or result.get("correct") is not True):
+        sys.stderr.write(done.stdout + done.stderr)
+        print(f"bench_pairs: run in {root} failed: exit {done.returncode}, "
+              f"correct {result.get('correct')}, failed "
+              f"{result.get('failed')}", file=sys.stderr)
+        raise SystemExit(1)
+    return {name: entry["value"] for name, entry in result["metrics"].items()}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    args = parser.parse_args()
+
+    with open(os.path.join(args.change, "BENCHMARK.json")) as f:
+        declared = json.load(f)["per_layer" if args.trace else "end_to_end"]
+    better = {m["name"]: m["better"] for m in declared}
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for pair in range(args.pairs):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(run_once(getattr(args, side), args))
+        print(f"pair {pair + 1} ({order[0]} first): " + "  ".join(
+            f"{name} {runs['parent'][-1][name]:.6g} -> "
+            f"{runs['change'][-1][name]:.6g}" for name in better))
+
+    print(f"\n{args.workload} seed {args.seed}, {args.seconds:g} s, "
+          f"{args.pairs} pairs, trace {args.trace}")
+    print(f"{'metric':28s} {'better':6s} {'parent q1/median/q3':>32s}  "
+          f"{'change q1/median/q3':>32s}  {'ratio':>6s}  won")
+    for name, direction in better.items():
+        s = summarize([run[name] for run in runs["parent"]],
+                      [run[name] for run in runs["change"]], direction)
+        sides = ["/".join(f"{v:.4g}" for v in s[side])
+                 for side in ("parent", "change")]
+        ratio = "-" if s["ratio"] is None else f"{s['ratio']:.3f}"
+        print(f"{name:28s} {direction:6s} {sides[0]:>32s}  {sides[1]:>32s}  "
+              f"{ratio:>6s}  {s['won']}/{s['pairs']}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

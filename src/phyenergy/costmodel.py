@@ -324,6 +324,7 @@ def build_report(tallies: PipelineTallies, table: InstructionCostTable,
     priced = _price(map(tallies.per_block.__getitem__, _BLOCKS), table)
     den = table._kernel[2]
     costs = []
+    new = tuple.__new__     # every field in order, as in scenario.derive
     try:
         # The total first.  Integer true division is correctly rounded, so
         # ``cycles / den`` is the float of the exact rational, reduced or
@@ -331,9 +332,9 @@ def build_report(tallies: PipelineTallies, table: InstructionCostTable,
         for micro_ops, cycles in ((sum([m for m, _ in priced]),
                                    sum([c for _, c in priced])), *priced):
             energy_j = cycles / den * eps
-            costs.append(BlockCost(micro_ops, cycles, den, bits, energy_j,
-                                   energy_j / bits * 1e9 if bits > 0
-                                   else None))
+            costs.append(new(BlockCost, (micro_ops, cycles, den, bits,
+                                         energy_j, energy_j / bits * 1e9
+                                         if bits > 0 else None)))
         total = costs[0]
         finite = (math.isfinite(total.energy_j)
                   and math.isfinite(total.energy_nj_per_bit or 0.0))
@@ -342,6 +343,6 @@ def build_report(tallies: PipelineTallies, table: InstructionCostTable,
     if not finite:
         raise DomainError("energy is not finite: too many cycles, or too "
                           "much energy per cycle, for a float")
-    per_block = dict(zip(_BLOCKS, costs[1:]))
-    return EnergyReport(per_block, total, bits, energy, eps, table.source,
-                        table.date, tallies.derived, scenario)
+    return new(EnergyReport, (dict(zip(_BLOCKS, costs[1:])), total, bits,
+                              energy, eps, table.source, table.date,
+                              tallies.derived, scenario))

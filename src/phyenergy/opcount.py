@@ -591,4 +591,5 @@ def tally_pipeline(s: Scenario) -> PipelineTallies:
         _merge(_block_f(d, s), n),
         bit_blocks,
         _merge(_block_h(d, s.decode), n))))
-    return PipelineTallies(per_block, d.a * n, d)
+    # Every field in order, through the base constructor, as derive does.
+    return tuple.__new__(PipelineTallies, (per_block, d.a * n, d))

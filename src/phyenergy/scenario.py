@@ -62,27 +62,17 @@ TB_CRC_BITS = 24   # fixed-width CRC prefix used for both TB and CB
 
 
 class Modulation(enum.Enum):
-    """Downlink modulation order."""
+    """Downlink modulation order; a member's value is its bits per symbol."""
 
     QPSK = 2
     QAM16 = 4
     QAM64 = 6
     QAM256 = 8
 
-    @property
-    def bits_per_symbol(self) -> int:
-        return self.value
 
-
-_MODULATION_ALIASES = {
-    "QPSK": Modulation.QPSK,
-    "QAM16": Modulation.QAM16,
-    "16QAM": Modulation.QAM16,
-    "QAM64": Modulation.QAM64,
-    "64QAM": Modulation.QAM64,
-    "QAM256": Modulation.QAM256,
-    "256QAM": Modulation.QAM256,
-}
+# The canonical names (QAM16) and the common aliases (16QAM).
+_MODULATION_ALIASES = {**Modulation.__members__, "16QAM": Modulation.QAM16,
+                       "64QAM": Modulation.QAM64, "256QAM": Modulation.QAM256}
 
 
 def parse_modulation(value: Any) -> Modulation:
@@ -212,11 +202,16 @@ def is_int(value: object) -> bool:
                                   and not isinstance(value, bool))
 
 
+def _is_real(value: object) -> bool:
+    """Whether ``value`` is a float, or an integer a float can hold."""
+    return isinstance(value, float) or (is_int(value) and
+                                        abs(value) <= sys.float_info.max)
+
+
 def _type_problems(s: Scenario) -> list[str]:
     """Each field of ``s`` whose value has the wrong type, in turn."""
     problems = [f"{name} must be a real number" for name in _REAL_FIELDS
-                if not isinstance(value := getattr(s, name), float)
-                and not (is_int(value) and abs(value) <= sys.float_info.max)]
+                if not _is_real(getattr(s, name))]
     if not isinstance(s.modulation, Modulation):
         problems.append("modulation must be a Modulation")
     if not isinstance(s.decode, DecodeConfig):
@@ -230,10 +225,14 @@ def _type_problems(s: Scenario) -> list[str]:
 
 def energy_per_cycle(kappa: float, clock_hz: float) -> float:
     """Joules per cycle, ``kappa * clock_hz**2``.  ConfigError names the
-    first rule broken: each field finite, then positive, then the product
-    a finite, normal float."""
+    first rule broken: each field a real number, then each finite and
+    positive, then the product a finite, normal float."""
     # Unrolled: a loop over the two fields doubled the time of a call, and
     # every validation and every report makes one.
+    if type(kappa) is not float and not _is_real(kappa):
+        raise ConfigError("kappa must be a real number")
+    if type(clock_hz) is not float and not _is_real(clock_hz):
+        raise ConfigError("clock_hz must be a real number")
     if not math.isfinite(kappa):
         raise ConfigError("kappa must be finite")
     if kappa <= 0:
@@ -251,57 +250,53 @@ def energy_per_cycle(kappa: float, clock_hz: float) -> float:
     return epsilon
 
 
+# The messages of validate's range rules, in its order and one per flag; the
+# energy rule's is empty, as validate lists the one energy_per_cycle raises.
+_RANGE_MESSAGES = (*(f"{name} must be >= 1" for name in _INT_FIELDS[:7]),
+    f"n_prb must be <= {MAX_PRB}", "scs_khz not one of 15, 30, 60, 120",
+    "code_rate out of range (numerator must be in 1..1023)",
+    "n_layers exceeds min(n_tx,n_rx)", "n_ports must be >= n_layers",
+    "snr_db must be finite", "", "pilot_sc_per_prb must be in 1..12",
+    "pilot_symbols_per_slot must be in 0..13", "tbs_override must be >= 0",
+    "rx_fft_antennas must be >= 1", "decode.deg_cn must be >= 1",
+    "decode.deg_vn must be >= 1", "decode.iterations must be >= 0")
+
+
 def validate(s: Scenario) -> list[str]:
     """Return a list of violated configuration rules (empty when valid).
 
     Fields of the wrong type are reported alone, before any range rule: an
     integer field must hold an ``int``, not a bool (the counters trust it),
     and snr_db, clock_hz and kappa a float or an ``int`` a float can hold."""
-    # The usual scenario (exact ints and floats, None only in the optional
-    # ints) passes in one test of its field types: a test per field took
-    # about 0.5 us of each of derive's two validations per sweep-grid
-    # operation.  Any other scenario is judged field by field.
+    # The usual field types (ints, None only in the two optional ints,
+    # floats) pass in one test; any others are judged field by field.
     values = _fields_of(s) if isinstance(s.decode, DecodeConfig) else ()
     if tuple(map(type, values)) not in _USUAL_TYPES:
         problems = _type_problems(s)
         if problems:
             return problems
 
-    problems = [f"{name} must be >= 1"
-                for name, value in zip(_INT_FIELDS[:7], values) if value < 1]
-    if s.n_prb > MAX_PRB:
-        problems.append(f"n_prb must be <= {MAX_PRB}")
-
-    if s.scs_khz not in SUPPORTED_SCS_KHZ:
-        problems.append("scs_khz not one of 15, 30, 60, 120")
-    if not 1 <= s.code_rate <= 1023:
-        problems.append("code_rate out of range (numerator must be in 1..1023)")
-    if s.n_layers > min(s.n_tx, s.n_rx):
-        problems.append("n_layers exceeds min(n_tx,n_rx)")
-    if s.n_ports < s.n_layers:
-        problems.append("n_ports must be >= n_layers")
-    if not math.isfinite(s.snr_db):
-        problems.append("snr_db must be finite")
+    (n_slots, n_prb, n_tx, n_rx, n_layers, n_ports, channel_len, scs_khz,
+     code_rate, pilot_sc, pilot_symbols, deg_cn, deg_vn, iterations, tbs,
+     rx_fft, snr_db, clock_hz, kappa, _) = values
     try:
-        energy_per_cycle(s.kappa, s.clock_hz)
+        energy_per_cycle(kappa, clock_hz)
+        energy_problem = ""
     except ConfigError as exc:
-        problems.append(str(exc))
-    if not 1 <= s.pilot_sc_per_prb <= SC_PER_PRB:
-        problems.append("pilot_sc_per_prb must be in 1..12")
-    if not 0 <= s.pilot_symbols_per_slot < SYMBOLS_PER_SLOT:
-        problems.append("pilot_symbols_per_slot must be in 0..13")
-    if s.tbs_override is not None and s.tbs_override < 0:
-        problems.append("tbs_override must be >= 0")
-    if s.rx_fft_antennas is not None and s.rx_fft_antennas < 1:
-        problems.append("rx_fft_antennas must be >= 1")
-    if s.decode.deg_cn < 1:
-        problems.append("decode.deg_cn must be >= 1")
-    if s.decode.deg_vn < 1:
-        problems.append("decode.deg_vn must be >= 1")
-    if s.decode.iterations < 0:
-        problems.append("decode.iterations must be >= 0")
-
-    return problems
+        energy_problem = str(exc)
+    broken = (n_slots < 1, n_prb < 1, n_tx < 1, n_rx < 1, n_layers < 1,
+              n_ports < 1, channel_len < 1, n_prb > MAX_PRB,
+              scs_khz not in SUPPORTED_SCS_KHZ, not 1 <= code_rate <= 1023,
+              n_layers > n_tx or n_layers > n_rx, n_ports < n_layers,
+              not math.isfinite(snr_db), energy_problem != "",
+              not 1 <= pilot_sc <= SC_PER_PRB,
+              not 0 <= pilot_symbols < SYMBOLS_PER_SLOT,
+              tbs is not None and tbs < 0, rx_fft is not None and rx_fft < 1,
+              deg_cn < 1, deg_vn < 1, iterations < 0)
+    if True not in broken:
+        return []
+    return [rule or energy_problem
+            for rule, flag in zip(_RANGE_MESSAGES, broken) if flag]
 
 
 def derive(s: Scenario) -> DerivedParams:
@@ -319,7 +314,7 @@ def derive(s: Scenario) -> DerivedParams:
     if problems:
         raise ConfigError("; ".join(problems))
 
-    qm = s.modulation.bits_per_symbol
+    qm = s.modulation.value
     v = s.n_layers
     n_f = SC_PER_PRB * s.n_prb
     g = SYMBOLS_PER_SLOT
@@ -359,9 +354,10 @@ def derive(s: Scenario) -> DerivedParams:
     # Coded length: every column but the two punctured systematic ones.
     n_ccb = (BASE_GRAPHS[bg].cols - 2) * z
 
-    # In field order: keyword arguments would cost a microsecond here.
-    return DerivedParams(qm, n_f, g, n_fft, k_p, n_re, n_symbols, m_cw,
-                         m_symb_layer, a, bg, c, b, z, k, n_ccb)
+    # Every field in order, as the generated __new__ takes twice as long.
+    return tuple.__new__(DerivedParams, (qm, n_f, g, n_fft, k_p, n_re,
+                                         n_symbols, m_cw, m_symb_layer, a,
+                                         bg, c, b, z, k, n_ccb))
 
 
 def select_base_graph(a_bits: int, code_rate_num: int) -> BaseGraphSpec:

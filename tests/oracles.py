@@ -7,20 +7,24 @@ with the package's closed-form counts is meaningful.
 The ingest oracles keep the plain loops that the indexed attribution, the
 tuple-based path filter, the comma split, the chunked line split, the
 column-at-a-time cell checks and the parse's per-block grouping replaced.
-The renderers at the end build an estimate's and a sweep's blocks a row at
-a time, as the package did before its ``%`` templates.
+The renderers build an estimate's and a sweep's blocks a row at a time, as
+the package did before its ``%`` templates, and :func:`validate_rules`
+checks a scenario's range rules one ``if`` at a time, as ``validate`` did
+before its one tuple of flags.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from collections import Counter
 
 from phyenergy.cli import _scenario_text, fmt_ratio
-from phyenergy.errors import MeasurementError
+from phyenergy.errors import ConfigError, MeasurementError
 from phyenergy.ingest import MeasuredReport, MeasuredRow, MeasurementMeta
 from phyenergy.opcount import BlockId, DataClass, OperationTally, OpKind
 from phyenergy.readers import count_cell, name_cell
+from phyenergy.scenario import energy_per_cycle
 
 
 def schoolbook_product_ops(m: int, k: int, n: int) -> tuple[int, int]:
@@ -396,3 +400,48 @@ def render_sweep_text(param, results):
                   for (name, _), cost in _entries(rep)
                   for _, cycles, per_bit in [_cycle_fields(*cost[:4])]]
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Scenario range rules, one at a time
+
+
+def validate_rules(s):
+    """The range rules ``validate`` applies to a scenario whose fields all
+    have the right types, in its order; the energy rule is
+    ``energy_per_cycle``'s, with its message."""
+    problems = [f"{name} must be >= 1"
+                for name in ("n_slots", "n_prb", "n_tx", "n_rx", "n_layers",
+                             "n_ports", "channel_len")
+                if getattr(s, name) < 1]
+    if s.n_prb > 275:
+        problems.append("n_prb must be <= 275")
+    if s.scs_khz not in (15, 30, 60, 120):
+        problems.append("scs_khz not one of 15, 30, 60, 120")
+    if not 1 <= s.code_rate <= 1023:
+        problems.append("code_rate out of range (numerator must be in 1..1023)")
+    if s.n_layers > min(s.n_tx, s.n_rx):
+        problems.append("n_layers exceeds min(n_tx,n_rx)")
+    if s.n_ports < s.n_layers:
+        problems.append("n_ports must be >= n_layers")
+    if not math.isfinite(s.snr_db):
+        problems.append("snr_db must be finite")
+    try:
+        energy_per_cycle(s.kappa, s.clock_hz)
+    except ConfigError as exc:
+        problems.append(str(exc))
+    if not 1 <= s.pilot_sc_per_prb <= 12:
+        problems.append("pilot_sc_per_prb must be in 1..12")
+    if not 0 <= s.pilot_symbols_per_slot < 14:
+        problems.append("pilot_symbols_per_slot must be in 0..13")
+    if s.tbs_override is not None and s.tbs_override < 0:
+        problems.append("tbs_override must be >= 0")
+    if s.rx_fft_antennas is not None and s.rx_fft_antennas < 1:
+        problems.append("rx_fft_antennas must be >= 1")
+    if s.decode.deg_cn < 1:
+        problems.append("decode.deg_cn must be >= 1")
+    if s.decode.deg_vn < 1:
+        problems.append("decode.deg_vn must be >= 1")
+    if s.decode.iterations < 0:
+        problems.append("decode.iterations must be >= 0")
+    return problems

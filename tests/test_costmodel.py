@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 from conftest import make_table, reference_scenario
 
 import phyenergy
-from phyenergy.costmodel import (CostEntry, EnergyParams, InstructionCostTable,
+from phyenergy.costmodel import (BlockCost, CostEntry, EnergyParams,
+                                 EnergyReport, InstructionCostTable,
                                  build_report, cycles_for, expand_flops,
                                  load_cost_table, load_default_cost_table,
                                  parse_cost_table)
 from phyenergy.errors import ConfigError, CostTableError, CoverageError
 from phyenergy.opcount import (BlockId, DataClass, OpKind, OperationTally,
-                               tally_pipeline)
-from phyenergy.scenario import energy_per_cycle
+                               PipelineTallies, tally_pipeline)
+from phyenergy.scenario import DerivedParams, derive, energy_per_cycle
+from test_opcount import _valid_scenarios
 
 DS = DataClass.DOUBLE_SCALAR
 
@@ -447,3 +449,27 @@ def test_cycles_exponents_near_the_bound(cycles, value):
         entry = parse_cost_table(text, source="t").entries[
             (OpKind.ADD, DataClass.DOUBLE_SCALAR)]
         assert entry.cycles == value
+
+
+# ---------------------------------------------------------------------------
+# Records built through the base tuple constructor
+
+
+@given(s=_valid_scenarios())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_hot_path_records_are_whole_records_of_their_class(s):
+    """derive, tally_pipeline and build_report build their records through
+    tuple.__new__: each is still of its record class, equal to the record
+    built by keyword from its fields, with the same repr."""
+    tallies = tally_pipeline(s)
+    report = build_report(tallies, make_table(),
+                          EnergyParams(s.kappa, s.clock_hz), s)
+    records = [(DerivedParams, derive(s)), (DerivedParams, tallies.derived),
+               (PipelineTallies, tallies), (EnergyReport, report),
+               (BlockCost, report.total),
+               *((BlockCost, cost) for cost in report.per_block.values())]
+    for cls, record in records:
+        assert type(record) is cls
+        rebuilt = cls(**record._asdict())
+        assert record == rebuilt
+        assert repr(record) == repr(rebuilt)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from phyenergy.scenario import (_INT_FIELDS, LIFTING_SIZES, DecodeConfig,
                                 derive, energy_per_cycle, is_int,
                                 load_scenario, parse_modulation,
                                 select_base_graph, validate)
+from oracles import validate_rules
 from test_opcount import _valid_scenarios
 
 
@@ -410,6 +412,28 @@ def test_validate_reports_the_first_energy_scale_rule_broken(kappa, clock_hz,
     assert validate(s) == [problem]
 
 
+@pytest.mark.parametrize("kappa, clock_hz, problem", [
+    (10 ** 400, 2.1e9, "kappa must be a real number"),
+    ("x", 2.1e9, "kappa must be a real number"),
+    (True, 2.1e9, "kappa must be a real number"),
+    (1e-25, "x", "clock_hz must be a real number"),
+    (None, None, "kappa must be a real number"),
+], ids=["huge-int-kappa", "str-kappa", "bool-kappa", "str-clock_hz",
+        "none-both"])
+def test_a_report_refuses_an_energy_scale_of_the_wrong_type(kappa, clock_hz,
+                                                            problem):
+    """energy_per_cycle applies validate's real-number rule first, so an
+    EnergyParams built in code with a non-float fails with ConfigError,
+    in the words validate uses, never with OverflowError or TypeError."""
+    with pytest.raises(ConfigError, match=f"^{problem}$"):
+        energy_per_cycle(kappa, clock_hz)
+    with pytest.raises(ConfigError, match=f"^{problem}$"):
+        build_report(tally_pipeline(reference_scenario()), make_table(),
+                     EnergyParams(kappa, clock_hz))
+    assert problem in validate(reference_scenario(kappa=kappa,
+                                                  clock_hz=clock_hz))
+
+
 # Log-uniform over the positive floats, subnormals included: 2**-1074 is
 # the smallest, and 2**1023 leaves room below the largest.
 _SCALES = st.floats(min_value=-1074, max_value=1023).map(lambda e: 2.0 ** e)
@@ -442,6 +466,58 @@ def test_a_scenario_validates_exactly_when_its_energy_scale_prices(
         epsilon = report.epsilon
     assert problems == []
     assert epsilon == kappa * clock_hz * clock_hz
+
+
+def _around(*edges):
+    """Each integer edge of a range rule, and its two neighbours."""
+    return st.sampled_from(sorted({e + d for e in edges for d in (-1, 0, 1)}))
+
+
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max
+# The energy-scale edges: each field's sign and finiteness, and the
+# product on, just inside and just outside the normal float range.
+_KAPPAS = st.sampled_from([
+    math.nan, math.inf, -math.inf, -1e-25, -0.0, 0.0, 5e-324, _TINY / 2,
+    _TINY, math.nextafter(_TINY, 1.0), 1e-25, _HUGE / 2, _HUGE])
+_CLOCKS = st.sampled_from([
+    math.nan, math.inf, -math.inf, -1.0, 0.0, 5e-324,
+    math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 2.1e9, 1e200])
+
+
+@st.composite
+def _edge_scenarios(draw):
+    """Scenarios whose fields sit on, just inside or just outside every
+    range rule validate applies, several rules broken at once as often as
+    none."""
+    n_tx, n_rx = draw(_around(1, 8)), draw(_around(1, 8))
+    n_layers = min(n_tx, n_rx) + draw(st.integers(-1, 1))
+    optional = st.one_of(st.none(), _around(0, 1))
+    return reference_scenario(
+        n_slots=draw(_around(1)), n_prb=draw(_around(1, 275)),
+        n_tx=n_tx, n_rx=n_rx, n_layers=n_layers,
+        n_ports=n_layers + draw(st.integers(-1, 1)),
+        channel_len=draw(_around(1)),
+        scs_khz=draw(st.sampled_from([0, 14, 15, 16, 30, 60, 120, 240])),
+        code_rate=draw(_around(1, 1023)),
+        snr_db=draw(st.sampled_from([math.nan, math.inf, -math.inf, -_HUGE,
+                                     0.0, 10.0, _HUGE])),
+        kappa=draw(_KAPPAS), clock_hz=draw(_CLOCKS),
+        pilot_sc_per_prb=draw(_around(1, 12)),
+        pilot_symbols_per_slot=draw(_around(0, 13)),
+        tbs_override=draw(optional), rx_fft_antennas=draw(optional),
+        decode=DecodeConfig(deg_cn=draw(_around(1)), deg_vn=draw(_around(1)),
+                            iterations=draw(_around(0))))
+
+
+@given(s=_edge_scenarios())
+@example(s=reference_scenario())
+@example(s=reference_scenario(kappa=_TINY, clock_hz=1.0))
+@example(s=reference_scenario(kappa=_HUGE, clock_hz=math.nextafter(1.0, 2.0)))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_validate_applies_the_range_rules_one_at_a_time(s):
+    """validate's one tuple of flags lists exactly the messages of the
+    rule-at-a-time oracle, in its order."""
+    assert validate(s) == validate_rules(s)
 
 
 def test_every_layer_maps_onto_one_codeword():
