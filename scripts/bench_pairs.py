@@ -13,7 +13,11 @@ The metrics compared are those CHANGE's ``BENCHMARK.json`` lists: the
 end-to-end ones, or with ``--trace 1`` the per-layer ones.  For each, the
 script prints every pair, then each side's median and quartiles, the ratio
 of the medians (change over parent) and in how many pairs the change was
-better.  Standard library only.
+better.  An end-to-end metric also shows the regression gate: how much
+worse the change's median is than the parent's, relative to the parent's
+(negative when it is better), next to the metric's ``bound``, marked
+``> bound`` when it passes it.  Per-layer metrics have no bound, and show
+``-``.  Standard library only.
 """
 
 from __future__ import annotations
@@ -26,9 +30,12 @@ import subprocess
 import sys
 
 
-def summarize(parent: list[float], change: list[float], better: str) -> dict:
-    """Median and quartiles of each side's values, the ratio of the medians
-    and the pairs the change won; ``parent[i]`` and ``change[i]`` are pair
+def summarize(parent: list[float], change: list[float], better: str,
+              bound: float | None = None) -> dict:
+    """Median and quartiles of each side's values, the ratio of the medians,
+    the pairs the change won and, with a ``bound``, the regression gate:
+    ``worse``, the relative change of the median in the worse direction, and
+    whether it is past the bound.  ``parent[i]`` and ``change[i]`` are pair
     ``i``, and ``better`` is ``"higher"`` or ``"lower"``."""
     def spread(values):
         if len(values) == 1:
@@ -39,9 +46,13 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
     won = sum(c > p if better == "higher" else c < p
               for p, c in zip(parent, change))
     parent_q, change_q = spread(parent), spread(change)
-    return {"parent": parent_q, "change": change_q,
-            "ratio": change_q[1] / parent_q[1] if parent_q[1] else None,
-            "won": won, "pairs": len(parent)}
+    ratio = change_q[1] / parent_q[1] if parent_q[1] else None
+    worse = None
+    if bound is not None and ratio is not None:
+        worse = 1 - ratio if better == "higher" else ratio - 1
+    return {"parent": parent_q, "change": change_q, "ratio": ratio,
+            "won": won, "pairs": len(parent), "worse": worse,
+            "past_bound": worse is not None and worse > bound}
 
 
 def run_once(root: str, args: argparse.Namespace) -> dict:
@@ -80,6 +91,7 @@ def main() -> int:
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
         declared = json.load(f)["per_layer" if args.trace else "end_to_end"]
     better = {m["name"]: m["better"] for m in declared}
+    bounds = {m["name"]: m.get("bound") for m in declared}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
@@ -92,15 +104,21 @@ def main() -> int:
     print(f"\n{args.workload} seed {args.seed}, {args.seconds:g} s, "
           f"{args.pairs} pairs, trace {args.trace}")
     print(f"{'metric':28s} {'better':6s} {'parent q1/median/q3':>32s}  "
-          f"{'change q1/median/q3':>32s}  {'ratio':>6s}  won")
+          f"{'change q1/median/q3':>32s}  {'ratio':>6s}  won    "
+          "worse / bound")
     for name, direction in better.items():
         s = summarize([run[name] for run in runs["parent"]],
-                      [run[name] for run in runs["change"]], direction)
+                      [run[name] for run in runs["change"]], direction,
+                      bounds[name])
         sides = ["/".join(f"{v:.4g}" for v in s[side])
                  for side in ("parent", "change")]
         ratio = "-" if s["ratio"] is None else f"{s['ratio']:.3f}"
+        gate = "-" if s["worse"] is None else (
+            f"{s['worse']:+.1%} / {bounds[name]:.1%}"
+            + ("  > bound" if s["past_bound"] else ""))
+        won = f"{s['won']}/{s['pairs']}"
         print(f"{name:28s} {direction:6s} {sides[0]:>32s}  {sides[1]:>32s}  "
-              f"{ratio:>6s}  {s['won']}/{s['pairs']}")
+              f"{ratio:>6s}  {won:5s}  {gate}")
     return 0
 
 

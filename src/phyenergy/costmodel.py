@@ -14,7 +14,9 @@ and cycle numerators over one common denominator (the lcm of the
 table's cycle denominators).  A slot is priced as the sum of its parts
 (:data:`~phyenergy.opcount.PART_SLOTS`), so a FLOP costs one addition
 plus one multiplication of its class and a table's own FLOP rows are
-never consulted.  Pricing a tally is then an integer multiply-accumulate
+checked but never priced.  A table keeps only these prices and its
+metadata, and :meth:`InstructionCostTable.lookup` prices one operation
+as a report does.  Pricing a tally is an integer multiply-accumulate
 over its slots.  A report's :class:`BlockCost` records carry each cycle
 count as an integer numerator over the table's denominator, so renderers
 format exact decimals from integers; ``cycles`` and ``cycles_per_bit``
@@ -93,30 +95,23 @@ def _compile(entries: Mapping[OpKey, CostEntry], source: str,
 
 
 class InstructionCostTable:
-    """Lookup table from (kind, class) to micro-ops and cycles, compiled
+    """Micro-ops and cycles per (kind, class), compiled from ``entries``
     when built; a table with a negative cycles entry is refused then.  The
     operand location is not a key: a CSV row's ``operand_location`` must
     equal the one its class implies (:data:`LOCATION_BY_CLASS`), and
     :func:`parse_cost_table` rejects any other row."""
 
-    __slots__ = ("entries", "source", "date", "_kernel")
+    __slots__ = ("source", "date", "_kernel")
 
     def __init__(self, entries: Mapping[OpKey, CostEntry], source: str = "",
                  date: str = ""):
-        self.entries = entries
         self.source = source
         self.date = date
         self._kernel = _compile(entries, source)
 
     def lookup(self, kind: OpKind, cls: DataClass) -> CostEntry:
-        try:
-            return self.entries[(kind, cls)]
-        except KeyError:
-            raise CoverageError(
-                f"no cost entry for op_kind={kind.value} "
-                f"data_class={cls.value} "
-                f"operand_location={LOCATION_BY_CLASS[cls]} "
-                f"(table source: {self.source or 'unknown'})") from None
+        """One operation priced as a report prices it (a FLOP as ADD + MUL)."""
+        return cycles_for(OperationTally({(kind, cls): 1}), self)
 
 
 _HEADER = ["op_kind", "data_class", "operand_location", "micro_ops", "cycles"]
@@ -247,8 +242,13 @@ def _price(tallies: Iterable[OperationTally], table: InstructionCostTable,
             # Name the first absent key in expanded (kind, class) order:
             # parts ascend within a slot, so that is the smallest
             # first-lacking part.
-            table.lookup(*SLOT_KEYS[min(missing[slot] for slot in counts
-                                        if slot in missing)])
+            kind, cls = SLOT_KEYS[min(missing[slot] for slot in counts
+                                      if slot in missing)]
+            raise CoverageError(
+                f"no cost entry for op_kind={kind.value} "
+                f"data_class={cls.value} "
+                f"operand_location={LOCATION_BY_CLASS[cls]} "
+                f"(table source: {table.source or 'unknown'})")
         micro_ops = cycles = 0
         for slot, n in counts.items():
             micro_ops += n * micro_ops_of[slot]

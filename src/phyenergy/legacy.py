@@ -181,7 +181,7 @@ def _non_negative(conv: Converter) -> Converter:
 
 
 _as_count = _non_negative(as_int)      # chains, sectors, beams, antennas
-_as_power = _non_negative(as_float)
+_as_amount = _non_negative(as_float)    # W, J, MHz and GOPS
 
 
 def _as_flag(label: str, value: Any) -> bool:
@@ -191,8 +191,8 @@ def _as_flag(label: str, value: Any) -> bool:
 
 
 _carrier = record(ComponentCarrier,
-                  {"p_tx_w": as_float, "bandwidth_mhz": as_float,
-                   "p_cp_var_w_per_mhz": as_float}, {})
+                  {"p_tx_w": _as_amount, "bandwidth_mhz": _as_amount,
+                   "p_cp_var_w_per_mhz": _as_amount}, {})
 
 
 def _as_carriers(label: str, value: Any) -> tuple[ComponentCarrier, ...]:
@@ -203,43 +203,43 @@ def _as_carriers(label: str, value: Any) -> tuple[ComponentCarrier, ...]:
 _fu_params = record(
     FuParams, {"rho_gops_per_w": as_float},
     {"bb": record(FuBasebandUnit,
-                  {"l_beams": _as_count, "q_enc_gops": as_float,
-                   "q_net_gops": as_float, "q_ctrl_gops": as_float}, {}),
+                  {"l_beams": _as_count, "q_enc_gops": _as_amount,
+                   "q_net_gops": _as_amount, "q_ctrl_gops": _as_amount}, {}),
      "rf": record(FuRfChain,
-                  {"m_antennas": _as_count, "q_mod_gops": as_float,
-                   "q_mix_gops": as_float, "q_vga_gops": as_float,
-                   "q_lna_gops": as_float, "q_adc_gops": as_float,
-                   "q_clk_gops": as_float}, {})})
+                  {"m_antennas": _as_count, "q_mod_gops": _as_amount,
+                   "q_mix_gops": _as_amount, "q_vga_gops": _as_amount,
+                   "q_lna_gops": _as_amount, "q_adc_gops": _as_amount,
+                   "q_clk_gops": _as_amount}, {})})
 
 # model name -> (context, loader, evaluator, unit); the loader reads the
 # parameter mapping under the context, which fu-bb and fu-rf share.
 MODELS: dict[str, tuple] = {
     "auer": ("auer",
              record(AuerParams,
-                    {"n_trx": _as_count, "p0_w": _as_power,
-                     "delta_p": as_float, "p_out_w": _as_power,
-                     "p_max_w": _as_power, "p_sleep_w": _as_power}, {}),
+                    {"n_trx": _as_count, "p0_w": _as_amount,
+                     "delta_p": as_float, "p_out_w": _as_amount,
+                     "p_max_w": _as_amount, "p_sleep_w": _as_amount}, {}),
              auer_power, "W"),
     "desset": ("desset",
                record(DessetComponents,
-                      {"p_bbu_w": as_float, "p_rf_w": as_float,
-                       "p_pa_w": as_float, "p_oh_w": as_float}, {}),
+                      {"p_bbu_w": _as_amount, "p_rf_w": _as_amount,
+                       "p_pa_w": _as_amount, "p_oh_w": _as_amount}, {}),
                desset_power, "W"),
     "yan": ("yan",
             record(YanSegments,
-                   {"e_ue_j": as_float, "e_bs_j": as_float,
-                    "e_wireline_j": as_float, "e_dc_j": as_float}, {}),
+                   {"e_ue_j": _as_amount, "e_bs_j": _as_amount,
+                    "e_wireline_j": _as_amount, "e_dc_j": _as_amount}, {}),
             yan_energy, "J"),
     # A missing carrier list means no carriers.
     "yu": ("yu",
            record(partial(YuParams, carriers=()),
-                  {"p_cp_static_w": as_float}, {"carriers": _as_carriers}),
+                  {"p_cp_static_w": _as_amount}, {"carriers": _as_carriers}),
            yu_power, "W"),
     "tombaz": ("tombaz",
                record(TombazParams,
-                      {"n_sectors": _as_count, "p_tx_sector_w": as_float,
+                      {"n_sectors": _as_count, "p_tx_sector_w": _as_amount,
                        "eta_pa": as_float, "n_rf_chains": _as_count,
-                       "p_c_w": as_float, "p_b_w": as_float},
+                       "p_c_w": _as_amount, "p_b_w": _as_amount},
                       {"dtx_enabled": _as_flag, "delta": as_float}),
                tombaz_power, "W"),
     "fu-bb": ("fu", _fu_params, fu_bb_power, "W"),

@@ -253,13 +253,16 @@ def energy_per_cycle(kappa: float, clock_hz: float) -> float:
 # The messages of validate's range rules, in its order and one per flag; the
 # energy rule's is empty, as validate lists the one energy_per_cycle raises.
 _RANGE_MESSAGES = (*(f"{name} must be >= 1" for name in _INT_FIELDS[:7]),
-    f"n_prb must be <= {MAX_PRB}", "scs_khz not one of 15, 30, 60, 120",
+    f"n_prb must be <= {MAX_PRB}",
+    f"scs_khz not one of {', '.join(map(str, SUPPORTED_SCS_KHZ))}",
     "code_rate out of range (numerator must be in 1..1023)",
     "n_layers exceeds min(n_tx,n_rx)", "n_ports must be >= n_layers",
-    "snr_db must be finite", "", "pilot_sc_per_prb must be in 1..12",
-    "pilot_symbols_per_slot must be in 0..13", "tbs_override must be >= 0",
-    "rx_fft_antennas must be >= 1", "decode.deg_cn must be >= 1",
-    "decode.deg_vn must be >= 1", "decode.iterations must be >= 0")
+    "snr_db must be finite", "",
+    f"pilot_sc_per_prb must be in 1..{SC_PER_PRB}",
+    f"pilot_symbols_per_slot must be in 0..{SYMBOLS_PER_SLOT - 1}",
+    "tbs_override must be >= 0", "rx_fft_antennas must be >= 1",
+    "decode.deg_cn must be >= 1", "decode.deg_vn must be >= 1",
+    "decode.iterations must be >= 0")
 
 
 def validate(s: Scenario) -> list[str]:
@@ -307,8 +310,9 @@ def derive(s: Scenario) -> DerivedParams:
     ``n_re``.  TS 38.211 splits 5-8 layers over two codewords; the model
     keeps one codeword for any layer count, as a modelling choice.
 
-    Raises ConfigError when the scenario fails :func:`validate` or the
-    pilot configuration leaves no data resource elements.
+    Raises ConfigError with :func:`validate`'s problems, and nothing else:
+    under its ranges ``n_re >= SC_PER_PRB * n_prb``, and a code block holds
+    under ``MAX_CB_BITS[bg] == info_cols * LIFTING_SIZES[-1]`` bits.
     """
     problems = validate(s)
     if problems:
@@ -321,8 +325,6 @@ def derive(s: Scenario) -> DerivedParams:
     n_fft = _fft_size(n_f)
     k_p = s.pilot_sc_per_prb * s.n_prb
     n_re = n_f * g - k_p * s.pilot_symbols_per_slot
-    if n_re <= 0:
-        raise ConfigError("pilot configuration leaves no data resource elements")
 
     n_symbols = n_re * v            # single codeword carries every layer
     m_cw = n_symbols * qm
@@ -345,11 +347,7 @@ def derive(s: Scenario) -> DerivedParams:
 
     info_cols = BASE_GRAPHS[bg].info_cols
     # Smallest lifting size with info_cols * z * c >= b, kept in integers.
-    index = bisect_left(LIFTING_SIZES, -(-b // (info_cols * c)))
-    if index == len(LIFTING_SIZES):
-        raise ConfigError(
-            f"no lifting size fits {b} bits in {c} code blocks on graph {bg}")
-    z = LIFTING_SIZES[index]
+    z = LIFTING_SIZES[bisect_left(LIFTING_SIZES, -(-b // (info_cols * c)))]
     k = info_cols * z
     # Coded length: every column but the two punctured systematic ones.
     n_ccb = (BASE_GRAPHS[bg].cols - 2) * z

@@ -23,3 +23,19 @@ def test_summary_gives_quartiles_ratio_and_pairs_won():
     assert one["parent"] == (2.0, 2.0, 2.0)
     assert one["ratio"] == pytest.approx(1.5)
     assert one["won"] == 0
+    assert (one["worse"], one["past_bound"]) == (None, False)   # no bound
+
+
+@pytest.mark.parametrize("better, change, worse, past", [
+    ("higher", [19.0, 19.0, 19.0], 0.05, False),
+    ("higher", [14.0, 14.0, 14.0], 0.3, True),
+    ("lower", [21.0, 21.0, 21.0], 0.05, False),
+    ("lower", [26.0, 26.0, 26.0], 0.3, True),
+    ("lower", [18.0, 18.0, 18.0], -0.1, False),
+], ids=["higher-inside", "higher-past", "lower-inside", "lower-past",
+        "lower-better"])
+def test_summary_measures_the_worse_direction_against_the_bound(
+        better, change, worse, past):
+    s = bench_pairs.summarize([20.0, 20.0, 20.0], change, better, 0.25)
+    assert s["worse"] == pytest.approx(worse)
+    assert s["past_bound"] is past

@@ -766,6 +766,22 @@ def test_legacy_never_prints_non_finite_or_a_traceback(
     assert err.startswith(f"error[{error_code}]:")
 
 
+@pytest.mark.parametrize("model, params, replacement, problem", [
+    ("desset", "desset.yaml", ("p_bbu_w: 30.0", "p_bbu_w: -30"),
+     "desset.p_bbu_w must be >= 0"),
+    ("tombaz", "tombaz.yaml", ("p_c_w: 1.0", "p_c_w: -100"),
+     "tombaz.p_c_w must be >= 0"),
+])
+def test_legacy_refuses_a_negative_power(capsys, tmp_path, model, params,
+                                         replacement, problem):
+    path = tmp_path / params
+    path.write_text((CONFIGS / params).read_text().replace(*replacement))
+    assert replacement[1] in path.read_text()
+    code, out, err = run(capsys, "legacy", "--model", model,
+                         "--params", str(path))
+    assert (code, out, err) == (1, "", f"error[config]: {path}: {problem}\n")
+
+
 def test_legacy_missing_params_file(capsys):
     code, _, err = run(capsys, "legacy", "--model", "auer",
                        "--params", "/no/params.yaml")

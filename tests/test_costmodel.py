@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from conftest import make_table, reference_scenario
 
 import phyenergy
-from phyenergy.costmodel import (BlockCost, CostEntry, EnergyParams,
-                                 EnergyReport, InstructionCostTable,
-                                 build_report, cycles_for, expand_flops,
-                                 load_cost_table, load_default_cost_table,
-                                 parse_cost_table)
+from phyenergy.costmodel import (LOCATION_BY_CLASS, BlockCost, CostEntry,
+                                 EnergyParams, EnergyReport,
+                                 InstructionCostTable, build_report,
+                                 cycles_for, expand_flops, load_cost_table,
+                                 load_default_cost_table, parse_cost_table)
 from phyenergy.errors import ConfigError, CostTableError, CoverageError
 from phyenergy.opcount import (BlockId, DataClass, OpKind, OperationTally,
                                PipelineTallies, tally_pipeline)
@@ -20,6 +20,7 @@ from phyenergy.scenario import DerivedParams, derive, energy_per_cycle
 from test_opcount import _valid_scenarios
 
 DS = DataClass.DOUBLE_SCALAR
+_ALL_KEYS = [(kind, cls) for kind in OpKind for cls in DataClass]
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +67,9 @@ def test_parse_requires_header():
 def test_parse_accepts_only_the_implied_location(cls, location):
     row = f"ADD,{cls.value},{{}},2,3\n"
     table = parse_cost_table(_HEADER + row.format(location), source="t")
-    assert table.entries == {(OpKind.ADD, cls): CostEntry(2, Fraction(3))}
+    assert table.lookup(OpKind.ADD, cls) == CostEntry(2, Fraction(3))
+    with pytest.raises(CoverageError):
+        table.lookup(OpKind.MUL, cls)
     for other in sorted({"register", "mmx", "xmm", "memory"} - {location}):
         with pytest.raises(CostTableError) as exc:
             parse_cost_table(_HEADER + row.format(other), source="t")
@@ -158,7 +161,8 @@ def test_default_table_is_the_bundled_file():
     bundled = load_default_cost_table()
     table = load_cost_table(Path(phyenergy.__file__).parent / "data"
                             / "cost_table.csv")
-    assert (bundled.entries, bundled.date) == (table.entries, table.date)
+    assert ([bundled.lookup(*key) for key in _ALL_KEYS], bundled.date) == (
+        [table.lookup(*key) for key in _ALL_KEYS], table.date)
     assert bundled.source == table.source
     assert bundled.source.startswith("bundled default, ")
 
@@ -234,16 +238,18 @@ def test_cycle_costs_are_homogeneous_in_the_table(scale):
 # The compiled kernel against a plain Fraction sum
 
 
-_ALL_KEYS = [(kind, cls) for kind in OpKind for cls in DataClass]
-
-
-def _fraction_oracle(tally, table):
-    """expand_flops + lookup + Fraction sum: the kernel's reference."""
+def _fraction_oracle(tally, rows):
+    """expand_flops, the rows a table is built from and a Fraction sum: the
+    kernel's reference (``lookup`` itself prices through the kernel)."""
     micro_ops, cycles = 0, Fraction(0)
     for (kind, cls), n in expand_flops(tally).items():
-        entry = table.lookup(kind, cls)
-        micro_ops += n * entry.micro_ops
-        cycles += n * entry.cycles
+        if (kind, cls) not in rows:
+            raise CoverageError(
+                f"no cost entry for op_kind={kind.value} "
+                f"data_class={cls.value} operand_location="
+                f"{LOCATION_BY_CLASS[cls]} (table source: random)")
+        micro_ops += n * rows[(kind, cls)].micro_ops
+        cycles += n * rows[(kind, cls)].cycles
     return micro_ops, cycles
 
 
@@ -261,12 +267,12 @@ _entry_st = st.builds(
 
 
 @st.composite
-def _random_table(draw, max_missing):
+def _random_rows(draw, max_missing):
     entries = {key: draw(_entry_st) for key in _ALL_KEYS}
     for key in draw(st.sets(st.sampled_from(_ALL_KEYS),
                             max_size=max_missing)):
         del entries[key]
-    return InstructionCostTable(entries=entries, source="random")
+    return entries
 
 
 _big_tally_st = st.dictionaries(
@@ -279,22 +285,22 @@ _big_tally_st = st.dictionaries(
 _NO_EXPLAIN = [phase for phase in Phase if phase is not Phase.explain]
 
 
-@given(tally=_big_tally_st, table=_random_table(max_missing=0))
+@given(tally=_big_tally_st, rows=_random_rows(max_missing=0))
 @settings(max_examples=150, deadline=None, phases=_NO_EXPLAIN)
-def test_cycles_for_matches_fraction_oracle(tally, table):
-    totals = cycles_for(tally, table)
-    assert (totals.micro_ops, totals.cycles) == _fraction_oracle(tally, table)
+def test_cycles_for_matches_fraction_oracle(tally, rows):
+    totals = cycles_for(tally, InstructionCostTable(rows, source="random"))
+    assert (totals.micro_ops, totals.cycles) == _fraction_oracle(tally, rows)
     assert type(totals.cycles) is Fraction
 
 
-@given(tally=_big_tally_st, table=_random_table(max_missing=6))
+@given(tally=_big_tally_st, rows=_random_rows(max_missing=6))
 @settings(max_examples=150, deadline=None, phases=_NO_EXPLAIN)
-def test_cycles_for_fails_like_the_oracle_on_partial_tables(tally, table):
+def test_cycles_for_fails_like_the_oracle_on_partial_tables(tally, rows):
     def kernel():
-        totals = cycles_for(tally, table)
+        totals = cycles_for(tally, InstructionCostTable(rows, source="random"))
         return totals.micro_ops, totals.cycles
     assert (_outcome(kernel)
-            == _outcome(lambda: _fraction_oracle(tally, table)))
+            == _outcome(lambda: _fraction_oracle(tally, rows)))
 
 
 def test_coverage_error_for_a_missing_plain_entry():
@@ -323,13 +329,39 @@ def test_coverage_error_for_a_flop_without_its_mul_row():
         "operand_location=register (table source: tiny)")
 
 
-def test_bundled_flop_rows_are_add_plus_mul():
+def _add_plus_mul(table, cls):
+    add, mul = (table.lookup(kind, cls) for kind in (OpKind.ADD, OpKind.MUL))
+    return CostEntry(add.micro_ops + mul.micro_ops, add.cycles + mul.cycles)
+
+
+def test_bundled_table_prices_a_flop_from_its_add_and_mul_rows():
+    text = (Path(phyenergy.__file__).parent / "data"
+            / "cost_table.csv").read_text()
+    assert [line for line in text.splitlines()
+            if line.startswith("FLOP,")] == []
     table = load_default_cost_table()
+    assert table._kernel[2] == 12       # the compiled cycles denominator
     for cls in DataClass:
-        flop, add, mul = (table.lookup(kind, cls)
-                          for kind in (OpKind.FLOP, OpKind.ADD, OpKind.MUL))
-        assert flop.micro_ops == add.micro_ops + mul.micro_ops, cls
-        assert flop.cycles == add.cycles + mul.cycles, cls
+        assert table.lookup(OpKind.FLOP, cls) == _add_plus_mul(table, cls)
+
+
+_plain_entries_st = st.fixed_dictionaries(
+    {key: _entry_st for key in _ALL_KEYS if key[0] is not OpKind.FLOP})
+_flop_rows_st = st.dictionaries(
+    st.sampled_from(list(DataClass)), _entry_st, min_size=1).map(
+        lambda rows: {(OpKind.FLOP, cls): row for cls, row in rows.items()})
+
+
+@given(plain=_plain_entries_st, flop_rows=_flop_rows_st, tally=_big_tally_st)
+@settings(max_examples=100, deadline=None, phases=_NO_EXPLAIN)
+def test_a_flop_row_is_never_priced(plain, flop_rows, tally):
+    """Whatever a table's FLOP rows hold, a FLOP costs its class's ADD plus
+    MUL, and no price changes from the same table without them."""
+    without = InstructionCostTable(entries=plain, source="t")
+    table = InstructionCostTable(entries={**plain, **flop_rows}, source="t")
+    for cls in DataClass:
+        assert table.lookup(OpKind.FLOP, cls) == _add_plus_mul(table, cls)
+    assert cycles_for(tally, table) == cycles_for(tally, without)
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +426,10 @@ def test_report_energy_scales_with_kappa(uniform_table):
 
 def test_report_carries_table_metadata():
     tallies = tally_pipeline(reference_scenario())
+    uniform = make_table()
     table = InstructionCostTable(
-        entries=make_table().entries, source="alpha", date="2025-12")
+        entries={key: uniform.lookup(*key) for key in _ALL_KEYS},
+        source="alpha", date="2025-12")
     report = build_report(tallies, table,
                           EnergyParams(kappa=1e-25, clock_hz=2.1e9))
     assert report.table_source == "alpha"
@@ -415,7 +449,8 @@ def test_a_table_with_negative_cycles_cannot_price():
     """Reports check only the total's energy for the float range, which
     covers every block because table cycles are non-negative; a table built
     in code with a negative entry is refused when compiled."""
-    entries = dict(make_table().entries)
+    uniform = make_table()
+    entries = {key: uniform.lookup(*key) for key in _ALL_KEYS}
     entries[(OpKind.ADD, DS)] = CostEntry(micro_ops=1, cycles=Fraction(-1))
     with pytest.raises(CostTableError, match="negative: cycles must be >= 0"):
         table = InstructionCostTable(entries=entries, source="negative")
@@ -446,8 +481,8 @@ def test_cycles_exponents_near_the_bound(cycles, value):
         with pytest.raises(CostTableError, match=value):
             parse_cost_table(text, source="t")
     else:
-        entry = parse_cost_table(text, source="t").entries[
-            (OpKind.ADD, DataClass.DOUBLE_SCALAR)]
+        entry = parse_cost_table(text, source="t").lookup(
+            OpKind.ADD, DataClass.DOUBLE_SCALAR)
         assert entry.cycles == value
 
 

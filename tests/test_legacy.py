@@ -1,4 +1,7 @@
+from pathlib import Path
+
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -257,6 +260,46 @@ def test_tombaz_loader_handles_optional_flags():
     assert value == pytest.approx(12.0, rel=1e-12)
     with pytest.raises(ConfigError, match="true/false"):
         evaluate_model("tombaz", {**mapping, "dtx_enabled": "yes"})
+
+
+_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# Every W, J, MHz and GOPS field, as (model, parameter file, path to the
+# field, the label its error names).
+_AMOUNTS = [
+    *(("auer", "auer.yaml", (f,), f"auer.{f}")
+      for f in ("p0_w", "p_out_w", "p_max_w", "p_sleep_w")),
+    *(("desset", "desset.yaml", (f,), f"desset.{f}")
+      for f in ("p_bbu_w", "p_rf_w", "p_pa_w", "p_oh_w")),
+    *(("yan", "yan.yaml", (f,), f"yan.{f}")
+      for f in ("e_ue_j", "e_bs_j", "e_wireline_j", "e_dc_j")),
+    ("yu", "yu.yaml", ("p_cp_static_w",), "yu.p_cp_static_w"),
+    *(("yu", "yu.yaml", ("carriers", 0, f), f"yu.carriers[0].{f}")
+      for f in ("p_tx_w", "bandwidth_mhz", "p_cp_var_w_per_mhz")),
+    *(("tombaz", "tombaz.yaml", (f,), f"tombaz.{f}")
+      for f in ("p_tx_sector_w", "p_c_w", "p_b_w")),
+    *(("fu-bb", "fu.yaml", ("bb", f), f"fu.bb.{f}")
+      for f in ("q_enc_gops", "q_net_gops", "q_ctrl_gops")),
+    *(("fu-rf", "fu.yaml", ("rf", f), f"fu.rf.{f}")
+      for f in ("q_mod_gops", "q_mix_gops", "q_vga_gops", "q_lna_gops",
+                "q_adc_gops", "q_clk_gops")),
+]
+
+
+@pytest.mark.parametrize("model, params, path, label", _AMOUNTS,
+                         ids=[case[3] for case in _AMOUNTS])
+def test_every_power_energy_bandwidth_and_workload_is_non_negative(
+        model, params, path, label):
+    mapping = yaml.safe_load((_CONFIGS / params).read_text())
+    evaluate_model(model, mapping)
+    *parents, name = path
+    field = mapping
+    for key in parents:
+        field = field[key]
+    field[name] = -1.5
+    with pytest.raises(ConfigError) as exc:
+        evaluate_model(model, mapping)
+    assert str(exc.value) == f"{label} must be >= 0"
 
 
 def test_model_registry_names():

@@ -17,7 +17,8 @@ from phyenergy.errors import ConfigError, DomainError
 from phyenergy.ingest import load_filter_config
 from phyenergy.legacy import evaluate_model
 from phyenergy.opcount import tally_pipeline
-from phyenergy.scenario import (_INT_FIELDS, LIFTING_SIZES, DecodeConfig,
+from phyenergy.scenario import (_INT_FIELDS, BASE_GRAPHS, LIFTING_SIZES,
+                                MAX_CB_BITS, SC_PER_PRB, DecodeConfig,
                                 Modulation, _as_scenario, base_graph_id,
                                 derive, energy_per_cycle, is_int,
                                 load_scenario, parse_modulation,
@@ -734,6 +735,32 @@ def test_maximal_pilot_budget_still_leaves_data():
     d = derive(reference_scenario(pilot_sc_per_prb=12,
                                   pilot_symbols_per_slot=13, n_prb=1))
     assert d.n_re == 12
+
+
+def test_the_largest_code_block_fills_the_largest_lifting_size():
+    for bg in (1, 2):
+        assert MAX_CB_BITS[bg] == BASE_GRAPHS[bg].info_cols * LIFTING_SIZES[-1]
+
+
+@given(s=_valid_scenarios())
+@example(s=reference_scenario(pilot_sc_per_prb=12, pilot_symbols_per_slot=13,
+                              n_prb=1))
+@example(s=reference_scenario(tbs_override=0))
+@example(s=reference_scenario(tbs_override=3824))     # graph 2, two blocks
+@example(s=reference_scenario(tbs_override=3825))     # graph 1, one block
+@example(s=reference_scenario(tbs_override=8424))     # graph 1, full block
+@example(s=reference_scenario(tbs_override=8425))     # graph 1, two blocks
+@example(s=reference_scenario(tbs_override=200_000, code_rate=200))  # graph 2
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_validate_leaves_derive_nothing_to_check(s):
+    """Under validate's ranges every subcarrier keeps a data resource
+    element, and some lifting size fits each code block, so derive raises
+    nothing validate does not list."""
+    d = derive(s)
+    assert d.n_re >= SC_PER_PRB * s.n_prb
+    needed = -(-d.b // (BASE_GRAPHS[d.bg].info_cols * d.c))
+    assert needed <= d.z <= LIFTING_SIZES[-1]
+    assert d.k * d.c >= d.b
 
 
 def test_pilot_bounds_validated():
