@@ -467,6 +467,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error[io]: {exc}", file=sys.stderr)
         return 1
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

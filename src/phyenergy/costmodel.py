@@ -10,18 +10,18 @@ table row's ``operand_location`` must be the one its class implies;
 
 Each table is compiled once, when it is built, into per-slot integer
 vectors indexed like :data:`~phyenergy.opcount.SLOT_KEYS`: micro-ops,
-and cycle numerators over one common denominator (the lcm of the
-table's cycle denominators).  A slot is priced as the sum of its parts
-(:data:`~phyenergy.opcount.PART_SLOTS`), so a FLOP costs one addition
-plus one multiplication of its class and a table's own FLOP rows are
-checked but never priced.  A table keeps only these prices and its
-metadata, and :meth:`InstructionCostTable.lookup` prices one operation
-as a report does.  Pricing a tally is an integer multiply-accumulate
-over its slots.  A report's :class:`BlockCost` records carry each cycle
-count as an integer numerator over the table's denominator, so renderers
-format exact decimals from integers; ``cycles`` and ``cycles_per_bit``
-build the exact rationals only when asked for, and floats appear only
-as energies (cycles times the report's ``epsilon``, which
+and cycle numerators over one common denominator (the lcm of the cycle
+denominators of the rows that can be priced).  A slot is priced as the
+sum of its parts (:data:`~phyenergy.opcount.PART_SLOTS`), so a FLOP
+costs one addition plus one multiplication of its class and a table's
+own FLOP rows are checked but never priced.  A table keeps only these
+prices and its metadata, and :meth:`InstructionCostTable.lookup` prices
+one operation as a report does.  Pricing a tally is an integer
+multiply-accumulate over its slots.  A report's :class:`BlockCost`
+records carry each cycle count as an integer numerator over the table's
+denominator, so renderers format exact decimals from integers; ``cycles``
+and ``cycles_per_bit`` build the exact rationals only when asked for, and
+floats appear only as energies (cycles times the report's ``epsilon``, which
 :func:`~phyenergy.scenario.energy_per_cycle` gives) and in rendered reports.
 
 Cost-table text, the bundled table's included, is read and split into
@@ -75,9 +75,13 @@ def _compile(entries: Mapping[OpKey, CostEntry], source: str,
     to the first of its parts that has no table entry.  Cycles must be
     non-negative (as :func:`parse_cost_table` ensures), so that no block of
     a report costs more than the total."""
-    priced = {SLOT_INDEX[key]: entry for key, entry in entries.items()}
-    if any(entry.cycles < 0 for entry in priced.values()):
+    if any(entry.cycles < 0 for entry in entries.values()):
         raise CostTableError(f"{source or 'cost table'}: cycles must be >= 0")
+    # Only the rows that can be a part are ever priced (a table's FLOP rows
+    # are not), so only they set the denominator.
+    parts = {part for slot_parts in PART_SLOTS for part in slot_parts}
+    priced = {SLOT_INDEX[key]: entry for key, entry in entries.items()
+              if SLOT_INDEX[key] in parts}
     den = math.lcm(*[e.cycles.denominator for e in priced.values()])
     scaled = {slot: e.cycles.numerator * (den // e.cycles.denominator)
               for slot, e in priced.items()}

@@ -22,7 +22,7 @@ class AuerParams(NamedTuple):
 
     n_trx: int          # transceiver chains
     p0_w: float         # per-chain power at minimum non-zero load
-    delta_p: float      # load slope (dimensionless)
+    delta_p: float      # load slope (dimensionless, >= 0)
     p_out_w: float      # radiated output power
     p_max_w: float      # maximum radiated power
     p_sleep_w: float    # per-chain sleep power
@@ -181,7 +181,7 @@ def _non_negative(conv: Converter) -> Converter:
 
 
 _as_count = _non_negative(as_int)      # chains, sectors, beams, antennas
-_as_amount = _non_negative(as_float)    # W, J, MHz and GOPS
+_as_amount = _non_negative(as_float)    # W, J, MHz, GOPS; auer slope
 
 
 def _as_flag(label: str, value: Any) -> bool:
@@ -217,7 +217,7 @@ MODELS: dict[str, tuple] = {
     "auer": ("auer",
              record(AuerParams,
                     {"n_trx": _as_count, "p0_w": _as_amount,
-                     "delta_p": as_float, "p_out_w": _as_amount,
+                     "delta_p": _as_amount, "p_out_w": _as_amount,
                      "p_max_w": _as_amount, "p_sleep_w": _as_amount}, {}),
              auer_power, "W"),
     "desset": ("desset",

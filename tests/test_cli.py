@@ -771,6 +771,9 @@ def test_legacy_never_prints_non_finite_or_a_traceback(
      "desset.p_bbu_w must be >= 0"),
     ("tombaz", "tombaz.yaml", ("p_c_w: 1.0", "p_c_w: -100"),
      "tombaz.p_c_w must be >= 0"),
+    # a negative slope would make more radiated power cost less input
+    ("auer", "auer.yaml", ("delta_p: 3.0", "delta_p: -10.0"),
+     "auer.delta_p must be >= 0"),
 ])
 def test_legacy_refuses_a_negative_power(capsys, tmp_path, model, params,
                                          replacement, problem):

@@ -345,6 +345,22 @@ def test_bundled_table_prices_a_flop_from_its_add_and_mul_rows():
         assert table.lookup(OpKind.FLOP, cls) == _add_plus_mul(table, cls)
 
 
+def test_a_flop_row_does_not_set_the_denominator():
+    """The denominator is taken over the rows that can be priced: the
+    bundled table plus a FLOP row of 1/7 cycles still compiles over 12 (not
+    84), and prices the reference pipeline block for block as the bundled
+    table does."""
+    path = Path(phyenergy.__file__).parent / "data" / "cost_table.csv"
+    table = parse_cost_table(path.read_text() + "FLOP,struct,memory,1,1/7\n")
+    assert table._kernel[2] == 12
+    tallies = tally_pipeline(reference_scenario())
+    energy = EnergyParams(kappa=1e-25, clock_hz=2.1e9)
+    with_flop, bundled = (build_report(tallies, t, energy)
+                          for t in (table, load_default_cost_table()))
+    assert with_flop.per_block == bundled.per_block
+    assert with_flop.total == bundled.total
+
+
 _plain_entries_st = st.fixed_dictionaries(
     {key: _entry_st for key in _ALL_KEYS if key[0] is not OpKind.FLOP})
 _flop_rows_st = st.dictionaries(

@@ -264,11 +264,11 @@ def test_tombaz_loader_handles_optional_flags():
 
 _CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-# Every W, J, MHz and GOPS field, as (model, parameter file, path to the
-# field, the label its error names).
+# Every W, J, MHz and GOPS field, and auer's load slope, as (model,
+# parameter file, path to the field, the label its error names).
 _AMOUNTS = [
     *(("auer", "auer.yaml", (f,), f"auer.{f}")
-      for f in ("p0_w", "p_out_w", "p_max_w", "p_sleep_w")),
+      for f in ("p0_w", "delta_p", "p_out_w", "p_max_w", "p_sleep_w")),
     *(("desset", "desset.yaml", (f,), f"desset.{f}")
       for f in ("p_bbu_w", "p_rf_w", "p_pa_w", "p_oh_w")),
     *(("yan", "yan.yaml", (f,), f"yan.{f}")
