@@ -3,6 +3,7 @@
 
 usage: bench_pairs.py PARENT CHANGE --workload W --seed S --seconds T
                       --pairs N [--trace {0,1}]
+       bench_pairs.py PARENT CHANGE --setup-probes N
 
 Each run is one ``perfbench/run.py`` process, started in the root of its
 checkout; runs go one at a time, and the side that runs first alternates
@@ -17,12 +18,23 @@ better.  An end-to-end metric also shows the regression gate: how much
 worse the change's median is than the parent's, relative to the parent's
 (negative when it is better), next to the metric's ``bound``, marked
 ``> bound`` when it passes it.  Per-layer metrics have no bound, and show
-``-``.  Standard library only.
+``-``.
+
+With ``--setup-probes N`` the script instead runs the set-up probe of
+CHANGE's ``perfbench/run.py`` (its ``SETUP_PROBE`` text) N times per side,
+each in a fresh interpreter started in the root of its checkout, with the
+side that runs first alternating.  Each side's probe runs in the
+environment perfbench gives its children: ``PYTHONPATH`` led by
+``<side>/src`` and no ``PHYENERGY_COST_TABLE``.  It prints the same
+summary for ``setup_s`` (with its bound) and ``import_s``: a single
+``setup_s`` reading is the median of nine probes, so a few benchmark
+pairs resolve it poorly.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import statistics
@@ -77,22 +89,102 @@ def run_once(root: str, args: argparse.Namespace) -> dict:
     return {name: entry["value"] for name, entry in result["metrics"].items()}
 
 
+def setup_probe(root: str) -> str:
+    """The ``SETUP_PROBE`` text of ``root``'s ``perfbench/run.py``."""
+    path = os.path.join(root, "perfbench", "run.py")
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read(), path)
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id == "SETUP_PROBE"):
+            return ast.literal_eval(node.value)
+    raise SystemExit(f"bench_pairs: {path} assigns no SETUP_PROBE")
+
+
+def probe_env(root: str) -> dict:
+    """perfbench's environment for a child of checkout ``root``: its
+    ``src`` first on ``PYTHONPATH``, and no ``PHYENERGY_COST_TABLE``."""
+    env = {k: v for k, v in os.environ.items() if k != "PHYENERGY_COST_TABLE"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.abspath(root), "src")]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    return env
+
+
+def probe_once(root: str, code: str) -> dict:
+    """One set-up probe in a fresh interpreter: its ``setup_s`` and
+    ``import_s``."""
+    done = subprocess.run([sys.executable, "-c", code], cwd=root,
+                          env=probe_env(root), capture_output=True,
+                          text=True, timeout=60)
+    if done.returncode:
+        sys.stderr.write(done.stdout + done.stderr)
+        print(f"bench_pairs: set-up probe in {root} failed: exit "
+              f"{done.returncode}", file=sys.stderr)
+        raise SystemExit(1)
+    result = json.loads(done.stdout.splitlines()[-1])
+    return {name: result[name] for name in ("setup_s", "import_s")}
+
+
+def print_summary(runs: dict[str, list[dict]], better: dict[str, str],
+                  bounds: dict[str, float | None]) -> None:
+    """One line per metric: :func:`summarize` over the pairs in ``runs``."""
+    print(f"{'metric':28s} {'better':6s} {'parent q1/median/q3':>32s}  "
+          f"{'change q1/median/q3':>32s}  {'ratio':>6s}  won    "
+          "worse / bound")
+    for name, direction in better.items():
+        s = summarize([run[name] for run in runs["parent"]],
+                      [run[name] for run in runs["change"]], direction,
+                      bounds.get(name))
+        sides = ["/".join(f"{v:.4g}" for v in s[side])
+                 for side in ("parent", "change")]
+        ratio = "-" if s["ratio"] is None else f"{s['ratio']:.3f}"
+        gate = "-" if s["worse"] is None else (
+            f"{s['worse']:+.1%} / {bounds[name]:.1%}"
+            + ("  > bound" if s["past_bound"] else ""))
+        won = f"{s['won']}/{s['pairs']}"
+        print(f"{name:28s} {direction:6s} {sides[0]:>32s}  {sides[1]:>32s}  "
+              f"{ratio:>6s}  {won:5s}  {gate}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent")
     parser.add_argument("change")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
-    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--workload")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--seconds", type=float)
+    parser.add_argument("--pairs", type=int)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--setup-probes", type=int, metavar="N")
     args = parser.parse_args()
-
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
-        declared = json.load(f)["per_layer" if args.trace else "end_to_end"]
+        contract = json.load(f)
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+
+    if args.setup_probes is not None:
+        bound = next(m.get("bound") for m in contract["end_to_end"]
+                     if m["name"] == "setup_s")
+        code = setup_probe(args.change)
+        for probe in range(args.setup_probes):
+            order = (("parent", "change") if probe % 2 == 0
+                     else ("change", "parent"))
+            for side in order:
+                runs[side].append(probe_once(getattr(args, side), code))
+        print(f"set-up probe, {args.setup_probes} alternating runs per side")
+        print_summary(runs, {"setup_s": "lower", "import_s": "lower"},
+                      {"setup_s": bound})
+        return 0
+
+    missing = [flag for flag in ("workload", "seed", "seconds", "pairs")
+               if getattr(args, flag) is None]
+    if missing:
+        parser.error("the following arguments are required: " + ", ".join(
+            f"--{flag}" for flag in missing) + " (or --setup-probes)")
+    declared = contract["per_layer" if args.trace else "end_to_end"]
     better = {m["name"]: m["better"] for m in declared}
     bounds = {m["name"]: m.get("bound") for m in declared}
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
@@ -103,22 +195,7 @@ def main() -> int:
 
     print(f"\n{args.workload} seed {args.seed}, {args.seconds:g} s, "
           f"{args.pairs} pairs, trace {args.trace}")
-    print(f"{'metric':28s} {'better':6s} {'parent q1/median/q3':>32s}  "
-          f"{'change q1/median/q3':>32s}  {'ratio':>6s}  won    "
-          "worse / bound")
-    for name, direction in better.items():
-        s = summarize([run[name] for run in runs["parent"]],
-                      [run[name] for run in runs["change"]], direction,
-                      bounds[name])
-        sides = ["/".join(f"{v:.4g}" for v in s[side])
-                 for side in ("parent", "change")]
-        ratio = "-" if s["ratio"] is None else f"{s['ratio']:.3f}"
-        gate = "-" if s["worse"] is None else (
-            f"{s['worse']:+.1%} / {bounds[name]:.1%}"
-            + ("  > bound" if s["past_bound"] else ""))
-        won = f"{s['won']}/{s['pairs']}"
-        print(f"{name:28s} {direction:6s} {sides[0]:>32s}  {sides[1]:>32s}  "
-              f"{ratio:>6s}  {won:5s}  {gate}")
+    print_summary(runs, better, bounds)
     return 0
 
 

@@ -14,7 +14,6 @@ The default instruction-cost table is the bundled one; the
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
@@ -26,6 +25,7 @@ from .errors import ConfigError, MeasurementError, PhyEnergyError, UsageError
 from .readers import echo, read_yaml, reject_long_digits, write_text
 
 if TYPE_CHECKING:
+    import argparse
     from fractions import Fraction
 
     from .costmodel import EnergyReport, InstructionCostTable
@@ -398,6 +398,7 @@ def cmd_legacy(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="phyenergy",
         description="Operation counting and energy estimation for a 5G NR "

@@ -6,6 +6,9 @@ bundled cost table included, and every file it writes goes out through
 messages and a report's ``source`` show it, as :func:`path_text` gives it.
 YAML files (scenarios, legacy parameters, filter configs) are read by
 :func:`read_yaml` through a converter, and any ConfigError names the file.
+PyYAML is imported by the first such read, not with this module, so a
+session that reads no YAML file does not load it.  A file nested deeper
+than :data:`YAML_DEPTH` is refused before it is composed.
 Mappings are checked by :func:`read_fields`, which hands each value to a
 converter such as :func:`as_int`; :func:`record` makes the converter that
 builds a record from a mapping.
@@ -42,11 +45,13 @@ import math
 import os
 from collections.abc import Hashable
 from itertools import repeat
-from typing import Any, Callable, Iterator, Mapping, Sequence, TypeVar
-
-import yaml
+from typing import (TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence,
+                    TypeVar)
 
 from .errors import ConfigError, PhyEnergyError
+
+if TYPE_CHECKING:
+    import yaml
 
 # Longest repr a message echoes; a longer value is shown by its length.
 ECHO_LIMIT = 60
@@ -135,10 +140,17 @@ class _UniqueKeys:
         super().flatten_mapping(node)
 
 
-# libyaml's parser when PyYAML was built with it, else the pure-Python one;
-# both construct the same safe types.
-_YAML_LOADER = type("Loader", (_UniqueKeys, getattr(
-    yaml, "CSafeLoader", yaml.SafeLoader)), {})
+# The loader read_yaml parses with, built on its first call, so that a
+# session which reads no YAML loads no PyYAML: libyaml's parser when PyYAML
+# was built with it, else the pure-Python one; both construct the same safe
+# types.
+_YAML_LOADER: type | None = None
+
+# The deepest nesting of mappings and sequences a YAML file may have; the
+# package's own files nest at most 3 levels.  Both composers recurse once
+# per level, libyaml's on the C stack, so a deeper file is refused before
+# it is composed.
+YAML_DEPTH = 32
 
 
 # Called as ``conv(label, value)``; ``label`` is the field's <context>.<key>.
@@ -149,10 +161,27 @@ def read_yaml(path: str | os.PathLike[str], what: str, convert: Converter,
               empty: Any = None) -> Any:
     """``convert(what, value)`` of a YAML file's value, or of ``empty`` for
     an empty file (an error when None); any ConfigError names the file."""
+    global _YAML_LOADER
+    import yaml
+    if _YAML_LOADER is None:
+        _YAML_LOADER = type("Loader", (_UniqueKeys, getattr(
+            yaml, "CSafeLoader", yaml.SafeLoader)), {})
     path = path_text(path)
     text = read_text(path, f"{what} file", ConfigError)
     try:
         try:
+            # Parse events come without recursion, and the walk stops at
+            # the first one past the cap.
+            depth = 0
+            for event in yaml.parse(text, Loader=_YAML_LOADER):
+                if isinstance(event, yaml.CollectionStartEvent):
+                    depth += 1
+                    if depth > YAML_DEPTH:
+                        raise ConfigError(
+                            f"nested deeper than {YAML_DEPTH} levels (line "
+                            f"{event.start_mark.line + 1})")
+                elif isinstance(event, yaml.CollectionEndEvent):
+                    depth -= 1
             value = yaml.load(text, Loader=_YAML_LOADER)
         # ValueError: a scalar the safe constructors reject, such as an
         # integer past Python's digit limit or a date like 2001-13-45.

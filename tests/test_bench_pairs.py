@@ -1,4 +1,5 @@
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
@@ -39,3 +40,35 @@ def test_summary_measures_the_worse_direction_against_the_bound(
     s = bench_pairs.summarize([20.0, 20.0, 20.0], change, better, 0.25)
     assert s["worse"] == pytest.approx(worse)
     assert s["past_bound"] is past
+
+
+def test_setup_probe_is_the_text_perfbench_runs():
+    root = _SCRIPT.parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", root / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    assert bench_pairs.setup_probe(str(root)) == run.SETUP_PROBE
+
+
+def test_setup_probe_reads_the_assignment_alone(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    run = tmp_path / "perfbench" / "run.py"
+    run.write_text('"""SETUP_PROBE = 1"""\nOTHER = "a"\n'
+                   'SETUP_PROBE = """\nprint(2)\n"""\n')
+    assert bench_pairs.setup_probe(str(tmp_path)) == "\nprint(2)\n"
+    run.write_text('OTHER = "a"\n')
+    with pytest.raises(SystemExit, match="assigns no SETUP_PROBE"):
+        bench_pairs.setup_probe(str(tmp_path))
+
+
+def test_probe_env_is_perfbenchs_child_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("PHYENERGY_COST_TABLE", "other.csv")
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    monkeypatch.syspath_prepend(str(_SCRIPT.parent.parent / "perfbench"))
+    import workloads
+    env = bench_pairs.probe_env(str(tmp_path))
+    assert env == workloads.child_env(tmp_path)
+    assert "PHYENERGY_COST_TABLE" not in env
+    assert env["PYTHONPATH"] == os.pathsep.join(
+        [str(tmp_path / "src"), "elsewhere"])

@@ -12,7 +12,10 @@ import contextlib
 import csv
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -320,6 +323,82 @@ def test_a_mapping_may_override_the_keys_it_merges(tmp_path, monkeypatch,
     path.write_text("<<: {n_prb: 3}\n" + REFERENCE_PATH.read_text())
     assert _run(["estimate", "--scenario", str(path)]) == _run(
         ["estimate", "--scenario", str(REFERENCE_PATH)])
+
+
+def test_a_loader_set_before_a_read_is_the_one_it_uses(monkeypatch):
+    """The seam the loader tests above rely on: ``read_yaml`` parses with
+    the class in ``readers._YAML_LOADER`` and leaves it in place."""
+    built = []
+
+    class Recording(readers._UniqueKeys, yaml.SafeLoader):
+        def __init__(self, stream):
+            built.append(stream)
+            super().__init__(stream)
+
+    monkeypatch.setattr(readers, "_YAML_LOADER", Recording)
+    assert readers.read_yaml(REFERENCE_PATH, "test",
+                             lambda _, value: value) == REFERENCE
+    assert built and set(built) == {REFERENCE_PATH.read_text()}
+    assert readers._YAML_LOADER is Recording
+
+
+def test_the_first_read_builds_the_default_loader(monkeypatch):
+    monkeypatch.setattr(readers, "_YAML_LOADER", None)
+    readers.read_yaml(REFERENCE_PATH, "test", lambda _, value: value)
+    assert issubclass(readers._YAML_LOADER, readers._UniqueKeys)
+    assert issubclass(readers._YAML_LOADER,
+                      getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+
+
+def _nested(kind: str, depth: int) -> str:
+    """A scenario file whose key ``x`` holds ``depth`` nested sequences
+    (``flow``) or mappings (``block``)."""
+    if kind == "flow":
+        value = " " + "[" * depth + "]" * depth
+    else:
+        value = "".join(f"\n{'  ' * level}y:" for level in range(1, depth))
+        value += f"\n{'  ' * depth}y: 1"
+    return "n_slots: 1\nx:" + value + "\n"
+
+
+@pytest.mark.parametrize("base", ["CSafeLoader", "SafeLoader"])
+@pytest.mark.parametrize("kind", ["flow", "block"])
+@pytest.mark.parametrize("depth", [readers.YAML_DEPTH - 1,
+                                   readers.YAML_DEPTH, 1000])
+def test_nesting_past_the_cap_is_a_config_error(tmp_path, monkeypatch, base,
+                                                kind, depth):
+    """A file nested deeper than ``YAML_DEPTH`` (``x`` adds one level to
+    ``depth``) fails as ``error[config]`` before it is composed, where the
+    pure-Python composer would raise RecursionError at 1000 levels; at the
+    cap it is read, and fails on its unknown key."""
+    _loader(monkeypatch, base)
+    path = tmp_path / "nested.yaml"
+    path.write_text(_nested(kind, depth))
+    code, out, err = _run(["estimate", "--scenario", str(path)])
+    assert (code, out) == (1, "")
+    if depth < readers.YAML_DEPTH:
+        assert err == f"error[config]: {path}: unknown scenario keys: x\n"
+    else:
+        line = 2 if kind == "flow" else readers.YAML_DEPTH + 2
+        assert err == (f"error[config]: {path}: nested deeper than "
+                       f"{readers.YAML_DEPTH} levels (line {line})\n")
+
+
+def test_a_deeply_nested_file_does_not_crash_the_process(tmp_path):
+    """60 000 nested sequences, which libyaml's composer recurses through
+    on the C stack until the process dies, in a child process."""
+    path = tmp_path / "nested.yaml"
+    path.write_text(_nested("flow", 60_000))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(readers.__file__).parent.parent),
+                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "phyenergy", "estimate",
+                           "--scenario", str(path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == (f"error[config]: {path}: nested deeper than "
+                           f"{readers.YAML_DEPTH} levels (line 2)\n")
 
 
 @pytest.mark.parametrize("rate", ["abc/1024", "490/abc", "4 9 0/1024"])

@@ -1,8 +1,9 @@
-"""Each CLI command imports only the package modules it runs.
+"""Each CLI command imports only the package modules it runs, and a
+library session loads neither PyYAML nor argparse.
 
 A cold ``phyenergy`` process spends most of its time starting up, so the
 import graph is pinned here: every case runs in a fresh interpreter and
-reports which ``phyenergy`` modules were loaded when it finished.
+reports which modules were loaded when it finished.
 """
 
 import ast
@@ -42,6 +43,23 @@ def _loaded_after(code: str) -> set:
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def _loaded_bare(code: str, names) -> list:
+    """Which of the modules ``names`` are loaded after running ``code`` in
+    a fresh ``python -S`` interpreter, so that no site hook imports one
+    first, with this checkout's package and PyYAML's directory on the
+    path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([
+        str(Path(phyenergy.__file__).parent.parent),
+        str(Path(yaml.__file__).parent.parent)])
+    report = (f"\nimport sys\nprint([name for name in {list(names)!r} "
+              "if name in sys.modules])")
+    done = subprocess.run([sys.executable, "-S", "-c", code + report],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return ast.literal_eval(done.stdout.splitlines()[-1])
 
 
 def _command(*argv: str) -> str:
@@ -102,17 +120,59 @@ def test_counting_commands_load_no_importlib_resources(tmp_path, argv):
         tally_pipeline(load_scenario(REFERENCE)))))
     argv = [arg.replace("{measured}", str(measured)).replace(
         "{out}", str(tmp_path / "out.txt")) for arg in argv]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([
-        str(Path(phyenergy.__file__).parent.parent),
-        str(Path(yaml.__file__).parent.parent)])
-    report = (f"\nimport sys\nprint([name for name in {_UNLOADED!r} "
-              "if name in sys.modules])")
-    done = subprocess.run([sys.executable, "-S", "-c",
-                           _command(*argv) + report], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    assert _loaded_bare(_command(*argv), _UNLOADED) == []
+
+
+# A library session, one that reads no YAML file and builds no parser,
+# loads neither: PyYAML loads on the first YAML read, argparse when the
+# parser is built.
+_HEAVY = ["yaml", "argparse"]
+_IN_CODE = """
+from phyenergy.cli import render_estimate_text
+from phyenergy.costmodel import (EnergyParams, build_report,
+                                 load_default_cost_table)
+from phyenergy.opcount import tally_pipeline
+from phyenergy.scenario import Modulation, Scenario
+s = Scenario(n_slots=1, snr_db=10.0, scs_khz=15, n_prb=52,
+             modulation=Modulation.QAM16, code_rate=490, n_tx=4, n_rx=4,
+             n_layers=2, n_ports=4)
+tallies = tally_pipeline(s)
+report = build_report(tallies, load_default_cost_table(),
+                      EnergyParams(kappa=s.kappa, clock_hz=s.clock_hz),
+                      scenario=s)
+assert render_estimate_text(report).startswith("scenario")
+"""
+
+
+def test_importing_every_module_loads_no_yaml_or_argparse():
+    modules = sorted(f"phyenergy.{path.stem}" for path in
+                     Path(phyenergy.__file__).parent.glob("*.py"))
+    assert "phyenergy.readers" in modules
+    code = "".join(f"import {name}\n" for name in modules)
+    assert _loaded_bare(code, _HEAVY) == []
+
+
+def test_costing_a_scenario_built_in_code_loads_no_yaml_or_argparse():
+    assert _loaded_bare(_IN_CODE, _HEAVY) == []
+
+
+def test_parsing_a_report_loads_no_yaml_or_argparse():
+    code = _IN_CODE + """
+from phyenergy.ingest import (parse_measurement_text, rows_from_tallies,
+                              serialize_measurement)
+text = serialize_measurement(rows_from_tallies(tallies))
+assert parse_measurement_text(text).meta.rows_seen == text.count("\\n") - 1
+"""
+    assert _loaded_bare(code, _HEAVY) == []
+
+
+@pytest.mark.parametrize("code, loaded", [
+    (f"from phyenergy.scenario import load_scenario\n"
+     f"load_scenario({REFERENCE!r})", ["yaml"]),
+    ("from phyenergy.cli import build_parser\nbuild_parser()", ["argparse"]),
+], ids=["load_scenario", "build_parser"])
+def test_a_yaml_read_loads_yaml_and_the_parser_loads_argparse(code, loaded):
+    assert _loaded_bare(code, _HEAVY) == loaded
 
 
 @pytest.mark.parametrize("argv", [
