@@ -21,8 +21,8 @@ from functools import lru_cache
 from itertools import chain
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .errors import ConfigError, MeasurementError, PhyEnergyError, UsageError
-from .readers import echo, read_yaml, reject_long_digits, write_text
+from .errors import MeasurementError, PhyEnergyError, UsageError
+from .readers import read_yaml, write_text
 
 if TYPE_CHECKING:
     import argparse
@@ -35,7 +35,6 @@ if TYPE_CHECKING:
 COST_TABLE_ENV = "PHYENERGY_COST_TABLE"
 
 _FORMATS = ("structured-text", "delimited-table")
-_SWEEP_PARAMS = ("modulation", "n_prb", "n_layers", "n_slots")
 # The names of legacy.MODELS, sorted, so that building the parser loads no
 # legacy module.
 _LEGACY_MODELS = ("auer", "desset", "fu-bb", "fu-rf", "tombaz", "yan", "yu")
@@ -297,12 +296,12 @@ def _resolve_table(arg: Optional[str]) -> InstructionCostTable:
 
 def _load_run(args: argparse.Namespace,
               ) -> tuple[Scenario, InstructionCostTable]:
-    from dataclasses import replace
-
-    from .scenario import load_scenario
-    overrides = {"kappa": args.kappa, "clock_hz": args.clock_hz}
-    s = replace(load_scenario(args.scenario),
-                **{name: v for name, v in overrides.items() if v is not None})
+    """The scenario, overrides read as its file keys, and the cost table."""
+    from .scenario import load_scenario, with_field
+    s = load_scenario(args.scenario)
+    for key, flag in (("kappa", "--kappa"), ("clock_hz", "--clock-hz")):
+        if getattr(args, key) is not None:
+            s = with_field(s, key, getattr(args, key), flag)
     return s, _resolve_table(args.cost_table)
 
 
@@ -322,35 +321,27 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def _sweep_scenarios(s: Scenario, param: str,
                      raw_values: str) -> list[tuple[str, Scenario]]:
-    from dataclasses import replace
+    """``s`` with ``param`` read from each value, labelled by the value."""
+    from operator import attrgetter
 
-    from .scenario import parse_modulation
+    from .scenario import KEY_CONVERTERS, with_field
+    if param not in KEY_CONVERTERS:
+        raise UsageError(f"--param must be one of {', '.join(KEY_CONVERTERS)}")
     values = [v.strip() for v in raw_values.split(",") if v.strip()]
     if not values:
         raise UsageError("--values must list at least one value")
     out = []
-    for value in values:
-        if param == "modulation":
-            mod = parse_modulation(value)
-            out.append((mod.name, replace(s, modulation=mod)))
-        else:
-            try:
-                number = int(value)
-            except ValueError:
-                reject_long_digits(value, f"--values: a value for {param}",
-                                   ConfigError)
-                raise UsageError(
-                    f"--values: {echo(value)} is not an integer for {param}"
-                ) from None
-            out.append((value, replace(s, **{param: number})))
+    for text in values:
+        swept = with_field(s, param, text, f"--values: a value for {param}")
+        value = attrgetter(param)(swept)
+        out.append((fmt_float(value) if isinstance(value, float) else
+                    str(value) if isinstance(value, int) else value.name,
+                    swept))
     return out
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     s, table = _load_run(args)
-    if args.param not in _SWEEP_PARAMS:
-        raise UsageError(
-            f"--param must be one of {', '.join(_SWEEP_PARAMS)}")
     pairs = _sweep_scenarios(s, args.param, args.values)
     # Evaluate everything before emitting: an invalid value must fail
     # with no partial output.
@@ -411,9 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cost-table", default=None,
                        help=f"instruction cost table CSV (default: bundled, "
                             f"or ${COST_TABLE_ENV})")
-        p.add_argument("--kappa", type=float, default=None,
+        p.add_argument("--kappa", default=None,
                        help="override energy scale in J*s^2")
-        p.add_argument("--clock-hz", type=float, default=None,
+        p.add_argument("--clock-hz", default=None,
                        help="override processor clock in Hz")
         p.add_argument("--format", choices=_FORMATS, default=None,
                        help="output format")
@@ -428,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="re-estimate while varying one parameter")
     add_run_flags(p_sweep)
     p_sweep.add_argument("--param", required=True,
-                         help="parameter to vary: " + ", ".join(_SWEEP_PARAMS))
+                         help="scenario key to vary, or decode.<field>")
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated parameter values")
     p_sweep.set_defaults(func=cmd_sweep)

@@ -297,8 +297,8 @@ def _as_block_map(label: str, value: Any) -> Dict[str, BlockId]:
     block_map: Dict[str, BlockId] = {}
     for prefix, letter in value.items():
         prefix = _as_prefix(f"{label} key", prefix)
-        block = _BLOCK_BY_NAME.get(str(letter).strip())
-        if block is None:
+        block = isinstance(letter, str) and _BLOCK_BY_NAME.get(letter.strip())
+        if not block:
             raise ConfigError(
                 f"{label} value {echo(letter)} is not a block A-H")
         block_map[prefix] = block

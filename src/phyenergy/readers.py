@@ -60,8 +60,13 @@ ECHO_LIMIT = 60
 def echo(value: Any, bare: bool = False) -> str:
     """How a message shows an input cell or value: its repr, or the string
     itself when ``bare`` (as keys print); or, when that is longer than
-    :data:`ECHO_LIMIT`, its length (the repr's, for a non-string value)."""
-    text = value if bare else repr(value)
+    :data:`ECHO_LIMIT`, its length (the repr's, for a non-string value).
+    A container, whose repr YAML aliases can make exponentially long, shows
+    as ``<list of 10 items>``; a long string's repr is not built either."""
+    if isinstance(value, (dict, list, set, tuple)):
+        return f"<{type(value).__name__} of {len(value)} items>"
+    long = isinstance(value, str) and len(value) > ECHO_LIMIT
+    text = value if bare or long else repr(value)
     if len(text) <= ECHO_LIMIT:
         return text
     length = len(value) if isinstance(value, str) else len(text)

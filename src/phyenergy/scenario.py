@@ -79,7 +79,7 @@ def parse_modulation(value: Any) -> Modulation:
     """Accept canonical names (QAM16) and common aliases (16QAM)."""
     if isinstance(value, Modulation):
         return value
-    name = str(value).strip().upper()
+    name = value.strip().upper() if isinstance(value, str) else None
     try:
         return _MODULATION_ALIASES[name]
     except KeyError:
@@ -383,39 +383,38 @@ def _as_rate(label: str, value: Any) -> int:
     return as_int(label, value)
 
 
-# The decode section is read under the context ``decode``.
-_as_decode = record(DecodeConfig, {}, {"deg_cn": as_int, "deg_vn": as_int,
-                                       "iterations": as_int}, "decode")
-
-
+# One table of converters per record, in the order a file's keys are read.
+_DECODE_FIELDS = {"deg_cn": as_int, "deg_vn": as_int, "iterations": as_int}
 _REQUIRED_FIELDS = {
-    "n_slots": as_int,
-    "snr_db": as_float,
-    "scs_khz": as_int,
-    "n_prb": as_int,
-    "modulation": lambda label, v: parse_modulation(v),
-    "code_rate": _as_rate,
-    "n_tx": as_int,
-    "n_rx": as_int,
-    "n_layers": as_int,
-    "n_ports": as_int,
-}
-
+    "n_slots": as_int, "snr_db": as_float, "scs_khz": as_int, "n_prb": as_int,
+    "modulation": lambda label, v: parse_modulation(v), "code_rate": _as_rate,
+    "n_tx": as_int, "n_rx": as_int, "n_layers": as_int, "n_ports": as_int}
 _OPTIONAL_FIELDS = {
-    "clock_hz": as_float,
-    "kappa": as_float,
-    "channel_len": as_int,
-    "pilot_sc_per_prb": as_int,
-    "pilot_symbols_per_slot": as_int,
-    "tbs_override": as_int,
-    "rx_fft_antennas": as_int,
-    "decode": _as_decode,
-}
+    "clock_hz": as_float, "kappa": as_float, "channel_len": as_int,
+    "pilot_sc_per_prb": as_int, "pilot_symbols_per_slot": as_int,
+    "tbs_override": as_int, "rx_fft_antennas": as_int}
 
+# The decode section is read under the context ``decode``.
+_as_decode = record(DecodeConfig, {}, _DECODE_FIELDS, "decode")
+_as_scenario = record(Scenario, _REQUIRED_FIELDS,
+                      {**_OPTIONAL_FIELDS, "decode": _as_decode})
 
-_as_scenario = record(Scenario, _REQUIRED_FIELDS, _OPTIONAL_FIELDS)
+# The converter of each key :func:`with_field` takes: every scenario key but
+# the decode section, then each decode field as ``decode.<field>``.
+KEY_CONVERTERS = {**_REQUIRED_FIELDS, **_OPTIONAL_FIELDS, **{
+    f"decode.{key}": conv for key, conv in _DECODE_FIELDS.items()}}
 
 
 def load_scenario(path: str | os.PathLike[str]) -> Scenario:
     """Read a scenario config file (YAML mapping)."""
     return read_yaml(path, "scenario", _as_scenario)
+
+
+def with_field(s: Scenario, key: str, text: str, label: str) -> Scenario:
+    """``s`` with ``key``'s field read from ``text`` under ``label``, as a
+    file's quoted value is; :func:`validate` applies the domain rules."""
+    value = KEY_CONVERTERS[key](label, text)
+    section, _, name = key.rpartition(".")
+    if section:
+        return replace(s, decode=s.decode._replace(**{name: value}))
+    return replace(s, **{key: value})

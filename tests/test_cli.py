@@ -1,12 +1,16 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -495,10 +499,23 @@ def test_sweep_text_format(capsys):
 
 def test_sweep_rejects_unknown_param(capsys):
     code, out, err = run(capsys, "sweep", "--scenario", REFERENCE,
-                         "--param", "snr_db", "--values", "1,2")
+                         "--param", "n_prbx", "--values", "1,2")
     assert code == 1
     assert out == ""
     assert err.startswith("error[usage]:")
+
+
+@pytest.mark.parametrize("param", ["n_prbx", "decode", "decode.spin"])
+def test_sweep_lists_every_key_it_takes(capsys, param):
+    code, out, err = run(capsys, "sweep", "--scenario", REFERENCE,
+                         "--param", param, "--values", "1")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error[usage]: --param must be one of n_slots, snr_db, scs_khz, "
+        "n_prb, modulation, code_rate, n_tx, n_rx, n_layers, n_ports, "
+        "clock_hz, kappa, channel_len, pilot_sc_per_prb, "
+        "pilot_symbols_per_slot, tbs_override, rx_fft_antennas, "
+        "decode.deg_cn, decode.deg_vn, decode.iterations\n")
 
 
 def test_sweep_rejects_non_integer_value(capsys):
@@ -506,7 +523,124 @@ def test_sweep_rejects_non_integer_value(capsys):
                          "--param", "n_prb", "--values", "52,many")
     assert code == 1
     assert out == ""
-    assert err.startswith("error[usage]:")
+    assert err.startswith("error[config]:")
+    assert err == ("error[config]: --values: a value for n_prb: expected an "
+                   "integer, got 'many'\n")
+
+
+def test_sweep_labels_each_row_by_the_value_costed(capsys):
+    code, out, _ = run(capsys, "sweep", "--scenario", REFERENCE,
+                       "--param", "n_prb", "--values", "053,+2")
+    assert code == 0
+    assert [row.split(",")[0] for row in out.splitlines()[1::9]] == ["53", "2"]
+
+
+def test_sweep_reads_a_rate_as_a_file_does(capsys):
+    _, fractions, _ = run(capsys, "sweep", "--scenario", REFERENCE,
+                          "--param", "code_rate",
+                          "--values", "490/1024,658/1024")
+    _, numerators, _ = run(capsys, "sweep", "--scenario", REFERENCE,
+                           "--param", "code_rate", "--values", "490,658")
+    assert fractions == numerators
+    assert [row.split(",")[0] for row in fractions.splitlines()[1::9]] == [
+        "490", "658"]
+
+
+def test_a_sweep_value_wins_over_the_override_flag(capsys, monkeypatch):
+    costed = []
+    estimate = cli._estimate
+    monkeypatch.setattr(cli, "_estimate", lambda s, table: (
+        costed.append(s.kappa), estimate(s, table))[1])
+    code, out, _ = run(capsys, "sweep", "--scenario", REFERENCE,
+                       "--kappa", "1e-25", "--param", "kappa",
+                       "--values", "2e-25")
+    assert code == 0
+    assert costed == [2e-25]
+    assert out.splitlines()[1].startswith("2e-25,A,")
+
+
+@pytest.mark.parametrize("flag", ["--kappa", "--clock-hz"])
+def test_an_override_flag_is_read_as_its_file_key(capsys, flag):
+    code, out, err = run(capsys, "estimate", "--scenario", REFERENCE,
+                         flag, "x")
+    assert (code, out) == (1, "")
+    assert err == f"error[config]: {flag}: expected a number, got 'x'\n"
+
+
+# A valid text for each key a sweep takes, as a user may write it: integers
+# with a sign or leading zeros, reals in any spelling float() reads, a rate
+# as n/1024 and a modulation by any alias.  The ranges keep the reference
+# scenario valid (4 antennas each side, 2 layers).
+def _int_text(low, high):
+    return st.tuples(st.integers(low, high), st.sampled_from(
+        ["{}", "+{}", "0{}", " {} "])).map(lambda pair: pair[1].format(pair[0]))
+
+
+def _real_text(low, high):
+    return st.floats(low, high).flatmap(lambda x: st.sampled_from(
+        [repr(x), format(x, "e"), format(x, ".6g")]))
+
+
+def _stdout(*argv):
+    """``main``'s exit code and stdout, for a test that runs it repeatedly."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+_VALUE_TEXTS = {
+    "n_slots": _int_text(1, 4), "snr_db": _real_text(-100, 100),
+    "scs_khz": st.sampled_from(["15", "30", "60", "120"]),
+    "n_prb": _int_text(1, 275),
+    "modulation": st.sampled_from(["qpsk", "QAM16", "16qam", "64QAM",
+                                   "QAM256", " 256QAM "]),
+    "code_rate": st.integers(1, 1023).flatmap(lambda n: st.sampled_from(
+        [str(n), f"{n}/1024", f" {n} / 1024 "])),
+    "n_tx": _int_text(2, 8), "n_rx": _int_text(2, 8),
+    "n_layers": _int_text(1, 4), "n_ports": _int_text(2, 8),
+    "clock_hz": _real_text(1e6, 1e10), "kappa": _real_text(1e-30, 1e-20),
+    "channel_len": _int_text(1, 16), "pilot_sc_per_prb": _int_text(1, 12),
+    "pilot_symbols_per_slot": _int_text(0, 13),
+    "tbs_override": _int_text(0, 200_000),
+    "rx_fft_antennas": _int_text(1, 8), "decode.deg_cn": _int_text(1, 30),
+    "decode.deg_vn": _int_text(1, 10), "decode.iterations": _int_text(0, 20),
+}
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_a_sweep_row_is_the_estimate_of_the_file(tmp_path_factory, data):
+    """For any key a sweep takes and a valid text for it, the sweep's
+    scenario, label and rows are those of the reference file with that key
+    set to that text (a quoted YAML string)."""
+    key = data.draw(st.sampled_from(sorted(_VALUE_TEXTS)))
+    text = data.draw(_VALUE_TEXTS[key])
+    assert sorted(_VALUE_TEXTS) == sorted(scenario.KEY_CONVERTERS)
+    mapping = yaml.safe_load(Path(REFERENCE).read_text())
+    section, _, name = key.rpartition(".")
+    (mapping.setdefault(section, {}) if section else mapping)[name] = text
+    path = tmp_path_factory.getbasetemp() / "swept.yaml"
+    path.write_text(yaml.safe_dump(mapping))
+    expected = load_scenario(path)
+
+    (label, swept), = cli._sweep_scenarios(load_scenario(REFERENCE), key,
+                                           text)
+    assert swept == expected
+    value = attrgetter(key)(expected)
+    assert label == (fmt_float(value) if isinstance(value, float)
+                     else getattr(value, "name", str(value)))
+    # "--values=" keeps a negative value in exponent form from reading
+    # as a flag.
+    code, rows = _stdout("sweep", "--scenario", REFERENCE, "--param", key,
+                         f"--values={text}", "--format", "delimited-table")
+    assert code == 0
+    _, estimate = _stdout("estimate", "--scenario", str(path),
+                          "--format", "delimited-table")
+    assert [row.split(",") for row in rows.splitlines()[1:]] == [
+        [label, block, micro_ops, cycles, per_bit] for block, _, micro_ops,
+        cycles, per_bit, *_ in map(lambda row: row.split(","),
+                                   estimate.splitlines()[1:])]
 
 
 def test_sweep_invalid_scenario_value_emits_nothing(capsys):

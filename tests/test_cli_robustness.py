@@ -471,6 +471,44 @@ def test_an_unknown_key_is_shown_bare_or_by_its_length(tmp_path, length):
     assert len(err.encode()) < 300
 
 
+def _alias_chain(levels: int) -> str:
+    """Inline YAML for a list of 10 lists of 10 ... of 10 strings, ``levels``
+    deep, in which each list after the first at a level is an alias of the
+    first: a few hundred bytes whose repr grows tenfold with each level."""
+    text = "&l0 [" + ", ".join("a" * 10) + "]"
+    for level in range(1, levels):
+        text = f"&l{level} [{text}" + f", *l{level - 1}" * 9 + "]"
+    return text
+
+
+_SCENARIO = REFERENCE_PATH.read_text()
+
+
+@pytest.mark.parametrize("levels", [3, 6])
+@pytest.mark.parametrize("argv, text, message", [
+    (_ESTIMATE, _SCENARIO.replace("n_prb: 52", "n_prb: {chain}"),
+     "scenario.n_prb: expected an integer, got <list of 10 items>"),
+    (_ESTIMATE, _SCENARIO.replace("modulation: QAM16", "modulation: {chain}"),
+     "unknown modulation <list of 10 items>; valid: 16QAM, 256QAM, 64QAM, "
+     "QAM16, QAM256, QAM64, QPSK"),
+    (_REPORT[:-1] + ["report.csv", "--filter", "{path}"],
+     "block_map:\n  nr5g/: {chain}\n",
+     "filter.block_map value <list of 10 items> is not a block A-H"),
+], ids=["n_prb", "modulation", "block-map-letter"])
+def test_an_alias_chain_is_shown_by_its_type(tmp_path, levels, argv, text,
+                                             message):
+    """A container is shown by its type and length, never walked: a chain
+    of YAML aliases gives the same one short line at any depth, where its
+    repr would take 5 MB at 6 levels and 5 GB at 9."""
+    chain = _alias_chain(levels)
+    assert len(chain) < 400
+    path = tmp_path / "input.yaml"
+    path.write_text(text.replace("{chain}", chain))
+    code, out, err = _run([arg.replace("{path}", str(path)) for arg in argv])
+    assert (code, out) == (1, "")
+    assert err == f"error[config]: {path}: {message}\n"
+
+
 @pytest.mark.parametrize("n_slots, row", [
     (4 * 10 ** 298, "x,A,XOR,logical_scalar,,1"),
     (1, f"x,A,XOR,double_scalar,,{HUGE}"),
