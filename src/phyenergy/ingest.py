@@ -59,8 +59,6 @@ from .readers import (as_list, count_cell, echo, name_cell, path_text,
                       read_csv_columns, read_text, read_yaml, record,
                       write_text)
 
-_HEADER = ["function_path", "block", "operator", "data_type", "shape", "count"]
-
 # Block letters in either case.
 _BLOCK_BY_NAME = {name: blk for blk in BlockId
                   for name in (blk.value, blk.value.lower())}
@@ -199,7 +197,8 @@ def parse_measurement_text(text: str, source: str = "<string>",
     sums: Dict[Tuple[Optional[BlockId], OpKind, DataClass], int] = {}
     seen = kept = unattributed = 0
     for linenos, columns in read_csv_columns(
-            text, source, _HEADER, "measurement file", MeasurementError):
+            text, source, MeasuredRow._fields, "measurement file",
+            MeasurementError):
         paths, block_cells, op_cells, type_cells, _, count_cells = columns
         seen += len(linenos)
 
@@ -243,7 +242,7 @@ def serialize_measurement(rows: Iterable[MeasuredRow]) -> str:
     """Measurement rows back to delimited text (inverse of parsing)."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_HEADER)
+    writer.writerow(MeasuredRow._fields)
     for row in rows:
         writer.writerow([
             row.function_path,

@@ -190,9 +190,18 @@ def _as_flag(label: str, value: Any) -> bool:
     raise ConfigError(f"{label}: expected true/false, got {echo(value)}")
 
 
-_carrier = record(ComponentCarrier,
-                  {"p_tx_w": _as_amount, "bandwidth_mhz": _as_amount,
-                   "p_cp_var_w_per_mhz": _as_amount}, {})
+def _params(cls: type, **special: Converter) -> Converter:
+    """The loader of the NamedTuple ``cls``, built from its fields: a field
+    with a default is optional, and each is read by its ``special``
+    converter, or else as a non-negative amount."""
+    fields = {name: special.pop(name, _as_amount) for name in cls._fields}
+    if special:
+        raise TypeError(f"{cls.__name__} has no fields {sorted(special)}")
+    optional = {name: fields.pop(name) for name in cls._field_defaults}
+    return record(cls, fields, optional)
+
+
+_carrier = _params(ComponentCarrier)
 
 
 def _as_carriers(label: str, value: Any) -> tuple[ComponentCarrier, ...]:
@@ -200,47 +209,25 @@ def _as_carriers(label: str, value: Any) -> tuple[ComponentCarrier, ...]:
                  for i, cc in enumerate(as_list(label, value)))
 
 
-_fu_params = record(
-    FuParams, {"rho_gops_per_w": as_float},
-    {"bb": record(FuBasebandUnit,
-                  {"l_beams": _as_count, "q_enc_gops": _as_amount,
-                   "q_net_gops": _as_amount, "q_ctrl_gops": _as_amount}, {}),
-     "rf": record(FuRfChain,
-                  {"m_antennas": _as_count, "q_mod_gops": _as_amount,
-                   "q_mix_gops": _as_amount, "q_vga_gops": _as_amount,
-                   "q_lna_gops": _as_amount, "q_adc_gops": _as_amount,
-                   "q_clk_gops": _as_amount}, {})})
+_fu_params = _params(FuParams, rho_gops_per_w=as_float,
+                     bb=_params(FuBasebandUnit, l_beams=_as_count),
+                     rf=_params(FuRfChain, m_antennas=_as_count))
 
 # model name -> (context, loader, evaluator, unit); the loader reads the
 # parameter mapping under the context, which fu-bb and fu-rf share.
 MODELS: dict[str, tuple] = {
-    "auer": ("auer",
-             record(AuerParams,
-                    {"n_trx": _as_count, "p0_w": _as_amount,
-                     "delta_p": _as_amount, "p_out_w": _as_amount,
-                     "p_max_w": _as_amount, "p_sleep_w": _as_amount}, {}),
-             auer_power, "W"),
-    "desset": ("desset",
-               record(DessetComponents,
-                      {"p_bbu_w": _as_amount, "p_rf_w": _as_amount,
-                       "p_pa_w": _as_amount, "p_oh_w": _as_amount}, {}),
-               desset_power, "W"),
-    "yan": ("yan",
-            record(YanSegments,
-                   {"e_ue_j": _as_amount, "e_bs_j": _as_amount,
-                    "e_wireline_j": _as_amount, "e_dc_j": _as_amount}, {}),
-            yan_energy, "J"),
+    "auer": ("auer", _params(AuerParams, n_trx=_as_count), auer_power, "W"),
+    "desset": ("desset", _params(DessetComponents), desset_power, "W"),
+    "yan": ("yan", _params(YanSegments), yan_energy, "J"),
     # A missing carrier list means no carriers.
     "yu": ("yu",
            record(partial(YuParams, carriers=()),
                   {"p_cp_static_w": _as_amount}, {"carriers": _as_carriers}),
            yu_power, "W"),
     "tombaz": ("tombaz",
-               record(TombazParams,
-                      {"n_sectors": _as_count, "p_tx_sector_w": _as_amount,
-                       "eta_pa": as_float, "n_rf_chains": _as_count,
-                       "p_c_w": _as_amount, "p_b_w": _as_amount},
-                      {"dtx_enabled": _as_flag, "delta": as_float}),
+               _params(TombazParams, n_sectors=_as_count, eta_pa=as_float,
+                       n_rf_chains=_as_count, dtx_enabled=_as_flag,
+                       delta=as_float),
                tombaz_power, "W"),
     "fu-bb": ("fu", _fu_params, fu_bb_power, "W"),
     "fu-rf": ("fu", _fu_params, fu_rf_power, "W"),

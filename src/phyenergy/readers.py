@@ -43,6 +43,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import re
 from collections.abc import Hashable
 from itertools import repeat
 from typing import (TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence,
@@ -145,6 +146,17 @@ class _UniqueKeys:
         super().flatten_mapping(node)
 
 
+def _yaml_loader(base: type) -> type:
+    """The loader :func:`read_yaml` parses with, on PyYAML's safe loader
+    ``base``: unique keys, and an implicit int only in decimal, so that
+    YAML 1.1's 010, 0x1F, 0b11 and 1:30 reach a converter as text."""
+    decimal = re.compile(r"[-+]?(?:0|[1-9][0-9_]*)$")
+    return type("Loader", (_UniqueKeys, base), {"yaml_implicit_resolvers": {
+        first: [(tag, decimal if tag == "tag:yaml.org,2002:int" else regexp)
+                for tag, regexp in resolvers]
+        for first, resolvers in base.yaml_implicit_resolvers.items()}})
+
+
 # The loader read_yaml parses with, built on its first call, so that a
 # session which reads no YAML loads no PyYAML: libyaml's parser when PyYAML
 # was built with it, else the pure-Python one; both construct the same safe
@@ -169,8 +181,8 @@ def read_yaml(path: str | os.PathLike[str], what: str, convert: Converter,
     global _YAML_LOADER
     import yaml
     if _YAML_LOADER is None:
-        _YAML_LOADER = type("Loader", (_UniqueKeys, getattr(
-            yaml, "CSafeLoader", yaml.SafeLoader)), {})
+        _YAML_LOADER = _yaml_loader(getattr(yaml, "CSafeLoader",
+                                            yaml.SafeLoader))
     path = path_text(path)
     text = read_text(path, f"{what} file", ConfigError)
     try:

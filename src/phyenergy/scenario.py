@@ -384,7 +384,7 @@ def _as_rate(label: str, value: Any) -> int:
 
 
 # One table of converters per record, in the order a file's keys are read.
-_DECODE_FIELDS = {"deg_cn": as_int, "deg_vn": as_int, "iterations": as_int}
+_DECODE_FIELDS = dict.fromkeys(DecodeConfig._fields, as_int)
 _REQUIRED_FIELDS = {
     "n_slots": as_int, "snr_db": as_float, "scs_khz": as_int, "n_prb": as_int,
     "modulation": lambda label, v: parse_modulation(v), "code_rate": _as_rate,

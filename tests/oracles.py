@@ -8,18 +8,20 @@ The ingest oracles keep the plain loops that the indexed attribution, the
 tuple-based path filter, the comma split, the chunked line split, the
 column-at-a-time cell checks and the parse's per-block grouping replaced.
 The renderers build an estimate's and a sweep's blocks a row at a time, as
-the package did before its ``%`` templates, and :func:`validate_rules`
-checks a scenario's range rules one ``if`` at a time, as ``validate`` did
-before its one tuple of flags.
+the package did before its ``%`` templates, and the scenario and derived
+sections a field at a time from the records' own fields.
+:func:`validate_rules` checks a scenario's range rules one ``if`` at a
+time, as ``validate`` did before its one tuple of flags.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 from collections import Counter
 
-from phyenergy.cli import _scenario_text, fmt_ratio
+from phyenergy.cli import fmt_ratio
 from phyenergy.errors import ConfigError, MeasurementError
 from phyenergy.ingest import MeasuredReport, MeasuredRow, MeasurementMeta
 from phyenergy.opcount import BlockId, DataClass, OperationTally, OpKind
@@ -352,6 +354,39 @@ def _estimate_rows(rep):
 def _table(header, rows):
     return "\n".join([",".join(header)] + [",".join(row) for row in rows]
                      ) + "\n"
+
+
+# The DerivedParams fields an estimate does not print, and the key that
+# ``bg`` prints under.
+_DERIVED_UNSHOWN = {"qm", "g", "m_symb_layer", "b"}
+_DERIVED_KEYS = {"bg": "base_graph"}
+
+
+def _scenario_text(s, d):
+    """The scenario and derived sections, a field at a time in the order
+    of the records' own fields: a ``float`` field to six significant digits,
+    the modulation by name, the code rate over 1024, an unset optional
+    field not at all, and the decode section nested."""
+    lines = ["scenario:"]
+    for field in dataclasses.fields(s):
+        name, value = field.name, getattr(s, field.name)
+        if name == "decode":
+            lines.append("  decode:")
+            lines += [f"    {key}: {part}"
+                      for key, part in zip(value._fields, value)]
+        elif name == "code_rate":
+            lines.append(f"  code_rate: {value}/1024")
+        elif name == "modulation":
+            lines.append(f"  modulation: {value.name}")
+        elif field.type == "float":
+            lines.append(f"  {name}: {value:.6g}")
+        elif value is not None:
+            lines.append(f"  {name}: {value}")
+    lines.append("derived:")
+    lines += [f"  {_DERIVED_KEYS.get(name, name)}: {value}"
+              for name, value in zip(d._fields, d)
+              if name not in _DERIVED_UNSHOWN]
+    return "\n".join(lines)
 
 
 def render_estimate_text(rep):

@@ -567,6 +567,31 @@ def test_an_override_flag_is_read_as_its_file_key(capsys, flag):
     assert err == f"error[config]: {flag}: expected a number, got 'x'\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--scenario", REFERENCE, "--kappa", "-1e-25"],
+    ["sweep", "--scenario", REFERENCE, "--param", "snr_db", "--values",
+     "-5,-3"],
+], ids=["kappa", "values"])
+def test_a_value_that_starts_with_a_minus_needs_the_equals_form(capsys,
+                                                                argv):
+    """argparse reads ``--kappa -1e-25`` as a flag missing its value and
+    exits 2; ``--kappa=-1e-25`` hands the value on."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    capsys.readouterr()
+    flag, value = argv[-2:]
+    code, out, err = run(capsys, *argv[:-2], f"{flag}={value}",
+                         "--format", "delimited-table")
+    if flag == "--kappa":
+        assert (code, out, err) == (
+            1, "", "error[config]: kappa must be positive\n")
+    else:
+        assert (code, err) == (0, "")
+        assert [row.split(",")[0] for row in out.splitlines()[1::9]] == [
+            "-5", "-3"]
+
+
 # A valid text for each key a sweep takes, as a user may write it: integers
 # with a sign or leading zeros, reals in any spelling float() reads, a rate
 # as n/1024 and a modulation by any alias.  The ranges keep the reference

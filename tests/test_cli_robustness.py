@@ -98,8 +98,8 @@ def _loader(monkeypatch, base):
     """Read YAML with the package's loader built on ``base``."""
     if not hasattr(yaml, base):
         pytest.skip("PyYAML was built without libyaml")
-    monkeypatch.setattr(readers, "_YAML_LOADER", type(
-        "Loader", (readers._UniqueKeys, getattr(yaml, base)), {}))
+    monkeypatch.setattr(readers, "_YAML_LOADER",
+                        readers._yaml_loader(getattr(yaml, base)))
 
 
 @given(changes=_CHANGES, sweep=st.none() | _SWEEPS, kappa=_KAPPAS,
@@ -148,6 +148,40 @@ def test_integer_past_the_digit_limit_in_a_file(tmp_path, monkeypatch, loader):
     code, out, err = _run(["estimate", "--scenario", str(path)])
     assert (code, out) == (1, "")
     assert err.startswith(f"error[config]: {path}: malformed config:"), err
+
+
+def _with_n_prb(tmp_path, text):
+    path = tmp_path / f"n_prb_{text.replace(':', '_')}.yaml"
+    path.write_text(REFERENCE_PATH.read_text().replace(
+        "n_prb: 52", f"n_prb: {text}"))
+    return path
+
+
+@pytest.mark.parametrize("base", ["CSafeLoader", "SafeLoader"])
+def test_an_integer_with_leading_zeros_is_decimal(tmp_path, monkeypatch,
+                                                  base):
+    """``n_prb: 010`` is 10, as ``"010"`` and ``sweep --values 010`` are,
+    not YAML 1.1's octal 8."""
+    _loader(monkeypatch, base)
+    octal, decimal = (_run(["estimate", "--scenario",
+                            str(_with_n_prb(tmp_path, text))])
+                      for text in ("010", "10"))
+    assert octal == decimal
+    assert decimal[0] == 0 and "n_prb: 10\n" in decimal[1]
+
+
+@pytest.mark.parametrize("base", ["CSafeLoader", "SafeLoader"])
+@pytest.mark.parametrize("text", ["0x1F", "0b11", "1:30"])
+def test_a_hex_binary_or_sexagesimal_integer_is_refused(tmp_path,
+                                                        monkeypatch, base,
+                                                        text):
+    """YAML 1.1 would read these as 31, 3 and 90; the loader hands them to
+    the converter as text, which reads decimal integers only."""
+    _loader(monkeypatch, base)
+    path = _with_n_prb(tmp_path, text)
+    assert _run(["estimate", "--scenario", str(path)]) == (
+        1, "", f"error[config]: {path}: scenario.n_prb: expected an "
+               f"integer, got {text!r}\n")
 
 
 def test_integer_past_the_digit_limit_in_a_sweep():
@@ -263,17 +297,18 @@ def test_reader_and_loader_errors(tmp_path, argv, text, message):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("allow: [010, on, 1_000]\n", "filter.allow item 8 is not a string"),
+    ("allow: [010, on, 1_000]\n", "filter.allow item True is not a string"),
     ("deny: [nr5g/, on]\n", "filter.deny item True is not a string"),
     ("block_map: {0x1F: A, ~: B}\n",
-     "filter.block_map key 31 is not a string"),
+     "filter.block_map key None is not a string"),
     ("block_map: {nr5g/: A, ~: B}\n",
      "filter.block_map key None is not a string"),
 ], ids=["allow-octal", "deny-bool", "block-map-hex", "block-map-null"])
 def test_a_filter_prefix_yaml_did_not_read_as_a_string(tmp_path, text,
                                                        message):
-    """YAML reads 010 as 8, on as True, 0x1F as 31 and ~ as None; a prefix
-    it did not read as a string is refused, not rewritten by str()."""
+    """YAML reads on as True, 1_000 as 1000 and ~ as None, while 010 and
+    0x1F stay text, since an implicit int is decimal; a prefix it did not
+    read as a string is refused, not rewritten by str()."""
     path = tmp_path / "filter.yaml"
     path.write_text(text)
     code, out, err = _run(["compare", "--scenario", str(REFERENCE_PATH),

@@ -5,6 +5,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phyenergy import legacy
 from phyenergy.errors import ConfigError, DomainError
 from phyenergy.legacy import (MODELS, AuerParams, ComponentCarrier,
                               DessetComponents, FuBasebandUnit, FuParams,
@@ -305,3 +306,39 @@ def test_every_power_energy_bandwidth_and_workload_is_non_negative(
 def test_model_registry_names():
     assert set(MODELS) == {"auer", "desset", "yan", "yu", "tombaz",
                            "fu-bb", "fu-rf"}
+
+
+# Each model's context, parameter file and the keys its loader requires:
+# the fields of its record without a default, sorted.  yu's carrier list
+# may be left out, although YuParams requires it.
+_LOADERS = {
+    "auer": ("auer", "auer.yaml",
+             "delta_p, n_trx, p0_w, p_max_w, p_out_w, p_sleep_w"),
+    "desset": ("desset", "desset.yaml", "p_bbu_w, p_oh_w, p_pa_w, p_rf_w"),
+    "yan": ("yan", "yan.yaml", "e_bs_j, e_dc_j, e_ue_j, e_wireline_j"),
+    "yu": ("yu", "yu.yaml", "p_cp_static_w"),
+    "tombaz": ("tombaz", "tombaz.yaml",
+               "eta_pa, n_rf_chains, n_sectors, p_b_w, p_c_w, p_tx_sector_w"),
+    "fu-bb": ("fu", "fu.yaml", "rho_gops_per_w"),
+    "fu-rf": ("fu", "fu.yaml", "rho_gops_per_w"),
+}
+
+
+@pytest.mark.parametrize("model", _LOADERS)
+def test_every_loader_names_its_missing_and_unknown_keys(model):
+    context, params, required = _LOADERS[model]
+    with pytest.raises(ConfigError) as exc:
+        evaluate_model(model, {})
+    assert str(exc.value) == f"missing {context} keys: {required}"
+    mapping = yaml.safe_load((_CONFIGS / params).read_text())
+    with pytest.raises(ConfigError) as exc:
+        evaluate_model(model, {**mapping, "zz": 1})
+    assert str(exc.value) == f"unknown {context} keys: zz"
+
+
+def test_a_loader_names_only_fields_of_its_record():
+    """A misspelt exception would read a count as an amount; it fails
+    when the loader is built instead."""
+    with pytest.raises(TypeError,
+                       match=r"AuerParams has no fields \['n_tx'\]"):
+        legacy._params(AuerParams, n_tx=legacy._as_count)
