@@ -89,11 +89,11 @@ def fmt_opt(q: Optional[Fraction | float], as_float: bool = False) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Report rendering.  The blocks and total of an estimate and of a sweep, as
-# text and as a table, are each one ``%`` template built at import from
-# ``_ROWS`` and filled with one ``%`` over a report's flat ``_cost_rows``.
-# An estimate's other sections are f-strings.  Both comparison layouts read
-# one row model, ``_comparison_rows``, through ``_section`` and ``_table``.
+# Report rendering.  The blocks and total of every report layout (estimate,
+# sweep and compare, as text and as a table) are one ``%`` template each,
+# built at import from ``_ROWS`` by ``_layout`` and filled with one ``%``
+# over a report's flat rows: ``_cost_rows`` or ``_comparison_rows``.  The
+# lines around them are f-strings.
 
 _COST_KEYS = ("micro_ops", "cycles", "cycles_per_bit", "energy_j",
               "energy_nj_per_bit")
@@ -126,6 +126,11 @@ _ESTIMATE_TEXT = _layout(
 _ESTIMATE_TABLE = _layout("{name},{side},%s,%s,{per_bit},%.6g,{per_bit}\n")
 _SWEEP_TEXT = _layout("  {name}: cycles=%s cycles_per_bit={per_bit}\n")
 _SWEEP_TABLE = _layout("%s,{name},%s,%s,{per_bit}\n")
+# A comparison has no per-bit field, so both variants are the same.
+_COMPARE_TEXT = _layout(
+    "  {name}:\n" + "".join(f"    {key}: %s\n" for key in _COMPARISON_KEYS),
+    "total:\n" + "".join(f"  {key}: %s\n" for key in _COMPARISON_KEYS))[True]
+_COMPARE_TABLE = _layout("{name}" + ",%s" * len(_COMPARISON_KEYS) + "\n")[True]
 
 
 def _cost_rows(rep: EnergyReport) -> list[tuple]:
@@ -141,27 +146,12 @@ def _cost_rows(rep: EnergyReport) -> list[tuple]:
             for micro_ops, num, den, _, energy_j, _ in costs]
 
 
-def _comparison_rows(result: ComparisonReport) -> list[list[str]]:
-    """Name and comparison fields for each block, then the total."""
-    return [[name, fmt_exact(cmp.modeled_cycles),
-             fmt_opt(cmp.measured_cycles), fmt_opt(cmp.ratio),
-             fmt_opt(cmp.signed_relative_error, as_float=True), cmp.flag]
-            for (name, _), cmp in zip(_ROWS, (*result.per_block.values(),
-                                              result.total))]
-
-
-def _section(lines: list[str], indent: str, key: str, pairs) -> None:
-    """Append ``key:`` and then one indented ``name: value`` line per pair."""
-    lines.append(f"{indent}{key}:")
-    indent += "  "
-    for name, value in pairs:
-        lines.append(f"{indent}{name}: {value}")
-
-
-def _table(header: Sequence[str], rows) -> str:
-    lines = [",".join(header)]
-    lines += [",".join(row) for row in rows]
-    return "\n".join(lines) + "\n"
+def _comparison_rows(result: ComparisonReport) -> list[tuple[str, ...]]:
+    """Each block's, then the total's, comparison fields in layout order."""
+    return [(fmt_exact(cmp.modeled_cycles), fmt_opt(cmp.measured_cycles),
+             fmt_opt(cmp.ratio),
+             fmt_opt(cmp.signed_relative_error, as_float=True), cmp.flag)
+            for cmp in (*result.per_block.values(), result.total)]
 
 
 def _scenario_text(s: Scenario, d: DerivedParams) -> str:
@@ -252,26 +242,21 @@ def render_sweep_text(param: str, results: Sequence[tuple[str, EnergyReport]],
 
 
 def render_compare_text(result: ComparisonReport) -> str:
-    lines = ["comparison:", "blocks:"]
-    *blocks, total = _comparison_rows(result)
-    for row in blocks:
-        _section(lines, "  ", row[0], zip(_COMPARISON_KEYS, row[1:]))
-    _section(lines, "", "total", zip(_COMPARISON_KEYS, total[1:]))
-    lines += [
-        f"unattributed_cycles: {fmt_exact(result.unattributed_cycles)}",
-        "overestimated: " + (",".join(b.value for b in result.overestimated)
-                             or "none"),
-        "underestimated: " + (",".join(b.value for b in result.underestimated)
-                              or "none"),
-    ]
-    return "\n".join(lines) + "\n"
+    over = ",".join(b.value for b in result.overestimated) or "none"
+    under = ",".join(b.value for b in result.underestimated) or "none"
+    return "comparison:\nblocks:\n" + _COMPARE_TEXT % tuple(
+        chain.from_iterable(_comparison_rows(result))) + f"""\
+unattributed_cycles: {fmt_exact(result.unattributed_cycles)}
+overestimated: {over}
+underestimated: {under}
+"""
 
 
 def render_compare_table(result: ComparisonReport) -> str:
-    unattributed = ["UNATTRIBUTED", "", fmt_exact(result.unattributed_cycles),
-                    "", "", ""]
-    return _table(("block",) + _COMPARISON_KEYS,
-                  _comparison_rows(result) + [unattributed])
+    return (",".join(("block",) + _COMPARISON_KEYS) + "\n"
+            + _COMPARE_TABLE % tuple(chain.from_iterable(
+                _comparison_rows(result)))
+            + f"UNATTRIBUTED,,{fmt_exact(result.unattributed_cycles)},,,\n")
 
 
 # ---------------------------------------------------------------------------

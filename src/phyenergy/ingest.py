@@ -277,7 +277,7 @@ def rows_from_tallies(tallies: PipelineTallies) -> list[MeasuredRow]:
 
 
 def _as_prefix(label: str, value: Any) -> str:
-    # YAML reads 010 as 8 and on as True; str() would rewrite the prefix.
+    # YAML reads on as True and ~ as None; str() would rewrite the prefix.
     if not isinstance(value, str):
         raise ConfigError(f"{label} {echo(value)} is not a string; quote it")
     return value

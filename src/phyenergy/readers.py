@@ -43,7 +43,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-import re
 from collections.abc import Hashable
 from itertools import repeat
 from typing import (TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence,
@@ -96,8 +95,8 @@ def reject_long_parts(parts: Sequence[str], label: str,
 
 
 # ---------------------------------------------------------------------------
-# Text and YAML files.  YAML 1.1 resolves "2.1e9" to a string, so every
-# field is coerced explicitly instead of trusting the parser's types.
+# Text and YAML files.  The YAML loader types only nulls and booleans, so
+# every number reaches its field's converter as text.
 
 
 def path_text(path: str | os.PathLike[str]) -> str:
@@ -148,12 +147,13 @@ class _UniqueKeys:
 
 def _yaml_loader(base: type) -> type:
     """The loader :func:`read_yaml` parses with, on PyYAML's safe loader
-    ``base``: unique keys, and an implicit int only in decimal, so that
-    YAML 1.1's 010, 0x1F, 0b11 and 1:30 reach a converter as text."""
-    decimal = re.compile(r"[-+]?(?:0|[1-9][0-9_]*)$")
+    ``base``: unique keys, and implicit types only for nulls, booleans and
+    the ``<<`` merge key, so that every unquoted number, date or YAML 1.1
+    form (010, 0x1F, 1:30.5, .inf) reaches a converter as text."""
+    kept = ("tag:yaml.org,2002:null", "tag:yaml.org,2002:bool",
+            "tag:yaml.org,2002:merge")
     return type("Loader", (_UniqueKeys, base), {"yaml_implicit_resolvers": {
-        first: [(tag, decimal if tag == "tag:yaml.org,2002:int" else regexp)
-                for tag, regexp in resolvers]
+        first: [(tag, regexp) for tag, regexp in resolvers if tag in kept]
         for first, resolvers in base.yaml_implicit_resolvers.items()}})
 
 
@@ -200,8 +200,8 @@ def read_yaml(path: str | os.PathLike[str], what: str, convert: Converter,
                 elif isinstance(event, yaml.CollectionEndEvent):
                     depth -= 1
             value = yaml.load(text, Loader=_YAML_LOADER)
-        # ValueError: a scalar the safe constructors reject, such as an
-        # integer past Python's digit limit or a date like 2001-13-45.
+        # ValueError: a tagged scalar the safe constructors reject, such as
+        # !!int past Python's digit limit or !!timestamp 2001-13-45.
         except (yaml.YAMLError, ValueError) as exc:
             raise ConfigError(f"malformed config: {exc}") from None
         if value is None and empty is None:
@@ -218,7 +218,7 @@ def read_fields(mapping: Any, context: str, required: Mapping[str, Converter],
     mapping the package reads goes through here."""
     if not isinstance(mapping, Mapping):
         raise ConfigError(f"{context}: expected a key/value mapping")
-    # YAML keys need not be strings: "1: 2" has the integer key 1.
+    # YAML keys need not be strings: "on: 2" has the boolean key True.
     unknown = sorted(map(str, set(mapping) - set(required) - set(optional)))
     if unknown:
         raise ConfigError(f"unknown {context} keys: " + ", ".join(

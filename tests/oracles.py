@@ -7,9 +7,11 @@ with the package's closed-form counts is meaningful.
 The ingest oracles keep the plain loops that the indexed attribution, the
 tuple-based path filter, the comma split, the chunked line split, the
 column-at-a-time cell checks and the parse's per-block grouping replaced.
-The renderers build an estimate's and a sweep's blocks a row at a time, as
-the package did before its ``%`` templates, and the scenario and derived
-sections a field at a time from the records' own fields.
+The renderers build an estimate's, a sweep's and a comparison's blocks a
+row at a time, as the package did before its ``%`` templates, and the
+scenario and derived sections a field at a time from the records' own
+fields; they print exact values through :func:`fmt_exact`, a Fraction-based
+formatter, and import nothing from the package's ``cli``.
 :func:`validate_rules` checks a scenario's range rules one ``if`` at a
 time, as ``validate`` did before its one tuple of flags.
 """
@@ -20,8 +22,8 @@ import csv
 import dataclasses
 import math
 from collections import Counter
+from fractions import Fraction
 
-from phyenergy.cli import fmt_ratio
 from phyenergy.errors import ConfigError, MeasurementError
 from phyenergy.ingest import MeasuredReport, MeasuredRow, MeasurementMeta
 from phyenergy.opcount import BlockId, DataClass, OperationTally, OpKind
@@ -328,7 +330,30 @@ def parse_rows(text, source, allow, deny, block_map):
 
 
 # ---------------------------------------------------------------------------
-# Estimate and sweep renderers, a row at a time
+# Report renderers, a row at a time
+
+
+def fmt_exact(q):
+    """The Fraction-based formatter: strip 2s and 5s from the denominator
+    one at a time, then print the terminating decimal or six digits."""
+    if q.denominator == 1:
+        return str(q.numerator)
+    den = q.denominator
+    twos = fives = 0
+    while den % 2 == 0:
+        den //= 2
+        twos += 1
+    while den % 5 == 0:
+        den //= 5
+        fives += 1
+    if den != 1:
+        return f"{float(q):.6g}"
+    digits = max(twos, fives)
+    sign = "-" if q < 0 else ""
+    scaled = abs(q.numerator) * 10 ** digits // abs(q.denominator)
+    text = str(scaled).rjust(digits + 1, "0")
+    return f"{sign}{text[:-digits]}.{text[-digits:].rstrip('0')}"
+
 
 _COST_KEYS = ("micro_ops", "cycles", "cycles_per_bit", "energy_j",
               "energy_nj_per_bit")
@@ -340,7 +365,7 @@ def _entries(rep):
 
 
 def _cycle_fields(micro_ops, num, den, bits):
-    return [str(micro_ops), fmt_ratio(num, den),
+    return [str(micro_ops), fmt_exact(Fraction(num, den)),
             f"{num / (den * bits):.6g}" if bits > 0 else "undefined"]
 
 
@@ -435,6 +460,48 @@ def render_sweep_text(param, results):
                   for (name, _), cost in _entries(rep)
                   for _, cycles, per_bit in [_cycle_fields(*cost[:4])]]
     return "\n".join(lines) + "\n"
+
+
+_COMPARISON_KEYS = ("modeled_cycles", "measured_cycles", "ratio",
+                    "signed_relative_error", "flag")
+
+
+def _comparison_rows(result):
+    """Name and printed fields of each block, by its letter, then of the
+    total; an absent value prints as ``undefined``."""
+    def opt(value, text):
+        return "undefined" if value is None else text(value)
+    entries = [(block.value, cmp) for block, cmp in result.per_block.items()]
+    return [[name, fmt_exact(cmp.modeled_cycles),
+             opt(cmp.measured_cycles, fmt_exact), opt(cmp.ratio, fmt_exact),
+             opt(cmp.signed_relative_error, lambda error: f"{error:.6g}"),
+             cmp.flag]
+            for name, cmp in entries + [("TOTAL", result.total)]]
+
+
+def render_compare_text(result):
+    lines = ["comparison:", "blocks:"]
+    *blocks, total = _comparison_rows(result)
+    for name, *fields in blocks:
+        lines.append(f"  {name}:")
+        lines += [f"    {key}: {value}"
+                  for key, value in zip(_COMPARISON_KEYS, fields)]
+    lines.append("total:")
+    lines += [f"  {key}: {value}"
+              for key, value in zip(_COMPARISON_KEYS, total[1:])]
+    lines.append("unattributed_cycles: "
+                 + fmt_exact(result.unattributed_cycles))
+    for key, flag in (("overestimated", "over"), ("underestimated", "under")):
+        names = [block.value for block, cmp in result.per_block.items()
+                 if cmp.flag == flag]
+        lines.append(f"{key}: {','.join(names) or 'none'}")
+    return "\n".join(lines) + "\n"
+
+
+def render_compare_table(result):
+    return _table(("block",) + _COMPARISON_KEYS, _comparison_rows(result) + [
+        ["UNATTRIBUTED", "", fmt_exact(result.unattributed_cycles), "", "",
+         ""]])
 
 
 # ---------------------------------------------------------------------------

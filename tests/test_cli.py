@@ -22,7 +22,8 @@ from phyenergy.costmodel import (LOCATION_BY_CLASS, EnergyParams,
                                  build_report, load_cost_table,
                                  load_default_cost_table)
 from phyenergy.errors import ConfigError
-from phyenergy.ingest import rows_from_tallies, serialize_measurement
+from phyenergy.ingest import (compare, rows_from_tallies,
+                              serialize_measurement)
 from phyenergy.opcount import DataClass, OpKind, tally_pipeline
 from phyenergy.scenario import DecodeConfig, load_scenario
 from test_opcount import _valid_scenarios
@@ -80,28 +81,6 @@ def test_fmt_opt_undefined():
     assert fmt_opt(Fraction(1, 2)) == "0.5"
 
 
-def _fmt_exact_oracle(q: Fraction) -> str:
-    """The Fraction-based formatter: strip 2s and 5s from the denominator
-    one at a time, then print the terminating decimal or six digits."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    den = q.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    if den != 1:
-        return fmt_float(float(q))
-    digits = max(twos, fives)
-    sign = "-" if q < 0 else ""
-    scaled = abs(q.numerator) * 10 ** digits // abs(q.denominator)
-    text = str(scaled).rjust(digits + 1, "0")
-    return f"{sign}{text[:-digits]}.{text[-digits:].rstrip('0')}"
-
-
 def _outcome(fmt, q):
     try:
         return fmt(q)
@@ -121,8 +100,8 @@ _denominators = st.builds(lambda twos, fives, odd: 2 ** twos * 5 ** fives * odd,
 @settings(max_examples=400, deadline=None, derandomize=True)
 def test_fmt_exact_matches_the_fraction_oracle(num, den):
     q = Fraction(num, den)
-    assert _outcome(fmt_exact, q) == _outcome(_fmt_exact_oracle, q)
-    assert _outcome(fmt_exact, -q) == _outcome(_fmt_exact_oracle, -q)
+    assert _outcome(fmt_exact, q) == _outcome(oracles.fmt_exact, q)
+    assert _outcome(fmt_exact, -q) == _outcome(oracles.fmt_exact, -q)
 
 
 def test_rendered_block_names_and_sides_follow_the_block_order():
@@ -193,6 +172,41 @@ def test_templates_render_as_the_row_oracles(s, snr_db, kappa, clock_hz,
                 == oracles.render_sweep_text(param, results))
         assert (cli.render_sweep_table(param, results)
                 == oracles.render_sweep_table(param, results))
+
+
+# How a block's measured cycles relate to its modeled ones: None leaves the
+# block unmeasured, else it is measured at that multiple of its modeled
+# cycles.  _EVERY_KIND measures one block of each kind: match, under, over,
+# missing, zero, and three whose ratios do not terminate.
+_SCALES = st.one_of(st.none(), st.just(Fraction(0)),
+                    st.builds(Fraction, st.integers(1, 12),
+                              st.integers(1, 12)))
+_EVERY_KIND = [Fraction(1), Fraction(2), Fraction(1, 3), None, Fraction(0),
+               Fraction(7, 3), Fraction(3, 7), Fraction(11, 9)]
+
+
+@given(table=st.integers(0, len(_TABLES) - 1),
+       scales=st.lists(_SCALES, min_size=8, max_size=8),
+       unattributed=st.sampled_from([Fraction(0), Fraction(7, 3),
+                                     Fraction(1234567, 8)]))
+@example(table=0, scales=_EVERY_KIND, unattributed=Fraction(0))
+@example(table=1, scales=_EVERY_KIND, unattributed=Fraction(7, 3))
+@example(table=2, scales=_EVERY_KIND, unattributed=Fraction(5, 2))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_compare_templates_render_as_the_row_oracles(table, scales,
+                                                     unattributed):
+    """Both compare layouts, filled from their ``%`` templates, are byte
+    for byte the row-at-a-time renderers."""
+    modeled = build_report(tally_pipeline(reference_scenario()),
+                           _TABLES[table], EnergyParams(1e-25, 2.1e9))
+    measured = {block: modeled.per_block[block].cycles * scale
+                for block, scale in zip(opcount.BlockId, scales)
+                if scale is not None}
+    result = compare(modeled, measured, unattributed)
+    assert cli.render_compare_text(result) == oracles.render_compare_text(
+        result)
+    assert cli.render_compare_table(result) == oracles.render_compare_table(
+        result)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +291,7 @@ def test_estimate_invalid_scenario_reports_rule(capsys, tmp_path):
 @pytest.mark.parametrize("extra,replacement", [
     (["--kappa", "nan"], None),
     (["--clock-hz", "inf"], None),
-    ([], ("snr_db: 10.0", "snr_db: .nan")),
+    ([], ("snr_db: 10.0", "snr_db: nan")),
 ])
 def test_estimate_rejects_non_finite_numbers(capsys, tmp_path, extra,
                                              replacement):
@@ -354,7 +368,8 @@ def test_overflowing_energy_per_cycle_fails_the_sweep_at_derive(capsys):
 
 @pytest.mark.parametrize("text,message", [
     (b"n_slots: 1\xff\n", "scenario file is not text"),
-    (b"n_slots: 2001-13-45\n", "malformed config: month must be in"),
+    (b"n_slots: !!timestamp 2001-13-45\n",
+     "malformed config: month must be in"),
 ], ids=["not-utf8", "bad-date"])
 def test_unreadable_scenario_values_are_config_errors(capsys, tmp_path, text,
                                                       message):
@@ -557,6 +572,27 @@ def test_a_sweep_value_wins_over_the_override_flag(capsys, monkeypatch):
     assert code == 0
     assert costed == [2e-25]
     assert out.splitlines()[1].startswith("2e-25,A,")
+
+
+@pytest.mark.parametrize("fmt", ["structured-text", "delimited-table"])
+def test_a_kappa_sweep_prints_rows_that_differ_only_in_their_label(capsys,
+                                                                   fmt):
+    """Sweep layouts print cycles only, and kappa moves energy alone; an
+    energy column would change the sweep layouts and their goldens."""
+    code, out, err = run(capsys, "sweep", "--scenario", REFERENCE,
+                         "--param", "kappa", "--values=1e-25,2e-25",
+                         "--format", fmt)
+    assert (code, err) == (0, "")
+    rows = {}
+    for line in out.splitlines()[1:]:
+        if fmt == "delimited-table":
+            label, line = line.split(",", 1)
+        elif not line.startswith(" "):
+            label = line.removesuffix(":")
+            continue
+        rows.setdefault(label, []).append(line)
+    assert list(rows) == ["1e-25", "2e-25"]
+    assert rows["1e-25"] == rows["2e-25"] and len(rows["1e-25"]) == 9
 
 
 @pytest.mark.parametrize("flag", ["--kappa", "--clock-hz"])

@@ -142,9 +142,25 @@ def test_cli_exits_cleanly_on_any_input(tmp_path_factory, changes, sweep,
 
 @pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
 def test_integer_past_the_digit_limit_in_a_file(tmp_path, monkeypatch, loader):
+    """A plain integer reaches the digit rule as text, as a quoted one does."""
     _loader(monkeypatch, loader)
     path = tmp_path / "long.yaml"
     path.write_text(_scenario_text([("n_slots", LONG)]))
+    code, out, err = _run(["estimate", "--scenario", str(path)])
+    assert (code, out) == (1, "")
+    assert err == (f"error[config]: {path}: scenario.n_slots has too many "
+                   "digits (5001)\n"), err
+
+
+@pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+def test_an_integer_tagged_past_the_digit_limit_is_malformed(tmp_path,
+                                                             monkeypatch,
+                                                             loader):
+    """An integer tagged ``!!int`` is built by PyYAML, which refuses it."""
+    _loader(monkeypatch, loader)
+    path = tmp_path / "long.yaml"
+    path.write_text(_scenario_text([("n_slots", LONG)]).replace(
+        LONG, "!!int " + LONG))
     code, out, err = _run(["estimate", "--scenario", str(path)])
     assert (code, out) == (1, "")
     assert err.startswith(f"error[config]: {path}: malformed config:"), err
@@ -182,6 +198,41 @@ def test_a_hex_binary_or_sexagesimal_integer_is_refused(tmp_path,
     assert _run(["estimate", "--scenario", str(path)]) == (
         1, "", f"error[config]: {path}: scenario.n_prb: expected an "
                f"integer, got {text!r}\n")
+
+
+@pytest.mark.parametrize("base", ["CSafeLoader", "SafeLoader"])
+@pytest.mark.parametrize("key, text", [
+    ("snr_db", "1:30.5"), ("snr_db", ".inf"), ("snr_db", "nan"),
+    ("clock_hz", "2.1e+9"), ("n_prb", "2001-01-01"), ("n_prb", "1__0"),
+    ("n_prb", "10_"), ("n_prb", "0x1F"), ("n_prb", "5_2"), ("n_prb", "+52"),
+    ("n_slots", LONG), ("allow", "10"),
+], ids=["sexagesimal", "inf", "nan", "exponent", "date", "double-underscore",
+        "trailing-underscore", "hex", "underscore", "plus", "long", "filter"])
+def test_an_unquoted_scalar_reads_as_its_quoted_form(tmp_path, monkeypatch,
+                                                     base, key, text):
+    """YAML 1.1 would read 1:30.5 as 90.5, .inf as infinity, 2001-01-01 as
+    a date, 1__0 as 10 and 10 as an integer; the loader hands each to its
+    converter as the text of its quoted form, so both print alike."""
+    _loader(monkeypatch, base)
+    path = tmp_path / "input.yaml"
+    if key == "allow":
+        report = tmp_path / "report.csv"
+        # one row under the prefix 10/ and one outside it
+        report.write_text(_REPORT_HEADER
+                          + "10/dlsch/crc,A,XOR,logical_scalar,32,500\n"
+                          "nr5g/stray,B,SET,int_scalar,1,7\n")
+        argv = ["compare", "--scenario", str(REFERENCE_PATH), "--measured",
+                str(report), "--filter", str(path)]
+        template = "allow: [{}]\n"
+    else:
+        argv = ["estimate", "--scenario", str(path)]
+        template = re.sub(f"^{key}: .*$", f"{key}: {{}}",
+                          REFERENCE_PATH.read_text(), flags=re.M)
+    outcomes = []
+    for value in (text, f'"{text}"'):
+        path.write_text(template.format(value))
+        outcomes.append(_run(argv))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_integer_past_the_digit_limit_in_a_sweep():
@@ -306,9 +357,9 @@ def test_reader_and_loader_errors(tmp_path, argv, text, message):
 ], ids=["allow-octal", "deny-bool", "block-map-hex", "block-map-null"])
 def test_a_filter_prefix_yaml_did_not_read_as_a_string(tmp_path, text,
                                                        message):
-    """YAML reads on as True, 1_000 as 1000 and ~ as None, while 010 and
-    0x1F stay text, since an implicit int is decimal; a prefix it did not
-    read as a string is refused, not rewritten by str()."""
+    """YAML reads on as True and ~ as None, while 010, 0x1F and 1_000 stay
+    text, since the loader types no number; a prefix it did not read as a
+    string is refused, not rewritten by str()."""
     path = tmp_path / "filter.yaml"
     path.write_text(text)
     code, out, err = _run(["compare", "--scenario", str(REFERENCE_PATH),
@@ -354,7 +405,8 @@ def test_a_mapping_may_override_the_keys_it_merges(tmp_path, monkeypatch,
     path.write_text("c: &c {x: 0}\nouter:\n  inner: &b\n    <<: *c\n"
                     "    x: 1\nother:\n  <<: *b\n  x: 2\n")
     assert readers.read_yaml(path, "test", lambda _, value: value) == {
-        "c": {"x": 0}, "outer": {"inner": {"x": 1}}, "other": {"x": 2}}
+        "c": {"x": "0"}, "outer": {"inner": {"x": "1"}},
+        "other": {"x": "2"}}
     path.write_text("<<: {n_prb: 3}\n" + REFERENCE_PATH.read_text())
     assert _run(["estimate", "--scenario", str(path)]) == _run(
         ["estimate", "--scenario", str(REFERENCE_PATH)])
