@@ -323,13 +323,13 @@ def load_filter_config(path: str | os.PathLike[str],
 
 def measured_cycles(report: MeasuredReport,
                     table: InstructionCostTable) -> Dict[BlockId, Fraction]:
-    """Per-block measured cycles through the shared cost path.
-
-    Every block appears in the result (zero when absent from the
-    report).  Unattributed rows are excluded here; see
-    :func:`unattributed_cycles`.
+    """Per-block measured cycles through the shared cost path, for each
+    block the report has a kept row of: zero when those rows count
+    nothing, and no entry when it has none.  Unattributed rows are
+    excluded here; see :func:`unattributed_cycles`.
     """
-    return {block: _cycles_of(report, block, table) for block in BlockId}
+    return {block: _cycles_of(report, block, table) for block in BlockId
+            if block in report.block_tallies}
 
 
 def unattributed_cycles(report: MeasuredReport,
@@ -393,17 +393,20 @@ def compare(modeled: EnergyReport,
     """Per-block modeled/measured ratios with over/under flags.
 
     Blocks missing from ``measured`` (or measured at zero cycles) get
-    an undefined ratio rather than an error.  Totals compare the modeled
-    total, the exact sum of its blocks, against the sum of the measured
-    cycles that are present.  A measured or unattributed cycle count,
-    ratio or relative error beyond the float range raises DomainError.
+    an undefined ratio rather than an error.  The total compares only
+    what was measured: the exact sum of the modeled cycles of the blocks
+    in ``measured`` against the sum of their measured cycles (undefined
+    when there are none).  A measured or unattributed cycle count, ratio
+    or relative error beyond the float range raises DomainError.
     """
     _check_float_range(unattributed)
-    meas = [measured.get(block) for block in BlockId]
-    per_block = {block: _compare_pair(modeled.per_block[block].cycles, m)
-                 for block, m in zip(BlockId, meas)}
-    present = [m for m in meas if m is not None]
-    total = _compare_pair(modeled.total.cycles,
-                          sum(present) if present else None)
+    per_block = {block: _compare_pair(modeled.per_block[block].cycles,
+                                      measured.get(block))
+                 for block in BlockId}
+    present = [b for b in BlockId if measured.get(b) is not None]
+    total = _compare_pair(sum([modeled.per_block[b].cycles for b in present],
+                              Fraction(0)),
+                          sum([measured[b] for b in present])
+                          if present else None)
     return ComparisonReport(per_block=per_block, total=total,
                             unattributed_cycles=unattributed)

@@ -21,19 +21,18 @@ number of the pair in :data:`SLOT_KEYS`.  Counts are closed-form in the
 scenario's derived parameters; nothing here touches sample data.
 
 Every formula is a private term that returns a raw ``{slot: count}``
-dict, and a block is the tuple of its terms; :data:`TERMS` names each
-term, in block order, with the blocks it is part of.
-:func:`tally_pipeline` merges each tuple once, scaling by ``n_slots`` in
-the same pass, and wraps it once, with no key or type check: its integer
-inputs come from :func:`~phyenergy.scenario.derive`, whose
-:func:`~phyenergy.scenario.validate` has checked once that every integer
-field of the scenario is an ``int``.  The checked entries, :func:`count_term`
-(one term by name) and ``count_block_a`` to ``count_block_h`` (one block
-each, as the benchmark times them), refuse an argument that breaks the
-counters' one input rule, :func:`_check_ints` (a non-negative ``int``, not
-a bool).  A term keeps only its structural rules (``>= 1``, ``k >= 2z``,
-``p >= v``, powers of two), and block H checks the one count it computes,
-``n_ccb - k``.  The public :class:`OperationTally` checks keys and counts.
+dict.  :data:`TERMS`, the only wiring, declares each as a :class:`Term`:
+its function, that function's parameters, and in each block that has the
+term the field that feeds each parameter.  :func:`tally_pipeline` reads
+every field once per scenario, then merges each block's terms, scaled by
+``n_slots``, with no check: :func:`~phyenergy.scenario.validate` has
+checked every integer field of the scenario once.  The checked entries,
+:func:`count_term` (one term by name) and ``count_block_a`` to
+``count_block_h`` (one block each, for the benchmark), refuse an argument
+that breaks the counters' one input rule, :func:`_check_ints` (a
+non-negative ``int``, not a bool); a term keeps only its structural rules
+(``>= 1``, ``k >= 2z``, ``p >= v``, powers of two).  The public
+:class:`OperationTally` checks keys and counts.
 
 Data classes follow the block split: the bit-oriented stages (block A,
 block G, and the scrambling/modulation inputs of block B) count as
@@ -47,6 +46,7 @@ model's compiled tables read it from there.
 from __future__ import annotations
 
 import enum
+from operator import attrgetter, itemgetter
 from typing import (Callable, Dict, Iterator, Mapping, NamedTuple, Sequence,
                     Tuple)
 
@@ -133,9 +133,6 @@ _ADD_DS, _MUL_DS, _DIV_DS, _XOR_DS, _LOG_DS, _FLOP_DS = _slots(
     DataClass.DOUBLE_SCALAR, OpKind.ADD, OpKind.MUL, OpKind.DIV, OpKind.XOR,
     OpKind.LOG, OpKind.FLOP)
 (_XOR_LV,) = _slots(DataClass.LOGICAL_VECTOR, OpKind.XOR)
-
-# A block as the tuple of its terms' raw {slot: count} dicts.
-_Terms = Tuple[Dict[int, int], ...]
 
 
 class OperationTally:
@@ -226,17 +223,15 @@ def _of_slots(counts: Dict[int, int]) -> OperationTally:
     return tally
 
 
-def _merge(terms: Sequence[Mapping[int, int]], factor: int = 1,
-           ) -> OperationTally:
-    """The merge of raw ``{slot: count}`` terms, scaled by ``factor``
-    (>= 1), in one pass and wrapped once; one term at factor 1 is wrapped
-    as it is."""
-    if factor == 1 and len(terms) == 1:
+def _merge(terms: Sequence[Mapping[int, int]]) -> OperationTally:
+    """The merge of raw ``{slot: count}`` terms, wrapped once; one term is
+    wrapped as it is."""
+    if len(terms) == 1:
         return _of_slots(terms[0])
     counts: Dict[int, int] = {}
     for term in terms:
         for slot, n in term.items():
-            counts[slot] = counts.get(slot, 0) + n * factor
+            counts[slot] = counts.get(slot, 0) + n
     return _of_slots(counts)
 
 
@@ -266,7 +261,7 @@ def _ilog2(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Block A: CRC attach, segmentation, LDPC encoding
+# The terms, in block order; TERMS says which blocks each is part of.
 
 
 def _crc(a_bits: int) -> Dict[int, int]:
@@ -320,25 +315,6 @@ def _ldpc_encode(k: int, z: int, n1: int, rows: int, cols: int,
     }
 
 
-def _block_a(d: DerivedParams, bg: BaseGraphSpec) -> _Terms:
-    """The per-code-block CRCs are costed as one pass over the total
-    payload ``b`` (the sum of all code block sizes).  Rate matching and
-    concatenation are index bookkeeping and contribute no operations."""
-    return (_crc(d.a), _segmentation(d.c), _crc(d.b),
-            _ldpc_encode(d.k, d.z, bg.n1, bg.rows, bg.cols, d.n_ccb, d.c))
-
-
-def count_block_a(d: DerivedParams, bg: BaseGraphSpec) -> OperationTally:
-    """Transport channel encoding: TB CRC, segmentation, CB CRCs, LDPC."""
-    _check_ints(**d._asdict())
-    _check_ints(**bg._asdict())
-    return _merge(_block_a(d, bg))
-
-
-# ---------------------------------------------------------------------------
-# Blocks B and G: scrambling, modulation mapping, layer mapping
-
-
 def _scrambling(m_cw: int) -> Dict[int, int]:
     """Six vectorized XORs per codeword bit (Gold sequence update plus the
     masking itself)."""
@@ -355,24 +331,6 @@ def _layer_mapping(n_symbols: int) -> Dict[int, int]:
     return {_SHIFT_IS: n_symbols}
 
 
-def _block_b(m_cw: int, n_symbols: int) -> _Terms:
-    return (_scrambling(m_cw), _modulation(n_symbols),
-            _layer_mapping(n_symbols))
-
-
-def count_block_b(m_cw: int, n_symbols: int) -> OperationTally:
-    """Scrambling, modulation and layer mapping for one codeword."""
-    _check_ints(m_cw=m_cw, n_symbols=n_symbols)
-    return _merge(_block_b(m_cw, n_symbols))
-
-
-count_block_g = count_block_b      # block B's receiver mirror, same counts
-
-
-# ---------------------------------------------------------------------------
-# Block C: antenna-port mapping
-
-
 def _precoding(p: int, v: int, m_symb_layer: int) -> Dict[int, int]:
     """Per layer-mapped symbol: an SVD of the p-by-v channel estimate
     (2pv^2 + v^3 flops), singular-value regularization (v), forming
@@ -383,35 +341,12 @@ def _precoding(p: int, v: int, m_symb_layer: int) -> Dict[int, int]:
     return {_FLOP_DS: m_symb_layer * per_symbol}
 
 
-def count_block_c(p: int, v: int, m_symb_layer: int) -> OperationTally:
-    """Precoding over ``p`` ports and ``v`` layers."""
-    _check_ints(p=p, v=v, m_symb_layer=m_symb_layer)
-    return _of_slots(_precoding(p, v, m_symb_layer))
-
-
-# ---------------------------------------------------------------------------
-# Blocks D and E: OFDM transforms
-
-
 def _fft(g: int, n_ant: int, n_fft: int) -> Dict[int, int]:
     """5*n_fft*log2(n_fft) real flops per radix-2 transform.  ``n_fft``
     must be a power of two."""
     if g < 1 or n_ant < 1:
         raise DomainError("transform counts need g >= 1 and n_ant >= 1")
     return {_FLOP_DS: 5 * g * n_ant * n_fft * _ilog2(n_fft)}
-
-
-def count_block_d(g: int, n_ant: int, n_fft: int) -> OperationTally:
-    """Radix-2 transforms for ``g`` symbols on ``n_ant`` antennas."""
-    _check_ints(g=g, n_ant=n_ant, n_fft=n_fft)
-    return _of_slots(_fft(g, n_ant, n_fft))
-
-
-count_block_e = count_block_d      # the receiver FFT bank, as block D
-
-
-# ---------------------------------------------------------------------------
-# Block F: channel estimation and equalization
 
 
 def _ls(v: int, n_r: int, n_t: int, l: int, g: int,
@@ -461,25 +396,6 @@ def _mmse(n_r: int, n_t: int, n_f: int, g: int) -> Dict[int, int]:
     return {_FLOP_DS: setup + n_f * per_sc}
 
 
-def _block_f(d: DerivedParams, s: Scenario) -> _Terms:
-    """A modelling choice: estimation is costed over g*k_p = 14*k_p pilot
-    equations whatever pilot_symbols_per_slot is, 0 included, so the
-    pilot symbol count never reaches block F."""
-    return (_ls(s.n_layers, s.n_rx, s.n_tx, s.channel_len, d.g, d.k_p),
-            _mmse(s.n_rx, s.n_tx, d.n_f, d.g))
-
-
-def count_block_f(d: DerivedParams, s: Scenario) -> OperationTally:
-    """Least squares plus MMSE."""
-    _check_ints(**d._asdict(), n_layers=s.n_layers, n_rx=s.n_rx,
-                n_tx=s.n_tx, channel_len=s.channel_len)
-    return _merge(_block_f(d, s))
-
-
-# ---------------------------------------------------------------------------
-# Block H: LDPC decoding and CRC checks
-
-
 def _ldpc_decode(n_vn: int, w_cn: int, deg_cn: int, deg_vn: int,
                  iters: int, c: int) -> Dict[int, int]:
     """Normalized min-sum decoding for ``c`` code blocks.
@@ -508,58 +424,174 @@ def _crc_check(bits: int) -> Dict[int, int]:
     return {**_crc(bits), _CMP_LS: 1}
 
 
-def _block_h(d: DerivedParams, decode: DecodeConfig) -> _Terms:
-    """The decoder sees the full coded block (n_ccb variable nodes); the
-    redundancy handled per check node is the coded length minus the
-    systematic payload, a count this layer computes and so checks."""
-    if d.n_ccb < d.k:
-        raise DomainError("decode needs n_ccb >= k")
-    return (_ldpc_decode(d.n_ccb, d.n_ccb - d.k, decode.deg_cn,
-                         decode.deg_vn, decode.iterations, d.c),
-            _crc_check(d.b), _crc_check(d.a))
+# ---------------------------------------------------------------------------
+# The term table and the pipeline
+
+
+class Term(NamedTuple):
+    """One formula: its count function, that function's parameters in
+    order, and each block that has it, with the field for each parameter."""
+
+    name: str
+    count: Callable[..., Dict[int, int]]
+    params: Tuple[str, ...]
+    blocks: Mapping[str, Tuple[str, ...]]   # block letter -> its fields
+
+
+def _table(*rows: tuple) -> Dict[str, Term]:
+    """Terms by name from rows of a name, a count function, then each
+    group of blocks and its ``parameter=field`` list."""
+    terms = {}
+    for name, count, *uses in rows:
+        blocks = {}
+        for letters, spec in zip(uses[::2], uses[1::2]):
+            params, fields = zip(*(arg.split("=") for arg in spec.split()))
+            blocks.update(dict.fromkeys(letters, fields))
+        terms[name] = Term(name, count, params, blocks)
+    return terms
+
+
+# Every term in block order.  A field is ``d.<DerivedParams field>``,
+# ``s.<Scenario field>``, ``s.decode.<DecodeConfig field>`` or
+# ``bg.<BaseGraphSpec field>``, the shape of base graph ``d.bg``.
+TERMS: Dict[str, Term] = _table(
+    ("tb_crc", _crc, "A", "a_bits=d.a"),
+    ("segmentation", _segmentation, "A", "c=d.c"),
+    # The per-code-block CRCs are one pass over the total payload b.
+    ("cb_crc", _crc, "A", "a_bits=d.b"),
+    # Rate matching and concatenation are index bookkeeping: no operations.
+    ("ldpc_encode", _ldpc_encode, "A", "k=d.k z=d.z n1=bg.n1 rows=bg.rows "
+                                       "cols=bg.cols n_ccb=d.n_ccb c=d.c"),
+    ("scrambling", _scrambling, "BG", "m_cw=d.m_cw"),
+    ("modulation", _modulation, "BG", "n_symbols=d.n_symbols"),
+    ("layer_mapping", _layer_mapping, "BG", "n_symbols=d.n_symbols"),
+    ("precoding", _precoding, "C", "p=s.n_ports v=s.n_layers "
+                                   "m_symb_layer=d.m_symb_layer"),
+    ("fft", _fft, "D", "g=d.g n_ant=s.n_tx n_fft=d.n_fft",
+                  "E", "g=d.g n_ant=d.rx_antennas n_fft=d.n_fft"),
+    # A modelling choice: g*k_p = 14*k_p pilot equations whatever
+    # pilot_symbols_per_slot is, 0 included; that count never reaches F.
+    ("ls", _ls, "F", "v=s.n_layers n_r=s.n_rx n_t=s.n_tx l=s.channel_len "
+                     "g=d.g k_p=d.k_p"),
+    ("mmse", _mmse, "F", "n_r=s.n_rx n_t=s.n_tx n_f=d.n_f g=d.g"),
+    # The decoder sees the full coded block: n_ccb variable nodes, and the
+    # n_ccb - k check-node rows derive gives as n_checks.
+    ("ldpc_decode", _ldpc_decode, "H", "n_vn=d.n_ccb w_cn=d.n_checks "
+     "deg_cn=s.decode.deg_cn deg_vn=s.decode.deg_vn "
+     "iters=s.decode.iterations c=d.c"),
+    ("cb_crc_check", _crc_check, "H", "bits=d.b"),
+    ("tb_crc_check", _crc_check, "H", "bits=d.a"),
+)
+
+# A row is one tuple per scenario, read once: the fields of d, bg and
+# s.decode, then the scenario fields that some term names.  Each term's
+# getter picks its arguments from it.
+_SCENARIO_FIELDS = tuple(dict.fromkeys(
+    f[2:] for t in TERMS.values() for fields in t.blocks.values()
+    for f in fields if f[:2] == "s." and f[:9] != "s.decode."))
+_ROW = (*(f"d.{f}" for f in DerivedParams._fields),
+        *(f"bg.{f}" for f in BaseGraphSpec._fields),
+        *(f"s.decode.{f}" for f in DecodeConfig._fields),
+        *(f"s.{f}" for f in _SCENARIO_FIELDS))
+_read_scenario = attrgetter(*_SCENARIO_FIELDS)
+_NO_GRAPH = (None,) * len(BaseGraphSpec._fields)
+
+
+def _getter(fields: Sequence[str]) -> Callable[[tuple], tuple]:
+    """The tuple of the values of ``fields`` in a row."""
+    at = [_ROW.index(field) for field in fields]
+    return itemgetter(*at) if len(at) > 1 else itemgetter(slice(at[0],
+                                                                at[0] + 1))
+
+
+_TERMS_OF = {block: [t for t in TERMS.values() if block.value in t.blocks]
+             for block in BlockId}
+
+
+def _plan(block: BlockId) -> tuple:
+    """``block``'s terms as (count function, argument getter) pairs, then
+    the earlier block with the same terms, if any, and getters of all the
+    arguments of both: when these agree, the block's tally is that one's."""
+    def arguments(b):
+        return _getter([f for t in _TERMS_OF[b] for f in t.blocks[b.value]])
+
+    terms = _TERMS_OF[block]
+    uses = tuple((t.count, _getter(t.blocks[block.value])) for t in terms)
+    twin = next(b for b in BlockId if _TERMS_OF[b] == terms)
+    if twin is block:
+        return uses, None, None, None
+    return uses, twin, arguments(block), arguments(twin)
+
+
+# G's tally is B's, and E's is D's when rx_antennas equals n_tx.
+_PLANS = {block: _plan(block) for block in BlockId}
+
+
+def _count(block: BlockId, row: tuple) -> OperationTally:
+    """One slot of ``block``, its arguments read from ``row``."""
+    return _merge([count(*get(row)) for count, get in _PLANS[block][0]])
+
+
+def count_term(name: str, /, **args: int) -> OperationTally:
+    """The term :data:`TERMS` names, called with exactly its parameters, by
+    keyword.  An unknown name, a missing or unknown keyword, or an argument
+    that breaks :func:`_check_ints` raises :class:`DomainError`."""
+    term = TERMS.get(name)
+    if term is None:
+        raise DomainError(f"unknown term {name!r}")
+    if args.keys() != set(term.params):
+        raise DomainError(f"{name} takes {', '.join(term.params)}")
+    _check_ints(**args)
+    return _of_slots(term.count(**args))
+
+
+# The benchmark's entries, one block each, checked as count_term is.
+
+
+def _count_named(block: BlockId, **args: int) -> OperationTally:
+    """One slot of ``block``, each term given its parameters by name."""
+    _check_ints(**args)
+    return _merge([t.count(*map(args.__getitem__, t.params))
+                   for t in _TERMS_OF[block]])
+
+
+def count_block_a(d: DerivedParams, bg: BaseGraphSpec) -> OperationTally:
+    """Transport channel encoding: TB CRC, segmentation, CB CRCs, LDPC."""
+    _check_ints(**d._asdict())
+    _check_ints(**bg._asdict())
+    return _count(BlockId.A, d + bg)
+
+
+def count_block_b(m_cw: int, n_symbols: int) -> OperationTally:
+    """Scrambling, modulation and layer mapping for one codeword."""
+    return _count_named(BlockId.B, m_cw=m_cw, n_symbols=n_symbols)
+
+
+def count_block_c(p: int, v: int, m_symb_layer: int) -> OperationTally:
+    """Precoding over ``p`` ports and ``v`` layers."""
+    return _count_named(BlockId.C, p=p, v=v, m_symb_layer=m_symb_layer)
+
+
+def count_block_d(g: int, n_ant: int, n_fft: int) -> OperationTally:
+    """Radix-2 transforms for ``g`` symbols on ``n_ant`` antennas."""
+    return _count_named(BlockId.D, g=g, n_ant=n_ant, n_fft=n_fft)
+
+
+def count_block_f(d: DerivedParams, s: Scenario) -> OperationTally:
+    """Least squares plus MMSE."""
+    _check_ints(**d._asdict(), n_layers=s.n_layers, n_rx=s.n_rx,
+                n_tx=s.n_tx, channel_len=s.channel_len)
+    return _count(BlockId.F, d + _NO_GRAPH + s.decode + _read_scenario(s))
 
 
 def count_block_h(d: DerivedParams, decode: DecodeConfig) -> OperationTally:
     """LDPC decoding plus CB and TB CRC checks."""
     _check_ints(**d._asdict(), **decode._asdict())
-    return _merge(_block_h(d, decode))
+    return _count(BlockId.H, d + _NO_GRAPH + decode)
 
 
-# ---------------------------------------------------------------------------
-# Terms by name, and the full pipeline
-
-
-# Every term in block order: its name, the blocks whose tuple lists it,
-# and the function that counts it.
-TERMS: Dict[str, Tuple[str, Callable[..., Dict[int, int]]]] = {
-    "tb_crc": ("A", _crc), "segmentation": ("A", _segmentation),
-    "cb_crc": ("A", _crc), "ldpc_encode": ("A", _ldpc_encode),
-    "scrambling": ("BG", _scrambling), "modulation": ("BG", _modulation),
-    "layer_mapping": ("BG", _layer_mapping),
-    "precoding": ("C", _precoding),
-    "fft": ("DE", _fft),
-    "ls": ("F", _ls), "mmse": ("F", _mmse),
-    "ldpc_decode": ("H", _ldpc_decode), "cb_crc_check": ("H", _crc_check),
-    "tb_crc_check": ("H", _crc_check),
-}
-
-
-def count_term(name: str, /, **args: int) -> OperationTally:
-    """The term :data:`TERMS` names, called with exactly its arguments, by
-    keyword.  An unknown name, a missing or unknown keyword, or an argument
-    that breaks :func:`_check_ints` raises :class:`DomainError`."""
-    entry = TERMS.get(name)
-    if entry is None:
-        raise DomainError(f"unknown term {name!r}")
-    code = entry[1].__code__
-    if args.keys() != set(params := code.co_varnames[:code.co_argcount]):
-        raise DomainError(f"{name} takes {', '.join(params)}")
-    _check_ints(**args)
-    return _of_slots(entry[1](**args))
-
-
-# Blocks in order, looked up once: an attribute of the enum class is slow.
-_BLOCKS = tuple(BlockId)
+# The receiver's mirrors of B and D have the same terms and parameters.
+count_block_g, count_block_e = count_block_b, count_block_d
 
 
 class PipelineTallies(NamedTuple):
@@ -578,18 +610,16 @@ def tally_pipeline(s: Scenario) -> PipelineTallies:
     """Count every block of the chain for a scenario, scaled by n_slots."""
     d = derive(s)
     n = s.n_slots
-    # Blocks G and E mirror B and D; E differs only with rx_fft_antennas.
-    bit_blocks = _merge(_block_b(d.m_cw, d.n_symbols), n)
-    transforms = _merge((_fft(d.g, s.n_tx, d.n_fft),), n)
-    per_block = dict(zip(_BLOCKS, (
-        _merge(_block_a(d, BASE_GRAPHS[d.bg]), n),
-        bit_blocks,
-        _merge((_precoding(s.n_ports, s.n_layers, d.m_symb_layer),), n),
-        transforms,
-        transforms if s.rx_fft_antennas is None
-        else _merge((_fft(d.g, s.rx_fft_antennas, d.n_fft),), n),
-        _merge(_block_f(d, s), n),
-        bit_blocks,
-        _merge(_block_h(d, s.decode), n))))
+    row = d + BASE_GRAPHS[d.bg] + s.decode + _read_scenario(s)
+    per_block = {}
+    for block, (uses, twin, mine, theirs) in _PLANS.items():
+        if twin is not None and mine(row) == theirs(row):
+            per_block[block] = per_block[twin]
+            continue
+        counts: Dict[int, int] = {}
+        for count, get in uses:
+            for slot, k in count(*get(row)).items():
+                counts[slot] = counts.get(slot, 0) + k * n
+        per_block[block] = _of_slots(counts)
     # Every field in order, through the base constructor, as derive does.
     return tuple.__new__(PipelineTallies, (per_block, d.a * n, d))

@@ -140,6 +140,8 @@ class DerivedParams(NamedTuple):
     z: int              # lifting size
     k: int              # information bits per code block
     n_ccb: int          # coded bits per code block
+    n_checks: int       # check-node rows per code block: n_ccb - k
+    rx_antennas: int    # receive-FFT antennas: rx_fft_antennas, else n_tx
 
 
 class BaseGraphSpec(NamedTuple):
@@ -353,9 +355,11 @@ def derive(s: Scenario) -> DerivedParams:
     n_ccb = (BASE_GRAPHS[bg].cols - 2) * z
 
     # Every field in order, as the generated __new__ takes twice as long.
+    # rx_fft_antennas is None or >= 1, so ``or`` falls back on None alone.
     return tuple.__new__(DerivedParams, (qm, n_f, g, n_fft, k_p, n_re,
                                          n_symbols, m_cw, m_symb_layer, a,
-                                         bg, c, b, z, k, n_ccb))
+                                         bg, c, b, z, k, n_ccb, n_ccb - k,
+                                         s.rx_fft_antennas or s.n_tx))
 
 
 def select_base_graph(a_bits: int, code_rate_num: int) -> BaseGraphSpec:

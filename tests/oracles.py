@@ -383,7 +383,8 @@ def _table(header, rows):
 
 # The DerivedParams fields an estimate does not print, and the key that
 # ``bg`` prints under.
-_DERIVED_UNSHOWN = {"qm", "g", "m_symb_layer", "b"}
+_DERIVED_UNSHOWN = {"qm", "g", "m_symb_layer", "b", "n_checks",
+                    "rx_antennas"}
 _DERIVED_KEYS = {"bg": "base_graph"}
 
 

@@ -769,6 +769,27 @@ def test_compare_table_format_has_unattributed_row(capsys, measurement_file):
     assert lines[-1].startswith("UNATTRIBUTED,")
 
 
+def test_compare_totals_only_the_measured_blocks(capsys, tmp_path):
+    """A block with no kept row has no measured cycles, and the total
+    compares the modeled cycles of the measured blocks (here A alone)
+    against their measured cycles."""
+    report = tmp_path / "m.csv"
+    report.write_text("function_path,block,operator,data_type,shape,count\n"
+                      "10/dlsch/crc,A,XOR,logical_scalar,32,500\n"
+                      "nr5g/stray,B,XOR,logical_scalar,32,7\n")
+    filt = tmp_path / "filter.yaml"
+    filt.write_text('allow: ["10"]\n')
+    code, out, _ = run(capsys, "compare", "--scenario", REFERENCE,
+                       "--measured", str(report), "--filter", str(filt),
+                       "--format", "delimited-table")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1] == "A,2306248010.25,125,18449984.082,1.845e+07,over"
+    for line in lines[2:9]:
+        assert line.endswith(",undefined" * 4)
+    assert lines[9] == "TOTAL,2306248010.25,125,18449984.082,1.845e+07,over"
+
+
 def test_compare_missing_measurement(capsys):
     code, _, err = run(capsys, "compare", "--scenario", REFERENCE,
                        "--measured", "/no/such.csv")

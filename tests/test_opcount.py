@@ -1,5 +1,9 @@
+import dataclasses
+import inspect
 from fractions import Fraction
 from functools import partial
+from operator import attrgetter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import Phase, assume, example, given, settings
@@ -17,9 +21,10 @@ from phyenergy.opcount import (EMPTY_TALLY, TERMS, BlockId, DataClass, OpKind,
                                count_block_c, count_block_d, count_block_e,
                                count_block_f, count_block_g, count_block_h,
                                count_term, tally_pipeline)
-from phyenergy.scenario import (BASE_GRAPHS, LIFTING_SIZES, TB_CRC_BITS,
-                                BaseGraphSpec, DecodeConfig, DerivedParams,
-                                Modulation, derive, select_base_graph)
+from phyenergy.scenario import (BASE_GRAPHS, KEY_CONVERTERS, LIFTING_SIZES,
+                                TB_CRC_BITS, BaseGraphSpec, DecodeConfig,
+                                DerivedParams, Modulation, Scenario, derive,
+                                select_base_graph, validate)
 
 LS = DataClass.LOGICAL_SCALAR
 IS = DataClass.INT_SCALAR
@@ -427,7 +432,7 @@ def _small_codes(draw):
     a = draw(st.integers(min_value=0, max_value=300))
     d = derive(reference_scenario())._replace(
         a=a, b=a + TB_CRC_BITS * c, c=c, z=z, k=info_cols * z,
-        n_ccb=(cols - 2) * z)
+        n_ccb=(cols - 2) * z, n_checks=(cols - 2 - info_cols) * z)
     decode = DecodeConfig(deg_cn=draw(st.integers(min_value=1, max_value=6)),
                           deg_vn=draw(st.integers(min_value=1, max_value=4)),
                           iterations=draw(st.integers(min_value=0,
@@ -611,8 +616,8 @@ def _public_terms(s):
                           else s.n_tx)
         assert list(args) == list(TERMS)
         terms[block] = [count_term(name, **args[name])
-                        for name, (letters, _) in TERMS.items()
-                        if block.value in letters]
+                        for name, term in TERMS.items()
+                        if block.value in term.blocks]
     return {block: (blocks[block], terms[block]) for block in BlockId}
 
 
@@ -634,6 +639,74 @@ def test_fused_pipeline_equals_its_validated_terms(s):
         assert tallies.per_block[block] == merged.scaled(s.n_slots)
         for count in tallies.per_block[block].slot_counts().values():
             assert type(count) is int and count > 0
+
+
+# Each record type a field may name, by its prefix.
+_FIELD_RECORDS = {"d": DerivedParams._fields,
+                  "s": [f.name for f in dataclasses.fields(Scenario)],
+                  "s.decode": DecodeConfig._fields,
+                  "bg": BaseGraphSpec._fields}
+
+
+def test_the_term_table_is_consistent_with_itself():
+    """Each record names its count function's parameters in order, and in
+    each of its blocks one existing field per parameter; every block has a
+    term, and count_term's message names the declared parameters."""
+    for name, term in TERMS.items():
+        assert term.name == name
+        assert term.params == tuple(
+            inspect.signature(term.count).parameters)
+        for fields in term.blocks.values():
+            assert len(fields) == len(term.params)
+            for field in fields:
+                record, _, attr = field.rpartition(".")
+                assert attr in _FIELD_RECORDS[record], field
+        with pytest.raises(DomainError,
+                           match=f"^{name} takes {', '.join(term.params)}$"):
+            count_term(name)
+    assert {block for term in TERMS.values()
+            for block in term.blocks} == {block.value for block in BlockId}
+
+
+# Every scenario field that reaches derive, other than n_slots, which
+# scales every block (test_pipeline_linear_in_slots).
+_DERIVE_FIELDS = [field for field in KEY_CONVERTERS if field != "n_slots"]
+
+
+def _with_field(s, field, value):
+    section, _, name = field.rpartition(".")
+    if section:
+        value = s.decode._replace(**{name: value})
+    return dataclasses.replace(s, **{section or name: value})
+
+
+def _declared_arguments(s, block):
+    """The values of every field the table declares for ``block``."""
+    d = derive(s)
+    sources = SimpleNamespace(d=d, s=s, bg=BASE_GRAPHS[d.bg])
+    return [attrgetter(field)(sources) for term in TERMS.values()
+            for field in term.blocks.get(block.value, ())]
+
+
+@given(s=_valid_scenarios(), donor=_valid_scenarios())
+@settings(max_examples=100, deadline=None, derandomize=True,
+          phases=[phase for phase in Phase if phase is not Phase.explain])
+def test_a_block_moves_only_with_its_declared_arguments(s, donor):
+    """The dependency contract: a scenario with one field taken from
+    another valid scenario gives every block whose declared argument values
+    did not move the same tally; block C, say, never moves with
+    code_rate."""
+    tallies = tally_pipeline(s)
+    for field in _DERIVE_FIELDS:
+        changed = _with_field(s, field, attrgetter(field)(donor))
+        if validate(changed):
+            continue
+        changed_tallies = tally_pipeline(changed)
+        for block in BlockId:
+            if (_declared_arguments(changed, block)
+                    == _declared_arguments(s, block)):
+                assert (changed_tallies.per_block[block]
+                        == tallies.per_block[block]), (field, block)
 
 
 # ---------------------------------------------------------------------------
@@ -837,13 +910,16 @@ def test_record_taking_block_counters_refuse_a_negative_field(record):
             call(field)
 
 
-def test_block_h_refuses_fewer_coded_than_information_bits():
-    """The check-node count n_ccb - k is block H's own arithmetic, not an
-    argument, so block H checks it: no count ever goes negative."""
-    d = _D._replace(n_ccb=_D.k - 8)
-    with pytest.raises(DomainError, match="^decode needs n_ccb >= k$"):
-        count_block_h(d, DecodeConfig())
-    assert count_block_h(d._replace(n_ccb=d.k), DecodeConfig())
+def test_derive_sets_the_check_count_that_block_h_checks():
+    """The check-node count n_ccb - k and the receive-FFT antenna count are
+    derive's n_checks and rx_antennas, arguments like any other: block H
+    refuses a negative n_checks by the input rule."""
+    assert _D.n_checks == _D.n_ccb - _D.k > 0
+    assert _D.rx_antennas == _REFERENCE_SCENARIO.n_tx
+    assert derive(reference_scenario(rx_fft_antennas=8)).rx_antennas == 8
+    with pytest.raises(DomainError, match="^n_checks must be >= 0$"):
+        count_block_h(_D._replace(n_checks=-1), DecodeConfig())
+    assert count_block_h(_D._replace(n_checks=0), DecodeConfig())
 
 
 def test_tally_scale_factor_follows_the_input_rule():
@@ -870,7 +946,7 @@ def _records(record):
        decode=_records(DecodeConfig),
        ints=st.lists(_ANY_INT, min_size=4, max_size=4),
        block=st.sampled_from("abcdefgh"))
-@example(d=_D._replace(n_ccb=_D.k - 8),
+@example(d=_D._replace(n_checks=-8),
          bg=_REFERENCE_GRAPH, decode=DecodeConfig(), ints=[1, 1, 1, 1],
          block="h")
 @settings(max_examples=400, deadline=None, derandomize=True)
