@@ -15,7 +15,7 @@ _EXPORTS = {
                     "errors"),
     **dict.fromkeys(("BaseGraphSpec", "DecodeConfig", "DerivedParams",
                      "Modulation", "Scenario", "derive", "energy_per_cycle",
-                     "load_scenario", "select_base_graph", "validate"),
+                     "load_scenario", "validate"),
                     "scenario"),
     **dict.fromkeys(("BlockId", "DataClass", "OperationTally", "OpKind",
                      "PipelineTallies", "tally_pipeline"), "opcount"),

@@ -332,9 +332,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # with no partial output.
     results = [(label, _estimate(scenario, table))
                for label, scenario in pairs]
-    return _emit(args, render_sweep_text(args.param, results)
-                 if args.format == "structured-text"
-                 else render_sweep_table(args.param, results))
+    return _emit(args, render_sweep_table(args.param, results)
+                 if args.format == "delimited-table"
+                 else render_sweep_text(args.param, results))
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -381,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "downlink baseband chain.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_flags(p: argparse.ArgumentParser) -> None:
+    def add_run_flags(p: argparse.ArgumentParser,
+                      default_format: str) -> None:
         p.add_argument("--scenario", required=True,
                        help="scenario config file")
         p.add_argument("--cost-table", default=None,
@@ -391,18 +392,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override energy scale in J*s^2")
         p.add_argument("--clock-hz", default=None,
                        help="override processor clock in Hz")
-        p.add_argument("--format", choices=_FORMATS, default=None,
-                       help="output format")
+        p.add_argument("--format", choices=_FORMATS, default=default_format,
+                       help="output format (default: %(default)s)")
         p.add_argument("--out", default=None, help="write output to a file")
 
     p_est = sub.add_parser("estimate",
                            help="cost one scenario: cycles, energy, per bit")
-    add_run_flags(p_est)
+    add_run_flags(p_est, "structured-text")
     p_est.set_defaults(func=cmd_estimate)
 
     p_sweep = sub.add_parser("sweep",
                              help="re-estimate while varying one parameter")
-    add_run_flags(p_sweep)
+    add_run_flags(p_sweep, "delimited-table")
     p_sweep.add_argument("--param", required=True,
                          help="scenario key to vary, or decode.<field>")
     p_sweep.add_argument("--values", required=True,
@@ -412,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare",
                            help="compare modeled cycles against a "
                                 "measurement report")
-    add_run_flags(p_cmp)
+    add_run_flags(p_cmp, "structured-text")
     p_cmp.add_argument("--measured", required=True,
                        help="measurement report (delimited text)")
     p_cmp.add_argument("--filter", default=None,

@@ -504,32 +504,28 @@ def _getter(fields: Sequence[str]) -> Callable[[tuple], tuple]:
                                                                 at[0] + 1))
 
 
-_TERMS_OF = {block: [t for t in TERMS.values() if block.value in t.blocks]
-             for block in BlockId}
+# Each block's terms, each with the fields that feed it in that block.
+_BLOCK_TERMS = {block: tuple((t, t.blocks[block.value]) for t in TERMS.values()
+                             if block.value in t.blocks) for block in BlockId}
+# Each block's terms as (count function, argument getter) pairs.
+_PLANS = {block: tuple((t.count, _getter(fields)) for t, fields in terms)
+          for block, terms in _BLOCK_TERMS.items()}
+# A block takes the tally of the first block whose terms read exactly the
+# same fields: G takes B's.  E is always counted, as its transform reads
+# d.rx_antennas where D's reads s.n_tx.
+_TWINS = {block: twin for block, twin in (
+    (block, next(b for b in BlockId if _BLOCK_TERMS[b] == terms))
+    for block, terms in _BLOCK_TERMS.items()) if twin is not block}
 
 
-def _plan(block: BlockId) -> tuple:
-    """``block``'s terms as (count function, argument getter) pairs, then
-    the earlier block with the same terms, if any, and getters of all the
-    arguments of both: when these agree, the block's tally is that one's."""
-    def arguments(b):
-        return _getter([f for t in _TERMS_OF[b] for f in t.blocks[b.value]])
-
-    terms = _TERMS_OF[block]
-    uses = tuple((t.count, _getter(t.blocks[block.value])) for t in terms)
-    twin = next(b for b in BlockId if _TERMS_OF[b] == terms)
-    if twin is block:
-        return uses, None, None, None
-    return uses, twin, arguments(block), arguments(twin)
-
-
-# G's tally is B's, and E's is D's when rx_antennas equals n_tx.
-_PLANS = {block: _plan(block) for block in BlockId}
-
-
-def _count(block: BlockId, row: tuple) -> OperationTally:
-    """One slot of ``block``, its arguments read from ``row``."""
-    return _merge([count(*get(row)) for count, get in _PLANS[block][0]])
+def _tally(block: BlockId, row: tuple, n: int = 1) -> OperationTally:
+    """``block``'s terms, their arguments read from ``row``, merged and
+    scaled by ``n``."""
+    counts: Dict[int, int] = {}
+    for count, get in _PLANS[block]:
+        for slot, k in count(*get(row)).items():
+            counts[slot] = counts.get(slot, 0) + k * n
+    return _of_slots(counts)
 
 
 def count_term(name: str, /, **args: int) -> OperationTally:
@@ -552,14 +548,14 @@ def _count_named(block: BlockId, **args: int) -> OperationTally:
     """One slot of ``block``, each term given its parameters by name."""
     _check_ints(**args)
     return _merge([t.count(*map(args.__getitem__, t.params))
-                   for t in _TERMS_OF[block]])
+                   for t, _ in _BLOCK_TERMS[block]])
 
 
 def count_block_a(d: DerivedParams, bg: BaseGraphSpec) -> OperationTally:
     """Transport channel encoding: TB CRC, segmentation, CB CRCs, LDPC."""
     _check_ints(**d._asdict())
     _check_ints(**bg._asdict())
-    return _count(BlockId.A, d + bg)
+    return _tally(BlockId.A, d + bg)
 
 
 def count_block_b(m_cw: int, n_symbols: int) -> OperationTally:
@@ -581,13 +577,13 @@ def count_block_f(d: DerivedParams, s: Scenario) -> OperationTally:
     """Least squares plus MMSE."""
     _check_ints(**d._asdict(), n_layers=s.n_layers, n_rx=s.n_rx,
                 n_tx=s.n_tx, channel_len=s.channel_len)
-    return _count(BlockId.F, d + _NO_GRAPH + s.decode + _read_scenario(s))
+    return _tally(BlockId.F, d + _NO_GRAPH + s.decode + _read_scenario(s))
 
 
 def count_block_h(d: DerivedParams, decode: DecodeConfig) -> OperationTally:
     """LDPC decoding plus CB and TB CRC checks."""
     _check_ints(**d._asdict(), **decode._asdict())
-    return _count(BlockId.H, d + _NO_GRAPH + decode)
+    return _tally(BlockId.H, d + _NO_GRAPH + decode)
 
 
 # The receiver's mirrors of B and D have the same terms and parameters.
@@ -612,14 +608,9 @@ def tally_pipeline(s: Scenario) -> PipelineTallies:
     n = s.n_slots
     row = d + BASE_GRAPHS[d.bg] + s.decode + _read_scenario(s)
     per_block = {}
-    for block, (uses, twin, mine, theirs) in _PLANS.items():
-        if twin is not None and mine(row) == theirs(row):
-            per_block[block] = per_block[twin]
-            continue
-        counts: Dict[int, int] = {}
-        for count, get in uses:
-            for slot, k in count(*get(row)).items():
-                counts[slot] = counts.get(slot, 0) + k * n
-        per_block[block] = _of_slots(counts)
+    for block in _PLANS:
+        twin = _TWINS.get(block)
+        per_block[block] = (_tally(block, row, n) if twin is None
+                            else per_block[twin])
     # Every field in order, through the base constructor, as derive does.
     return tuple.__new__(PipelineTallies, (per_block, d.a * n, d))

@@ -769,6 +769,27 @@ def test_compare_table_format_has_unattributed_row(capsys, measurement_file):
     assert lines[-1].startswith("UNATTRIBUTED,")
 
 
+@pytest.mark.parametrize("command, default, extra", [
+    ("estimate", "structured-text", []),
+    ("sweep", "delimited-table", ["--param", "n_prb", "--values", "25,52"]),
+    ("compare", "structured-text", ["--measured", "{measured}"]),
+])
+def test_each_command_prints_its_stated_default_format(capsys,
+                                                       measurement_file,
+                                                       command, default,
+                                                       extra):
+    """Without --format, each command prints exactly what it prints with
+    the default that its --help (and README) states."""
+    argv = [command, "--scenario", REFERENCE,
+            *[arg.replace("{measured}", measurement_file) for arg in extra]]
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv, "--format", default) == (0, plain, "")
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert f"(default: {default})" in " ".join(capsys.readouterr().out.split())
+
+
 def test_compare_totals_only_the_measured_blocks(capsys, tmp_path):
     """A block with no kept row has no measured cycles, and the total
     compares the modeled cycles of the measured blocks (here A alone)

@@ -505,6 +505,26 @@ def test_rx_fft_antenna_override_only_moves_block_e():
             assert wide.per_block[b] == base.per_block[b]
 
 
+def test_blocks_share_a_tally_only_where_the_table_says_so():
+    """The shared-tally map is read from TERMS at import: G's terms read
+    exactly B's fields, and no other block's read another's, so the
+    pipeline hands G the very tally it counted for B."""
+    assert opcount._TWINS == {BlockId.G: BlockId.B}
+    per_block = tally_pipeline(reference_scenario(n_slots=3)).per_block
+    assert per_block[BlockId.G] is per_block[BlockId.B]
+
+
+@pytest.mark.parametrize("rx_fft_antennas", [None, 8])
+def test_block_e_is_counted_from_its_own_antenna_count(rx_fft_antennas):
+    """Block E is counted on its own, over derive's rx_antennas, whether the
+    receive-FFT antenna count is unset (n_tx) or differs from n_tx."""
+    s = reference_scenario(n_slots=3, rx_fft_antennas=rx_fft_antennas)
+    d = derive(s)
+    assert (d.rx_antennas == s.n_tx) is (rx_fft_antennas is None)
+    assert tally_pipeline(s).per_block[BlockId.E] == count_block_e(
+        d.g, d.rx_antennas, d.n_fft).scaled(s.n_slots)
+
+
 def test_mmse_setup_cubes_the_receive_antenna_count():
     """The MMSE set-up's SVD cube term is n_r**3, not block C's cube of the
     column count (n_t**3, which would give 96 for the first case)."""
