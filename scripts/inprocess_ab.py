@@ -1,24 +1,25 @@
 #!/usr/bin/env python3
-"""Time the estimate path of two checkouts in one process, round by round.
+"""Time perfbench's estimate operation of two checkouts in one process.
 
 usage: inprocess_ab.py PARENT CHANGE --seed S --rounds N
 
-Each checkout's ``src`` and ``perfbench/gen.py`` are imported in turn into
-this one process; ``phyenergy*`` and ``gen`` leave ``sys.modules`` between
-the two, so each side keeps its own functions and its own copy of the
-seeded ``sweep-grid`` pool (``gen.scenario_pool(S, 300)``).
+Each checkout's ``src`` and its ``perfbench`` modules ``gen``,
+``workloads``, ``tracer`` and ``reference`` are imported in turn into this
+one process; they and ``phyenergy*`` leave ``sys.modules`` between the
+two, so each side keeps its own functions and its own copy of the seeded
+``sweep-grid`` pool (``gen.scenario_pool(S, 300)``).
 
 The script first renders the estimate text of every pool scenario on both
 sides and stops with exit status 1 unless the two are byte-identical.  It
 then runs N rounds.  In each, both sides cost the whole pool once, the side
 that goes first alternating from round to round, and one operation is
-``derive`` -> ``tally_pipeline`` -> ``build_report`` ->
-``render_estimate_text``, as in perfbench's ``sweep-grid``.  It prints
-through ``bench_pairs.summarize`` each side's median and quartiles of the
-time per operation, and the quartiles of the per-round ratios (change over
-parent, with the parent at 1 in every round).  A reading taken this way
-shares the process, the host's load and its drift between the sides, so it
-resolves a per-layer change that separate benchmark runs cannot.
+``workloads.estimate_op`` with a ``tracer.NullTracer``: the operation that
+perfbench's ``sweep-grid`` times.  It prints through
+``bench_pairs.summarize`` each side's median and quartiles of the time per
+operation, and the quartiles of the per-round ratios (change over parent,
+with the parent at 1 in every round).  A reading taken this way shares the
+process, the host's load and its drift between the sides, so it resolves a
+per-layer change that separate benchmark runs cannot.
 
 It writes nothing into either checkout (no bytecode either).  Standard
 library only.
@@ -37,29 +38,27 @@ sys.dont_write_bytecode = True      # before any import from a checkout
 from bench_pairs import print_summary  # noqa: E402
 
 POOL = 300      # scenarios per round
+PERFBENCH = ("gen", "workloads", "tracer", "reference")   # imported per side
 
 
 def load(root: str, seed: int) -> dict:
-    """The estimate path of checkout ``root`` and its pool, then a clean
-    ``sys.modules`` for the next checkout."""
+    """perfbench's estimate operation in checkout ``root``, its pool and
+    cost table, then a clean ``sys.modules`` for the next checkout."""
     paths = [os.path.join(os.path.abspath(root), part)
              for part in ("src", "perfbench")]
     sys.path[:0] = paths
     try:
         import gen
-        from phyenergy.cli import render_estimate_text
-        from phyenergy.costmodel import (EnergyParams, build_report,
-                                         load_default_cost_table)
-        from phyenergy.opcount import tally_pipeline
-        from phyenergy.scenario import derive
+        import workloads
+        from phyenergy.costmodel import load_default_cost_table
+        from tracer import NullTracer
         side = dict(pool=gen.scenario_pool(seed, POOL),
-                    table=load_default_cost_table(), derive=derive,
-                    tally_pipeline=tally_pipeline, build_report=build_report,
-                    energy=EnergyParams, render=render_estimate_text)
+                    table=load_default_cost_table(),
+                    op=workloads.estimate_op, tracer=NullTracer())
     finally:
         del sys.path[:len(paths)]
         for name in [name for name in sys.modules
-                     if name == "gen" or name == "phyenergy"
+                     if name in PERFBENCH or name == "phyenergy"
                      or name.startswith("phyenergy.")]:
             del sys.modules[name]
     return side
@@ -67,25 +66,18 @@ def load(root: str, seed: int) -> dict:
 
 def texts(side: dict) -> list[str]:
     """The estimate text of each pool scenario."""
-    return [side["render"](side["build_report"](
-        side["tally_pipeline"](s), side["table"],
-        side["energy"](kappa=s.kappa, clock_hz=s.clock_hz), scenario=s))
-        for s in side["pool"]]
+    return [side["op"](s, side["table"], side["tracer"])[2]
+            for s in side["pool"]]
 
 
 def time_pool(side: dict) -> float:
     """Microseconds per operation over one pass of the pool."""
-    pool, table = side["pool"], side["table"]
-    derive, tally_pipeline = side["derive"], side["tally_pipeline"]
-    build_report, energy = side["build_report"], side["energy"]
-    render = side["render"]
+    pool, table, op, tracer = (side["pool"], side["table"], side["op"],
+                               side["tracer"])
     gc.collect()
     t0 = time.perf_counter()
     for s in pool:
-        derive(s)
-        render(build_report(tally_pipeline(s), table,
-                            energy(kappa=s.kappa, clock_hz=s.clock_hz),
-                            scenario=s))
+        op(s, table, tracer)
     return (time.perf_counter() - t0) / len(pool) * 1e6
 
 
@@ -117,8 +109,7 @@ def main() -> int:
         runs["change"].append({"op_us": us["change"],
                                "round_ratio": us["change"] / us["parent"]})
     print(f"seed {args.seed}, {args.rounds} alternating rounds of "
-          f"{POOL} scenarios, derive -> tally_pipeline -> build_report"
-          " -> render_estimate_text")
+          f"{POOL} scenarios, perfbench's workloads.estimate_op")
     print_summary(runs, {"op_us": "lower", "round_ratio": "lower"}, {})
     return 0
 

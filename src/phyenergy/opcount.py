@@ -179,8 +179,6 @@ class OperationTally:
 
     def scaled(self, factor: int) -> "OperationTally":
         _check_ints(factor=factor)
-        if factor <= 1:
-            return self if factor else EMPTY_TALLY
         return _of_slots({slot: n * factor
                           for slot, n in self._counts.items()})
 
@@ -224,10 +222,7 @@ def _of_slots(counts: Dict[int, int]) -> OperationTally:
 
 
 def _merge(terms: Sequence[Mapping[int, int]]) -> OperationTally:
-    """The merge of raw ``{slot: count}`` terms, wrapped once; one term is
-    wrapped as it is."""
-    if len(terms) == 1:
-        return _of_slots(terms[0])
+    """The merge of raw ``{slot: count}`` terms, wrapped once."""
     counts: Dict[int, int] = {}
     for term in terms:
         for slot, n in term.items():

@@ -77,8 +77,6 @@ _MODULATION_ALIASES = {**Modulation.__members__, "16QAM": Modulation.QAM16,
 
 def parse_modulation(value: Any) -> Modulation:
     """Accept canonical names (QAM16) and common aliases (16QAM)."""
-    if isinstance(value, Modulation):
-        return value
     name = value.strip().upper() if isinstance(value, str) else None
     try:
         return _MODULATION_ALIASES[name]

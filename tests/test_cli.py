@@ -257,6 +257,13 @@ def test_estimate_out_file(capsys, tmp_path):
     assert target.read_text() == direct
 
 
+def test_estimate_out_to_a_directory_is_an_io_error(capsys, tmp_path):
+    code, out, err = run(capsys, "estimate", "--scenario", REFERENCE,
+                         "--out", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err == f"error[io]: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
 def test_estimate_kappa_override_scales_energy_not_cycles(capsys):
     _, base, _ = run(capsys, "estimate", "--scenario", REFERENCE,
                      "--format", "delimited-table")

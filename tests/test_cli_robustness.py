@@ -24,8 +24,9 @@ import yaml
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from phyenergy import readers
+from phyenergy import legacy, readers
 from phyenergy.cli import main
+from phyenergy.errors import ConfigError
 
 REFERENCE_PATH = Path(__file__).parent.parent / "configs" / "reference.yaml"
 REFERENCE = yaml.safe_load(REFERENCE_PATH.read_text())
@@ -681,3 +682,53 @@ def test_cycles_at_the_bound_price_and_print(tmp_path, cycles):
                            "delimited-table"])
     assert (code, err) == (0, "")
     assert len(out.splitlines()) == 10
+
+
+def test_an_integer_past_the_float_range_is_not_finite():
+    """A library caller's int beyond the float range fails as a non-finite
+    number, not with float()'s OverflowError."""
+    with pytest.raises(ConfigError, match="^x must be finite$"):
+        readers.as_float("x", HUGE)
+
+
+
+def _with_encoding_warnings(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(readers.__file__).parent.parent),
+                      env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W",
+         "error::EncodingWarning", *argv],
+        env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_every_command_states_its_encodings(tmp_path):
+    """Under ``-X warn_default_encoding``, a file opened with the locale's
+    encoding raises EncodingWarning; made an error, it fails the command.
+    Each command, in the forms CI's encoding step runs, and the script
+    that writes the compared report, exits 0."""
+    scenario = ["--scenario", str(REFERENCE_PATH)]
+    configs, measured = REFERENCE_PATH.parent, str(tmp_path / "measured.csv")
+    runs = [
+        ["estimate", *scenario],
+        ["estimate", *scenario, "--format", "delimited-table", "--out",
+         str(tmp_path / "estimate.csv")],
+        ["sweep", *scenario, "--param", "n_prb", "--values", "25,52,106"],
+        ["compare", *scenario, "--measured", measured,
+         "--filter", str(configs / "filter_example.yaml")],
+        *(["legacy", "--model", model,
+           "--params", str(configs / f"{model.split('-')[0]}.yaml")]
+          for model in legacy.MODELS),
+    ]
+    done = _with_encoding_warnings(
+        str(configs.parent / "scripts" / "synth_measurement.py"),
+        str(REFERENCE_PATH), measured)
+    assert done.returncode == 0, done.stderr
+    for argv in runs:
+        done = _with_encoding_warnings("-m", "phyenergy", *argv)
+        assert done.returncode == 0, (argv, done.stderr)
+    unstated = _with_encoding_warnings(
+        "-c", f"open({str(REFERENCE_PATH)!r}).close()")
+    assert unstated.returncode == 1
+    assert "EncodingWarning" in unstated.stderr

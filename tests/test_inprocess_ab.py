@@ -28,8 +28,7 @@ def test_a_checkout_that_renders_differently_is_refused(tmp_path):
     fails the byte check, and nothing is timed."""
     ignore = shutil.ignore_patterns("__pycache__")
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=ignore)
-    (tmp_path / "perfbench").mkdir()
-    shutil.copy(ROOT / "perfbench" / "gen.py", tmp_path / "perfbench")
+    shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench", ignore=ignore)
     cli = tmp_path / "src" / "phyenergy" / "cli.py"
     text = cli.read_text(encoding="utf-8")
     cli.write_text(text.replace("bits_transmitted: {", "bits: {"),

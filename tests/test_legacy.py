@@ -64,6 +64,8 @@ def test_yu_single_carrier():
 
 def test_yu_no_carriers_is_static_only():
     assert yu_power(YuParams(carriers=(), p_cp_static_w=7.5)) == 7.5
+    assert evaluate_model("yu", {"carriers": None, "p_cp_static_w": 7.5}
+                          ) == (7.5, "W")
 
 
 def test_tombaz_transmitting():

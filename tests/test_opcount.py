@@ -68,6 +68,22 @@ def test_tally_rejects_bad_keys(key):
         OperationTally({key: 1})
 
 
+def test_tally_rejects_an_unhashable_key_from_a_custom_mapping():
+    class Pairs:
+        def items(self):
+            return iter([([1], 2)])
+
+    with pytest.raises(DomainError, match=r"^bad tally key \[1\]$"):
+        OperationTally(Pairs())
+
+
+def test_tally_adds_and_compares_only_with_tallies():
+    t = OperationTally({(OpKind.ADD, DS): 3})
+    with pytest.raises(TypeError):
+        t + 1
+    assert (t == 1) is False
+
+
 def test_tally_items_order_is_declaration_order():
     t = OperationTally({
         (OpKind.XOR, LS): 1,
@@ -883,6 +899,19 @@ def test_count_term_refuses_a_missing_or_unknown_keyword(name):
         count_term(name, **args, foo=2)
     with pytest.raises(DomainError, match=message):
         count_term(name)
+
+
+@pytest.mark.parametrize("name, arg, message", [
+    ("fft", "g", "transform counts need g >= 1 and n_ant >= 1"),
+    ("ls", "k_p", "ls: l, n_t, g, k_p must be >= 1"),
+    ("mmse", "n_t", "mmse: n_r, n_t, g must be >= 1"),
+    ("ldpc_decode", "deg_cn", "decode: deg_cn, deg_vn and c must be >= 1"),
+])
+def test_count_term_keeps_each_terms_structural_rule(name, arg, message):
+    """A zero passes the input rule, and the term's own ``>= 1`` rule
+    refuses it with the term's message."""
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        count_term(name, **{**_TERM_CALLS[name], arg: 0})
 
 
 @pytest.mark.parametrize("count, args", _PUBLIC_CALLS, ids=_PUBLIC_IDS)

@@ -93,16 +93,19 @@ def test_a_trailing_slash_opens_and_names_the_file(capsys, monkeypatch,
 
 
 def test_an_empty_filter_file_means_no_filter(capsys, tmp_path):
+    """A file with no keys, or with every key null, filters nothing."""
     reference = str(ROOT / REFERENCE)
     measured = tmp_path / "measured.csv"
     write_measurement(rows_from_tallies(tally_pipeline(
         load_scenario(reference))), measured)
-    empty = tmp_path / "filter.yaml"
-    empty.write_text("# no keys\n")
     argv = ["compare", "--scenario", reference, "--measured", str(measured)]
-    code, out, _ = _run(capsys, *argv, "--filter", str(empty))
+    code, unfiltered, _ = _run(capsys, *argv)
     assert code == 0
-    assert _run(capsys, *argv) == (0, out, "")
+    empty = tmp_path / "filter.yaml"
+    for text in ("# no keys\n", "allow: ~\ndeny: ~\nblock_map: ~\n"):
+        empty.write_text(text)
+        assert _run(capsys, *argv, "--filter", str(empty)) == (
+            0, unfiltered, "")
 
 
 def test_a_params_field_error_names_its_file(capsys, tmp_path):
